@@ -183,8 +183,9 @@ def _format_block(value: Real, digits: int, plain: bool) -> str:
     text = to_sig_digits(value, digits)
     if plain:
         return text
+    marker = " ..." if Decimal(text) != value else ""
     if "e" in text:  # scientific fallback: grouping would not help
-        return text
+        return text + marker
     if "." in text:
         head, frac = text.split(".")
     else:
@@ -197,9 +198,7 @@ def _format_block(value: Real, digits: int, plain: bool) -> str:
     lines.append(" ".join(line))
     for i in range(per_line, len(groups), per_line):
         lines.append(" ".join(groups[i : i + per_line]))
-    out = "\n".join(lines)
-    truncated = Decimal(text) != value
-    return out + (" ..." if truncated else "")
+    return "\n".join(lines) + marker
 
 
 def _trace_payload(command: str, kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext,

@@ -5,6 +5,13 @@ Every quantity in this package is a ``decimal.Decimal`` handled under a
 never bits).  Field operations inherit their rounding from the stdlib
 ``decimal`` module; n-th roots and rational powers are built here by Newton
 iteration so that no general transcendental machinery (exp/log) is needed.
+
+Roots use one kernel (Brent & Zimmermann, *Modern Computer Arithmetic*
+§4.2): the division-free inverse-root step y += y*(1 - x*y**n)/n from a float
+seed y ~ x**(-1/n), run at precisions that about double per step up to the
+elevated working precision, then x*y**(n-1). A root costs a small multiple
+of one full-precision multiplication, and its error bounds are those stated
+on :func:`nth_root` and :func:`pow_rational`.
 """
 
 from __future__ import annotations
@@ -32,6 +39,13 @@ SUPPORTED_DENOMINATORS = (1, 2, 3, 4, 6, 12)
 _ROOT_CHAIN = {1: (), 2: (2,), 3: (3,), 4: (4,), 6: (2, 3), 12: (3, 4)}
 
 MIN_GUARD_DIGITS = 32
+
+# Digits above working precision at which roots and rational powers are taken.
+_ROOT_EXTRA_DIGITS = 10
+
+# Correct digits the float seed of a root is trusted to: a double carries
+# 15.9, less the rounding of the float conversion and of ``**``.
+_SEED_DIGITS = 14
 
 
 @dataclass(frozen=True)
@@ -133,45 +147,62 @@ def make_context(target_digits: int, algorithm_order: int) -> PrecisionContext:
 
 
 def _float_seed(x: Real, n: int) -> Real:
-    """Hardware-precision estimate of x**(1/n), robust to any decimal exponent."""
+    """Hardware-precision estimate of x**(-1/n), robust to any decimal exponent."""
     e = x.adjusted()
     q, r = divmod(e, n)
-    # x = m * 10**(n*q + r) with 1 <= m < 10, so x**(1/n) = (m*10**r)**(1/n) * 10**q.
+    # x = m * 10**(n*q + r) with 1 <= m < 10, so x**(-1/n) = (m*10**r)**(-1/n) * 10**-q.
     mantissa = float(x.scaleb(-e)) * 10.0**r
-    return Decimal(repr(mantissa ** (1.0 / n))).scaleb(q)
+    return Decimal(repr(mantissa ** (-1.0 / n))).scaleb(-q)
+
+
+def _newton_schedule(prec: int) -> list[int]:
+    """Precisions of the Newton steps of a root at ``prec`` digits, last step first.
+
+    Each step roughly doubles the correct digits, so a step at ``p`` digits
+    needs an input good to ``p // 2 + 2``; the halving stops once the float
+    seed's digits cover a step (``p <= 2 * _SEED_DIGITS``).
+    """
+    schedule = [prec]
+    while schedule[-1] > 2 * _SEED_DIGITS:
+        schedule.append(schedule[-1] // 2 + 2)
+    return schedule
 
 
 def _newton_root(x: Real, n: int) -> Real:
-    """Newton n-th root at the ambient (already elevated) decimal context.
+    """x**(1/n) at the ambient (already elevated) decimal context.
 
-    Quadratic convergence from the float seed; the per-step check stops the
-    loop once two successive iterates agree to the ambient precision.
+    Iterates the division-free inverse-root step y += y*(1 - x*y**n)/n from
+    the float seed y ~ x**(-1/n). The step at most squares the relative error
+    (times (n+1)/2), so it runs at the precisions of :func:`_newton_schedule`:
+    about doubling from the seed's digits, with ``x`` rounded to each step's
+    precision, and only the last step at full precision. The root is then
+    x*y**(n-1), with an error of a few units in the last ambient digit.
     """
     if x == 0:
         return Decimal(0)
-    prec = decimal.getcontext().prec
-    r = +_float_seed(x, n)
-    tol = r * Decimal(1).scaleb(-(prec - 6))
-    for _ in range(200):
-        r_next = ((n - 1) * r + x / r ** (n - 1)) / n
-        if abs(r_next - r) <= tol:
-            return r_next
-        r = r_next
-    raise ArithmeticError("Newton iteration failed to settle")  # pragma: no cover
+    y = _float_seed(x, n)
+    with localcontext() as step:
+        for prec in reversed(_newton_schedule(step.prec)):
+            step.prec = prec
+            x_step = +x
+            y += y * (1 - x_step * y**n) / n
+    return x_step * y ** (n - 1)
 
 
 def nth_root(x: Real, n: int, ctx: PrecisionContext) -> Real:
     """n-th root of x >= 0 for n in {2, 3, 4} by Newton iteration.
 
-    Seeded from a hardware-precision estimate; runs with a few extra digits
-    internally so the result rounded to working precision satisfies
+    Computed by the precision-doubling inverse-root kernel with
+    ``_ROOT_EXTRA_DIGITS`` digits above working precision, so the result
+    rounded to working precision satisfies
     |r**n - x| <= 3 * x * 10**(1 - working_digits).
+    ``x`` may carry more digits than the context.
     """
     if n not in (2, 3, 4):
         raise UnsupportedExponentError(f"nth_root supports n in {{2, 3, 4}}, got {n}")
     if x.is_signed() and x != 0:
         raise DomainError("nth_root requires x >= 0")
-    with ctx.elevated(10):
+    with ctx.elevated(_ROOT_EXTRA_DIGITS):
         r = _newton_root(x, n)
     with ctx.local():
         return +r
@@ -180,8 +211,10 @@ def nth_root(x: Real, n: int, ctx: PrecisionContext) -> Real:
 def pow_rational(x: Real, p: int, q: int, ctx: PrecisionContext) -> Real:
     """x**(p/q) for x > 0, p any integer, q in {1, 2, 3, 4, 6, 12}.
 
-    Composed as the q-th root of x**|p| (roots chained through {2, 3, 4}),
-    inverted when p < 0.  Relative error <= (|p| + 3) * 10**(1 - working_digits).
+    Composed as the q-th root of x**|p|, each root of the chain through
+    {2, 3, 4} taken by the same inverse-root kernel as :func:`nth_root` with
+    ``_ROOT_EXTRA_DIGITS`` extra digits, and inverted when p < 0.
+    Relative error <= (|p| + 3) * 10**(1 - working_digits).
     """
     if q not in SUPPORTED_DENOMINATORS:
         raise UnsupportedExponentError(f"denominator {q} not in {SUPPORTED_DENOMINATORS}")
@@ -191,7 +224,7 @@ def pow_rational(x: Real, p: int, q: int, ctx: PrecisionContext) -> Real:
         raise DomainError("pow_rational requires x > 0")
     if p == 0:
         return Decimal(1)
-    with ctx.elevated(10):
+    with ctx.elevated(_ROOT_EXTRA_DIGITS):
         y = x ** abs(p)
         for n in _ROOT_CHAIN[q]:
             y = +_newton_root(y, n)

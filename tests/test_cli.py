@@ -155,6 +155,15 @@ class TestEllipseCommand:
         assert code == 0
         assert out == "1.0000000000 0"  # exact value: no truncation marker
 
+    def test_scientific_output_marks_truncation(self, capsys):
+        # F(1, 1e-12) ~ 6.4e23 is printed in the scientific fallback
+        argv = ("ellipse", "1", "1e-12", "--normalized", "--digits", "10")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == "6.366197723e23 ..."
+        _, plain, _ = run_cli(capsys, *argv, "--plain")
+        assert plain == "6.366197723e23"
+
     def test_json_fields(self, capsys):
         code, out, _ = run_cli(capsys, "ellipse", "2", "1", "--digits", "25", "--json")
         payload = json.loads(out)

@@ -1,5 +1,5 @@
 import random
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -15,6 +15,12 @@ from replica import (
     nth_root,
     pow_rational,
     to_sig_digits,
+)
+from replica.precision import (
+    MIN_GUARD_DIGITS,
+    SUPPORTED_DENOMINATORS,
+    _ROOT_EXTRA_DIGITS,
+    _newton_schedule,
 )
 
 
@@ -222,3 +228,77 @@ class TestTwoPrecisionStability:
         ours = nth_root(Decimal(5), 2, ctx)
         theirs = decimal_sqrt(5, ctx.working_digits + 20)
         assert matching_digits(ours, theirs) >= ctx.working_digits - 2
+
+
+def _schedule_boundaries(limit):
+    """Working precisions w at which the root kernel takes one step more than at w - 1."""
+    steps = [len(_newton_schedule(w + _ROOT_EXTRA_DIGITS)) for w in range(limit)]
+    return [w for w in range(MIN_GUARD_DIGITS + 2, limit) if steps[w] != steps[w - 1]]
+
+
+def _min_guard_context(working_digits):
+    return PrecisionContext(working_digits - MIN_GUARD_DIGITS, working_digits, MIN_GUARD_DIGITS, 1)
+
+
+def _exact_power(r, n):
+    with localcontext() as c:
+        c.prec = n * len(r.as_tuple().digits) + 5
+        return r**n
+
+
+class TestNewtonKernelAtScale:
+    def test_sqrt2_against_integer_sqrt_20k(self):
+        ctx = make_context(20000, 2)
+        r = nth_root(Decimal(2), 2, ctx)
+        oracle = isqrt_sqrt(2, ctx.working_digits + 20)
+        assert matching_digits(r, oracle) >= ctx.working_digits - 2
+
+    def test_roundtrip_either_side_of_schedule_boundaries(self):
+        boundaries = _schedule_boundaries(26000)
+        assert len(boundaries) >= 9  # every precision doubling up to 20k digits
+        contexts = [_min_guard_context(w) for b in boundaries for w in (b - 1, b)]
+        contexts += [make_context(t, order) for t in (1, 13, 14, 40, 1000, 20000)
+                     for order in (2, 3, 4)]
+        rng = random.Random(20261017)
+        for ctx in contexts:
+            for n in (2, 3, 4):
+                x = ctx.real(Fraction(rng.getrandbits(4 * ctx.working_digits),
+                                      rng.getrandbits(4 * ctx.working_digits) | 1))
+                with ctx.local():
+                    power = x**n
+                r = nth_root(power, n, ctx)
+                assert matching_digits(r, x) >= ctx.working_digits - 2, (ctx, n)
+
+    def test_documented_bound_across_magnitudes(self):
+        ctx = make_context(60, 2)
+        rng = random.Random(5)
+        for exponent in range(-400, 401, 25):
+            for n in (2, 3, 4):
+                x = Decimal(f"{rng.randrange(10**39, 10**40)}e{exponent - 39}")
+                r = nth_root(x, n, ctx)
+                with localcontext() as c:
+                    c.prec = 4 * ctx.working_digits + 50
+                    defect = abs(_exact_power(r, n) - x)
+                    assert defect <= 3 * x * ctx.epsilon(1), (x, n)
+
+    @pytest.mark.parametrize("q", SUPPORTED_DENOMINATORS)
+    def test_inverse_pair_20k(self, q):
+        ctx = make_context(20000, 4)
+        x = ctx.real(Fraction(22, 7))
+        with ctx.local():
+            product = pow_rational(x, 5, q, ctx) * pow_rational(x, -5, q, ctx)
+        assert matching_digits(product, Decimal(1)) >= ctx.working_digits - 2
+
+    def test_input_with_more_digits_than_context(self):
+        ctx = make_context(300, 2)
+        wide = ctx.doubled_guard()
+        x = wide.real(Fraction(10, 7))
+        assert len(x.as_tuple().digits) > ctx.working_digits
+        for n in (2, 3, 4):
+            r = nth_root(x, n, ctx)
+            assert matching_digits(r, nth_root(x, n, wide)) >= ctx.working_digits - 2
+            with localcontext() as c:
+                c.prec = 4 * wide.working_digits + 50
+                assert abs(_exact_power(r, n) - x) <= 3 * x * ctx.epsilon(1)
+        y = pow_rational(x, -5, 12, ctx)
+        assert matching_digits(y, pow_rational(x, -5, 12, wide)) >= ctx.working_digits - 2
