@@ -7,14 +7,12 @@ series evaluator provides independent oracle values for every limit.
 """
 
 from .algorithms import (
-    CONSTANT_RECIPES,
     CUBIC,
     QUADRATIC,
     QUARTIC,
     AlgorithmKind,
     IterationState,
     RunResult,
-    constant_limit_oracle,
     measure_orders,
     postprocess_constant,
     replication_invariant,
@@ -36,16 +34,13 @@ from .errors import (
 )
 from .precision import (
     PrecisionContext,
-    Real,
     make_context,
     matching_digits,
     nth_root,
     pow_rational,
-    rat_pow,
     to_sig_digits,
 )
 from .series import (
-    CoupleValues,
     SeriesSpec,
     couple_product,
     ellipse_factor,
@@ -53,7 +48,6 @@ from .series import (
     ramanujan_couple,
 )
 from .transforms import (
-    ReplicatedCoefficients,
     cubic_descend,
     cubic_replicate,
     quad_descend,
@@ -66,9 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgorithmKind",
-    "CONSTANT_RECIPES",
     "CUBIC",
-    "CoupleValues",
     "DivergenceError",
     "DomainError",
     "InsufficientTraceError",
@@ -78,16 +70,13 @@ __all__ = [
     "PrecisionInsufficientError",
     "QUADRATIC",
     "QUARTIC",
-    "Real",
     "ReplicaError",
-    "ReplicatedCoefficients",
     "RunResult",
     "SeriesSpec",
     "SlowConvergenceError",
     "UnknownConstantError",
     "UnsupportedExponentError",
     "UnsupportedParameterError",
-    "constant_limit_oracle",
     "couple_product",
     "cubic_descend",
     "cubic_replicate",
@@ -104,7 +93,6 @@ __all__ = [
     "quartic_descend",
     "quartic_replicate",
     "ramanujan_couple",
-    "rat_pow",
     "replication_invariant",
     "run_borwein",
     "run_ellipse",

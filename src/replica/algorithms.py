@@ -97,6 +97,17 @@ def _step(order: int, w: Fraction, d: Real, c: Real, a: Real, ctx: PrecisionCont
 
     The power of the order-specific factor f is computed once (g = f**(w-1),
     or f**(2w-2) for the quartic) and reused for the a-update exponent.
+
+    This is the replication map with its divisions cancelled by hand: with
+    t = DESCEND[m](d), (alpha, beta) = REPLICATE[m](a, c (1 - d^m), t) and
+    pre = 1 + t, 1 + 2t or (1 + t)^2, the step returns
+    (t, pre^w beta / (1 - t^m), pre^w alpha), which tests/test_algorithms.py
+    checks to within 10 digits of working precision.  It stays inlined
+    because the step built from REPLICATE divides twice more at full
+    precision by powers of (1 - t): at 20 000 digits and w = 1/3 that step
+    took 69 / 113 / 116 ms against 34 / 52 / 57 ms for this one (quadratic /
+    cubic / quartic, best of 5, 2 vCPU, Python 3.11), and these divisions are
+    the hot path of long runs.
     """
     d1 = DESCEND[order](d, ctx)
     if order == 2:

@@ -27,6 +27,7 @@ from fractions import Fraction
 from .algorithms import (
     CONSTANT_RECIPES,
     CUBIC,
+    QUADRATIC,
     QUARTIC,
     AlgorithmKind,
     RunResult,
@@ -42,7 +43,6 @@ from .errors import (
     SlowConvergenceError,
 )
 from .precision import (
-    MIN_GUARD_DIGITS,
     PrecisionContext,
     Real,
     make_context,
@@ -63,10 +63,6 @@ _MIN_INTERNAL_DIGITS = 32
 
 _GROUP = 10
 _GROUPS_PER_LINE = 5
-
-
-def _max_digits() -> int:
-    return int(os.environ.get("REPLICA_MAX_DIGITS", "1000000"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -119,12 +115,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_digits(args.digits)
         if args.command == "constant":
             return _cmd_constant(args)
         if args.command == "ellipse":
@@ -132,44 +128,21 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_orders(args)
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ReplicaError, ValueError, decimal.InvalidOperation) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NonConvergenceError) else 2
 
 
 def _check_digits(digits: int) -> None:
     if digits < 1:
         raise ValueError("--digits must be >= 1")
-    cap = _max_digits()
+    cap = int(os.environ.get("REPLICA_MAX_DIGITS", "1000000"))
     if digits > cap:
         raise ValueError(f"--digits exceeds REPLICA_MAX_DIGITS = {cap}")
 
 
-def _parse_w(text: str | None) -> Fraction | None:
-    if text is None:
-        return None
-    w = Fraction(text)
-    if 12 % w.denominator != 0:
-        raise ValueError("w must have a denominator dividing 12")
-    return w
-
-
-def _context_for(digits: int, order: int, extra_iterations: int = 0) -> PrecisionContext:
-    target = max(digits, _MIN_INTERNAL_DIGITS)
-    ctx = make_context(target, order)
-    if extra_iterations:
-        max_it = ctx.max_iterations + extra_iterations
-        guard = MIN_GUARD_DIGITS + 8 * max_it
-        ctx = PrecisionContext(
-            target_digits=target,
-            working_digits=target + guard,
-            guard_digits=guard,
-            max_iterations=max_it,
-        )
-    return ctx
+def _context(digits: int, order: int, extra_iterations: int = 0) -> PrecisionContext:
+    return make_context(max(digits, _MIN_INTERNAL_DIGITS), order, extra_iterations)
 
 
 def _dump_json(payload: dict) -> str:
@@ -202,14 +175,14 @@ def _format_block(value: Real, digits: int, plain: bool) -> str:
 
 
 def _trace_payload(command: str, kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext,
-                   result: RunResult, result_text: str) -> dict:
+                   result: RunResult, value: Real, digits: int) -> dict:
     return {
         "command": command,
         "algorithm": kind.name,
         "w": str(w),
         "target_digits": ctx.target_digits,
         "working_digits": ctx.working_digits,
-        "result": result_text,
+        "result": to_sig_digits(value, digits),
         "iterations": [
             {"n": st.n, "delta_exp": st.delta_exp} for st in result.trace[1:]
         ],
@@ -218,73 +191,57 @@ def _trace_payload(command: str, kind: AlgorithmKind, w: Fraction, ctx: Precisio
     }
 
 
-def _resolve_constant(args) -> tuple[str, AlgorithmKind, Fraction]:
-    name = args.constant_id
-    w_arg = _parse_w(args.w)
-    if name == "custom":
-        if w_arg is None:
-            raise ValueError("constant custom requires --w")
-        allowed = (2, 3, 4)
-        w = w_arg
-        default_order = 4
-    elif name in CONSTANT_RECIPES:
-        allowed, w = CONSTANT_RECIPES[name]
-        default_order = 4 if 4 in allowed else 3
-        if w_arg is not None and w_arg != w:
-            raise ValueError(f"constant {name} is computed at w={w}; drop --w or use custom")
-    else:
-        raise ValueError(f"unknown constant id {name!r}")
-    if args.algorithm == "auto":
-        order = default_order
-    else:
-        order = _ALGORITHM_ORDERS[args.algorithm]
-        if order not in allowed:
-            raise ValueError(
-                f"constant {name} needs an algorithm of order in {allowed}"
-            )
-    return name, AlgorithmKind(order), w
-
-
-def _cmd_constant(args) -> int:
-    _check_digits(args.digits)
-    name, kind, w = _resolve_constant(args)
-    ctx = _context_for(args.digits, kind.order)
-    run = run_borwein(kind, w, ctx)
-    if name == "custom":
-        value = run.value
-    else:
-        value = postprocess_constant(name, run.value, ctx)
-    text = to_sig_digits(value, args.digits)
+def _print_result(args, command: str, kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext,
+                  run: RunResult, value: Real, fields: dict) -> int:
+    """Print a constant or perimeter as a run trace, one JSON line (``fields``
+    plus the common keys) or a digit block."""
     if args.trace:
-        print(_dump_json(_trace_payload("constant", kind, w, ctx, run, text)))
+        print(_dump_json(_trace_payload(command, kind, w, ctx, run, value, args.digits)))
     elif args.json:
-        payload = {
-            "constant": name,
+        print(_dump_json({
+            **fields,
             "algorithm": kind.name,
-            "w": str(w),
             "digits": args.digits,
-            "value": text,
+            "value": to_sig_digits(value, args.digits),
             "iterations": run.iterations,
             "orders": run.orders,
-        }
-        print(_dump_json(payload))
+        }))
     else:
         print(_format_block(value, args.digits, args.plain))
     return 0
 
 
-def _parse_axes(major: str, minor: str) -> tuple[Decimal, Decimal]:
-    try:
-        a, b = Decimal(major), Decimal(minor)
-    except decimal.InvalidOperation:
-        raise ValueError("axes must be decimal numbers") from None
-    if not a.is_finite() or not b.is_finite():
-        raise ValueError("axes must be finite decimals")
-    if b <= 0:
-        raise ValueError("semi-minor axis must be > 0")
-    if b > a:
-        raise ValueError("need semi_minor <= semi_major")
-    return a, b
+def _resolve_constant(command: str, name: str, w_text: str | None,
+                      algorithm: str) -> tuple[AlgorithmKind, Fraction]:
+    """The family and w that compute constant ``name`` (or ``custom`` at --w)."""
+    w_arg = None if w_text is None else Fraction(w_text)
+    if w_arg is not None and 12 % w_arg.denominator != 0:
+        raise ValueError("w must have a denominator dividing 12")
+    if name == "custom":
+        if w_arg is None:
+            raise ValueError(f"{command} custom requires --w")
+        allowed, w = (2, 3, 4), w_arg
+    elif name in CONSTANT_RECIPES:
+        allowed, w = CONSTANT_RECIPES[name]
+        if w_arg is not None and w_arg != w:
+            raise ValueError(f"constant {name} is computed at w={w}; drop --w or use custom")
+    else:
+        what = "constant id" if command == "constant" else "verify target"
+        raise ValueError(f"unknown {what} {name!r}")
+    order = max(allowed) if algorithm == "auto" else _ALGORITHM_ORDERS[algorithm]
+    if order not in allowed:
+        raise ValueError(f"constant {name} needs an algorithm of order in {allowed}")
+    return AlgorithmKind(order), w
+
+
+def _cmd_constant(args) -> int:
+    name = args.constant_id
+    kind, w = _resolve_constant("constant", name, args.w, args.algorithm)
+    ctx = _context(args.digits, kind.order)
+    run = run_borwein(kind, w, ctx)
+    value = run.value if name == "custom" else postprocess_constant(name, run.value, ctx)
+    fields = {"constant": name, "w": str(w)}
+    return _print_result(args, "constant", kind, w, ctx, run, value, fields)
 
 
 def _eccentric_extra_iterations(a: Decimal, b: Decimal) -> int:
@@ -296,104 +253,97 @@ def _eccentric_extra_iterations(a: Decimal, b: Decimal) -> int:
         if r2 > Decimal("0.1"):
             return 0
         dist = max(1, -r2.adjusted())
-    return 2 + max(1, dist).bit_length()
+    return 2 + dist.bit_length()
+
+
+def _run_perimeter(args, major: str, minor: str):
+    """Parse the semi-axes and run the perimeter iteration of the family
+    ``args`` asks for: (a, b, kind, ctx, run), with a and b as parsed."""
+    try:
+        a, b = Decimal(major), Decimal(minor)
+    except decimal.InvalidOperation:
+        raise ValueError("axes must be decimal numbers") from None
+    if not a.is_finite() or not b.is_finite():
+        raise ValueError("axes must be finite decimals")
+    if b <= 0:
+        raise ValueError("semi-minor axis must be > 0")
+    if b > a:
+        raise ValueError("need semi_minor <= semi_major")
+    if args.algorithm == "cubic":
+        raise ValueError("perimeter algorithms exist for quad and quartic only")
+    kind = QUADRATIC if args.algorithm == "quad" else QUARTIC
+    ctx = _context(args.digits, kind.order, _eccentric_extra_iterations(a, b))
+    return a, b, kind, ctx, run_ellipse(kind, ctx.real(a), ctx.real(b), ctx)
 
 
 def _cmd_ellipse(args) -> int:
-    _check_digits(args.digits)
-    if args.algorithm == "cubic":
-        raise ValueError("perimeter algorithms exist for quad and quartic only")
-    order = 4 if args.algorithm in ("auto", "quartic") else 2
-    kind = AlgorithmKind(order)
-    a, b = _parse_axes(args.semi_major, args.semi_minor)
-    ctx = _context_for(args.digits, order, _eccentric_extra_iterations(a, b))
+    a, b, kind, ctx, run = _run_perimeter(args, args.semi_major, args.semi_minor)
     axis_major, axis_minor = ctx.real(a), ctx.real(b)
-    run = run_ellipse(kind, axis_major, axis_minor, ctx)
     with ctx.local():
         eccentricity = nth_root(1 - (axis_minor / axis_major) ** 2, 2, ctx)
-        if args.normalized:
-            value = run.value
-        else:
-            pi = 1 / run_borwein(QUARTIC, Fraction(1), ctx).value
-            value = 2 * pi * axis_minor**2 / axis_major * run.value
-    text = to_sig_digits(value, args.digits)
-    if args.trace:
-        print(_dump_json(_trace_payload("ellipse", kind, Fraction(0), ctx, run, text)))
-    elif args.json:
-        payload = {
-            "command": "ellipse",
-            "algorithm": kind.name,
-            "semi_major": str(a),
-            "semi_minor": str(b),
-            "eccentricity": to_sig_digits(eccentricity, min(args.digits, 30)),
-            "normalized": bool(args.normalized),
-            "digits": args.digits,
-            "value": text,
-            "iterations": run.iterations,
-            "orders": run.orders,
-        }
-        print(_dump_json(payload))
-    else:
-        print(_format_block(value, args.digits, args.plain))
-    return 0
-
-
-def _verify_report(lines: list[str], payload: dict, as_json: bool) -> None:
-    if as_json:
-        print(_dump_json(payload))
-    else:
-        print("\n".join(lines))
+        value = run.value
+        if not args.normalized:
+            pi = postprocess_constant("pi", run_borwein(QUARTIC, Fraction(1), ctx).value, ctx)
+            value = 2 * pi * axis_minor**2 / axis_major * value
+    fields = {
+        "command": "ellipse",
+        "semi_major": str(a),
+        "semi_minor": str(b),
+        "eccentricity": to_sig_digits(eccentricity, min(args.digits, 30)),
+        "normalized": bool(args.normalized),
+    }
+    return _print_result(args, "ellipse", kind, Fraction(0), ctx, run, value, fields)
 
 
 def _cmd_verify(args) -> int:
-    _check_digits(args.digits)
+    """Run a constant or perimeter and measure it against its oracle: the
+    series, or the other perimeter family where the series is too slow."""
+    payload = {"command": "verify", "target": args.target, "digits": args.digits}
+    suffix = ""
     if args.target == "ellipse":
-        return _verify_ellipse(args)
-    name = args.target
-    if name == "custom":
-        if _parse_w(args.w) is None:
-            raise ValueError("verify custom requires --w")
-    elif name not in CONSTANT_RECIPES:
-        raise ValueError(f"unknown verify target {name!r}")
-    _, kind, w = _resolve_constant(_ConstantArgs(name, args.w, args.algorithm))
-    if args.paper_example and (kind.order != 3 or w != Fraction(1, 2)):
-        raise ValueError("--paper-example applies to the cubic family at w=1/2")
-    ctx = _context_for(args.digits, kind.order)
-    run = run_borwein(kind, w, ctx)
-    oracle = constant_limit_oracle(kind, w, ctx)
+        if len(args.axes) != 2:
+            raise ValueError("verify ellipse needs two axes")
+        a, b, kind, ctx, run = _run_perimeter(args, *args.axes)
+        w = Fraction(0)
+        lines = [f"verify ellipse {a} {b}: algorithm={kind.name} digits={args.digits}"]
+        payload.update(semi_major=str(a), semi_minor=str(b))
+        try:
+            oracle = ellipse_factor(ctx.real(a), ctx.real(b), ctx)
+            reference = "series oracle"
+        except SlowConvergenceError:
+            other = AlgorithmKind(6 - kind.order)
+            oracle = run_ellipse(other, ctx.real(a), ctx.real(b), ctx).value
+            reference = f"{other.name} iteration (series oracle too slow for this eccentricity)"
+            lines.append("warning: 1 - b^2/a^2 > 0.99, series oracle skipped")
+            payload["warning"] = "slow-oracle"
+        suffix = f" (vs {reference})"
+    else:
+        kind, w = _resolve_constant("verify", args.target, args.w, args.algorithm)
+        if args.paper_example and (kind.order != 3 or w != Fraction(1, 2)):
+            raise ValueError("--paper-example applies to the cubic family at w=1/2")
+        ctx = _context(args.digits, kind.order)
+        run = run_borwein(kind, w, ctx)
+        oracle = constant_limit_oracle(kind, w, ctx)
+        lines = [f"verify {args.target}: algorithm={kind.name} w={w} digits={args.digits}"]
+        payload["w"] = str(w)
     agree = min(matching_digits(run.value, oracle), ctx.working_digits)
     run.oracle_digits = agree
     ok = agree >= args.digits
     if args.trace:
-        text = to_sig_digits(run.value, args.digits)
-        print(_dump_json(_trace_payload("verify", kind, w, ctx, run, text)))
+        print(_dump_json(_trace_payload("verify", kind, w, ctx, run, run.value, args.digits)))
         return 0 if ok else 4
-    lines = [
-        f"verify {name}: algorithm={kind.name} w={w} digits={args.digits}",
-        f"agree: >={agree} digits",
-    ]
-    payload = {
-        "command": "verify",
-        "target": name,
-        "algorithm": kind.name,
-        "w": str(w),
-        "digits": args.digits,
-        "agree_digits": agree,
-        "ok": ok,
-    }
-    if args.paper_example:
+    lines.append(f"agree: >={agree} digits{suffix}")
+    payload.update(algorithm=kind.name, agree_digits=agree, ok=ok)
+    if args.paper_example and args.target != "ellipse":
         ratio, expected, support = _paper_example_probe(ctx, oracle)
         lines += [
-            f"paper-example probe: measured ratio (general limit / example value) = "
-            f"{to_sig_digits(ratio, 30)}",
-            f"algebraic factor 3^(3/4) * 2^(-4/3) = {to_sig_digits(expected, 30)}",
+            f"paper-example probe: measured ratio (general limit / example value) = {ratio}",
+            f"algebraic factor 3^(3/4) * 2^(-4/3) = {expected}",
             f"the series oracle supports the {support}",
         ]
-        payload["paper_example_ratio"] = to_sig_digits(ratio, 30)
-        payload["expected_ratio"] = to_sig_digits(expected, 30)
-        payload["oracle_supports"] = support
+        payload.update(paper_example_ratio=ratio, expected_ratio=expected, oracle_supports=support)
     lines.append("PASS" if ok else "FAIL: oracle disagreement")
-    _verify_report(lines, payload, args.json)
+    print(_dump_json(payload) if args.json else "\n".join(lines))
     return 0 if ok else 4
 
 
@@ -403,9 +353,10 @@ def _paper_example_probe(ctx: PrecisionContext, oracle: Real):
     Gamma(1/3) is obtained independently of the w=1/2 run: from the cubic
     w=2 run (which yields Gamma(2/3)) and the reflection identity
     Gamma(1/3) Gamma(2/3) = 2 pi / sqrt(3), with pi from the quartic w=1 run.
+    Returns both ratios to 30 digits and the formula the oracle supports.
     """
     with ctx.local():
-        pi = 1 / run_borwein(QUARTIC, Fraction(1), ctx).value
+        pi = postprocess_constant("pi", run_borwein(QUARTIC, Fraction(1), ctx).value, ctx)
         gamma23 = postprocess_constant("gamma23", run_borwein(CUBIC, Fraction(2), ctx).value, ctx)
         sqrt3 = nth_root(Decimal(3), 2, ctx)
         gamma13 = 2 * pi / (sqrt3 * gamma23)
@@ -417,95 +368,34 @@ def _paper_example_probe(ctx: PrecisionContext, oracle: Real):
             if matching_digits(ratio, expected) >= ctx.target_digits // 2
             else "simplified example value"
         )
-        return ratio, expected, support
-
-
-def _verify_ellipse(args) -> int:
-    if len(args.axes) != 2:
-        raise ValueError("verify ellipse needs two axes")
-    a, b = _parse_axes(args.axes[0], args.axes[1])
-    if args.algorithm == "cubic":
-        raise ValueError("perimeter algorithms exist for quad and quartic only")
-    order = 4 if args.algorithm in ("auto", "quartic") else 2
-    kind = AlgorithmKind(order)
-    ctx = _context_for(args.digits, order, _eccentric_extra_iterations(a, b))
-    axis_major, axis_minor = ctx.real(a), ctx.real(b)
-    run = run_ellipse(kind, axis_major, axis_minor, ctx)
-    lines = [f"verify ellipse {a} {b}: algorithm={kind.name} digits={args.digits}"]
-    payload = {
-        "command": "verify",
-        "target": "ellipse",
-        "algorithm": kind.name,
-        "semi_major": str(a),
-        "semi_minor": str(b),
-        "digits": args.digits,
-    }
-    try:
-        oracle = ellipse_factor(axis_major, axis_minor, ctx)
-        reference = "series oracle"
-    except SlowConvergenceError:
-        other = AlgorithmKind(2 if order == 4 else 4)
-        oracle = run_ellipse(other, axis_major, axis_minor, ctx).value
-        reference = f"{other.name} iteration (series oracle too slow for this eccentricity)"
-        lines.append("warning: 1 - b^2/a^2 > 0.99, series oracle skipped")
-        payload["warning"] = "slow-oracle"
-    agree = min(matching_digits(run.value, oracle), ctx.working_digits)
-    run.oracle_digits = agree
-    ok = agree >= args.digits
-    if args.trace:
-        text = to_sig_digits(run.value, args.digits)
-        print(_dump_json(_trace_payload("verify", kind, Fraction(0), ctx, run, text)))
-        return 0 if ok else 4
-    lines.append(f"agree: >={agree} digits (vs {reference})")
-    lines.append("PASS" if ok else "FAIL: oracle disagreement")
-    payload["agree_digits"] = agree
-    payload["ok"] = ok
-    _verify_report(lines, payload, args.json)
-    return 0 if ok else 4
-
-
-class _ConstantArgs:
-    """Adapter so verify can reuse the constant resolver."""
-
-    def __init__(self, constant_id: str, w: str | None, algorithm: str):
-        self.constant_id = constant_id
-        self.w = w
-        self.algorithm = algorithm
+        return to_sig_digits(ratio, 30), to_sig_digits(expected, 30), support
 
 
 def _cmd_orders(args) -> int:
-    _check_digits(args.digits)
     if args.digits < 100:
         raise ValueError("orders needs --digits >= 100")
-    order = 4 if args.algorithm == "auto" else _ALGORITHM_ORDERS[args.algorithm]
-    kind = AlgorithmKind(order)
-    w = _parse_w(args.w) or Fraction(1)
-    ctx = _context_for(args.digits, order)
+    # the table follows the raw run at --w, the value `constant custom` prints
+    kind, w = _resolve_constant("orders", "custom", args.w, args.algorithm)
+    ctx = _context(args.digits, kind.order)
     run = run_borwein(kind, w, ctx)
     with ctx.local():
         errs = [abs(st.a - run.value) for st in run.trace]
-    rows = []
-    for st, err in zip(run.trace, errs):
-        rows.append(
-            {
-                "n": st.n,
-                "delta_exp": st.delta_exp,
-                "err_exp": err.adjusted() if err != 0 else None,
-            }
-        )
+    rows = [
+        {"n": st.n, "delta_exp": st.delta_exp, "err_exp": err.adjusted() if err != 0 else None}
+        for st, err in zip(run.trace, errs)
+    ]
     logs = usable_error_logs(run.trace, run.value, ctx)
     for (n, _), value in zip(logs, run.orders):
         rows[n]["order"] = value
     if args.json:
-        payload = {
+        print(_dump_json({
             "command": "orders",
             "algorithm": kind.name,
             "w": str(w),
             "digits": args.digits,
             "iterations": rows,
             "orders": run.orders,
-        }
-        print(_dump_json(payload))
+        }))
         return 0
     lines = [
         f"orders: algorithm={kind.name} w={w} digits={args.digits}",

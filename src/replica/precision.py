@@ -120,23 +120,27 @@ class PrecisionContext:
         return self.with_guard(2 * self.guard_digits)
 
 
-def make_context(target_digits: int, algorithm_order: int) -> PrecisionContext:
+def make_context(target_digits: int, algorithm_order: int,
+                 extra_iterations: int = 0) -> PrecisionContext:
     """Build the precision policy for a run of the given algorithm order.
 
     The step budget is ceil(log_order(target_digits)) + 3, since correct
-    digits multiply by ``algorithm_order`` per iteration; the guard grows
-    with the budget because every iteration loses a bounded number of digits
-    to rounding.
+    digits multiply by ``algorithm_order`` per iteration, plus
+    ``extra_iterations`` for runs that start outside the asymptotic regime
+    (near-degenerate ellipses); the guard grows with the budget because every
+    iteration loses a bounded number of digits to rounding.
     """
     if target_digits < 1:
         raise DomainError("target_digits must be >= 1")
+    if extra_iterations < 0:
+        raise DomainError("extra_iterations must be >= 0")
     if algorithm_order not in (2, 3, 4):
         raise UnsupportedExponentError("algorithm_order must be 2, 3 or 4")
     # Integer form of ceil(log(target)/log(order)); exact, unlike float logs.
     k = 0
     while algorithm_order**k < target_digits:
         k += 1
-    max_iterations = k + 3
+    max_iterations = k + 3 + extra_iterations
     guard_digits = MIN_GUARD_DIGITS + 8 * max_iterations
     return PrecisionContext(
         target_digits=target_digits,

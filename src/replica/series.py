@@ -36,24 +36,17 @@ _MAX_TERMS = 2_000_000
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """One evaluation request: sum_k (p)_k(q)_k/((1)_k)^2 (a + b k) z^k.
-
-    ``stride`` is bookkeeping for callers that substitute z = x**stride; the
-    evaluator itself only sees z.
-    """
+    """One evaluation request: sum_k (p)_k(q)_k/((1)_k)^2 (a + b k) z^k."""
 
     p: Fraction
     q: Fraction
     a: Real
     b: Real
     z: Real
-    stride: int = 1
 
     def __post_init__(self):
         if not (0 < self.p <= 1 and 0 < self.q <= 1):
             raise UnsupportedParameterError("Pochhammer parameters must lie in (0, 1]")
-        if self.stride < 1:
-            raise DomainError("stride must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -28,6 +29,9 @@ from replica import (
     run_borwein,
     run_ellipse,
 )
+from replica.algorithms import _step
+from replica.precision import rat_pow
+from replica.transforms import DESCEND, REPLICATE
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -281,3 +285,30 @@ class TestPostprocessConstant:
         with ctx.doubled_guard().local():
             expected = 1 / Decimal(frozen.GAMMA34) ** 4
         assert matching_digits(raw, expected) >= ctx.target_digits
+
+
+class TestStepMatchesReplicate:
+    """``_step`` is the replication map with its divisions cancelled by hand."""
+
+    def test_step_equals_replicate_form(self):
+        ctx = PrecisionContext(
+            target_digits=288, working_digits=320, guard_digits=32, max_iterations=10
+        )
+        rng = random.Random(0x57E9)
+        for order in (2, 3, 4):
+            for _ in range(60):
+                d = ctx.real(Fraction(rng.randint(1, 9999), 10000))
+                c = ctx.real(Fraction(rng.randint(1, 4000), 1000))
+                a = ctx.real(Fraction(rng.randint(0, 2000), 1000))
+                w = Fraction(rng.randint(-24, 36), 12)
+                with ctx.local():
+                    d1, c1, a1 = _step(order, w, d, c, a, ctx)
+                    t = DESCEND[order](d, ctx)
+                    rc = REPLICATE[order](a, c * (1 - d**order), t, ctx)
+                    pre = (1 + 2 * t) if order == 3 else (1 + t) ** (1 if order == 2 else 2)
+                    scale = rat_pow(pre, w, ctx)
+                    expected_c = scale * rc.beta / (1 - t**order)
+                    expected_a = scale * rc.alpha
+                assert d1 == t
+                agree = min(matching_digits(c1, expected_c), matching_digits(a1, expected_a))
+                assert agree >= ctx.working_digits - 10, (order, d, c, a, w, agree)

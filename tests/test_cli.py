@@ -1,7 +1,9 @@
+import hashlib
 import json
 from decimal import Decimal, localcontext
 
 import frozen
+import pytest
 from replica.cli import main
 
 
@@ -300,6 +302,11 @@ class TestOrdersCommand:
         rows_with_order = [r for r in payload["iterations"] if "order" in r]
         assert len(rows_with_order) == len(payload["orders"])
 
+    def test_w_zero_is_not_replaced_by_one(self, capsys):
+        code, out, _ = run_cli(capsys, "orders", "--w", "0", "--digits", "100")
+        assert code == 0
+        assert out.startswith("orders: algorithm=quartic w=0 digits=100\n")
+
 
 class TestArgumentHandling:
     def test_no_command(self, capsys):
@@ -310,3 +317,48 @@ class TestArgumentHandling:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_non_convergence_exits_3(self, capsys, monkeypatch):
+        import replica.cli as cli_mod
+        from replica import NonConvergenceError
+
+        def stalled(kind, w, ctx):
+            raise NonConvergenceError("stalled run")
+
+        monkeypatch.setattr(cli_mod, "run_borwein", stalled)
+        code, _, err = run_cli(capsys, "constant", "pi", "--digits", "40")
+        assert code == 3 and err == "error: stalled run\n"
+
+
+# Exit code and sha256 of stdout for the README's CLI examples plus the
+# scientific fallback with its truncation marker. A refactor of the CLI must
+# keep every byte; an intended output change updates the digest here.
+GOLDEN = [
+    ("constant pi --digits 1000", 0,
+     "c849b645c5973dfc4e19525a2f7941239084a7ba382edfcc56d7cd26369ad6f0"),
+    ("constant gamma14 --digits 500 --json", 0,
+     "185039bf249795c6907c902bc2f602163b6e9cf3d068b7a3c34f1aef04ec1535"),
+    ("constant custom --w 3 --algorithm quad --digits 100", 0,
+     "ae35303cde031c2ea434d9036b47937632ecbf1b815d52d833fcb83aef7b0967"),
+    ("ellipse 2 1 --digits 500", 0,
+     "b2827ad93058d1b1344a6d1dec1ebda24f702c2045be799469038501115b306f"),
+    ("ellipse 2 1 --normalized", 0,
+     "7d7a41b40ed44365d75443fbe8328994dc3dedb118b4f7a4cefb54d3c995b64d"),
+    ("verify pi --digits 1000", 0,
+     "1e0fadffe2be725a47c10820d61da5f8adc9385bb269683ec30a2520e09f0a0f"),
+    ("verify ellipse 2 1 --digits 500", 0,
+     "765786596fcebf318d06c69a50129ed190329a0432b113af980993e6121b4b7e"),
+    ("verify custom --w 1/2 --algorithm cubic --digits 200 --paper-example", 0,
+     "03eb3d288d5332f12bdfa721e203006afb776b0a1f2fb93d534f1691723ca4e7"),
+    ("orders --algorithm quartic --w 1 --digits 1000", 0,
+     "38f5390342da5907d25b24a2fb89de18c73d0c99004ea0b82a5b104dd2e4e8f2"),
+    ("ellipse 1 1e-12 --normalized --digits 10", 0,
+     "76022fffd5286056008776f53c9aec949ad7e22fe3d6d85db5ab3925f585e540"),
+]
+
+
+@pytest.mark.parametrize("command, code, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_output_bytes(capsys, command, code, digest):
+    assert main(command.split()) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
