@@ -18,7 +18,7 @@ the normalized perimeter factor F(a, b).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -34,6 +34,7 @@ from .errors import (
 from .precision import (
     PrecisionContext,
     Real,
+    make_context,
     nth_root,
     pow_rational,
     rat_pow,
@@ -80,12 +81,14 @@ class IterationState:
 
 @dataclass
 class RunResult:
-    """Outcome of a run: final value, full trace, measured orders."""
+    """Outcome of a run: value, trace, the family, w and context it ran at, orders."""
 
     value: Real
     trace: list[IterationState]
-    orders: list[float] = field(default_factory=list)
-    oracle_digits: int | None = None
+    kind: AlgorithmKind
+    w: Fraction
+    ctx: PrecisionContext
+    orders: list[float]
 
     @property
     def iterations(self) -> int:
@@ -128,21 +131,26 @@ def _step(order: int, w: Fraction, d: Real, c: Real, a: Real, ctx: PrecisionCont
     return d1, c1, a1
 
 
+# Below this many target digits the step budget of make_context is too tight
+# for two consecutive small deltas, so runs compute at least this many.
+_MIN_RUN_DIGITS = 32
+
+
+def _floored(ctx: PrecisionContext, order: int) -> PrecisionContext:
+    return ctx if ctx.target_digits >= _MIN_RUN_DIGITS else make_context(_MIN_RUN_DIGITS, order)
+
+
 def _iterate(kind: AlgorithmKind, w: Fraction, d0: Real, c0: Real, a0: Real,
              ctx: PrecisionContext) -> RunResult:
     """Run the recurrences until two consecutive deltas drop below
-    10**(-target_digits - 8), or the step budget runs out.
-
-    A run that exhausts the budget is still accepted when its final delta
-    alone met the threshold; it is a convergence failure only when not even
-    that weaker certificate holds.
+    10**(-target_digits - 8); a run that exhausts its step budget first
+    raises :class:`NonConvergenceError`.
     """
     with ctx.local():
         threshold = Decimal(1).scaleb(-(ctx.target_digits + 8))
         d, c, a = d0, c0, a0
         trace = [IterationState(0, d, c, a)]
         consecutive = 0
-        delta = None
         for n in range(1, ctx.max_iterations + 1):
             d, c, a1 = _step(kind.order, w, d, c, a, ctx)
             delta = abs(a1 - a)
@@ -151,33 +159,33 @@ def _iterate(kind: AlgorithmKind, w: Fraction, d0: Real, c0: Real, a0: Real,
                 IterationState(n, d, c, a, delta.adjusted() if delta != 0 else None)
             )
             consecutive = consecutive + 1 if delta < threshold else 0
-            if consecutive >= 2:
+            if consecutive == 2:
                 break
-        else:
-            if delta is None or delta >= threshold:
-                raise NonConvergenceError(
-                    f"{kind.name} run did not converge within "
-                    f"{ctx.max_iterations} iterations",
-                    trace=trace,
-                )
-        result = RunResult(value=a, trace=trace)
+        if consecutive < 2:
+            raise NonConvergenceError(
+                f"{kind.name} run did not converge within "
+                f"{ctx.max_iterations} iterations",
+                trace=trace,
+            )
         try:
-            result.orders = measure_orders(trace, a, ctx)
+            orders = measure_orders(trace, a, ctx)
         except InsufficientTraceError:
-            result.orders = []
-        return result
+            orders = []
+        return RunResult(a, trace, kind, w, ctx, orders)
 
 
 def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunResult:
     """Run the order-m constant algorithm with free parameter w.
 
     The limit is couple_product(s, w) with s = 1/2 for the quadratic and
-    quartic families and s = 1/3 for the cubic one.
+    quartic families and s = 1/3 for the cubic one.  A ``ctx`` below 32
+    target digits is replaced by make_context(32, m) (see ``RunResult.ctx``).
     """
     w = Fraction(w)
     if 12 % w.denominator != 0:
         raise UnsupportedExponentError("w must have a denominator dividing 12")
     m = kind.order
+    ctx = _floored(ctx, m)
     with ctx.local():
         d0 = pow_rational(Decimal(2), -1, m, ctx)
         return _iterate(kind, w, d0, Decimal(2), Decimal(0), ctx)
@@ -189,7 +197,8 @@ def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
     with P(a, b) = (2 pi b^2 / a) * F(a, b).
 
     Same recurrences as :func:`run_borwein` at w = 0, started from
-    d_0 = (1 - b^2/a^2)**(1/m), c_0 = 2 a^2/b^2, a_0 = 1.
+    d_0 = (1 - b^2/a^2)**(1/m), c_0 = 2 a^2/b^2, a_0 = 1, at the context of
+    :func:`run_borwein` plus :func:`_eccentric_steps` steps (``RunResult.ctx``).
     """
     if kind.order not in (2, 4):
         raise UnsupportedParameterError("perimeter algorithms exist for orders 2 and 4")
@@ -197,8 +206,9 @@ def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
         raise DomainError("semi-minor axis must be > 0")
     if semi_minor > semi_major:
         raise DomainError("semi-minor axis must not exceed semi-major axis")
+    ctx = _floored(ctx, kind.order)._with_extra_steps(_eccentric_steps(semi_major, semi_minor))
     with ctx.local():
-        ratio = semi_minor / semi_major
+        ratio = ctx.real(semi_minor) / ctx.real(semi_major)
         z = 1 - ratio * ratio
         if z >= 1:
             raise PrecisionInsufficientError(
@@ -211,6 +221,17 @@ def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
             )
         c0 = 2 / (ratio * ratio)
         return _iterate(kind, Fraction(0), d0, c0, Decimal(1), ctx)
+
+
+def _eccentric_steps(semi_major: Real, semi_minor: Real) -> int:
+    """Extra descend steps a near-degenerate ellipse needs before the asymptotic
+    regime: 0 when (b/a)^2 > 0.1, else 2 + the bit length of its decimal exponent."""
+    probe = make_context(30, 2)
+    with probe.local():
+        r2 = (probe.real(semi_minor) / probe.real(semi_major)) ** 2
+        if r2 > Decimal("0.1"):
+            return 0
+        return 2 + max(1, -r2.adjusted()).bit_length()
 
 
 def usable_error_logs(trace: list[IterationState], final_value: Real,

@@ -56,11 +56,6 @@ from .series import ellipse_factor
 
 _ALGORITHM_ORDERS = {"quad": 2, "cubic": 3, "quartic": 4}
 
-# Below this many digits the iteration budget of make_context is too tight for
-# the two-consecutive-deltas stopping rule, so the CLI computes at least this
-# many and truncates the printout.
-_MIN_INTERNAL_DIGITS = 32
-
 _GROUP = 10
 _GROUPS_PER_LINE = 5
 
@@ -82,14 +77,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="iteration family (auto picks per target)",
     )
     common.add_argument("--json", action="store_true", help="machine-readable result")
-    common.add_argument("--plain", action="store_true", help="bare digits, no grouping")
+    plain = argparse.ArgumentParser(add_help=False)
+    plain.add_argument("--plain", action="store_true", help="bare digits, no grouping")
 
-    p_const = sub.add_parser("constant", parents=[common], help="compute a constant")
+    p_const = sub.add_parser("constant", parents=[common, plain], help="compute a constant")
     p_const.add_argument("constant_id", help="pi, gamma14, gamma13, gamma23, gamma34 or custom")
     p_const.add_argument("--w", help="free parameter p/q (required for custom)")
     p_const.add_argument("--trace", action="store_true", help="emit the JSON run trace")
 
-    p_ell = sub.add_parser("ellipse", parents=[common], help="perimeter of an ellipse")
+    p_ell = sub.add_parser("ellipse", parents=[common, plain], help="perimeter of an ellipse")
     p_ell.add_argument("semi_major", help="semi-major axis (decimal string)")
     p_ell.add_argument("semi_minor", help="semi-minor axis (decimal string)")
     p_ell.add_argument(
@@ -141,10 +137,6 @@ def _check_digits(digits: int) -> None:
         raise ValueError(f"--digits exceeds REPLICA_MAX_DIGITS = {cap}")
 
 
-def _context(digits: int, order: int, extra_iterations: int = 0) -> PrecisionContext:
-    return make_context(max(digits, _MIN_INTERNAL_DIGITS), order, extra_iterations)
-
-
 def _dump_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -174,33 +166,32 @@ def _format_block(value: Real, digits: int, plain: bool) -> str:
     return "\n".join(lines) + marker
 
 
-def _trace_payload(command: str, kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext,
-                   result: RunResult, value: Real, digits: int) -> dict:
+def _trace_payload(command: str, run: RunResult, value: Real, digits: int,
+                   oracle_digits: int | None = None) -> dict:
     return {
         "command": command,
-        "algorithm": kind.name,
-        "w": str(w),
-        "target_digits": ctx.target_digits,
-        "working_digits": ctx.working_digits,
+        "algorithm": run.kind.name,
+        "w": str(run.w),
+        "target_digits": run.ctx.target_digits,
+        "working_digits": run.ctx.working_digits,
         "result": to_sig_digits(value, digits),
         "iterations": [
-            {"n": st.n, "delta_exp": st.delta_exp} for st in result.trace[1:]
+            {"n": st.n, "delta_exp": st.delta_exp} for st in run.trace[1:]
         ],
-        "orders": result.orders,
-        "oracle_digits": result.oracle_digits,
+        "orders": run.orders,
+        "oracle_digits": oracle_digits,
     }
 
 
-def _print_result(args, command: str, kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext,
-                  run: RunResult, value: Real, fields: dict) -> int:
+def _print_result(args, command: str, run: RunResult, value: Real, fields: dict) -> int:
     """Print a constant or perimeter as a run trace, one JSON line (``fields``
     plus the common keys) or a digit block."""
     if args.trace:
-        print(_dump_json(_trace_payload(command, kind, w, ctx, run, value, args.digits)))
+        print(_dump_json(_trace_payload(command, run, value, args.digits)))
     elif args.json:
         print(_dump_json({
             **fields,
-            "algorithm": kind.name,
+            "algorithm": run.kind.name,
             "digits": args.digits,
             "value": to_sig_digits(value, args.digits),
             "iterations": run.iterations,
@@ -237,28 +228,15 @@ def _resolve_constant(command: str, name: str, w_text: str | None,
 def _cmd_constant(args) -> int:
     name = args.constant_id
     kind, w = _resolve_constant("constant", name, args.w, args.algorithm)
-    ctx = _context(args.digits, kind.order)
-    run = run_borwein(kind, w, ctx)
-    value = run.value if name == "custom" else postprocess_constant(name, run.value, ctx)
+    run = run_borwein(kind, w, make_context(args.digits, kind.order))
+    value = run.value if name == "custom" else postprocess_constant(name, run.value, run.ctx)
     fields = {"constant": name, "w": str(w)}
-    return _print_result(args, "constant", kind, w, ctx, run, value, fields)
-
-
-def _eccentric_extra_iterations(a: Decimal, b: Decimal) -> int:
-    """Extra descend steps a near-degenerate ellipse needs before the
-    asymptotic regime; 0 for z = 1 - (b/a)^2 <= 0.9."""
-    probe = make_context(30, 2)
-    with probe.local():
-        r2 = (b / a) ** 2
-        if r2 > Decimal("0.1"):
-            return 0
-        dist = max(1, -r2.adjusted())
-    return 2 + dist.bit_length()
+    return _print_result(args, "constant", run, value, fields)
 
 
 def _run_perimeter(args, major: str, minor: str):
     """Parse the semi-axes and run the perimeter iteration of the family
-    ``args`` asks for: (a, b, kind, ctx, run), with a and b as parsed."""
+    ``args`` asks for: (a, b, run), with a and b as parsed."""
     try:
         a, b = Decimal(major), Decimal(minor)
     except decimal.InvalidOperation:
@@ -272,12 +250,12 @@ def _run_perimeter(args, major: str, minor: str):
     if args.algorithm == "cubic":
         raise ValueError("perimeter algorithms exist for quad and quartic only")
     kind = QUADRATIC if args.algorithm == "quad" else QUARTIC
-    ctx = _context(args.digits, kind.order, _eccentric_extra_iterations(a, b))
-    return a, b, kind, ctx, run_ellipse(kind, ctx.real(a), ctx.real(b), ctx)
+    return a, b, run_ellipse(kind, a, b, make_context(args.digits, kind.order))
 
 
 def _cmd_ellipse(args) -> int:
-    a, b, kind, ctx, run = _run_perimeter(args, args.semi_major, args.semi_minor)
+    a, b, run = _run_perimeter(args, args.semi_major, args.semi_minor)
+    ctx = run.ctx
     axis_major, axis_minor = ctx.real(a), ctx.real(b)
     with ctx.local():
         eccentricity = nth_root(1 - (axis_minor / axis_major) ** 2, 2, ctx)
@@ -292,50 +270,53 @@ def _cmd_ellipse(args) -> int:
         "eccentricity": to_sig_digits(eccentricity, min(args.digits, 30)),
         "normalized": bool(args.normalized),
     }
-    return _print_result(args, "ellipse", kind, Fraction(0), ctx, run, value, fields)
+    return _print_result(args, "ellipse", run, value, fields)
 
 
 def _cmd_verify(args) -> int:
     """Run a constant or perimeter and measure it against its oracle: the
-    series, or the other perimeter family where the series is too slow."""
+    series, or where that is too slow the other perimeter family at its own budget."""
+    ellipse = args.target == "ellipse"
+    if ellipse and args.w is not None:
+        raise ValueError("verify ellipse takes no --w")
+    constant = None if ellipse else _resolve_constant("verify", args.target, args.w, args.algorithm)
+    if args.paper_example and constant != (CUBIC, Fraction(1, 2)):
+        raise ValueError("--paper-example applies to the cubic family at w=1/2")
+    if args.paper_example and args.trace:
+        raise ValueError("--paper-example prints text or JSON, not a --trace")
     payload = {"command": "verify", "target": args.target, "digits": args.digits}
     suffix = ""
-    if args.target == "ellipse":
+    if ellipse:
         if len(args.axes) != 2:
             raise ValueError("verify ellipse needs two axes")
-        a, b, kind, ctx, run = _run_perimeter(args, *args.axes)
-        w = Fraction(0)
-        lines = [f"verify ellipse {a} {b}: algorithm={kind.name} digits={args.digits}"]
+        a, b, run = _run_perimeter(args, *args.axes)
+        lines = [f"verify ellipse {a} {b}: algorithm={run.kind.name} digits={args.digits}"]
         payload.update(semi_major=str(a), semi_minor=str(b))
         try:
-            oracle = ellipse_factor(ctx.real(a), ctx.real(b), ctx)
+            oracle = ellipse_factor(run.ctx.real(a), run.ctx.real(b), run.ctx)
             reference = "series oracle"
         except SlowConvergenceError:
-            other = AlgorithmKind(6 - kind.order)
-            oracle = run_ellipse(other, ctx.real(a), ctx.real(b), ctx).value
+            other = AlgorithmKind(6 - run.kind.order)
+            oracle = run_ellipse(other, a, b, make_context(args.digits, other.order)).value
             reference = f"{other.name} iteration (series oracle too slow for this eccentricity)"
             lines.append("warning: 1 - b^2/a^2 > 0.99, series oracle skipped")
             payload["warning"] = "slow-oracle"
         suffix = f" (vs {reference})"
     else:
-        kind, w = _resolve_constant("verify", args.target, args.w, args.algorithm)
-        if args.paper_example and (kind.order != 3 or w != Fraction(1, 2)):
-            raise ValueError("--paper-example applies to the cubic family at w=1/2")
-        ctx = _context(args.digits, kind.order)
-        run = run_borwein(kind, w, ctx)
-        oracle = constant_limit_oracle(kind, w, ctx)
+        kind, w = constant
+        run = run_borwein(kind, w, make_context(args.digits, kind.order))
+        oracle = constant_limit_oracle(kind, w, run.ctx)
         lines = [f"verify {args.target}: algorithm={kind.name} w={w} digits={args.digits}"]
         payload["w"] = str(w)
-    agree = min(matching_digits(run.value, oracle), ctx.working_digits)
-    run.oracle_digits = agree
+    agree = min(matching_digits(run.value, oracle), run.ctx.working_digits)
     ok = agree >= args.digits
     if args.trace:
-        print(_dump_json(_trace_payload("verify", kind, w, ctx, run, run.value, args.digits)))
+        print(_dump_json(_trace_payload("verify", run, run.value, args.digits, agree)))
         return 0 if ok else 4
     lines.append(f"agree: >={agree} digits{suffix}")
-    payload.update(algorithm=kind.name, agree_digits=agree, ok=ok)
-    if args.paper_example and args.target != "ellipse":
-        ratio, expected, support = _paper_example_probe(ctx, oracle)
+    payload.update(algorithm=run.kind.name, agree_digits=agree, ok=ok)
+    if args.paper_example:
+        ratio, expected, support = _paper_example_probe(run.ctx, oracle)
         lines += [
             f"paper-example probe: measured ratio (general limit / example value) = {ratio}",
             f"algebraic factor 3^(3/4) * 2^(-4/3) = {expected}",
@@ -376,15 +357,14 @@ def _cmd_orders(args) -> int:
         raise ValueError("orders needs --digits >= 100")
     # the table follows the raw run at --w, the value `constant custom` prints
     kind, w = _resolve_constant("orders", "custom", args.w, args.algorithm)
-    ctx = _context(args.digits, kind.order)
-    run = run_borwein(kind, w, ctx)
-    with ctx.local():
+    run = run_borwein(kind, w, make_context(args.digits, kind.order))
+    with run.ctx.local():
         errs = [abs(st.a - run.value) for st in run.trace]
     rows = [
         {"n": st.n, "delta_exp": st.delta_exp, "err_exp": err.adjusted() if err != 0 else None}
         for st, err in zip(run.trace, errs)
     ]
-    logs = usable_error_logs(run.trace, run.value, ctx)
+    logs = usable_error_logs(run.trace, run.value, run.ctx)
     for (n, _), value in zip(logs, run.orders):
         rows[n]["order"] = value
     if args.json:

@@ -39,6 +39,8 @@ SUPPORTED_DENOMINATORS = (1, 2, 3, 4, 6, 12)
 _ROOT_CHAIN = {1: (), 2: (2,), 3: (3,), 4: (4,), 6: (2, 3), 12: (3, 4)}
 
 MIN_GUARD_DIGITS = 32
+# Guard digits per step of the budget: each step loses a bounded number of digits to rounding.
+_GUARD_DIGITS_PER_STEP = 8
 
 # Digits above working precision at which roots and rational powers are taken.
 _ROOT_EXTRA_DIGITS = 10
@@ -119,29 +121,30 @@ class PrecisionContext:
     def doubled_guard(self) -> "PrecisionContext":
         return self.with_guard(2 * self.guard_digits)
 
+    def _with_extra_steps(self, steps: int) -> "PrecisionContext":
+        """``steps`` more iterations, each with its guard digits (any surplus guard stays)."""
+        guard = self.guard_digits + _GUARD_DIGITS_PER_STEP * steps
+        return replace(self, max_iterations=self.max_iterations + steps).with_guard(guard)
 
-def make_context(target_digits: int, algorithm_order: int,
-                 extra_iterations: int = 0) -> PrecisionContext:
+
+def make_context(target_digits: int, algorithm_order: int) -> PrecisionContext:
     """Build the precision policy for a run of the given algorithm order.
 
     The step budget is ceil(log_order(target_digits)) + 3, since correct
-    digits multiply by ``algorithm_order`` per iteration, plus
-    ``extra_iterations`` for runs that start outside the asymptotic regime
-    (near-degenerate ellipses); the guard grows with the budget because every
-    iteration loses a bounded number of digits to rounding.
+    digits multiply by ``algorithm_order`` per iteration; the guard is
+    ``MIN_GUARD_DIGITS`` plus 8 digits per step of the budget.  Runs may
+    compute at a larger context (see ``RunResult.ctx``).
     """
     if target_digits < 1:
         raise DomainError("target_digits must be >= 1")
-    if extra_iterations < 0:
-        raise DomainError("extra_iterations must be >= 0")
     if algorithm_order not in (2, 3, 4):
         raise UnsupportedExponentError("algorithm_order must be 2, 3 or 4")
     # Integer form of ceil(log(target)/log(order)); exact, unlike float logs.
     k = 0
     while algorithm_order**k < target_digits:
         k += 1
-    max_iterations = k + 3 + extra_iterations
-    guard_digits = MIN_GUARD_DIGITS + 8 * max_iterations
+    max_iterations = k + 3
+    guard_digits = MIN_GUARD_DIGITS + _GUARD_DIGITS_PER_STEP * max_iterations
     return PrecisionContext(
         target_digits=target_digits,
         working_digits=target_digits + guard_digits,

@@ -30,7 +30,8 @@ from replica import (
     run_ellipse,
 )
 from replica.algorithms import _step
-from replica.precision import rat_pow
+from replica.cli import main
+from replica.precision import MIN_GUARD_DIGITS, rat_pow, to_sig_digits
 from replica.transforms import DESCEND, REPLICATE
 
 HALF = Fraction(1, 2)
@@ -114,6 +115,23 @@ class TestRunBorwein:
     def test_bad_order_rejected(self):
         with pytest.raises(UnsupportedParameterError):
             AlgorithmKind(5)
+
+    def test_small_target_runs_at_the_32_digit_floor(self):
+        run = run_borwein(QUADRATIC, ONE, make_context(1, 2))
+        assert run.ctx == make_context(32, 2)
+        assert run.ctx.target_digits == 32
+        assert (run.kind, run.w) == (QUADRATIC, ONE)
+        ctx = make_context(32, 2)
+        assert run_borwein(QUADRATIC, ONE, ctx).ctx is ctx
+
+    def test_one_small_delta_is_not_a_certificate(self):
+        # the last delta is 0, the one before only 10**-85 > 10**-108
+        ctx = PrecisionContext(
+            target_digits=100, working_digits=188, guard_digits=88, max_iterations=5
+        )
+        with pytest.raises(NonConvergenceError) as err:
+            run_borwein(QUARTIC, ONE, ctx)
+        assert [st.delta_exp for st in err.value.trace[1:]] == [-1, -4, -20, -85, None]
 
 
 class TestMeasureOrders:
@@ -221,6 +239,29 @@ class TestRunEllipse:
             run_ellipse(QUADRATIC, ctx.real(1), ctx.real(0), ctx)
         with pytest.raises(DomainError):
             run_ellipse(QUADRATIC, ctx.real(1), ctx.real(2), ctx)
+
+    def test_mild_ellipse_runs_at_the_callers_context(self):
+        ctx = make_context(100, 4)
+        run = run_ellipse(QUARTIC, ctx.real(2), ctx.real(1), ctx)
+        assert run.ctx == ctx
+        assert (run.kind, run.w) == (QUARTIC, Fraction(0))
+
+    def test_eccentric_budget_extends_steps_and_guard(self):
+        # (b/a)^2 = 1e-6: 2 + bit_length(6) = 5 steps more, 8 guard digits each
+        ctx = make_context(1000, 4)
+        run = run_ellipse(QUARTIC, Decimal(1), Decimal("0.001"), ctx)
+        assert run.ctx.max_iterations == ctx.max_iterations + 5 == 13
+        assert run.ctx.guard_digits == MIN_GUARD_DIGITS + 8 * 13 == 136
+        assert run.ctx.working_digits == 1136
+        doubled = ctx.doubled_guard()
+        run = run_ellipse(QUARTIC, Decimal(1), Decimal("0.001"), doubled)
+        assert run.ctx.max_iterations == 13
+        assert run.ctx.guard_digits == doubled.guard_digits + 8 * 5 == 232
+
+    def test_near_degenerate_ellipse_converges_at_make_context(self, capsys):
+        run = run_ellipse(QUARTIC, Decimal(1), Decimal("1e-50"), make_context(100, 4))
+        assert main(["ellipse", "1", "1e-50", "--normalized", "--digits", "100", "--plain"]) == 0
+        assert capsys.readouterr().out == to_sig_digits(run.value, 100) + "\n"
 
     def test_precision_insufficient_for_extreme_axes(self):
         ctx = make_context(50, 2)

@@ -280,6 +280,29 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, "verify", "ellipse", "--digits", "100")
         assert code == 2
 
+    @pytest.mark.parametrize("axes, digits", [(("1", "0.05"), "1000"), (("1", "1e-30"), "950")])
+    def test_fallback_oracle_runs_at_its_own_budget(self, capsys, axes, digits):
+        code, out, _ = run_cli(capsys, "verify", "ellipse", *axes, "--digits", digits)
+        assert code == 0
+        assert "quadratic iteration" in out and out.endswith("PASS")
+
+
+# Flags that would change nothing are refused rather than ignored.
+NO_OP_FLAGS = [
+    "verify ellipse 2 1 --paper-example",
+    "verify custom --w 1/2 --algorithm cubic --paper-example --trace",
+    "verify ellipse 2 1 --w 3",
+    "verify pi --plain",
+    "orders --plain",
+]
+
+
+@pytest.mark.parametrize("command", NO_OP_FLAGS)
+def test_no_op_flag_is_refused(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 2 and out == ""
+    assert err
+
 
 class TestOrdersCommand:
     def test_table(self, capsys):

@@ -41,15 +41,6 @@ class TestMakeContext:
         assert ctx.max_iterations == 8
         assert ctx.guard_digits == 96
 
-    def test_extra_iterations_extend_budget_and_guard(self):
-        base = make_context(1000, 4)
-        ctx = make_context(1000, 4, extra_iterations=5)
-        assert ctx.max_iterations == base.max_iterations + 5 == 13
-        assert ctx.guard_digits == MIN_GUARD_DIGITS + 8 * 13 == 136
-        assert ctx.working_digits == 1136
-        with pytest.raises(DomainError):
-            make_context(1000, 4, extra_iterations=-1)
-
     def test_rejects_bad_target(self):
         with pytest.raises(DomainError):
             make_context(0, 2)
