@@ -200,12 +200,12 @@ def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
     d_0 = (1 - b^2/a^2)**(1/m), c_0 = 2 a^2/b^2, a_0 = 1, at the context of
     :func:`run_borwein` plus :func:`_eccentric_steps` steps (``RunResult.ctx``).
     """
-    if kind.order not in (2, 4):
-        raise UnsupportedParameterError("perimeter algorithms exist for orders 2 and 4")
     if semi_minor <= 0:
         raise DomainError("semi-minor axis must be > 0")
     if semi_minor > semi_major:
-        raise DomainError("semi-minor axis must not exceed semi-major axis")
+        raise DomainError("need semi_minor <= semi_major")
+    if kind.order not in (2, 4):
+        raise UnsupportedParameterError("perimeter algorithms exist for quad and quartic only")
     ctx = _floored(ctx, kind.order)._with_extra_steps(_eccentric_steps(semi_major, semi_minor))
     with ctx.local():
         ratio = ctx.real(semi_minor) / ctx.real(semi_major)

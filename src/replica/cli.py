@@ -27,7 +27,6 @@ from fractions import Fraction
 from .algorithms import (
     CONSTANT_RECIPES,
     CUBIC,
-    QUADRATIC,
     QUARTIC,
     AlgorithmKind,
     RunResult,
@@ -59,6 +58,12 @@ _ALGORITHM_ORDERS = {"quad": 2, "cubic": 3, "quartic": 4}
 _GROUP = 10
 _GROUPS_PER_LINE = 5
 
+_OUTPUT_HELP = {
+    "plain": "bare digits, no grouping",
+    "json": "machine-readable result",
+    "trace": "emit the JSON run trace",
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -68,45 +73,47 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--digits", type=int, default=50, help="significant digits to print")
-    common.add_argument(
-        "--algorithm",
-        choices=["quad", "cubic", "quartic", "auto"],
-        default="auto",
-        help="iteration family (auto picks per target)",
-    )
-    common.add_argument("--json", action="store_true", help="machine-readable result")
-    plain = argparse.ArgumentParser(add_help=False)
-    plain.add_argument("--plain", action="store_true", help="bare digits, no grouping")
+    def command(name, summary, handler, outputs, digits=50):
+        # own --digits and --algorithm; args.output is "text" or one of the outputs flags
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--digits", type=int, default=digits, help="significant digits to print")
+        p.add_argument(
+            "--algorithm",
+            choices=["quad", "cubic", "quartic", "auto"],
+            default="auto",
+            help="iteration family (auto picks per target)",
+        )
+        forms = p.add_mutually_exclusive_group()
+        for form in outputs:
+            forms.add_argument(f"--{form}", dest="output", action="store_const", const=form,
+                               help=_OUTPUT_HELP[form])
+        p.set_defaults(handler=handler, output="text")
+        return p
 
-    p_const = sub.add_parser("constant", parents=[common, plain], help="compute a constant")
+    p_const = command("constant", "compute a constant", _cmd_constant, ("plain", "json", "trace"))
     p_const.add_argument("constant_id", help="pi, gamma14, gamma13, gamma23, gamma34 or custom")
     p_const.add_argument("--w", help="free parameter p/q (required for custom)")
-    p_const.add_argument("--trace", action="store_true", help="emit the JSON run trace")
 
-    p_ell = sub.add_parser("ellipse", parents=[common, plain], help="perimeter of an ellipse")
+    p_ell = command("ellipse", "perimeter of an ellipse", _cmd_ellipse, ("plain", "json", "trace"))
     p_ell.add_argument("semi_major", help="semi-major axis (decimal string)")
     p_ell.add_argument("semi_minor", help="semi-minor axis (decimal string)")
     p_ell.add_argument(
         "--normalized", action="store_true", help="print the series factor, not the perimeter"
     )
-    p_ell.add_argument("--trace", action="store_true", help="emit the JSON run trace")
 
-    p_ver = sub.add_parser("verify", parents=[common], help="cross-check a run against the series oracle")
+    p_ver = command("verify", "cross-check a run against the series oracle", _cmd_verify,
+                    ("json", "trace"))
     p_ver.add_argument("target", help="constant id, custom, or ellipse")
     p_ver.add_argument("axes", nargs="*", help="semi-axes when target is ellipse")
     p_ver.add_argument("--w", help="free parameter p/q for custom targets")
-    p_ver.add_argument("--trace", action="store_true", help="emit the JSON run trace")
     p_ver.add_argument(
         "--paper-example",
         action="store_true",
         help="measure the cubic w=1/2 limit against the simplified example expression",
     )
 
-    p_ord = sub.add_parser("orders", parents=[common], help="convergence-order table")
+    p_ord = command("orders", "convergence-order table", _cmd_orders, ("json",), digits=1000)
     p_ord.add_argument("--w", default="1", help="free parameter p/q")
-    p_ord.set_defaults(digits=1000)
     return parser
 
 
@@ -117,16 +124,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _check_digits(args.digits)
-        if args.command == "constant":
-            return _cmd_constant(args)
-        if args.command == "ellipse":
-            return _cmd_ellipse(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_orders(args)
+        return args.handler(args)
     except (ReplicaError, ValueError, decimal.InvalidOperation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, NonConvergenceError) else 2
+    except decimal.Overflow:  # an input so large that a power or a conversion overflows
+        print("error: value out of range (decimal exponent overflow)", file=sys.stderr)
+        return 2
 
 
 def _check_digits(digits: int) -> None:
@@ -157,12 +161,11 @@ def _format_block(value: Real, digits: int, plain: bool) -> str:
         head, frac = text, ""
     groups = [frac[i : i + _GROUP] for i in range(0, len(frac), _GROUP)]
     lines = []
-    per_line = _GROUPS_PER_LINE
     first = head + ("." + groups[0] if groups else "")
-    line = [first] + groups[1:per_line]
+    line = [first] + groups[1:_GROUPS_PER_LINE]
     lines.append(" ".join(line))
-    for i in range(per_line, len(groups), per_line):
-        lines.append(" ".join(groups[i : i + per_line]))
+    for i in range(_GROUPS_PER_LINE, len(groups), _GROUPS_PER_LINE):
+        lines.append(" ".join(groups[i : i + _GROUPS_PER_LINE]))
     return "\n".join(lines) + marker
 
 
@@ -186,9 +189,9 @@ def _trace_payload(command: str, run: RunResult, value: Real, digits: int,
 def _print_result(args, command: str, run: RunResult, value: Real, fields: dict) -> int:
     """Print a constant or perimeter as a run trace, one JSON line (``fields``
     plus the common keys) or a digit block."""
-    if args.trace:
+    if args.output == "trace":
         print(_dump_json(_trace_payload(command, run, value, args.digits)))
-    elif args.json:
+    elif args.output == "json":
         print(_dump_json({
             **fields,
             "algorithm": run.kind.name,
@@ -198,16 +201,17 @@ def _print_result(args, command: str, run: RunResult, value: Real, fields: dict)
             "orders": run.orders,
         }))
     else:
-        print(_format_block(value, args.digits, args.plain))
+        print(_format_block(value, args.digits, args.output == "plain"))
     return 0
 
 
 def _resolve_constant(command: str, name: str, w_text: str | None,
                       algorithm: str) -> tuple[AlgorithmKind, Fraction]:
     """The family and w that compute constant ``name`` (or ``custom`` at --w)."""
-    w_arg = None if w_text is None else Fraction(w_text)
-    if w_arg is not None and 12 % w_arg.denominator != 0:
-        raise ValueError("w must have a denominator dividing 12")
+    try:
+        w_arg = None if w_text is None else Fraction(w_text)
+    except ZeroDivisionError:
+        raise ValueError(f"--w {w_text} is out of range") from None
     if name == "custom":
         if w_arg is None:
             raise ValueError(f"{command} custom requires --w")
@@ -243,13 +247,7 @@ def _run_perimeter(args, major: str, minor: str):
         raise ValueError("axes must be decimal numbers") from None
     if not a.is_finite() or not b.is_finite():
         raise ValueError("axes must be finite decimals")
-    if b <= 0:
-        raise ValueError("semi-minor axis must be > 0")
-    if b > a:
-        raise ValueError("need semi_minor <= semi_major")
-    if args.algorithm == "cubic":
-        raise ValueError("perimeter algorithms exist for quad and quartic only")
-    kind = QUADRATIC if args.algorithm == "quad" else QUARTIC
+    kind = AlgorithmKind(_ALGORITHM_ORDERS.get(args.algorithm, QUARTIC.order))
     return a, b, run_ellipse(kind, a, b, make_context(args.digits, kind.order))
 
 
@@ -279,10 +277,12 @@ def _cmd_verify(args) -> int:
     ellipse = args.target == "ellipse"
     if ellipse and args.w is not None:
         raise ValueError("verify ellipse takes no --w")
+    if not ellipse and args.axes:
+        raise ValueError(f"verify {args.target} takes no axes")
     constant = None if ellipse else _resolve_constant("verify", args.target, args.w, args.algorithm)
     if args.paper_example and constant != (CUBIC, Fraction(1, 2)):
         raise ValueError("--paper-example applies to the cubic family at w=1/2")
-    if args.paper_example and args.trace:
+    if args.paper_example and args.output == "trace":
         raise ValueError("--paper-example prints text or JSON, not a --trace")
     payload = {"command": "verify", "target": args.target, "digits": args.digits}
     suffix = ""
@@ -310,7 +310,7 @@ def _cmd_verify(args) -> int:
         payload["w"] = str(w)
     agree = min(matching_digits(run.value, oracle), run.ctx.working_digits)
     ok = agree >= args.digits
-    if args.trace:
+    if args.output == "trace":
         print(_dump_json(_trace_payload("verify", run, run.value, args.digits, agree)))
         return 0 if ok else 4
     lines.append(f"agree: >={agree} digits{suffix}")
@@ -324,7 +324,7 @@ def _cmd_verify(args) -> int:
         ]
         payload.update(paper_example_ratio=ratio, expected_ratio=expected, oracle_supports=support)
     lines.append("PASS" if ok else "FAIL: oracle disagreement")
-    print(_dump_json(payload) if args.json else "\n".join(lines))
+    print(_dump_json(payload) if args.output == "json" else "\n".join(lines))
     return 0 if ok else 4
 
 
@@ -367,7 +367,7 @@ def _cmd_orders(args) -> int:
     logs = usable_error_logs(run.trace, run.value, run.ctx)
     for (n, _), value in zip(logs, run.orders):
         rows[n]["order"] = value
-    if args.json:
+    if args.output == "json":
         print(_dump_json({
             "command": "orders",
             "algorithm": kind.name,

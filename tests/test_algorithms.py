@@ -240,6 +240,17 @@ class TestRunEllipse:
         with pytest.raises(DomainError):
             run_ellipse(QUADRATIC, ctx.real(1), ctx.real(2), ctx)
 
+    @pytest.mark.parametrize("semi_minor, error, message", [
+        ("0", DomainError, "semi-minor axis must be > 0"),
+        ("2", DomainError, "need semi_minor <= semi_major"),
+        ("0.5", UnsupportedParameterError, "perimeter algorithms exist for quad and quartic only"),
+    ])
+    def test_axes_are_checked_before_the_family(self, semi_minor, error, message):
+        # a cubic request with bad axes reports the axes, in the CLI's words
+        with pytest.raises(error) as raised:
+            run_ellipse(CUBIC, Decimal(1), Decimal(semi_minor), make_context(20, 3))
+        assert str(raised.value) == message
+
     def test_mild_ellipse_runs_at_the_callers_context(self):
         ctx = make_context(100, 4)
         run = run_ellipse(QUARTIC, ctx.real(2), ctx.real(1), ctx)

@@ -1,9 +1,11 @@
 import hashlib
+import itertools
 import json
 from decimal import Decimal, localcontext
 
 import frozen
 import pytest
+from replica import AlgorithmKind, ReplicaError, make_context, run_ellipse
 from replica.cli import main
 
 
@@ -352,6 +354,59 @@ class TestArgumentHandling:
         code, _, err = run_cli(capsys, "constant", "pi", "--digits", "40")
         assert code == 3 and err == "error: stalled run\n"
 
+    @pytest.mark.parametrize("command, digits", [
+        ("constant pi", 50), ("ellipse 2 1", 50), ("verify pi", 50), ("orders", 1000),
+    ])
+    def test_digits_default_per_command(self, capsys, command, digits):
+        code, out, _ = run_cli(capsys, *command.split(), "--json")
+        assert code == 0
+        assert json.loads(out)["digits"] == digits
+
+    @pytest.mark.parametrize("command, flags", [
+        (command, pair)
+        for command, forms in (
+            ("constant pi", ("--plain", "--json", "--trace")),
+            ("ellipse 2 1", ("--plain", "--json", "--trace")),
+            ("verify pi", ("--json", "--trace")),
+        )
+        for pair in itertools.combinations(forms, 2)
+    ])
+    def test_two_output_forms_are_refused(self, capsys, command, flags):
+        code, out, err = run_cli(capsys, *command.split(), "--digits", "20", *flags)
+        assert code == 2 and out == ""
+        assert "not allowed with argument" in err
+
+    def test_axes_on_a_constant_target_are_refused(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "pi", "3", "4", "--digits", "20")
+        assert code == 2 and out == ""
+        assert err == "error: verify pi takes no axes\n"
+
+    @pytest.mark.parametrize("command", [
+        "constant custom --w 1/0",
+        "verify custom --w 1/0",
+        "orders --w 1/0",
+        "constant custom --w 1e20",
+        "constant custom --w=-1e20",
+        "ellipse 1e100000000000000000 1",
+    ])
+    def test_out_of_range_input_exits_2(self, capsys, command):
+        code, out, err = run_cli(capsys, *command.split())
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "out of range" in err
+        assert err.count("\n") == 1 and "decimal." not in err
+
+    @pytest.mark.parametrize("axes, algorithm", [
+        (("1", "0"), "cubic"), (("1", "-2"), "quad"), (("1", "2"), "cubic"), (("2", "1"), "cubic"),
+    ])
+    def test_ellipse_errors_are_the_library_errors(self, capsys, axes, algorithm):
+        kind = AlgorithmKind({"quad": 2, "cubic": 3}[algorithm])
+        a, b = map(Decimal, axes)
+        with pytest.raises(ReplicaError) as raised:
+            run_ellipse(kind, a, b, make_context(20, kind.order))
+        code, out, err = run_cli(capsys, "ellipse", *axes, "--algorithm", algorithm)
+        assert code == 2 and out == ""
+        assert err == f"error: {raised.value}\n"
+
 
 # Exit code and sha256 of stdout for the README's CLI examples plus the
 # scientific fallback with its truncation marker. A refactor of the CLI must
@@ -366,7 +421,7 @@ GOLDEN = [
     ("ellipse 2 1 --digits 500", 0,
      "b2827ad93058d1b1344a6d1dec1ebda24f702c2045be799469038501115b306f"),
     ("ellipse 2 1 --normalized", 0,
-     "7d7a41b40ed44365d75443fbe8328994dc3dedb118b4f7a4cefb54d3c995b64d"),
+     "0cf28e4141686acaf48f110190c565fa696d26b50a61b5baab69a1de4ac4fcd0"),
     ("verify pi --digits 1000", 0,
      "1e0fadffe2be725a47c10820d61da5f8adc9385bb269683ec30a2520e09f0a0f"),
     ("verify ellipse 2 1 --digits 500", 0,
