@@ -32,6 +32,7 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .precision import (
+    SUPPORTED_DENOMINATORS,
     PrecisionContext,
     Real,
     make_context,
@@ -39,7 +40,7 @@ from .precision import (
     pow_rational,
     rat_pow,
 )
-from .series import SeriesSpec, couple_product, evaluate_series, pochhammer_pair
+from .series import SeriesSpec, check_axes, couple_product, evaluate_series, pochhammer_pair
 from .transforms import DESCEND
 
 
@@ -182,7 +183,7 @@ def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunR
     target digits is replaced by make_context(32, m) (see ``RunResult.ctx``).
     """
     w = Fraction(w)
-    if 12 % w.denominator != 0:
+    if w.denominator not in SUPPORTED_DENOMINATORS:
         raise UnsupportedExponentError("w must have a denominator dividing 12")
     m = kind.order
     ctx = _floored(ctx, m)
@@ -200,10 +201,7 @@ def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
     d_0 = (1 - b^2/a^2)**(1/m), c_0 = 2 a^2/b^2, a_0 = 1, at the context of
     :func:`run_borwein` plus :func:`_eccentric_steps` steps (``RunResult.ctx``).
     """
-    if semi_minor <= 0:
-        raise DomainError("semi-minor axis must be > 0")
-    if semi_minor > semi_major:
-        raise DomainError("need semi_minor <= semi_major")
+    check_axes(semi_major, semi_minor)
     if kind.order not in (2, 4):
         raise UnsupportedParameterError("perimeter algorithms exist for quad and quartic only")
     ctx = _floored(ctx, kind.order)._with_extra_steps(_eccentric_steps(semi_major, semi_minor))

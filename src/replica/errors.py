@@ -10,7 +10,7 @@ class DomainError(ReplicaError, ValueError):
 
 
 class UnsupportedExponentError(ReplicaError, ValueError):
-    """A rational exponent p/q with a denominator outside {1, 2, 3, 4, 6, 12}."""
+    """A rational exponent p/q whose denominator is not in ``precision.SUPPORTED_DENOMINATORS``."""
 
 
 class UnsupportedParameterError(ReplicaError, ValueError):

@@ -3,15 +3,14 @@
 Every quantity in this package is a ``decimal.Decimal`` handled under a
 ``PrecisionContext`` that fixes the working precision (in decimal digits,
 never bits).  Field operations inherit their rounding from the stdlib
-``decimal`` module; n-th roots and rational powers are built here by Newton
-iteration so that no general transcendental machinery (exp/log) is needed.
-
-Roots use one kernel (Brent & Zimmermann, *Modern Computer Arithmetic*
-§4.2): the division-free inverse-root step y += y*(1 - x*y**n)/n from a float
-seed y ~ x**(-1/n), run at precisions that about double per step up to the
-elevated working precision, then x*y**(n-1). A root costs a small multiple
-of one full-precision multiplication, and its error bounds are those stated
-on :func:`nth_root` and :func:`pow_rational`.
+``decimal`` module.  Roots and rational powers x**(p/q) need no exp/log: for
+q > 1 each is one call to a single Newton kernel (Brent & Zimmermann, *Modern
+Computer Arithmetic* §4.2), the division-free inverse-root step
+y += y*(1 - X*y**q)/q from a float seed y ~ X**(-1/q) of X = x**|p|, at
+precisions that about double per step up to the elevated working precision.
+The power is y for p < 0 and X*y**(q-1) for p > 0, a small multiple of one
+full-precision multiplication; the error bounds are stated on
+:func:`nth_root` and :func:`pow_rational`.
 """
 
 from __future__ import annotations
@@ -32,11 +31,8 @@ Real = Decimal
 # tiny deltas of a converged run never underflow to subnormals.
 _EMAX = 10**15
 
-#: Denominators q for which x**(p/q) is expressible with the supported roots.
+#: Denominators q of the exponents p/q that :func:`pow_rational` takes, and of w.
 SUPPORTED_DENOMINATORS = (1, 2, 3, 4, 6, 12)
-
-# q -> chain of elementary roots whose composition is the q-th root.
-_ROOT_CHAIN = {1: (), 2: (2,), 3: (3,), 4: (4,), 6: (2, 3), 12: (3, 4)}
 
 MIN_GUARD_DIGITS = 32
 # Guard digits per step of the budget: each step loses a bounded number of digits to rounding.
@@ -175,52 +171,59 @@ def _newton_schedule(prec: int) -> list[int]:
     return schedule
 
 
-def _newton_root(x: Real, n: int) -> Real:
-    """x**(1/n) at the ambient (already elevated) decimal context.
+def _inverse_root(x: Real, n: int) -> Real:
+    """x**(-1/n) for x > 0 at the ambient (already elevated) decimal context.
 
-    Iterates the division-free inverse-root step y += y*(1 - x*y**n)/n from
-    the float seed y ~ x**(-1/n). The step at most squares the relative error
-    (times (n+1)/2), so it runs at the precisions of :func:`_newton_schedule`:
-    about doubling from the seed's digits, with ``x`` rounded to each step's
-    precision, and only the last step at full precision. The root is then
-    x*y**(n-1), with an error of a few units in the last ambient digit.
+    Each step y += y*(1 - x*y**n)/n at most squares the relative error (times
+    (n+1)/2), so the steps run at the precisions of :func:`_newton_schedule`,
+    with ``x`` rounded to each, and only the last one at full precision.
     """
-    if x == 0:
-        return Decimal(0)
     y = _float_seed(x, n)
     with localcontext() as step:
         for prec in reversed(_newton_schedule(step.prec)):
             step.prec = prec
-            x_step = +x
-            y += y * (1 - x_step * y**n) / n
-    return x_step * y ** (n - 1)
+            y += y * (1 - +x * y**n) / n
+    return y
+
+
+def _power(x: Real, p: int, q: int, ctx: PrecisionContext) -> Real:
+    """x**(p/q) for x > 0 and p != 0, from X = x**|p| at ``_ROOT_EXTRA_DIGITS``
+    digits above working precision: X or 1/X for q = 1, else one inverse root
+    y = X**(-1/q), which is the power for p < 0 and gives X*y**(q-1) for p > 0.
+    """
+    with ctx.elevated(_ROOT_EXTRA_DIGITS):
+        big = x ** abs(p)
+        if q == 1:
+            y = big if p > 0 else 1 / big
+        else:
+            y = _inverse_root(big, q)
+            if p > 0:
+                y = big * y ** (q - 1)
+    with ctx.local():
+        return +y
 
 
 def nth_root(x: Real, n: int, ctx: PrecisionContext) -> Real:
-    """n-th root of x >= 0 for n in {2, 3, 4} by Newton iteration.
+    """n-th root of x >= 0 for n in {2, 3, 4}, by the kernel of :func:`pow_rational`.
 
-    Computed by the precision-doubling inverse-root kernel with
-    ``_ROOT_EXTRA_DIGITS`` digits above working precision, so the result
-    rounded to working precision satisfies
+    The result r, rounded to working precision, satisfies
     |r**n - x| <= 3 * x * 10**(1 - working_digits).
     ``x`` may carry more digits than the context.
     """
     if n not in (2, 3, 4):
         raise UnsupportedExponentError(f"nth_root supports n in {{2, 3, 4}}, got {n}")
-    if x.is_signed() and x != 0:
+    if x == 0:
+        return Decimal(0)
+    if x.is_signed():
         raise DomainError("nth_root requires x >= 0")
-    with ctx.elevated(_ROOT_EXTRA_DIGITS):
-        r = _newton_root(x, n)
-    with ctx.local():
-        return +r
+    return _power(x, 1, n, ctx)
 
 
 def pow_rational(x: Real, p: int, q: int, ctx: PrecisionContext) -> Real:
-    """x**(p/q) for x > 0, p any integer, q in {1, 2, 3, 4, 6, 12}.
+    """x**(p/q) for x > 0, p any integer, q in ``SUPPORTED_DENOMINATORS``.
 
-    Composed as the q-th root of x**|p|, each root of the chain through
-    {2, 3, 4} taken by the same inverse-root kernel as :func:`nth_root` with
-    ``_ROOT_EXTRA_DIGITS`` extra digits, and inverted when p < 0.
+    q = 1 is integer-power arithmetic, x**p or 1/x**|p|; any other q is one
+    inverse root of order q of x**|p| (see :func:`_power`), with no long division.
     Relative error <= (|p| + 3) * 10**(1 - working_digits).
     """
     if q not in SUPPORTED_DENOMINATORS:
@@ -231,18 +234,11 @@ def pow_rational(x: Real, p: int, q: int, ctx: PrecisionContext) -> Real:
         raise DomainError("pow_rational requires x > 0")
     if p == 0:
         return Decimal(1)
-    with ctx.elevated(_ROOT_EXTRA_DIGITS):
-        y = x ** abs(p)
-        for n in _ROOT_CHAIN[q]:
-            y = +_newton_root(y, n)
-        if p < 0:
-            y = 1 / y
-    with ctx.local():
-        return +y
+    return _power(x, p, q, ctx)
 
 
 def rat_pow(x: Real, exponent: Fraction, ctx: PrecisionContext) -> Real:
-    """x**exponent for a Fraction exponent whose denominator divides 12."""
+    """x**exponent for a Fraction exponent whose denominator is in ``SUPPORTED_DENOMINATORS``."""
     return pow_rational(x, exponent.numerator, exponent.denominator, ctx)
 
 

@@ -129,6 +129,14 @@ def couple_product(s: Fraction, w: Fraction, ctx: PrecisionContext) -> Real:
         return rat_pow(couple.s0, w, ctx) * couple.s1
 
 
+def check_axes(semi_major: Real, semi_minor: Real) -> None:
+    """Raise DomainError unless 0 < semi_minor <= semi_major (the ellipse's domain)."""
+    if semi_minor <= 0:
+        raise DomainError("semi-minor axis must be > 0")
+    if semi_minor > semi_major:
+        raise DomainError("need semi_minor <= semi_major")
+
+
 def ellipse_factor(semi_major: Real, semi_minor: Real, ctx: PrecisionContext) -> Real:
     """F(a, b) = sum_k ((1/2)_k)^2/((1)_k)^2 (1+2k) (1 - b^2/a^2)^k.
 
@@ -136,10 +144,7 @@ def ellipse_factor(semi_major: Real, semi_minor: Real, ctx: PrecisionContext) ->
     b/a, hence scale-invariant.  Arguments z above 0.99 are rejected: the
     caller should switch to the iterative algorithms there.
     """
-    if semi_minor <= 0:
-        raise DomainError("semi-minor axis must be > 0")
-    if semi_minor > semi_major:
-        raise DomainError("semi-minor axis must not exceed semi-major axis")
+    check_axes(semi_major, semi_minor)
     with ctx.local():
         ratio = semi_minor / semi_major
         z = 1 - ratio * ratio

@@ -18,6 +18,7 @@ from replica import (
     PrecisionContext,
     PrecisionInsufficientError,
     UnknownConstantError,
+    UnsupportedExponentError,
     UnsupportedParameterError,
     couple_product,
     ellipse_factor,
@@ -99,10 +100,18 @@ class TestRunBorwein:
                     if 0 < a.d < Decimal("0.5") and b.d > 0:
                         assert b.d < a.d**kind.order
 
-    def test_w_denominator_rejected(self):
+    def test_w_denominator_rejected(self, capsys):
         ctx = make_context(60, 2)
-        with pytest.raises(Exception):
+        with pytest.raises(UnsupportedExponentError):
             run_borwein(QUADRATIC, Fraction(1, 5), ctx)
+        # The quartic step's power 2w - 2 = -23/12 has a supported denominator,
+        # so only run_borwein's own check refuses w = 1/24.
+        with pytest.raises(UnsupportedExponentError):
+            run_borwein(QUARTIC, Fraction(1, 24), make_context(60, 4))
+        assert main(["constant", "custom", "--w", "1/24", "--algorithm", "quartic"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: w must have a denominator dividing 12\n"
 
     def test_non_convergence_carries_trace(self):
         ctx = PrecisionContext(
@@ -250,6 +259,16 @@ class TestRunEllipse:
         with pytest.raises(error) as raised:
             run_ellipse(CUBIC, Decimal(1), Decimal(semi_minor), make_context(20, 3))
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize("semi_major, semi_minor", [("1", "0"), ("1", "-1"), ("1", "2")])
+    def test_axis_errors_match_the_series_oracle(self, semi_major, semi_minor):
+        # run_ellipse and ellipse_factor share one axis check, so one wording
+        a, b, ctx = Decimal(semi_major), Decimal(semi_minor), make_context(20, 2)
+        with pytest.raises(DomainError) as from_run:
+            run_ellipse(QUADRATIC, a, b, ctx)
+        with pytest.raises(DomainError) as from_series:
+            ellipse_factor(a, b, ctx)
+        assert str(from_run.value) == str(from_series.value)
 
     def test_mild_ellipse_runs_at_the_callers_context(self):
         ctx = make_context(100, 4)

@@ -1,3 +1,4 @@
+import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -163,7 +164,7 @@ class TestPowRational:
             pow_rational(Decimal(2), 2, 4, ctx)
 
     def test_twelfth_roots(self):
-        # x**(p/12) composed from cube and fourth roots
+        # x**(1/12): one inverse root of order 12, then x*y**11
         ctx = make_context(100, 2)
         x = ctx.real("5.25")
         r = pow_rational(x, 1, 12, ctx)
@@ -261,12 +262,12 @@ class TestNewtonKernelAtScale:
                      for order in (2, 3, 4)]
         rng = random.Random(20261017)
         for ctx in contexts:
-            for n in (2, 3, 4):
+            for n in (2, 3, 4, 6, 12):
                 x = ctx.real(Fraction(rng.getrandbits(4 * ctx.working_digits),
                                       rng.getrandbits(4 * ctx.working_digits) | 1))
                 with ctx.local():
                     power = x**n
-                r = nth_root(power, n, ctx)
+                r = nth_root(power, n, ctx) if n <= 4 else pow_rational(power, 1, n, ctx)
                 assert matching_digits(r, x) >= ctx.working_digits - 2, (ctx, n)
 
     def test_documented_bound_across_magnitudes(self):
@@ -289,6 +290,21 @@ class TestNewtonKernelAtScale:
             product = pow_rational(x, 5, q, ctx) * pow_rational(x, -5, q, ctx)
         assert matching_digits(product, Decimal(1)) >= ctx.working_digits - 2
 
+    @pytest.mark.parametrize("q", (6, 12))
+    def test_inverse_roots_exact_residual_20k(self, q):
+        # r = x**(p/q) with p < 0 in one inverse root: (1 + B)**q - 1 bounds
+        # the exact residual |r**q * x**|p| - 1| when r meets the documented
+        # relative bound B = (|p| + 3) * 10**(1 - W)
+        ctx = make_context(20000, 4)
+        for p, x in zip((-1, -5, -7, -11, -13), ("7.3e-300", "0.37", "41.5", "2.9e300", "5.25")):
+            x = Decimal(x)
+            r = pow_rational(x, p, q, ctx)
+            bound = (-p + 3) * ctx.epsilon(1)
+            with localcontext() as c:
+                c.prec = q * (len(r.as_tuple().digits) + 4) + 50
+                residual = abs(_exact_power(r, q) * _exact_power(x, -p) - 1)
+                assert residual <= (1 + bound) ** q - 1, (p, q, x)
+
     def test_input_with_more_digits_than_context(self):
         ctx = make_context(300, 2)
         wide = ctx.doubled_guard()
@@ -302,3 +318,23 @@ class TestNewtonKernelAtScale:
                 assert abs(_exact_power(r, n) - x) <= 3 * x * ctx.epsilon(1)
         y = pow_rational(x, -5, 12, ctx)
         assert matching_digits(y, pow_rational(x, -5, 12, wide)) >= ctx.working_digits - 2
+
+
+class TestPowRationalOracle:
+    """pow_rational against Decimal's own ln and exp, which share no code with it."""
+
+    @pytest.mark.parametrize("working_digits", (100, 300))
+    def test_documented_bound_against_ln_exp(self, working_digits):
+        ctx = _min_guard_context(working_digits)
+        rng = random.Random(working_digits)
+        exponents = [(p, q) for q in SUPPORTED_DENOMINATORS for p in range(-13, 14)
+                     if p != 0 and math.gcd(p, q) == 1]
+        for p, q in exponents:
+            for exponent in (-300, -41, 0, 37, 300):
+                x = Decimal(f"{rng.randrange(10**19, 10**20)}e{exponent - 19}")
+                r = pow_rational(x, p, q, ctx)
+                with localcontext() as c:
+                    c.prec = working_digits + 20
+                    c.Emin, c.Emax = -10**6, 10**6
+                    expected = (p * x.ln() / q).exp()
+                    assert abs(r - expected) <= (abs(p) + 3) * ctx.epsilon(1) * expected, (x, p, q)
