@@ -45,7 +45,6 @@ from .series import (
     couple_product,
     ellipse_factor,
     evaluate_series,
-    ramanujan_couple,
 )
 from .transforms import (
     cubic_descend,
@@ -92,7 +91,6 @@ __all__ = [
     "quad_replicate",
     "quartic_descend",
     "quartic_replicate",
-    "ramanujan_couple",
     "replication_invariant",
     "run_borwein",
     "run_ellipse",

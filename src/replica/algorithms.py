@@ -40,7 +40,7 @@ from .precision import (
     pow_rational,
     rat_pow,
 )
-from .series import SeriesSpec, check_axes, couple_product, evaluate_series, pochhammer_pair
+from .series import check_axes, couple_product, invariant
 from .transforms import DESCEND
 
 
@@ -279,24 +279,18 @@ def _log10(x: Real) -> float:
 
 def replication_invariant(kind: AlgorithmKind, w: Fraction, state: IterationState,
                           ctx: PrecisionContext) -> Real:
-    """A_n computed from one trace state via two series evaluations.
+    """A_n = S(1, 0; z)**w * S(a_n, b_n; z) of one trace state, by :func:`series.invariant`
+    with z = d_n^m and b_n = c_n (1 - z).
 
     Successive states of a single run must produce equal values (to roughly
     working precision); the shared value is the run's limit.
     """
     if state.d < 0 or state.d >= 1:
         raise DomainError("state.d must lie in [0, 1)")
-    p, q = pochhammer_pair(kind.couple_parameter)
-    m = kind.order
     with ctx.local():
-        z = state.d**m
+        z = state.d**kind.order
         b_n = state.c * (1 - z)
-        s0 = evaluate_series(SeriesSpec(p, q, Decimal(1), Decimal(0), z), ctx)
-        s1 = evaluate_series(SeriesSpec(p, q, state.a, b_n, z), ctx)
-        w = Fraction(w)
-        if w == 0:
-            return +s1
-        return rat_pow(s0, w, ctx) * s1
+    return invariant(kind.couple_parameter, w, state.a, b_n, z, ctx)
 
 
 #: constant id -> (algorithm orders that compute it, the w to run them at)

@@ -2,22 +2,24 @@
 
 The generic sum is
 
-    S = sum_k  (p)_k (q)_k / ((1)_k)^2 * (a + b*k) * z^k,      0 <= z < 1,
+    S(a, b; z) = sum_k  (p)_k (q)_k / ((1)_k)^2 * (a + b*k) * z^k,      0 <= z < 1,
 
 with Pochhammer parameters p, q in (0, 1].  Because the coefficient ratio
 (p+k)(q+k)/(1+k)^2 is below 1 and increases toward 1, successive terms decay
 at least geometrically with ratio z, which yields the cheap certified tail
 bound used by the stopping rule.
 
-This module is the package's independent oracle: initial values and limits
-of the iterative algorithms, identity checks, and the ellipse perimeter all
-reduce to evaluations of S.
+This module is the package's independent oracle.  Its one term loop sums
+S(1, 0; z) and S(a, b; z) in a single pass, and with (p, q) = (s, 1 - s)
+:func:`invariant` forms A = S(1, 0; z)**w * S(a, b; z), the quantity every
+state of a run conserves.  The pi and Gamma limits are A at z = 1/2
+(:func:`couple_product`); the ellipse factor is A at w = 0 (:func:`ellipse_factor`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 
 from .errors import (
@@ -49,16 +51,9 @@ class SeriesSpec:
             raise UnsupportedParameterError("Pochhammer parameters must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class CoupleValues:
-    """Values of the weight-(1,0) and weight-(0,1) series at z = 1/2."""
-
-    s0: Real
-    s1: Real
-
-
-def evaluate_series(spec: SeriesSpec, ctx: PrecisionContext) -> Real:
-    """Sum the series with absolute truncation error <= 10**(-working_digits+2).
+def _sums(p: Fraction, q: Fraction, a: Real, b: Real, z: Real,
+          ctx: PrecisionContext) -> tuple[Real, Real]:
+    """S(1, 0; z) and S(a, b; z), summed in one pass over the terms.
 
     Terms follow the recurrence term_{k+1} = term_k * (p+k)(q+k)/(1+k)^2 * z.
     Summation stops once
@@ -66,29 +61,33 @@ def evaluate_series(spec: SeriesSpec, ctx: PrecisionContext) -> Real:
         term_k * max(1, |a| + |b| k) * z/(1-z) * (1+k)  <  10**(-working_digits),
 
     a geometric majorant of the remaining tail including its linear weight.
+    The rule of S(1, 0; z) has 1 in place of the max, so it holds by then
+    too: each sum has absolute truncation error <= 10**(-working_digits+2).
     """
-    z = spec.z
     if z < 0:
         raise DomainError("series argument z must be >= 0")
     if z >= 1:
         raise DivergenceError("series argument z must be < 1")
-    pn, pd = spec.p.numerator, spec.p.denominator
-    qn, qd = spec.q.numerator, spec.q.denominator
+    pn, pd = p.numerator, p.denominator
+    qn, qd = q.numerator, q.denominator
     with ctx.local():
         tol = ctx.epsilon()
         zfac = z / (1 - z)
-        abs_a, abs_b = abs(spec.a), abs(spec.b)
-        one = Decimal(1)
-        term = one
-        total = Decimal(0)
+        # (p)_k (q)_k/(k!)^2 >= p q/k^2, so at every k <= K = _MAX_TERMS the rule's
+        # left side is >= p q zfac z^K/K; where that is >= 10 tol, the cap is certain.
+        low = Context(prec=20)
+        if z > 0 and (low.log10(zfac * pn * qn / (pd * qd * _MAX_TERMS))
+                      + _MAX_TERMS * low.log10(z) > 1 - ctx.working_digits):
+            raise SlowConvergenceError(f"series cannot certify in {_MAX_TERMS} terms (z = {z})")
+        abs_a, abs_b = abs(a), abs(b)
+        term = Decimal(1)
+        s0 = total = Decimal(0)
         k = 0
         while True:
-            total += term * (spec.a + spec.b * k)
-            weight_bound = abs_a + abs_b * k
-            if weight_bound < one:
-                weight_bound = one
-            if term * weight_bound * zfac * (1 + k) < tol:
-                return +total
+            s0 += term
+            total += term * (a + b * k)
+            if term * max(1, abs_a + abs_b * k) * zfac * (1 + k) < tol:
+                return +s0, +total
             if k >= _MAX_TERMS:
                 raise SlowConvergenceError(
                     f"series did not certify after {_MAX_TERMS} terms (z = {z})"
@@ -99,34 +98,32 @@ def evaluate_series(spec: SeriesSpec, ctx: PrecisionContext) -> Real:
             k += 1
 
 
-def pochhammer_pair(s: Fraction) -> tuple[Fraction, Fraction]:
-    """The (p, q) = (s, 1-s) parameter pair of the couple family."""
+def evaluate_series(spec: SeriesSpec, ctx: PrecisionContext) -> Real:
+    """S(a, b; z) with absolute truncation error <= 10**(-working_digits+2)."""
+    return _sums(spec.p, spec.q, spec.a, spec.b, spec.z, ctx)[1]
+
+
+def invariant(s: Fraction, w: Fraction, a: Real, b: Real, z: Real,
+              ctx: PrecisionContext) -> Real:
+    """A = S(1, 0; z)**w * S(a, b; z) with Pochhammer pair (s, 1 - s), s in {1/2, 1/3}."""
     if s not in SUPPORTED_COUPLE_PARAMETERS:
         raise UnsupportedParameterError(
             f"couple parameter must be one of {SUPPORTED_COUPLE_PARAMETERS}, got {s}"
         )
-    return s, 1 - s
-
-
-def ramanujan_couple(s: Fraction, ctx: PrecisionContext) -> CoupleValues:
-    """The two series values at z = 1/2 that seed the algorithms.
-
-    s0 carries weight (1, 0) and s1 weight (0, 1); s in {1/2, 1/3}.
-    """
-    p, q = pochhammer_pair(s)
-    half = Fraction(1, 2)
-    s0 = evaluate_series(SeriesSpec(p, q, ctx.real(1), ctx.real(0), ctx.real(half)), ctx)
-    s1 = evaluate_series(SeriesSpec(p, q, ctx.real(0), ctx.real(1), ctx.real(half)), ctx)
-    return CoupleValues(s0=s0, s1=s1)
+    s0, weighted = _sums(s, 1 - s, a, b, z, ctx)
+    w = Fraction(w)
+    if w == 0:
+        return weighted
+    with ctx.local():
+        return rat_pow(s0, w, ctx) * weighted
 
 
 def couple_product(s: Fraction, w: Fraction, ctx: PrecisionContext) -> Real:
-    """s0**w * s1: the limit toward which the (s, w) algorithm converges."""
-    couple = ramanujan_couple(s, ctx)
-    if w == 0:
-        return couple.s1
-    with ctx.local():
-        return rat_pow(couple.s0, w, ctx) * couple.s1
+    """s0**w * s1, A at z = 1/2 with weight (0, 1): the limit of the (s, w) algorithm.
+
+    s0 = S(1, 0; 1/2) and s1 = S(0, 1; 1/2) are the couple that seeds the algorithms.
+    """
+    return invariant(s, w, ctx.real(0), ctx.real(1), ctx.real(Fraction(1, 2)), ctx)
 
 
 def check_axes(semi_major: Real, semi_minor: Real) -> None:
@@ -148,10 +145,8 @@ def ellipse_factor(semi_major: Real, semi_minor: Real, ctx: PrecisionContext) ->
     with ctx.local():
         ratio = semi_minor / semi_major
         z = 1 - ratio * ratio
-        if z > Decimal("0.99"):
-            raise SlowConvergenceError(
-                "1 - b^2/a^2 exceeds 0.99; use the iterative perimeter algorithms"
-            )
-        half = Fraction(1, 2)
-        spec = SeriesSpec(half, half, ctx.real(1), ctx.real(2), z)
-        return evaluate_series(spec, ctx)
+    if z > Decimal("0.99"):
+        raise SlowConvergenceError(
+            "1 - b^2/a^2 exceeds 0.99; use the iterative perimeter algorithms"
+        )
+    return invariant(Fraction(1, 2), Fraction(0), ctx.real(1), ctx.real(2), z, ctx)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import frozen
-from oracles import decimal_sqrt
+from oracles import decimal_sqrt, series_sum_decimal
 from replica import (
     CUBIC,
     QUADRATIC,
@@ -203,6 +203,35 @@ class TestReplicationInvariant:
         ]
         for v in values[1:]:
             assert matching_digits(values[0], v) >= ctx.working_digits - 10
+
+    @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC])
+    def test_one_pass_equals_two_series_on_every_state(self, kind):
+        # late states carry large c_n, so S(a_n, b_n) needs more terms than
+        # S(1, 0); the shared pass must still give each sum exactly its own
+        p, q = kind.couple_parameter, 1 - kind.couple_parameter
+        for w in (Fraction(0), Fraction(1, 3), Fraction(3)):
+            run = run_borwein(kind, w, make_context(120, kind.order))
+            for state in run.trace:
+                with run.ctx.local():
+                    z = state.d**kind.order
+                    b_n = state.c * (1 - z)
+                s0 = series_sum_decimal(p, q, Decimal(1), Decimal(0), z, run.ctx)
+                s1 = series_sum_decimal(p, q, state.a, b_n, z, run.ctx)
+                with run.ctx.local():
+                    reference = rat_pow(s0, w, run.ctx) * s1
+                assert replication_invariant(kind, w, state, run.ctx) == reference
+
+    @pytest.mark.parametrize("semi_major, semi_minor", [("2", "1"), ("1", "0.2")])
+    @pytest.mark.parametrize("kind", [QUADRATIC, QUARTIC])
+    def test_ellipse_run_conserves_the_ellipse_factor(self, kind, semi_major, semi_minor):
+        # A at w = 0 is F(a, b) on every state of a perimeter run
+        ctx = make_context(60, kind.order)
+        run = run_ellipse(kind, ctx.real(semi_major), ctx.real(semi_minor), ctx)
+        values = [replication_invariant(kind, Fraction(0), state, run.ctx) for state in run.trace]
+        for v in values[1:]:
+            assert matching_digits(values[0], v) >= run.ctx.working_digits - 10
+        oracle = ellipse_factor(run.ctx.real(semi_major), run.ctx.real(semi_minor), run.ctx)
+        assert matching_digits(values[0], oracle) >= run.ctx.working_digits - 10
 
     def test_degenerate_state_collapses_to_a(self):
         ctx = make_context(80, 2)

@@ -1,11 +1,12 @@
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 import frozen
-from oracles import fraction_to_decimal, series_sum_fraction
+from oracles import fraction_to_decimal, series_sum_decimal, series_sum_fraction
 from replica import (
     DivergenceError,
     DomainError,
@@ -17,8 +18,9 @@ from replica import (
     evaluate_series,
     make_context,
     matching_digits,
-    ramanujan_couple,
 )
+from replica import series
+from replica.precision import rat_pow
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -26,6 +28,12 @@ THIRD = Fraction(1, 3)
 
 def spec(ctx, p, q, a, b, z):
     return SeriesSpec(p, q, ctx.real(a), ctx.real(b), ctx.real(z))
+
+
+def couple(s, ctx):
+    """(s0, s1): the weight-(1, 0) and weight-(0, 1) series at z = 1/2, one call each."""
+    return (evaluate_series(spec(ctx, s, 1 - s, 1, 0, HALF), ctx),
+            evaluate_series(spec(ctx, s, 1 - s, 0, 1, HALF), ctx))
 
 
 class TestEvaluateSeries:
@@ -108,29 +116,27 @@ class TestEvaluateSeries:
 
 class TestRamanujanCouple:
     def test_half_values(self):
-        ctx = make_context(400, 2)
-        couple = ramanujan_couple(HALF, ctx)
-        assert str(couple.s0).startswith(frozen.S0_HALF[:350])
-        assert str(couple.s1).startswith(frozen.S1_HALF[:350])
+        s0, s1 = couple(HALF, make_context(400, 2))
+        assert str(s0).startswith(frozen.S0_HALF[:350])
+        assert str(s1).startswith(frozen.S1_HALF[:350])
 
     def test_third_values(self):
-        ctx = make_context(400, 3)
-        couple = ramanujan_couple(THIRD, ctx)
-        assert str(couple.s0).startswith(frozen.S0_THIRD[:350])
-        assert str(couple.s1).startswith(frozen.S1_THIRD[:350])
+        s0, s1 = couple(THIRD, make_context(400, 3))
+        assert str(s0).startswith(frozen.S0_THIRD[:350])
+        assert str(s1).startswith(frozen.S1_THIRD[:350])
 
     def test_invariants(self):
         for s, order in ((HALF, 2), (THIRD, 3)):
-            couple = ramanujan_couple(s, make_context(60, order))
-            assert couple.s0 > 1
-            assert 0 < couple.s1 < couple.s0
+            s0, s1 = couple(s, make_context(60, order))
+            assert s0 > 1
+            assert 0 < s1 < s0
 
     def test_unsupported_parameter(self):
         ctx = make_context(60, 2)
         with pytest.raises(UnsupportedParameterError):
-            ramanujan_couple(Fraction(1, 4), ctx)
+            couple_product(Fraction(1, 4), Fraction(1), ctx)
         with pytest.raises(UnsupportedParameterError):
-            ramanujan_couple(Fraction(1, 6), ctx)
+            couple_product(Fraction(1, 6), Fraction(1), ctx)
 
 
 class TestCoupleProduct:
@@ -143,7 +149,7 @@ class TestCoupleProduct:
 
     def test_w_zero_is_s1(self):
         ctx = make_context(100, 2)
-        assert couple_product(HALF, Fraction(0), ctx) == ramanujan_couple(HALF, ctx).s1
+        assert couple_product(HALF, Fraction(0), ctx) == couple(HALF, ctx)[1]
 
     def test_frozen_sweep(self):
         for (s_txt, w_txt), digits in frozen.COUPLE_PRODUCTS.items():
@@ -164,11 +170,87 @@ class TestCoupleProduct:
     def test_third_product_value(self):
         # s0 * s1 at s = 1/3 equals sqrt(3)/(2 pi)
         ctx = make_context(200, 3)
-        couple = ramanujan_couple(THIRD, ctx)
+        s0, s1 = couple(THIRD, ctx)
         with ctx.local():
-            product = couple.s0 * couple.s1
+            product = s0 * s1
         assert str(product).startswith("0.27566444771089")
         assert str(product).startswith(frozen.COUPLE_PRODUCTS[("1/3", "1")][:190])
+
+
+class TestOnePass:
+    """invariant sums S(1, 0) and S(a, b) in one pass; every value equals the one
+    built from each series summed alone by the reference loop, bit for bit."""
+
+    def test_evaluate_series_is_the_reference_loop(self):
+        ctx = make_context(80, 2)
+        rng = random.Random(707)
+        params = [HALF, THIRD, Fraction(2, 3), Fraction(1)]
+        for _ in range(20):
+            p, q = rng.choice(params), rng.choice(params)
+            a, b = ctx.real(Fraction(rng.randint(-400, 400), 100)), ctx.real(rng.randint(-40, 40))
+            z = ctx.real(Fraction(rng.randint(0, 95), 100))
+            got = evaluate_series(SeriesSpec(p, q, a, b, z), ctx)
+            assert got == series_sum_decimal(p, q, a, b, z, ctx)
+
+    @pytest.mark.parametrize("digits", [1, 50, 500])
+    @pytest.mark.parametrize("w", ["0", "1", "-1/2", "1/3", "3"])
+    @pytest.mark.parametrize("s", [HALF, THIRD])
+    def test_couple_product_is_the_two_pass_product(self, s, w, digits):
+        ctx = make_context(digits, 3 if s == THIRD else 2)
+        half = ctx.real(HALF)
+        s0 = series_sum_decimal(s, 1 - s, ctx.real(1), ctx.real(0), half, ctx)
+        s1 = series_sum_decimal(s, 1 - s, ctx.real(0), ctx.real(1), half, ctx)
+        with ctx.local():
+            reference = rat_pow(s0, Fraction(w), ctx) * s1
+        assert couple_product(s, Fraction(w), ctx) == reference
+
+    @pytest.mark.parametrize("semi_major, semi_minor", [
+        ("2", "1"), ("1", "0.2"), ("1", "0.1"), ("7", "5"), ("0.7", "0.35"),
+    ])
+    @pytest.mark.parametrize("digits", [1, 50, 500])
+    def test_ellipse_factor_is_the_weight_1_2_series(self, semi_major, semi_minor, digits):
+        ctx = make_context(digits, 4)
+        a, b = ctx.real(semi_major), ctx.real(semi_minor)
+        with ctx.local():
+            z = 1 - (b / a) * (b / a)
+        factor = ellipse_factor(a, b, ctx)
+        assert factor == evaluate_series(SeriesSpec(HALF, HALF, ctx.real(1), ctx.real(2), z), ctx)
+        assert factor == series_sum_decimal(HALF, HALF, ctx.real(1), ctx.real(2), z, ctx)
+
+
+class TestTermCap:
+    def test_unreachable_cap_is_refused_up_front(self):
+        # z = 0.99 at 9 112 working digits needs more than the 2 000 000 terms
+        # the loop allows, and summing that many takes minutes
+        ctx = make_context(9000, 4)
+        start = time.perf_counter()
+        with pytest.raises(SlowConvergenceError, match="cannot certify in"):
+            ellipse_factor(ctx.real(1), ctx.real("0.1"), ctx)
+        assert time.perf_counter() - start < 1
+
+    def test_up_front_refusal_only_where_the_loop_would_hit_the_cap(self, monkeypatch):
+        # with a cap of 300 terms, replay the stopping rule exactly: every sum
+        # refused up front stops after the cap, and sums just inside it still run
+        cap = 300
+        monkeypatch.setattr(series, "_MAX_TERMS", cap)
+        p = q = HALF
+        a, b, z = Fraction(1), Fraction(2), Fraction(1, 2)
+        outcomes = set()
+        for guard in range(40, 100):
+            ctx = make_context(20, 2).with_guard(guard)
+            tol = Fraction(1, 10**ctx.working_digits)
+            term, k = Fraction(1), 0
+            while term * max(1, abs(a) + abs(b) * k) * z / (1 - z) * (1 + k) >= tol:
+                term *= (p + k) * (q + k) * z / (1 + k) ** 2
+                k += 1
+            try:
+                evaluate_series(spec(ctx, p, q, a, b, z), ctx)
+                outcomes.add("summed")
+                assert k <= cap
+            except SlowConvergenceError as exc:
+                assert k > cap
+                outcomes.add("refused" if "cannot certify in" in str(exc) else "capped")
+        assert outcomes == {"summed", "refused", "capped"}
 
 
 class TestEllipseFactor:
