@@ -32,6 +32,8 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .precision import (
+    GUARD_DIGITS_PER_STEP,
+    MIN_GUARD_DIGITS,
     SUPPORTED_DENOMINATORS,
     PrecisionContext,
     Real,
@@ -39,6 +41,7 @@ from .precision import (
     nth_root,
     pow_rational,
     rat_pow,
+    step_budget,
 )
 from .series import check_axes, couple_product, invariant
 from .transforms import DESCEND
@@ -132,27 +135,34 @@ def _step(order: int, w: Fraction, d: Real, c: Real, a: Real, ctx: PrecisionCont
     return d1, c1, a1
 
 
-# Below this many target digits the step budget of make_context is too tight
-# for two consecutive small deltas, so runs compute at least this many.
-_MIN_RUN_DIGITS = 32
+def _sized(ctx: PrecisionContext, order: int,
+           extra_steps: int = 0) -> tuple[PrecisionContext, int]:
+    """The context a run of the given order computes at, and its step budget.
 
-
-def _floored(ctx: PrecisionContext, order: int) -> PrecisionContext:
-    return ctx if ctx.target_digits >= _MIN_RUN_DIGITS else make_context(_MIN_RUN_DIGITS, order)
+    The target is at least 32 digits (below that the budget is too tight for two
+    consecutive small deltas) and the guard at least that of make_context; each
+    extra step adds 8 guard digits.  ``ctx`` itself is returned when it meets the rule.
+    """
+    target = max(ctx.target_digits, 32)
+    budget = step_budget(target, order)
+    guard = max(ctx.guard_digits, MIN_GUARD_DIGITS + GUARD_DIGITS_PER_STEP * budget)
+    guard += GUARD_DIGITS_PER_STEP * extra_steps
+    if (target, guard) != (ctx.target_digits, ctx.guard_digits):
+        ctx = PrecisionContext(target, guard)
+    return ctx, budget + extra_steps
 
 
 def _iterate(kind: AlgorithmKind, w: Fraction, d0: Real, c0: Real, a0: Real,
-             ctx: PrecisionContext) -> RunResult:
+             ctx: PrecisionContext, budget: int) -> RunResult:
     """Run the recurrences until two consecutive deltas drop below
-    10**(-target_digits - 8); a run that exhausts its step budget first
-    raises :class:`NonConvergenceError`.
+    10**(-target_digits - 8), or raise :class:`NonConvergenceError` after ``budget`` steps.
     """
     with ctx.local():
         threshold = Decimal(1).scaleb(-(ctx.target_digits + 8))
         d, c, a = d0, c0, a0
         trace = [IterationState(0, d, c, a)]
         consecutive = 0
-        for n in range(1, ctx.max_iterations + 1):
+        for n in range(1, budget + 1):
             d, c, a1 = _step(kind.order, w, d, c, a, ctx)
             delta = abs(a1 - a)
             a = a1
@@ -164,8 +174,7 @@ def _iterate(kind: AlgorithmKind, w: Fraction, d0: Real, c0: Real, a0: Real,
                 break
         if consecutive < 2:
             raise NonConvergenceError(
-                f"{kind.name} run did not converge within "
-                f"{ctx.max_iterations} iterations",
+                f"{kind.name} run did not converge within {budget} iterations",
                 trace=trace,
             )
         try:
@@ -179,17 +188,18 @@ def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunR
     """Run the order-m constant algorithm with free parameter w.
 
     The limit is couple_product(s, w) with s = 1/2 for the quadratic and
-    quartic families and s = 1/3 for the cubic one.  A ``ctx`` below 32
-    target digits is replaced by make_context(32, m) (see ``RunResult.ctx``).
+    quartic families and s = 1/3 for the cubic one.  The run allows
+    step_budget(target, m) steps at ``ctx`` raised to at least 32 target
+    digits and the guard of make_context(target, m) (see ``RunResult.ctx``).
     """
     w = Fraction(w)
     if w.denominator not in SUPPORTED_DENOMINATORS:
         raise UnsupportedExponentError("w must have a denominator dividing 12")
     m = kind.order
-    ctx = _floored(ctx, m)
+    ctx, budget = _sized(ctx, m)
     with ctx.local():
         d0 = pow_rational(Decimal(2), -1, m, ctx)
-        return _iterate(kind, w, d0, Decimal(2), Decimal(0), ctx)
+        return _iterate(kind, w, d0, Decimal(2), Decimal(0), ctx, budget)
 
 
 def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
@@ -204,7 +214,7 @@ def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
     check_axes(semi_major, semi_minor)
     if kind.order not in (2, 4):
         raise UnsupportedParameterError("perimeter algorithms exist for quad and quartic only")
-    ctx = _floored(ctx, kind.order)._with_extra_steps(_eccentric_steps(semi_major, semi_minor))
+    ctx, budget = _sized(ctx, kind.order, _eccentric_steps(semi_major, semi_minor))
     with ctx.local():
         ratio = ctx.real(semi_minor) / ctx.real(semi_major)
         z = 1 - ratio * ratio
@@ -218,7 +228,7 @@ def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
                 "initial eccentricity parameter rounded to 1 at working precision"
             )
         c0 = 2 / (ratio * ratio)
-        return _iterate(kind, Fraction(0), d0, c0, Decimal(1), ctx)
+        return _iterate(kind, Fraction(0), d0, c0, Decimal(1), ctx, budget)
 
 
 def _eccentric_steps(semi_major: Real, semi_minor: Real) -> int:

@@ -35,8 +35,8 @@ _EMAX = 10**15
 SUPPORTED_DENOMINATORS = (1, 2, 3, 4, 6, 12)
 
 MIN_GUARD_DIGITS = 32
-# Guard digits per step of the budget: each step loses a bounded number of digits to rounding.
-_GUARD_DIGITS_PER_STEP = 8
+#: Guard digits per step of the budget: each step loses a bounded number of digits to rounding.
+GUARD_DIGITS_PER_STEP = 8
 
 # Digits above working precision at which roots and rational powers are taken.
 _ROOT_EXTRA_DIGITS = 10
@@ -46,9 +46,21 @@ _ROOT_EXTRA_DIGITS = 10
 _SEED_DIGITS = 14
 
 
+def step_budget(target_digits: int, order: int) -> int:
+    """Steps a run of the given order is allowed: ceil(log_order(target_digits)) + 3,
+    since correct digits multiply by ``order`` per step."""
+    if order not in (2, 3, 4):
+        raise UnsupportedExponentError("algorithm_order must be 2, 3 or 4")
+    # Integer form of ceil(log(target)/log(order)); exact, unlike float logs.
+    k = 0
+    while order**k < target_digits:
+        k += 1
+    return k + 3
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Precision policy for one computation.
+    """The precision of one computation.
 
     ``working_digits = target_digits + guard_digits``; the guard absorbs the
     rounding loss of the whole downstream computation so that the first
@@ -56,19 +68,17 @@ class PrecisionContext:
     """
 
     target_digits: int
-    working_digits: int
     guard_digits: int
-    max_iterations: int
 
     def __post_init__(self):
         if self.target_digits < 1:
             raise DomainError("target_digits must be >= 1")
         if self.guard_digits < MIN_GUARD_DIGITS:
             raise DomainError(f"guard_digits must be >= {MIN_GUARD_DIGITS}")
-        if self.working_digits != self.target_digits + self.guard_digits:
-            raise DomainError("working_digits must equal target_digits + guard_digits")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be >= 1")
+
+    @property
+    def working_digits(self) -> int:
+        return self.target_digits + self.guard_digits
 
     @cached_property
     def _decimal_context(self) -> decimal.Context:
@@ -107,46 +117,19 @@ class PrecisionContext:
         return Decimal(1).scaleb(shift - self.working_digits)
 
     def with_guard(self, guard_digits: int) -> "PrecisionContext":
-        """Same target and step budget, different guard (for stability reruns)."""
-        return replace(
-            self,
-            guard_digits=guard_digits,
-            working_digits=self.target_digits + guard_digits,
-        )
+        """Same target, different guard (for stability reruns)."""
+        return replace(self, guard_digits=guard_digits)
 
     def doubled_guard(self) -> "PrecisionContext":
         return self.with_guard(2 * self.guard_digits)
 
-    def _with_extra_steps(self, steps: int) -> "PrecisionContext":
-        """``steps`` more iterations, each with its guard digits (any surplus guard stays)."""
-        guard = self.guard_digits + _GUARD_DIGITS_PER_STEP * steps
-        return replace(self, max_iterations=self.max_iterations + steps).with_guard(guard)
-
 
 def make_context(target_digits: int, algorithm_order: int) -> PrecisionContext:
-    """Build the precision policy for a run of the given algorithm order.
-
-    The step budget is ceil(log_order(target_digits)) + 3, since correct
-    digits multiply by ``algorithm_order`` per iteration; the guard is
-    ``MIN_GUARD_DIGITS`` plus 8 digits per step of the budget.  Runs may
-    compute at a larger context (see ``RunResult.ctx``).
+    """``target_digits`` with ``MIN_GUARD_DIGITS`` plus 8 guard digits per step of
+    :func:`step_budget`; runs may compute at a larger context (see ``RunResult.ctx``).
     """
-    if target_digits < 1:
-        raise DomainError("target_digits must be >= 1")
-    if algorithm_order not in (2, 3, 4):
-        raise UnsupportedExponentError("algorithm_order must be 2, 3 or 4")
-    # Integer form of ceil(log(target)/log(order)); exact, unlike float logs.
-    k = 0
-    while algorithm_order**k < target_digits:
-        k += 1
-    max_iterations = k + 3
-    guard_digits = MIN_GUARD_DIGITS + _GUARD_DIGITS_PER_STEP * max_iterations
-    return PrecisionContext(
-        target_digits=target_digits,
-        working_digits=target_digits + guard_digits,
-        guard_digits=guard_digits,
-        max_iterations=max_iterations,
-    )
+    budget = step_budget(target_digits, algorithm_order)
+    return PrecisionContext(target_digits, MIN_GUARD_DIGITS + GUARD_DIGITS_PER_STEP * budget)
 
 
 def _float_seed(x: Real, n: int) -> Real:

@@ -127,7 +127,10 @@ def couple_product(s: Fraction, w: Fraction, ctx: PrecisionContext) -> Real:
 
 
 def check_axes(semi_major: Real, semi_minor: Real) -> None:
-    """Raise DomainError unless 0 < semi_minor <= semi_major (the ellipse's domain)."""
+    """Raise DomainError unless the axes are finite and 0 < semi_minor <= semi_major
+    (the ellipse's domain)."""
+    if not (semi_major.is_finite() and semi_minor.is_finite()):
+        raise DomainError("axes must be finite decimals")
     if semi_minor <= 0:
         raise DomainError("semi-minor axis must be > 0")
     if semi_minor > semi_major:

@@ -254,9 +254,7 @@ def _read_last_stdout():
 
 
 def test_criterion_8_identity_property_suites():
-    ctx = PrecisionContext(
-        target_digits=168, working_digits=200, guard_digits=32, max_iterations=10
-    )
+    ctx = PrecisionContext(target_digits=168, guard_digits=32)
     bound = Decimal("1e-180")
     rng = random.Random(0x5EED)
     worst = Decimal(0)

@@ -30,9 +30,10 @@ from replica import (
     run_borwein,
     run_ellipse,
 )
-from replica.algorithms import _step
+from replica import algorithms
+from replica.algorithms import _eccentric_steps, _sized, _step
 from replica.cli import main
-from replica.precision import MIN_GUARD_DIGITS, rat_pow, to_sig_digits
+from replica.precision import MIN_GUARD_DIGITS, rat_pow, step_budget, to_sig_digits
 from replica.transforms import DESCEND, REPLICATE
 
 HALF = Fraction(1, 2)
@@ -73,7 +74,7 @@ class TestRunBorwein:
         run = run_borwein(kind, ONE, ctx)
         oracle = couple_product(kind.couple_parameter, ONE, ctx)
         assert matching_digits(run.value, oracle) >= ctx.target_digits
-        assert run.iterations <= ctx.max_iterations
+        assert run.iterations <= step_budget(250, kind.order)
         assert run.value == run.trace[-1].a
 
     @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC])
@@ -113,12 +114,10 @@ class TestRunBorwein:
         assert captured.out == ""
         assert captured.err == "error: w must have a denominator dividing 12\n"
 
-    def test_non_convergence_carries_trace(self):
-        ctx = PrecisionContext(
-            target_digits=100, working_digits=148, guard_digits=48, max_iterations=2
-        )
+    def test_non_convergence_carries_trace(self, monkeypatch):
+        monkeypatch.setattr(algorithms, "step_budget", lambda target, order: 2)
         with pytest.raises(NonConvergenceError) as err:
-            run_borwein(QUADRATIC, ONE, ctx)
+            run_borwein(QUADRATIC, ONE, PrecisionContext(target_digits=100, guard_digits=48))
         assert len(err.value.trace) == 3
 
     def test_bad_order_rejected(self):
@@ -133,13 +132,11 @@ class TestRunBorwein:
         ctx = make_context(32, 2)
         assert run_borwein(QUADRATIC, ONE, ctx).ctx is ctx
 
-    def test_one_small_delta_is_not_a_certificate(self):
+    def test_one_small_delta_is_not_a_certificate(self, monkeypatch):
         # the last delta is 0, the one before only 10**-85 > 10**-108
-        ctx = PrecisionContext(
-            target_digits=100, working_digits=188, guard_digits=88, max_iterations=5
-        )
+        monkeypatch.setattr(algorithms, "step_budget", lambda target, order: 5)
         with pytest.raises(NonConvergenceError) as err:
-            run_borwein(QUARTIC, ONE, ctx)
+            run_borwein(QUARTIC, ONE, PrecisionContext(target_digits=100, guard_digits=88))
         assert [st.delta_exp for st in err.value.trace[1:]] == [-1, -4, -20, -85, None]
 
 
@@ -162,9 +159,7 @@ class TestMeasureOrders:
 
     def test_noise_floor_cutoff(self):
         # with a context, errors below 10**(10 - working_digits) are unusable
-        ctx = PrecisionContext(
-            target_digits=64, working_digits=96, guard_digits=32, max_iterations=8
-        )
+        ctx = PrecisionContext(target_digits=64, guard_digits=32)
         errors = ["1e-2", "1e-4", "1e-8", "1e-16", "1e-32", "1e-64", "1e-92"]
         trace = synthetic_trace(errors, Decimal("0.5"))
         orders = measure_orders(trace, Decimal("0.5"), ctx)
@@ -289,15 +284,20 @@ class TestRunEllipse:
             run_ellipse(CUBIC, Decimal(1), Decimal(semi_minor), make_context(20, 3))
         assert str(raised.value) == message
 
-    @pytest.mark.parametrize("semi_major, semi_minor", [("1", "0"), ("1", "-1"), ("1", "2")])
+    @pytest.mark.parametrize("semi_major, semi_minor", [
+        ("1", "0"), ("1", "-1"), ("1", "2"), ("inf", "1"), ("NaN", "1"),
+    ])
     def test_axis_errors_match_the_series_oracle(self, semi_major, semi_minor):
         # run_ellipse and ellipse_factor share one axis check, so one wording
         a, b, ctx = Decimal(semi_major), Decimal(semi_minor), make_context(20, 2)
-        with pytest.raises(DomainError) as from_run:
-            run_ellipse(QUADRATIC, a, b, ctx)
         with pytest.raises(DomainError) as from_series:
             ellipse_factor(a, b, ctx)
-        assert str(from_run.value) == str(from_series.value)
+        for kind in (QUADRATIC, QUARTIC):
+            with pytest.raises(DomainError) as from_run:
+                run_ellipse(kind, a, b, ctx)
+            assert str(from_run.value) == str(from_series.value)
+        if not (a.is_finite() and b.is_finite()):
+            assert str(from_series.value) == "axes must be finite decimals"
 
     def test_mild_ellipse_runs_at_the_callers_context(self):
         ctx = make_context(100, 4)
@@ -307,14 +307,20 @@ class TestRunEllipse:
 
     def test_eccentric_budget_extends_steps_and_guard(self):
         # (b/a)^2 = 1e-6: 2 + bit_length(6) = 5 steps more, 8 guard digits each
+        a, b = Decimal(1), Decimal("0.001")
+        assert _eccentric_steps(a, b) == 5
         ctx = make_context(1000, 4)
-        run = run_ellipse(QUARTIC, Decimal(1), Decimal("0.001"), ctx)
-        assert run.ctx.max_iterations == ctx.max_iterations + 5 == 13
+        sized, budget = _sized(ctx, 4, 5)
+        assert budget == step_budget(1000, 4) + 5 == 13
+        run = run_ellipse(QUARTIC, a, b, ctx)
+        assert run.ctx == sized
         assert run.ctx.guard_digits == MIN_GUARD_DIGITS + 8 * 13 == 136
         assert run.ctx.working_digits == 1136
         doubled = ctx.doubled_guard()
-        run = run_ellipse(QUARTIC, Decimal(1), Decimal("0.001"), doubled)
-        assert run.ctx.max_iterations == 13
+        sized, budget = _sized(doubled, 4, 5)
+        assert budget == 13
+        run = run_ellipse(QUARTIC, a, b, doubled)
+        assert run.ctx == sized
         assert run.ctx.guard_digits == doubled.guard_digits + 8 * 5 == 232
 
     def test_near_degenerate_ellipse_converges_at_make_context(self, capsys):
@@ -326,6 +332,27 @@ class TestRunEllipse:
         ctx = make_context(50, 2)
         with pytest.raises(PrecisionInsufficientError):
             run_ellipse(QUADRATIC, ctx.real(1), Decimal(1).scaleb(-200), ctx)
+
+
+class TestRunsSizeTheirBudget:
+    """A run takes its step budget from its own order, not from the context's."""
+
+    @pytest.mark.parametrize("target", [50, 300])
+    @pytest.mark.parametrize("run, kind, context_order", [
+        ("borwein", QUADRATIC, 4), ("borwein", QUADRATIC, 3), ("borwein", CUBIC, 4),
+        ("ellipse", QUADRATIC, 4), ("ellipse", QUADRATIC, 3),
+    ])
+    def test_a_context_of_another_order_gives_the_same_run(self, target, run, kind,
+                                                            context_order):
+        def go(ctx):
+            if run == "borwein":
+                return run_borwein(kind, ONE, ctx)
+            return run_ellipse(kind, Decimal(2), Decimal(1), ctx)
+
+        own = go(make_context(target, kind.order))
+        other = go(make_context(target, context_order))
+        assert other.value == own.value
+        assert other.ctx == own.ctx
 
 
 class TestPostprocessConstant:
@@ -391,9 +418,7 @@ class TestStepMatchesReplicate:
     """``_step`` is the replication map with its divisions cancelled by hand."""
 
     def test_step_equals_replicate_form(self):
-        ctx = PrecisionContext(
-            target_digits=288, working_digits=320, guard_digits=32, max_iterations=10
-        )
+        ctx = PrecisionContext(target_digits=288, guard_digits=32)
         rng = random.Random(0x57E9)
         for order in (2, 3, 4):
             for _ in range(60):

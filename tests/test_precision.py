@@ -22,24 +22,25 @@ from replica.precision import (
     SUPPORTED_DENOMINATORS,
     _ROOT_EXTRA_DIGITS,
     _newton_schedule,
+    step_budget,
 )
 
 
 class TestMakeContext:
     def test_thousand_digits_quadratic(self):
         ctx = make_context(1000, 2)
-        assert ctx.max_iterations == 13
+        assert step_budget(1000, 2) == 13
         assert ctx.guard_digits == 136
         assert ctx.working_digits == 1136
 
     def test_single_digit(self):
         ctx = make_context(1, 2)
-        assert ctx.max_iterations == 3
+        assert step_budget(1, 2) == 3
         assert ctx.guard_digits == 56
 
     def test_thousand_digits_quartic(self):
         ctx = make_context(1000, 4)
-        assert ctx.max_iterations == 8
+        assert step_budget(1000, 4) == 8
         assert ctx.guard_digits == 96
 
     def test_rejects_bad_target(self):
@@ -51,14 +52,15 @@ class TestMakeContext:
     def test_rejects_bad_order(self):
         with pytest.raises(UnsupportedExponentError):
             make_context(100, 5)
+        with pytest.raises(UnsupportedExponentError):
+            step_budget(100, 1)
 
     def test_invariants_enforced(self):
         with pytest.raises(DomainError):
-            PrecisionContext(100, 120, 20, 5)  # guard below minimum
+            PrecisionContext(100, 20)  # guard below minimum
         with pytest.raises(DomainError):
-            PrecisionContext(100, 150, 40, 5)  # working != target + guard
-        with pytest.raises(DomainError):
-            PrecisionContext(100, 140, 40, 0)  # no iteration budget
+            PrecisionContext(0, 40)  # no target digits
+        assert PrecisionContext(100, 40).working_digits == 140
 
     def test_real_rejects_floats(self):
         ctx = make_context(50, 2)
@@ -238,7 +240,7 @@ def _schedule_boundaries(limit):
 
 
 def _min_guard_context(working_digits):
-    return PrecisionContext(working_digits - MIN_GUARD_DIGITS, working_digits, MIN_GUARD_DIGITS, 1)
+    return PrecisionContext(working_digits - MIN_GUARD_DIGITS, MIN_GUARD_DIGITS)
 
 
 def _exact_power(r, n):
