@@ -1,10 +1,9 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
 Everything here deliberately avoids the package's own evaluation paths:
-series sums are exact rational arithmetic, square roots go through
-``decimal.Decimal.sqrt`` or integer ``math.isqrt``.  The one exception is
-:func:`series_sum_decimal`, the term loop of ``replica.series`` kept here for
-one series at a time, which the package's one-pass sums must equal bit for bit.
+series sums are exact rational arithmetic or a plain Decimal term loop
+(the package sums fixed-point integer terms), powers use ``Decimal.__pow__``,
+square roots go through ``decimal.Decimal.sqrt`` or integer ``math.isqrt``.
 """
 
 from __future__ import annotations
@@ -41,8 +40,11 @@ def series_sum_decimal(p: Fraction, q: Fraction, a: Decimal, b: Decimal, z: Deci
                        ctx) -> Decimal:
     """sum_k (p)_k(q)_k/((1)_k)^2 (a+bk) z^k alone, in Decimal at ``ctx``'s precision.
 
-    The same operations, in the same order, as the package's term loop, with
-    the same stopping rule: term_k max(1, |a|+|b|k) z/(1-z) (1+k) < 10**-working.
+    Each term is the previous one times z (p+k)(q+k)/(1+k)^2, every operation
+    rounded to working precision, until
+    term_k max(1, |a|+|b|k) z/(1-z) (1+k) < 10**-working.  The roundings cost
+    the last two or three of the working digits, so tests run it at 40 digits
+    above the context they check.
     """
     pn, pd = p.numerator, p.denominator
     qn, qd = q.numerator, q.denominator
@@ -57,6 +59,39 @@ def series_sum_decimal(p: Fraction, q: Fraction, a: Decimal, b: Decimal, z: Deci
                 return +total
             term = term * z * ((pn + k * pd) * (qn + k * qd)) / (pd * qd * (1 + k) ** 2)
             k += 1
+
+
+def reference_context(ctx):
+    """``ctx`` with 40 more guard digits, at which :func:`series_sum_decimal` is exact
+    to ``ctx``'s working precision."""
+    return ctx.with_guard(ctx.guard_digits + 40)
+
+
+def invariant_decimal(s: Fraction, w: Fraction, a: Decimal, b: Decimal, z: Decimal,
+                      ctx) -> Decimal:
+    """S(1, 0; z)**w * S(a, b; z) with Pochhammer pair (s, 1 - s), at ``ctx``'s precision:
+    each series alone by :func:`series_sum_decimal`, the power by ``Decimal.__pow__``."""
+    s0 = series_sum_decimal(s, 1 - s, Decimal(1), Decimal(0), z, ctx)
+    weighted = series_sum_decimal(s, 1 - s, a, b, z, ctx)
+    with ctx.local():
+        return s0 ** (Decimal(w.numerator) / w.denominator) * weighted
+
+
+def assert_invariant_accurate(got: Decimal, want: Decimal, w: Fraction, ctx) -> None:
+    """``got``, a value of A = S(1, 0)**w * S(a, b) at ``ctx``, against ``want`` from
+    :func:`invariant_decimal` 40 digits higher: W - 1 matching significant digits at
+    w = 0, else within pow_rational's relative bound (|p| + 3) 10**(1 - W) for
+    w = p/q plus one ulp of ``got``."""
+    with localcontext() as c:
+        c.prec = ctx.working_digits + 40
+        err = abs(got - want)
+        if w == 0:
+            matching = want.adjusted() - err.adjusted() if err else ctx.working_digits
+            assert matching >= ctx.working_digits - 1, (got, want)
+            return
+        bound = ((abs(w.numerator) + 3) * ctx.epsilon(1) * abs(want)
+                 + Decimal(1).scaleb(got.adjusted() + 1 - ctx.working_digits))
+        assert err <= bound, (got, want, w)
 
 
 def fraction_to_decimal(x: Fraction, digits: int) -> Decimal:

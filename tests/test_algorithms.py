@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 
 import frozen
-from oracles import decimal_sqrt, series_sum_decimal
+from oracles import (
+    assert_invariant_accurate,
+    decimal_sqrt,
+    invariant_decimal,
+    reference_context,
+)
 from replica import (
     CUBIC,
     QUADRATIC,
@@ -200,21 +205,21 @@ class TestReplicationInvariant:
             assert matching_digits(values[0], v) >= ctx.working_digits - 10
 
     @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC])
-    def test_one_pass_equals_two_series_on_every_state(self, kind):
+    def test_one_pass_matches_two_series_on_every_state(self, kind):
         # late states carry large c_n, so S(a_n, b_n) needs more terms than
-        # S(1, 0); the shared pass must still give each sum exactly its own
-        p, q = kind.couple_parameter, 1 - kind.couple_parameter
+        # S(1, 0); the shared pass must still give each sum to working precision.
+        # The reference sums each series alone in Decimal, 40 digits higher.
         for w in (Fraction(0), Fraction(1, 3), Fraction(3)):
             run = run_borwein(kind, w, make_context(120, kind.order))
+            ctx = run.ctx
             for state in run.trace:
-                with run.ctx.local():
+                with ctx.local():
                     z = state.d**kind.order
                     b_n = state.c * (1 - z)
-                s0 = series_sum_decimal(p, q, Decimal(1), Decimal(0), z, run.ctx)
-                s1 = series_sum_decimal(p, q, state.a, b_n, z, run.ctx)
-                with run.ctx.local():
-                    reference = rat_pow(s0, w, run.ctx) * s1
-                assert replication_invariant(kind, w, state, run.ctx) == reference
+                got = replication_invariant(kind, w, state, ctx)
+                want = invariant_decimal(kind.couple_parameter, w, state.a, b_n, z,
+                                         reference_context(ctx))
+                assert_invariant_accurate(got, want, w, ctx)
 
     @pytest.mark.parametrize("semi_major, semi_minor", [("2", "1"), ("1", "0.2")])
     @pytest.mark.parametrize("kind", [QUADRATIC, QUARTIC])

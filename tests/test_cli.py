@@ -423,11 +423,11 @@ GOLDEN = [
     ("ellipse 2 1 --normalized", 0,
      "0cf28e4141686acaf48f110190c565fa696d26b50a61b5baab69a1de4ac4fcd0"),
     ("verify pi --digits 1000", 0,
-     "1e0fadffe2be725a47c10820d61da5f8adc9385bb269683ec30a2520e09f0a0f"),
+     "2338aec057e44870a2eb9098c197556b7d666ba11a5867d591fa5180382048a0"),
     ("verify ellipse 2 1 --digits 500", 0,
-     "765786596fcebf318d06c69a50129ed190329a0432b113af980993e6121b4b7e"),
+     "5934ce214472a101b319cfc95e327359509f59ad542248f8a51e38358d84e27d"),
     ("verify custom --w 1/2 --algorithm cubic --digits 200 --paper-example", 0,
-     "03eb3d288d5332f12bdfa721e203006afb776b0a1f2fb93d534f1691723ca4e7"),
+     "d1bce0851241da231c8ad942519b053887b0187ab3d817d23bb920db80f79789"),
     ("orders --algorithm quartic --w 1 --digits 1000", 0,
      "38f5390342da5907d25b24a2fb89de18c73d0c99004ea0b82a5b104dd2e4e8f2"),
     ("ellipse 1 1e-12 --normalized --digits 10", 0,
