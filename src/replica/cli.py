@@ -8,16 +8,23 @@
     replica orders --algorithm quartic --w 1 --digits 1000
 
 Exit codes: 0 success, 2 argument error, 3 non-convergence, 4 verification
-failure.  ``REPLICA_MAX_DIGITS`` caps the digit request (default 1,000,000).
+failure.  ``REPLICA_MAX_DIGITS`` caps the digit request (default 1,000,000);
+it is read on every call and must be a positive integer.
 Digit output is truncated, never rounded; the default text format groups
 digits in tens, 50 per line, and ends with a ``...`` truncation marker
 (``--plain`` prints the bare digits).
+
+``main(argv)`` is re-entrant: the argument parser is built on the first call
+and reused for every later call in the process.  Handlers look up the
+library functions they call at call time, so patching a module binding of
+``replica.cli`` takes effect even after the parser exists.
 """
 
 from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
 import os
 import sys
@@ -65,6 +72,7 @@ _OUTPUT_HELP = {
 }
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="replica",
@@ -136,7 +144,13 @@ def main(argv=None) -> int:
 def _check_digits(digits: int) -> None:
     if digits < 1:
         raise ValueError("--digits must be >= 1")
-    cap = int(os.environ.get("REPLICA_MAX_DIGITS", "1000000"))
+    text = os.environ.get("REPLICA_MAX_DIGITS", "1000000")
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0  # refused below with the non-positive values
+    if cap < 1:
+        raise ValueError(f"REPLICA_MAX_DIGITS must be a positive integer, got {text!r}")
     if digits > cap:
         raise ValueError(f"--digits exceeds REPLICA_MAX_DIGITS = {cap}")
 
@@ -254,7 +268,6 @@ def _cmd_ellipse(args) -> int:
     ctx = run.ctx
     axis_major, axis_minor = ctx.real(a), ctx.real(b)
     with ctx.local():
-        eccentricity = nth_root(1 - (axis_minor / axis_major) ** 2, 2, ctx)
         value = run.value
         if not args.normalized:
             pi = postprocess_constant("pi", run_borwein(QUARTIC, Fraction(1), ctx).value, ctx)
@@ -263,9 +276,12 @@ def _cmd_ellipse(args) -> int:
         "command": "ellipse",
         "semi_major": str(a),
         "semi_minor": str(b),
-        "eccentricity": to_sig_digits(eccentricity, min(args.digits, 30)),
         "normalized": bool(args.normalized),
     }
+    if args.output == "json":  # the only form that prints the eccentricity
+        with ctx.local():
+            eccentricity = nth_root(1 - (axis_minor / axis_major) ** 2, 2, ctx)
+        fields["eccentricity"] = to_sig_digits(eccentricity, min(args.digits, 30))
     return _print_result(args, "ellipse", run, value, fields)
 
 

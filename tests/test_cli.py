@@ -122,6 +122,13 @@ class TestConstantCommand:
         code, _, _ = run_cli(capsys, "constant", "pi", "--digits", "100")
         assert code == 0
 
+    @pytest.mark.parametrize("cap", ["abc", "1e3", "", "-5", "0"])
+    def test_malformed_digit_cap(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("REPLICA_MAX_DIGITS", cap)
+        code, out, err = run_cli(capsys, "constant", "pi", "--digits", "10")
+        assert code == 2 and out == ""
+        assert err == f"error: REPLICA_MAX_DIGITS must be a positive integer, got {cap!r}\n"
+
     def test_zero_digits(self, capsys):
         code, _, err = run_cli(capsys, "constant", "pi", "--digits", "0")
         assert code == 2
@@ -353,6 +360,43 @@ class TestArgumentHandling:
         monkeypatch.setattr(cli_mod, "run_borwein", stalled)
         code, _, err = run_cli(capsys, "constant", "pi", "--digits", "40")
         assert code == 3 and err == "error: stalled run\n"
+
+    def test_main_is_reentrant(self, capsys, monkeypatch):
+        """Successes, argparse exits and handler errors interleaved in one
+        process give the bytes of a freshly built parser, from one parser."""
+        import replica.cli as cli_mod
+        from replica import NonConvergenceError
+
+        calls = [
+            "constant pi --digits 20", "--help", "constant pi --digits 20 --plain",
+            "constant --help", "constant pi --digits 20 --json", "",
+            "constant pi --digits 20 --trace", "constant pi --digits many",
+            "ellipse 2 1 --digits 20", "constant pi --json --plain",
+            "ellipse 2 1 --digits 20 --plain", "constant tau",
+            "ellipse 2 1 --digits 20 --json", "verify pi --digits 20",
+            "ellipse 2 1 --digits 20 --trace", "verify pi --digits 20 --json",
+            "verify pi --digits 20 --trace", "orders --digits 100",
+            "orders --digits 100 --json", "constant pi --digits 20",
+        ]
+
+        def outcomes():
+            return [run_cli(capsys, *argv.split()) for argv in calls]
+
+        build = cli_mod._build_parser
+        with monkeypatch.context() as fresh:
+            fresh.setattr(cli_mod, "_build_parser", build.__wrapped__)  # one parser per call
+            expected = outcomes()
+        build.cache_clear()
+        assert outcomes() == expected
+        assert build.cache_info().misses == 1
+
+        def stalled(kind, w, ctx):
+            raise NonConvergenceError("stalled run")
+
+        monkeypatch.setattr(cli_mod, "run_borwein", stalled)  # after the parser exists
+        code, _, err = run_cli(capsys, "constant", "pi", "--digits", "40")
+        assert code == 3 and err == "error: stalled run\n"
+        assert build.cache_info().misses == 1
 
     @pytest.mark.parametrize("command, digits", [
         ("constant pi", 50), ("ellipse 2 1", 50), ("verify pi", 50), ("orders", 1000),
