@@ -13,6 +13,12 @@ with b_n = c_n (1 - d_n^m), is invariant along the run, so a_n converges to
 A_0, the couple product evaluated independently by the series module.  The
 same recurrences at w = 0 with ellipse-specific initial values converge to
 the normalized perimeter factor F(a, b).
+
+Since d_{n+1} ~ d_n^m, late steps move a by ever less.  Each step computes
+d_{n+1} only to the absolute precision its contribution to a needs, a
+margin of _SLACK_DIGITS digits below a unit in the last place of a, and a
+step that cannot move a (the confirming steps of the stopping rule) returns
+(t, m c_n, a_n) outright; see :func:`_step` for the rule and its error bound.
 """
 
 from __future__ import annotations
@@ -45,6 +51,9 @@ from .precision import (
 )
 from .series import check_axes, couple_product, invariant
 from .transforms import DESCEND
+
+#: Digits below a unit in the last place of a at which a late step keeps d (see _step).
+_SLACK_DIGITS = 12
 
 
 @dataclass(frozen=True)
@@ -115,8 +124,41 @@ def _step(order: int, w: Fraction, d: Real, c: Real, a: Real, ctx: PrecisionCont
     took 69 / 113 / 116 ms against 34 / 52 / 57 ms for this one (quadratic /
     cubic / quartic, best of 5, 2 vCPU, Python 3.11), and these divisions are
     the hot path of long runs.
+
+    Precision rule.  Late in a run t ~ d^m is far below 1, and an error in t
+    reaches a1 only through the terms c*t and (w+1)*a*t (the other uses of t
+    are of order t^2).  So d is kept to the absolute precision those terms
+    need, not to W (working digits) significant digits: with
+    e(x) = x.adjusted(), d is rounded to
+
+        p = W + m*(e(d) + 1) + e(c) - e(a) + _SLACK_DIGITS
+
+    digits, at least MIN_GUARD_DIGITS + 1, and the descend runs at p digits
+    whenever p < W and a != 0.  Since t < d^m < 10**(m*(e(d) + 1)) and the
+    p-digit descend is good to 10**(2 - p) * t, the result d1 satisfies
+    |c| * |d1 - t| < 10**(2 - _SLACK_DIGITS) units in the last place of a, so
+    a1 moves by at most 4 * 10**(2 - _SLACK_DIGITS) of a unit in its last
+    place (given |w + 1| * |a| <= |c|, as in every run).  The early steps of
+    a run, where p >= W, and d = 0 (a circle) take the full-precision path
+    unchanged.  Once t < 10**-(W + _SLACK_DIGITS) and
+    |c*t| < 10**-(W + _SLACK_DIGITS) * |a|, the step returns (t, m*c, a),
+    which is what the full formula rounds to: f rounds to 1, so g = 1, and
+    the correction to a is below half a unit in its last place.  The
+    confirming steps of the stopping rule are such steps: each costs a
+    descend at MIN_GUARD_DIGITS + 1 digits.
     """
-    d1 = DESCEND[order](d, ctx)
+    working = ctx.working_digits
+    digits = working + order * (d.adjusted() + 1) + c.adjusted() - a.adjusted() + _SLACK_DIGITS
+    if a and digits < working:
+        # A context of max(digits, MIN_GUARD_DIGITS + 1) working digits.
+        small = PrecisionContext(max(digits - MIN_GUARD_DIGITS, 1), MIN_GUARD_DIGITS)
+        with small.local():
+            d1 = DESCEND[order](+d, small)
+        tiny = ctx.epsilon(-_SLACK_DIGITS)
+        if d1 < tiny and abs(c * d1) < tiny * abs(a):
+            return d1, order * c, a
+    else:
+        d1 = DESCEND[order](d, ctx)
     if order == 2:
         f = 1 + d1
         g = rat_pow(f, w - 1, ctx)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -36,7 +38,7 @@ from replica import (
     run_ellipse,
 )
 from replica import algorithms
-from replica.algorithms import _eccentric_steps, _sized, _step
+from replica.algorithms import _eccentric_steps, _sized, _step, constant_limit_oracle
 from replica.cli import main
 from replica.precision import MIN_GUARD_DIGITS, rat_pow, step_budget, to_sig_digits
 from replica.transforms import DESCEND, REPLICATE
@@ -424,21 +426,61 @@ class TestStepMatchesReplicate:
 
     def test_step_equals_replicate_form(self):
         ctx = PrecisionContext(target_digits=288, guard_digits=32)
+        working = ctx.working_digits
+        fine = PrecisionContext(target_digits=308, guard_digits=32)
         rng = random.Random(0x57E9)
         for order in (2, 3, 4):
-            for _ in range(60):
-                d = ctx.real(Fraction(rng.randint(1, 9999), 10000))
+            # d in (0, 1); then down to 10**-(W/m), where late steps descend at
+            # reduced precision; then below 10**-W, where the step is a no-op.
+            shifts = [0] * 60
+            shifts += [rng.randint(1, working // order) for _ in range(60)]
+            shifts += [rng.randint(working, working + 40) for _ in range(20)]
+            for shift in shifts:
+                d = ctx.real(Fraction(rng.randint(1, 9999), 10000)).scaleb(-shift)
                 c = ctx.real(Fraction(rng.randint(1, 4000), 1000))
                 a = ctx.real(Fraction(rng.randint(0, 2000), 1000))
                 w = Fraction(rng.randint(-24, 36), 12)
                 with ctx.local():
                     d1, c1, a1 = _step(order, w, d, c, a, ctx)
-                    t = DESCEND[order](d, ctx)
+                    t = DESCEND[order](d, fine)
                     rc = REPLICATE[order](a, c * (1 - d**order), t, ctx)
                     pre = (1 + 2 * t) if order == 3 else (1 + t) ** (1 if order == 2 else 2)
                     scale = rat_pow(pre, w, ctx)
                     expected_c = scale * rc.beta / (1 - t**order)
                     expected_a = scale * rc.alpha
-                assert d1 == t
+                    # d1 is t to working precision, or to the absolute precision
+                    # of the precision rule: |c| |d1 - t| below 10**(2 - SLACK)
+                    # units in the last place of a.
+                    error = abs(d1 - t)
+                    ulp = Decimal(1).scaleb(a.adjusted() + 1 - working)
+                    assert (error <= t * ctx.epsilon(2)
+                            or abs(c) * error < ulp.scaleb(2 - algorithms._SLACK_DIGITS)), \
+                        (order, d, c, a, w)
+                    if shift >= working and a != 0:
+                        assert (a1, c1) == (a, order * c)
                 agree = min(matching_digits(c1, expected_c), matching_digits(a1, expected_a))
                 assert agree >= ctx.working_digits - 10, (order, d, c, a, w, agree)
+
+
+class TestLateSteps:
+    """Late steps descend at reduced precision and the last ones are no-ops;
+    neither moves a traced number or a printed digit."""
+
+    @pytest.mark.parametrize("command", list(frozen.LATE_STEP_TRACES))
+    def test_trace_is_unchanged(self, capsys, command):
+        deltas, orders, digest = frozen.LATE_STEP_TRACES[command]
+        assert main([*command.split(), "--trace"]) == 0
+        trace = json.loads(capsys.readouterr().out)
+        assert [row["delta_exp"] for row in trace["iterations"]] == deltas
+        assert trace["orders"] == orders
+        assert hashlib.sha256(trace["result"].encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("kind, w", [(QUADRATIC, ONE), (CUBIC, HALF), (QUARTIC, ONE)],
+                             ids=["quadratic", "cubic", "quartic"])
+    def test_ten_thousand_digits_match_the_series_oracle(self, kind, w):
+        run = run_borwein(kind, w, make_context(10_000, kind.order))
+        oracle = constant_limit_oracle(kind, w, run.ctx)
+        assert matching_digits(run.value, oracle) >= run.ctx.target_digits
+        # At least the last three steps kept d to fewer than W digits.
+        short = [len(st.d.as_tuple().digits) < run.ctx.working_digits for st in run.trace]
+        assert short[-3:] == [True] * 3
