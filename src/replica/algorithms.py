@@ -49,7 +49,7 @@ from .precision import (
     rat_pow,
     step_budget,
 )
-from .series import check_axes, couple_product, invariant
+from .series import check_axes, invariant
 from .transforms import DESCEND
 
 #: Digits below a unit in the last place of a at which a late step keeps d (see _step).
@@ -259,15 +259,10 @@ def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
     ctx, budget = _sized(ctx, kind.order, _eccentric_steps(semi_major, semi_minor))
     with ctx.local():
         ratio = ctx.real(semi_minor) / ctx.real(semi_major)
-        z = 1 - ratio * ratio
-        if z >= 1:
-            raise PrecisionInsufficientError(
-                "b/a is below the working precision; increase digits to resolve d0 < 1"
-            )
-        d0 = nth_root(z, kind.order, ctx)
+        d0 = nth_root(1 - ratio * ratio, kind.order, ctx)
         if d0 >= 1:
             raise PrecisionInsufficientError(
-                "initial eccentricity parameter rounded to 1 at working precision"
+                "b/a is below the working precision; increase digits to resolve d0 < 1"
             )
         c0 = 2 / (ratio * ratio)
         return _iterate(kind, Fraction(0), d0, c0, Decimal(1), ctx, budget)
@@ -380,8 +375,3 @@ def postprocess_constant(name: str, raw: Real, ctx: PrecisionContext) -> Real:
             core = pow_rational(scale / raw, 2, 3, ctx)
             return 2 / nth_root(Decimal(3), 2, ctx) * core
     raise UnknownConstantError(f"unknown constant id {name!r}")
-
-
-def constant_limit_oracle(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> Real:
-    """Series-side value of the limit the (kind, w) run converges to."""
-    return couple_product(kind.couple_parameter, Fraction(w), ctx)

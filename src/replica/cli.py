@@ -14,6 +14,10 @@ Digit output is truncated, never rounded; the default text format groups
 digits in tens, 50 per line, and ends with a ``...`` truncation marker
 (``--plain`` prints the bare digits).
 
+A request has one context, ``PrecisionContext(digits, MIN_GUARD_DIGITS)``,
+which ``main`` passes to the handler.  Each run sizes its own guard and step
+budget from it (``RunResult.ctx``), so the CLI keeps no precision policy.
+
 ``main(argv)`` is re-entrant: the argument parser is built on the first call
 and reused for every later call in the process.  Handlers look up the
 library functions they call at call time, so patching a module binding of
@@ -37,7 +41,6 @@ from .algorithms import (
     QUARTIC,
     AlgorithmKind,
     RunResult,
-    constant_limit_oracle,
     postprocess_constant,
     run_borwein,
     run_ellipse,
@@ -49,16 +52,16 @@ from .errors import (
     SlowConvergenceError,
 )
 from .precision import (
+    MIN_GUARD_DIGITS,
     PrecisionContext,
     Real,
-    make_context,
     matching_digits,
     nth_root,
     pow_rational,
     rat_pow,
     to_sig_digits,
 )
-from .series import ellipse_factor
+from .series import couple_product, ellipse_factor
 
 _ALGORITHM_ORDERS = {"quad": 2, "cubic": 3, "quartic": 4}
 
@@ -132,7 +135,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _check_digits(args.digits)
-        return args.handler(args)
+        return args.handler(args, PrecisionContext(args.digits, MIN_GUARD_DIGITS))
     except (ReplicaError, ValueError, decimal.InvalidOperation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, NonConvergenceError) else 2
@@ -169,42 +172,33 @@ def _format_block(value: Real, digits: int, plain: bool) -> str:
     marker = " ..." if Decimal(text) != value else ""
     if "e" in text:  # scientific fallback: grouping would not help
         return text + marker
-    if "." in text:
-        head, frac = text.split(".")
-    else:
-        head, frac = text, ""
-    groups = [frac[i : i + _GROUP] for i in range(0, len(frac), _GROUP)]
-    lines = []
-    first = head + ("." + groups[0] if groups else "")
-    line = [first] + groups[1:_GROUPS_PER_LINE]
-    lines.append(" ".join(line))
-    for i in range(_GROUPS_PER_LINE, len(groups), _GROUPS_PER_LINE):
-        lines.append(" ".join(groups[i : i + _GROUPS_PER_LINE]))
-    return "\n".join(lines) + marker
+    head, dot, frac = text.partition(".")
+    groups = [frac[i : i + _GROUP] for i in range(0, len(frac), _GROUP)] or [""]
+    groups[0] = head + dot + groups[0]  # the integer part leads the first group
+    return "\n".join(
+        " ".join(groups[i : i + _GROUPS_PER_LINE]) for i in range(0, len(groups), _GROUPS_PER_LINE)
+    ) + marker
 
 
-def _trace_payload(command: str, run: RunResult, value: Real, digits: int,
-                   oracle_digits: int | None = None) -> dict:
+def _trace_payload(args, run: RunResult, value: Real, oracle_digits: int | None = None) -> dict:
     return {
-        "command": command,
+        "command": args.command,
         "algorithm": run.kind.name,
         "w": str(run.w),
         "target_digits": run.ctx.target_digits,
         "working_digits": run.ctx.working_digits,
-        "result": to_sig_digits(value, digits),
-        "iterations": [
-            {"n": st.n, "delta_exp": st.delta_exp} for st in run.trace[1:]
-        ],
+        "result": to_sig_digits(value, args.digits),
+        "iterations": [{"n": st.n, "delta_exp": st.delta_exp} for st in run.trace[1:]],
         "orders": run.orders,
         "oracle_digits": oracle_digits,
     }
 
 
-def _print_result(args, command: str, run: RunResult, value: Real, fields: dict) -> int:
+def _print_result(args, run: RunResult, value: Real, fields: dict) -> int:
     """Print a constant or perimeter as a run trace, one JSON line (``fields``
     plus the common keys) or a digit block."""
     if args.output == "trace":
-        print(_dump_json(_trace_payload(command, run, value, args.digits)))
+        print(_dump_json(_trace_payload(args, run, value)))
     elif args.output == "json":
         print(_dump_json({
             **fields,
@@ -219,40 +213,38 @@ def _print_result(args, command: str, run: RunResult, value: Real, fields: dict)
     return 0
 
 
-def _resolve_constant(command: str, name: str, w_text: str | None,
-                      algorithm: str) -> tuple[AlgorithmKind, Fraction]:
+def _resolve_constant(args, name: str) -> tuple[AlgorithmKind, Fraction]:
     """The family and w that compute constant ``name`` (or ``custom`` at --w)."""
     try:
-        w_arg = None if w_text is None else Fraction(w_text)
+        w_arg = None if args.w is None else Fraction(args.w)
     except ZeroDivisionError:
-        raise ValueError(f"--w {w_text} is out of range") from None
+        raise ValueError(f"--w {args.w} is out of range") from None
     if name == "custom":
         if w_arg is None:
-            raise ValueError(f"{command} custom requires --w")
+            raise ValueError(f"{args.command} custom requires --w")
         allowed, w = (2, 3, 4), w_arg
     elif name in CONSTANT_RECIPES:
         allowed, w = CONSTANT_RECIPES[name]
         if w_arg is not None and w_arg != w:
             raise ValueError(f"constant {name} is computed at w={w}; drop --w or use custom")
     else:
-        what = "constant id" if command == "constant" else "verify target"
+        what = "constant id" if args.command == "constant" else "verify target"
         raise ValueError(f"unknown {what} {name!r}")
-    order = max(allowed) if algorithm == "auto" else _ALGORITHM_ORDERS[algorithm]
+    order = max(allowed) if args.algorithm == "auto" else _ALGORITHM_ORDERS[args.algorithm]
     if order not in allowed:
         raise ValueError(f"constant {name} needs an algorithm of order in {allowed}")
     return AlgorithmKind(order), w
 
 
-def _cmd_constant(args) -> int:
+def _cmd_constant(args, ctx: PrecisionContext) -> int:
     name = args.constant_id
-    kind, w = _resolve_constant("constant", name, args.w, args.algorithm)
-    run = run_borwein(kind, w, make_context(args.digits, kind.order))
+    kind, w = _resolve_constant(args, name)
+    run = run_borwein(kind, w, ctx)
     value = run.value if name == "custom" else postprocess_constant(name, run.value, run.ctx)
-    fields = {"constant": name, "w": str(w)}
-    return _print_result(args, "constant", run, value, fields)
+    return _print_result(args, run, value, {"constant": name, "w": str(w)})
 
 
-def _run_perimeter(args, major: str, minor: str):
+def _run_perimeter(args, ctx: PrecisionContext, major: str, minor: str):
     """Parse the semi-axes and run the perimeter iteration of the family
     ``args`` asks for: (a, b, run), with a and b as parsed."""
     try:
@@ -260,32 +252,31 @@ def _run_perimeter(args, major: str, minor: str):
     except decimal.InvalidOperation:
         raise ValueError("axes must be decimal numbers") from None
     kind = AlgorithmKind(_ALGORITHM_ORDERS.get(args.algorithm, QUARTIC.order))
-    return a, b, run_ellipse(kind, a, b, make_context(args.digits, kind.order))
+    return a, b, run_ellipse(kind, a, b, ctx)
 
 
-def _cmd_ellipse(args) -> int:
-    a, b, run = _run_perimeter(args, args.semi_major, args.semi_minor)
+def _cmd_ellipse(args, ctx: PrecisionContext) -> int:
+    a, b, run = _run_perimeter(args, ctx, args.semi_major, args.semi_minor)
     ctx = run.ctx
     axis_major, axis_minor = ctx.real(a), ctx.real(b)
-    with ctx.local():
-        value = run.value
-        if not args.normalized:
-            pi = postprocess_constant("pi", run_borwein(QUARTIC, Fraction(1), ctx).value, ctx)
-            value = 2 * pi * axis_minor**2 / axis_major * value
     fields = {
         "command": "ellipse",
         "semi_major": str(a),
         "semi_minor": str(b),
         "normalized": bool(args.normalized),
     }
-    if args.output == "json":  # the only form that prints the eccentricity
-        with ctx.local():
+    with ctx.local():
+        value = run.value
+        if not args.normalized:
+            pi = postprocess_constant("pi", run_borwein(QUARTIC, Fraction(1), ctx).value, ctx)
+            value = 2 * pi * axis_minor**2 / axis_major * value
+        if args.output == "json":  # the only form that prints the eccentricity
             eccentricity = nth_root(1 - (axis_minor / axis_major) ** 2, 2, ctx)
-        fields["eccentricity"] = to_sig_digits(eccentricity, min(args.digits, 30))
-    return _print_result(args, "ellipse", run, value, fields)
+            fields["eccentricity"] = to_sig_digits(eccentricity, min(args.digits, 30))
+    return _print_result(args, run, value, fields)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, ctx: PrecisionContext) -> int:
     """Run a constant or perimeter and measure it against its oracle: the
     series, or where that is too slow the other perimeter family at its own budget."""
     ellipse = args.target == "ellipse"
@@ -293,7 +284,7 @@ def _cmd_verify(args) -> int:
         raise ValueError("verify ellipse takes no --w")
     if not ellipse and args.axes:
         raise ValueError(f"verify {args.target} takes no axes")
-    constant = None if ellipse else _resolve_constant("verify", args.target, args.w, args.algorithm)
+    constant = None if ellipse else _resolve_constant(args, args.target)
     if args.paper_example and constant != (CUBIC, Fraction(1, 2)):
         raise ValueError("--paper-example applies to the cubic family at w=1/2")
     if args.paper_example and args.output == "trace":
@@ -303,7 +294,7 @@ def _cmd_verify(args) -> int:
     if ellipse:
         if len(args.axes) != 2:
             raise ValueError("verify ellipse needs two axes")
-        a, b, run = _run_perimeter(args, *args.axes)
+        a, b, run = _run_perimeter(args, ctx, *args.axes)
         lines = [f"verify ellipse {a} {b}: algorithm={run.kind.name} digits={args.digits}"]
         payload.update(semi_major=str(a), semi_minor=str(b))
         try:
@@ -311,21 +302,21 @@ def _cmd_verify(args) -> int:
             reference = "series oracle"
         except SlowConvergenceError:
             other = AlgorithmKind(6 - run.kind.order)
-            oracle = run_ellipse(other, a, b, make_context(args.digits, other.order)).value
+            oracle = run_ellipse(other, a, b, ctx).value
             reference = f"{other.name} iteration (series oracle too slow for this eccentricity)"
             lines.append("warning: 1 - b^2/a^2 > 0.99, series oracle skipped")
             payload["warning"] = "slow-oracle"
         suffix = f" (vs {reference})"
     else:
         kind, w = constant
-        run = run_borwein(kind, w, make_context(args.digits, kind.order))
-        oracle = constant_limit_oracle(kind, w, run.ctx)
+        run = run_borwein(kind, w, ctx)
+        oracle = couple_product(kind.couple_parameter, w, run.ctx)
         lines = [f"verify {args.target}: algorithm={kind.name} w={w} digits={args.digits}"]
         payload["w"] = str(w)
     agree = min(matching_digits(run.value, oracle), run.ctx.working_digits)
     ok = agree >= args.digits
     if args.output == "trace":
-        print(_dump_json(_trace_payload("verify", run, run.value, args.digits, agree)))
+        print(_dump_json(_trace_payload(args, run, run.value, agree)))
         return 0 if ok else 4
     lines.append(f"agree: >={agree} digits{suffix}")
     payload.update(algorithm=run.kind.name, agree_digits=agree, ok=ok)
@@ -345,17 +336,15 @@ def _cmd_verify(args) -> int:
 def _paper_example_probe(ctx: PrecisionContext, oracle: Real):
     """Measure the cubic w=1/2 limit against (2/(sqrt(3) Gamma(1/3)))**(3/2).
 
-    Gamma(1/3) is obtained independently of the w=1/2 run: from the cubic
-    w=2 run (which yields Gamma(2/3)) and the reflection identity
-    Gamma(1/3) Gamma(2/3) = 2 pi / sqrt(3), with pi from the quartic w=1 run.
+    By the reflection identity Gamma(1/3) Gamma(2/3) = 2 pi / sqrt(3) that
+    example value is (Gamma(2/3)/pi)**(3/2), formed independently of the
+    w=1/2 run: Gamma(2/3) from the cubic w=2 run, pi from the quartic w=1 run.
     Returns both ratios to 30 digits and the formula the oracle supports.
     """
     with ctx.local():
         pi = postprocess_constant("pi", run_borwein(QUARTIC, Fraction(1), ctx).value, ctx)
         gamma23 = postprocess_constant("gamma23", run_borwein(CUBIC, Fraction(2), ctx).value, ctx)
-        sqrt3 = nth_root(Decimal(3), 2, ctx)
-        gamma13 = 2 * pi / (sqrt3 * gamma23)
-        example = rat_pow(2 / (sqrt3 * gamma13), Fraction(3, 2), ctx)
+        example = rat_pow(gamma23 / pi, Fraction(3, 2), ctx)
         ratio = oracle / example
         expected = pow_rational(Decimal(3), 3, 4, ctx) * pow_rational(Decimal(2), -4, 3, ctx)
         support = (
@@ -366,21 +355,22 @@ def _paper_example_probe(ctx: PrecisionContext, oracle: Real):
         return to_sig_digits(ratio, 30), to_sig_digits(expected, 30), support
 
 
-def _cmd_orders(args) -> int:
+def _cmd_orders(args, ctx: PrecisionContext) -> int:
     if args.digits < 100:
         raise ValueError("orders needs --digits >= 100")
     # the table follows the raw run at --w, the value `constant custom` prints
-    kind, w = _resolve_constant("orders", "custom", args.w, args.algorithm)
-    run = run_borwein(kind, w, make_context(args.digits, kind.order))
-    with run.ctx.local():
-        errs = [abs(st.a - run.value) for st in run.trace]
-    rows = [
-        {"n": st.n, "delta_exp": st.delta_exp, "err_exp": err.adjusted() if err != 0 else None}
-        for st, err in zip(run.trace, errs)
-    ]
+    kind, w = _resolve_constant(args, "custom")
+    run = run_borwein(kind, w, ctx)
     logs = usable_error_logs(run.trace, run.value, run.ctx)
-    for (n, _), value in zip(logs, run.orders):
-        rows[n]["order"] = value
+    order_at = {n: order for (n, _), order in zip(logs, run.orders)}
+    rows = []
+    for st in run.trace:
+        with run.ctx.local():
+            err = abs(st.a - run.value)
+        row = {"n": st.n, "delta_exp": st.delta_exp, "err_exp": err.adjusted() if err else None}
+        if st.n in order_at:
+            row["order"] = order_at[st.n]
+        rows.append(row)
     if args.output == "json":
         print(_dump_json({
             "command": "orders",

@@ -38,7 +38,7 @@ from replica import (
     run_ellipse,
 )
 from replica import algorithms
-from replica.algorithms import _eccentric_steps, _sized, _step, constant_limit_oracle
+from replica.algorithms import _eccentric_steps, _sized, _step
 from replica.cli import main
 from replica.precision import MIN_GUARD_DIGITS, rat_pow, step_budget, to_sig_digits
 from replica.transforms import DESCEND, REPLICATE
@@ -340,6 +340,15 @@ class TestRunEllipse:
         with pytest.raises(PrecisionInsufficientError):
             run_ellipse(QUADRATIC, ctx.real(1), Decimal(1).scaleb(-200), ctx)
 
+    def test_d0_rounded_to_one_is_the_same_refusal(self):
+        # (b/a)^2 = 1e-210 survives in 1 - (b/a)^2, but its fourth root rounds to 1
+        ctx = make_context(50, 4)
+        with pytest.raises(PrecisionInsufficientError) as raised:
+            run_ellipse(QUARTIC, ctx.real(1), Decimal("1e-105"), ctx)
+        assert str(raised.value) == (
+            "b/a is below the working precision; increase digits to resolve d0 < 1"
+        )
+
 
 class TestRunsSizeTheirBudget:
     """A run takes its step budget from its own order, not from the context's."""
@@ -479,7 +488,7 @@ class TestLateSteps:
                              ids=["quadratic", "cubic", "quartic"])
     def test_ten_thousand_digits_match_the_series_oracle(self, kind, w):
         run = run_borwein(kind, w, make_context(10_000, kind.order))
-        oracle = constant_limit_oracle(kind, w, run.ctx)
+        oracle = couple_product(kind.couple_parameter, w, run.ctx)
         assert matching_digits(run.value, oracle) >= run.ctx.target_digits
         # At least the last three steps kept d to fewer than W digits.
         short = [len(st.d.as_tuple().digits) < run.ctx.working_digits for st in run.trace]

@@ -1,7 +1,11 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import frozen
 import pytest
@@ -192,6 +196,14 @@ class TestEllipseCommand:
         code, _, _ = run_cli(capsys, "ellipse", "1", "0")
         assert code == 2
 
+    def test_axis_ratio_below_working_precision_exits_2(self, capsys):
+        # (b/a)^2 = 1e-210 is resolved, but d0 = (1 - 1e-210)^(1/4) rounds to 1
+        code, out, err = run_cli(capsys, "ellipse", "1", "1e-105", "--digits", "50")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: b/a is below the working precision; increase digits to resolve d0 < 1\n"
+        )
+
     def test_non_decimal_axis_rejected(self, capsys):
         code, _, err = run_cli(capsys, "ellipse", "two", "1")
         assert code == 2
@@ -274,9 +286,7 @@ class TestVerifyCommand:
     def test_disagreement_exits_4(self, capsys, monkeypatch):
         import replica.cli as cli_mod
 
-        monkeypatch.setattr(
-            cli_mod, "constant_limit_oracle", lambda kind, w, ctx: Decimal("0.5")
-        )
+        monkeypatch.setattr(cli_mod, "couple_product", lambda s, w, ctx: Decimal("0.5"))
         code, out, _ = run_cli(capsys, "verify", "pi", "--digits", "100")
         assert code == 4
         assert "FAIL" in out
@@ -476,6 +486,28 @@ GOLDEN = [
      "38f5390342da5907d25b24a2fb89de18c73d0c99004ea0b82a5b104dd2e4e8f2"),
     ("ellipse 1 1e-12 --normalized --digits 10", 0,
      "76022fffd5286056008776f53c9aec949ad7e22fe3d6d85db5ab3925f585e540"),
+    # One case per command and output form the cases above leave out.
+    ("constant pi --digits 40 --trace", 0,
+     "36ffa8d652d0c19533e28df0f1be0b75c3792fd3c5b0a5925c2bf5956cabe243"),
+    ("constant gamma13 --digits 60 --plain", 0,
+     "55e7641e92511b0a6b96922ab89a8f6b783984ed2ab2c6106b8e44551dcccf2e"),
+    ("ellipse 2 1 --digits 60 --json", 0,
+     "35cb440fb333ae0dff1c3416cd55c683fef3f9f0219453776e43de9f9d2510a5"),
+    ("ellipse 1 1e-30 --digits 60 --trace", 0,
+     "5166f3016993fb31c3ada7802a84567e7c16ea4530f6c8ab718e01c38310f2bd"),
+    ("verify pi --digits 80 --json", 0,
+     "ea5ee07fa20f490b81609c5739fe3e38f0c4a0a2017d09d6c4077c89cdc0b8a9"),
+    ("verify gamma13 --digits 80 --trace", 0,
+     "783ba5f26b32ae837ed6097e4faf576f8e0306a46cb2fca74aa18c635501ba7a"),
+    # z > 0.99: the other perimeter family is the oracle
+    ("verify ellipse 1 0.005 --digits 100", 0,
+     "e97526451108605125a72a30737b984c34c2025439f143283dd3e2a04100205f"),
+    ("verify ellipse 1 0.005 --digits 100 --json", 0,
+     "09e17ba370c943762a1c30de49f77d894686a26a20cf5222650eae804e7e71d8"),
+    ("verify custom --w 1/2 --algorithm cubic --digits 120 --paper-example --json", 0,
+     "8a6319481a32ec2b72d4deb89562ca8d4abaa6f79ce6a67e8cdd167ffebf8ced"),
+    ("orders --digits 200 --json", 0,
+     "ee45fc1974dd5febd74de387434234adf48f3fe02b279cf8b7011fdb4e1ef638"),
 ]
 
 
@@ -484,3 +516,22 @@ def test_golden_output_bytes(capsys, command, code, digest):
     assert main(command.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("command", [
+    "constant pi --digits 30", "ellipse 2 1 --digits 30 --json", "verify pi --digits 60",
+    "orders --digits 100",
+])
+def test_module_entry_point_runs_on_the_standard_library_alone(capsys, command):
+    """``python -S -m replica.cli`` prints what ``main`` prints in-process.
+
+    ``-S`` hides site-packages, so an import beyond the standard library fails here."""
+    ran = subprocess.run(
+        [sys.executable, "-S", "-m", "replica.cli", *command.split()],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120,
+    )
+    code, out, err = main(command.split()), *capsys.readouterr()
+    assert (ran.returncode, ran.stdout, ran.stderr) == (code, out, err)

@@ -212,6 +212,13 @@ class TestDigitStrings:
     def test_scientific_fallback(self):
         assert to_sig_digits(Decimal("1.5e-40"), 3) == "1.50e-40"
 
+    def test_needs_at_least_one_digit(self):
+        with pytest.raises(DomainError):
+            to_sig_digits(Decimal("3.14"), 0)
+
+    def test_zero_is_one_digit(self):
+        assert to_sig_digits(Decimal(0), 5) == "0"
+
     def test_matching_digits(self):
         a = Decimal("3.14159265358979")
         assert matching_digits(a, a) == 10**9
