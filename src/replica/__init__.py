@@ -4,6 +4,10 @@ Quadratic, cubic and quartic iteration families with a free parameter w
 compute pi and Gamma-function values; the same machinery at w = 0 yields
 rapid algorithms for the perimeter of an ellipse.  A certified truncated
 series evaluator provides independent oracle values for every limit.
+
+The package root exports the library API that the README documents; every
+other name lives in its own module: ``replica.precision``, ``replica.series``,
+``replica.transforms`` and ``replica.algorithms``.
 """
 
 from .algorithms import (
@@ -11,89 +15,43 @@ from .algorithms import (
     QUADRATIC,
     QUARTIC,
     AlgorithmKind,
-    IterationState,
     RunResult,
-    measure_orders,
     postprocess_constant,
     replication_invariant,
     run_borwein,
     run_ellipse,
-    usable_error_logs,
 )
 from .errors import (
-    DivergenceError,
     DomainError,
-    InsufficientTraceError,
     NonConvergenceError,
     PrecisionInsufficientError,
     ReplicaError,
     SlowConvergenceError,
-    UnknownConstantError,
-    UnsupportedExponentError,
     UnsupportedParameterError,
 )
-from .precision import (
-    PrecisionContext,
-    make_context,
-    matching_digits,
-    nth_root,
-    pow_rational,
-    to_sig_digits,
-)
-from .series import (
-    SeriesSpec,
-    couple_product,
-    ellipse_factor,
-    evaluate_series,
-)
-from .transforms import (
-    cubic_descend,
-    cubic_replicate,
-    quad_descend,
-    quad_replicate,
-    quartic_descend,
-    quartic_replicate,
-)
+from .precision import PrecisionContext, make_context
+from .series import couple_product, ellipse_factor
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgorithmKind",
-    "CUBIC",
-    "DivergenceError",
-    "DomainError",
-    "InsufficientTraceError",
-    "IterationState",
-    "NonConvergenceError",
-    "PrecisionContext",
-    "PrecisionInsufficientError",
     "QUADRATIC",
+    "CUBIC",
     "QUARTIC",
-    "ReplicaError",
-    "RunResult",
-    "SeriesSpec",
-    "SlowConvergenceError",
-    "UnknownConstantError",
-    "UnsupportedExponentError",
-    "UnsupportedParameterError",
-    "couple_product",
-    "cubic_descend",
-    "cubic_replicate",
-    "ellipse_factor",
-    "evaluate_series",
+    "PrecisionContext",
     "make_context",
-    "matching_digits",
-    "measure_orders",
-    "nth_root",
-    "postprocess_constant",
-    "pow_rational",
-    "quad_descend",
-    "quad_replicate",
-    "quartic_descend",
-    "quartic_replicate",
-    "replication_invariant",
+    "RunResult",
     "run_borwein",
     "run_ellipse",
-    "to_sig_digits",
-    "usable_error_logs",
+    "postprocess_constant",
+    "replication_invariant",
+    "couple_product",
+    "ellipse_factor",
+    "ReplicaError",
+    "DomainError",
+    "UnsupportedParameterError",
+    "SlowConvergenceError",
+    "PrecisionInsufficientError",
+    "NonConvergenceError",
 ]

@@ -30,11 +30,8 @@ from fractions import Fraction
 
 from .errors import (
     DomainError,
-    InsufficientTraceError,
     NonConvergenceError,
     PrecisionInsufficientError,
-    UnknownConstantError,
-    UnsupportedExponentError,
     UnsupportedParameterError,
 )
 from .precision import (
@@ -185,13 +182,12 @@ def _sized(ctx: PrecisionContext, order: int,
     consecutive small deltas) and the guard at least that of make_context; each
     extra step adds 8 guard digits.  ``ctx`` itself is returned when it meets the rule.
     """
-    target = max(ctx.target_digits, 32)
-    budget = step_budget(target, order)
-    guard = max(ctx.guard_digits, MIN_GUARD_DIGITS + GUARD_DIGITS_PER_STEP * budget)
-    guard += GUARD_DIGITS_PER_STEP * extra_steps
+    floor = make_context(max(ctx.target_digits, 32), order)
+    target = floor.target_digits
+    guard = max(ctx.guard_digits, floor.guard_digits) + GUARD_DIGITS_PER_STEP * extra_steps
     if (target, guard) != (ctx.target_digits, ctx.guard_digits):
         ctx = PrecisionContext(target, guard)
-    return ctx, budget + extra_steps
+    return ctx, step_budget(target, order) + extra_steps
 
 
 def _iterate(kind: AlgorithmKind, w: Fraction, d0: Real, c0: Real, a0: Real,
@@ -219,11 +215,7 @@ def _iterate(kind: AlgorithmKind, w: Fraction, d0: Real, c0: Real, a0: Real,
                 f"{kind.name} run did not converge within {budget} iterations",
                 trace=trace,
             )
-        try:
-            orders = measure_orders(trace, a, ctx)
-        except InsufficientTraceError:
-            orders = []
-        return RunResult(a, trace, kind, w, ctx, orders)
+        return RunResult(a, trace, kind, w, ctx, measure_orders(trace, a, ctx))
 
 
 def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunResult:
@@ -236,7 +228,7 @@ def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunR
     """
     w = Fraction(w)
     if w.denominator not in SUPPORTED_DENOMINATORS:
-        raise UnsupportedExponentError("w must have a denominator dividing 12")
+        raise UnsupportedParameterError("w must have a denominator dividing 12")
     m = kind.order
     ctx, budget = _sized(ctx, m)
     with ctx.local():
@@ -280,17 +272,14 @@ def _eccentric_steps(semi_major: Real, semi_minor: Real) -> int:
 
 
 def usable_error_logs(trace: list[IterationState], final_value: Real,
-                      ctx: PrecisionContext | None = None) -> list[tuple[int, float]]:
+                      ctx: PrecisionContext) -> list[tuple[int, float]]:
     """(n, log10 err_n) for the contiguous block of order-measurable errors.
 
-    err_n = |a_n - final_value| is usable when it lies in (0, 1) and, when a
-    context is supplied, above the rounding noise floor
-    10**(10 - working_digits) * |final_value|; below that floor the trace
-    measures rounding, not the algorithm.
+    err_n = |a_n - final_value| is usable when it lies in (0, 1) and above the
+    rounding noise floor 10**(10 - working_digits) * |final_value| of ``ctx``;
+    below that floor the trace measures rounding, not the algorithm.
     """
-    floor = Decimal(0)
-    if ctx is not None and final_value != 0:
-        floor = abs(final_value) * Decimal(1).scaleb(10 - ctx.working_digits)
+    floor = abs(final_value) * Decimal(1).scaleb(10 - ctx.working_digits)
     logs: list[tuple[int, float]] = []
     for state in trace:
         err = abs(state.a - final_value)
@@ -303,19 +292,16 @@ def usable_error_logs(trace: list[IterationState], final_value: Real,
 
 
 def measure_orders(trace: list[IterationState], final_value: Real,
-                   ctx: PrecisionContext | None = None) -> list[float]:
+                   ctx: PrecisionContext) -> list[float]:
     """Convergence orders log(err_{n+1}) / log(err_n) from a run trace.
 
     A pair of consecutive states contributes only when both errors are
     usable in the sense of :func:`usable_error_logs`.  The i-th returned
-    order belongs to the i-th usable state.
+    order belongs to the i-th usable state; with fewer than two usable
+    errors the list is empty.
     """
-    if len(trace) < 3:
-        raise InsufficientTraceError("need at least 3 trace states")
     logs = usable_error_logs(trace, final_value, ctx)
-    if len(logs) < 2:
-        raise InsufficientTraceError("fewer than 3 usable error points")
-    return [logs[i + 1][1] / logs[i][1] for i in range(len(logs) - 1)]
+    return [later / earlier for (_, earlier), (_, later) in zip(logs, logs[1:])]
 
 
 def _log10(x: Real) -> float:
@@ -350,12 +336,21 @@ CONSTANT_RECIPES: dict[str, tuple[tuple[int, ...], Fraction]] = {
 }
 
 
-def postprocess_constant(name: str, raw: Real, ctx: PrecisionContext) -> Real:
-    """Invert the registered limit formula to extract the named constant.
+def postprocess_constant(name: str, run: RunResult) -> Real:
+    """The named constant, by inverting the limit formula of its recipe at ``run.ctx``.
 
-    ``raw`` must be the converged value of the (family, w) pair registered in
-    :data:`CONSTANT_RECIPES` for that name.
+    Raises :class:`UnsupportedParameterError` for an unknown name, and for a
+    run whose family order and w are not the recipe of :data:`CONSTANT_RECIPES`.
     """
+    if name not in CONSTANT_RECIPES:
+        raise UnsupportedParameterError(f"unknown constant id {name!r}")
+    orders, w = CONSTANT_RECIPES[name]
+    if run.kind.order not in orders or run.w != w:
+        raise UnsupportedParameterError(
+            f"constant {name} is computed by an order in {orders} run at w={w}, "
+            f"not by a {run.kind.name} run at w={run.w}"
+        )
+    raw, ctx = run.value, run.ctx
     with ctx.local():
         if name == "pi":
             # raw = 1/pi
@@ -369,9 +364,7 @@ def postprocess_constant(name: str, raw: Real, ctx: PrecisionContext) -> Real:
         if name == "gamma23":
             # raw = 2**(-1/3) / Gamma(2/3)**3
             return pow_rational(pow_rational(Decimal(2), -1, 3, ctx) / raw, 1, 3, ctx)
-        if name == "gamma13":
-            # raw = 3**(3/4) * 2**(-4/3) * (2/(sqrt(3) Gamma(1/3)))**(3/2)
-            scale = pow_rational(Decimal(3), 3, 4, ctx) * pow_rational(Decimal(2), -4, 3, ctx)
-            core = pow_rational(scale / raw, 2, 3, ctx)
-            return 2 / nth_root(Decimal(3), 2, ctx) * core
-    raise UnknownConstantError(f"unknown constant id {name!r}")
+        # name == "gamma13": raw = 3**(3/4) * 2**(-4/3) * (2/(sqrt(3) Gamma(1/3)))**(3/2)
+        scale = pow_rational(Decimal(3), 3, 4, ctx) * pow_rational(Decimal(2), -4, 3, ctx)
+        core = pow_rational(scale / raw, 2, 3, ctx)
+        return 2 / nth_root(Decimal(3), 2, ctx) * core

@@ -8,8 +8,9 @@
     replica orders --algorithm quartic --w 1 --digits 1000
 
 Exit codes: 0 success, 2 argument error, 3 non-convergence, 4 verification
-failure.  ``REPLICA_MAX_DIGITS`` caps the digit request (default 1,000,000);
-it is read on every call and must be a positive integer.
+failure; a reader that closes stdout early ends the request with 0 and
+nothing on stderr.  ``REPLICA_MAX_DIGITS`` caps the digit request (default
+1,000,000); it is read on every call and must be a positive integer.
 Digit output is truncated, never rounded; the default text format groups
 digits in tens, 50 per line, and ends with a ``...`` truncation marker
 (``--plain`` prints the bare digits).
@@ -130,6 +131,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
+        code = _serve(argv)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+    except BrokenPipeError:  # the reader stopped early; devnull takes the final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    return code
+
+
+def _serve(argv) -> int:
+    try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
@@ -240,7 +251,7 @@ def _cmd_constant(args, ctx: PrecisionContext) -> int:
     name = args.constant_id
     kind, w = _resolve_constant(args, name)
     run = run_borwein(kind, w, ctx)
-    value = run.value if name == "custom" else postprocess_constant(name, run.value, run.ctx)
+    value = run.value if name == "custom" else postprocess_constant(name, run)
     return _print_result(args, run, value, {"constant": name, "w": str(w)})
 
 
@@ -268,7 +279,7 @@ def _cmd_ellipse(args, ctx: PrecisionContext) -> int:
     with ctx.local():
         value = run.value
         if not args.normalized:
-            pi = postprocess_constant("pi", run_borwein(QUARTIC, Fraction(1), ctx).value, ctx)
+            pi = postprocess_constant("pi", run_borwein(QUARTIC, Fraction(1), ctx))
             value = 2 * pi * axis_minor**2 / axis_major * value
         if args.output == "json":  # the only form that prints the eccentricity
             eccentricity = nth_root(1 - (axis_minor / axis_major) ** 2, 2, ctx)
@@ -342,8 +353,8 @@ def _paper_example_probe(ctx: PrecisionContext, oracle: Real):
     Returns both ratios to 30 digits and the formula the oracle supports.
     """
     with ctx.local():
-        pi = postprocess_constant("pi", run_borwein(QUARTIC, Fraction(1), ctx).value, ctx)
-        gamma23 = postprocess_constant("gamma23", run_borwein(CUBIC, Fraction(2), ctx).value, ctx)
+        pi = postprocess_constant("pi", run_borwein(QUARTIC, Fraction(1), ctx))
+        gamma23 = postprocess_constant("gamma23", run_borwein(CUBIC, Fraction(2), ctx))
         example = rat_pow(gamma23 / pi, Fraction(3, 2), ctx)
         ratio = oracle / example
         expected = pow_rational(Decimal(3), 3, 4, ctx) * pow_rational(Decimal(2), -4, 3, ctx)

@@ -6,23 +6,12 @@ class ReplicaError(Exception):
 
 
 class DomainError(ReplicaError, ValueError):
-    """An argument lies outside the mathematical domain of the operation."""
-
-
-class UnsupportedExponentError(ReplicaError, ValueError):
-    """A rational exponent p/q whose denominator is not in ``precision.SUPPORTED_DENOMINATORS``."""
+    """An argument outside the mathematical domain of the operation (a series z >= 1 too)."""
 
 
 class UnsupportedParameterError(ReplicaError, ValueError):
-    """A series or algorithm parameter outside the supported set."""
-
-
-class UnknownConstantError(UnsupportedParameterError):
-    """A constant identifier that is not registered."""
-
-
-class DivergenceError(DomainError):
-    """Series argument z >= 1: the sum does not converge."""
+    """A parameter outside the supported set: a series parameter, exponent, root or
+    algorithm order, w, an unknown constant id or a run of another constant's recipe."""
 
 
 class SlowConvergenceError(ReplicaError):
@@ -31,10 +20,6 @@ class SlowConvergenceError(ReplicaError):
 
 class PrecisionInsufficientError(ReplicaError):
     """The working precision cannot distinguish an input from a singular value."""
-
-
-class InsufficientTraceError(ReplicaError, ValueError):
-    """Too few usable error samples to measure convergence orders."""
 
 
 class NonConvergenceError(ReplicaError):

@@ -22,7 +22,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DomainError, UnsupportedExponentError
+from .errors import DomainError, UnsupportedParameterError
 
 # A "Real" is a plain Decimal; its precision is whatever context produced it.
 Real = Decimal
@@ -50,7 +50,7 @@ def step_budget(target_digits: int, order: int) -> int:
     """Steps a run of the given order is allowed: ceil(log_order(target_digits)) + 3,
     since correct digits multiply by ``order`` per step."""
     if order not in (2, 3, 4):
-        raise UnsupportedExponentError("algorithm_order must be 2, 3 or 4")
+        raise UnsupportedParameterError("algorithm_order must be 2, 3 or 4")
     # Integer form of ceil(log(target)/log(order)); exact, unlike float logs.
     k = 0
     while order**k < target_digits:
@@ -116,12 +116,9 @@ class PrecisionContext:
         """10**(-working_digits + shift) as an exact Decimal."""
         return Decimal(1).scaleb(shift - self.working_digits)
 
-    def with_guard(self, guard_digits: int) -> "PrecisionContext":
-        """Same target, different guard (for stability reruns)."""
-        return replace(self, guard_digits=guard_digits)
-
     def doubled_guard(self) -> "PrecisionContext":
-        return self.with_guard(2 * self.guard_digits)
+        """Same target, twice the guard (for stability reruns)."""
+        return replace(self, guard_digits=2 * self.guard_digits)
 
 
 def make_context(target_digits: int, algorithm_order: int) -> PrecisionContext:
@@ -194,7 +191,7 @@ def nth_root(x: Real, n: int, ctx: PrecisionContext) -> Real:
     ``x`` may carry more digits than the context.
     """
     if n not in (2, 3, 4):
-        raise UnsupportedExponentError(f"nth_root supports n in {{2, 3, 4}}, got {n}")
+        raise UnsupportedParameterError(f"nth_root supports n in {{2, 3, 4}}, got {n}")
     if x == 0:
         return Decimal(0)
     if x.is_signed():
@@ -210,7 +207,7 @@ def pow_rational(x: Real, p: int, q: int, ctx: PrecisionContext) -> Real:
     Relative error <= (|p| + 3) * 10**(1 - working_digits).
     """
     if q not in SUPPORTED_DENOMINATORS:
-        raise UnsupportedExponentError(f"denominator {q} not in {SUPPORTED_DENOMINATORS}")
+        raise UnsupportedParameterError(f"denominator {q} not in {SUPPORTED_DENOMINATORS}")
     if math.gcd(p, q) != 1:
         raise DomainError(f"exponent {p}/{q} must be in lowest terms")
     if x.is_signed() or x == 0:

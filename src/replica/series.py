@@ -25,12 +25,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 
-from .errors import (
-    DivergenceError,
-    DomainError,
-    SlowConvergenceError,
-    UnsupportedParameterError,
-)
+from .errors import DomainError, SlowConvergenceError, UnsupportedParameterError
 from .precision import PrecisionContext, Real, rat_pow
 
 #: Couples are wired only for the parameters that have a matching transform.
@@ -100,7 +95,7 @@ def _sums(p: Fraction, q: Fraction, a: Real, b: Real, z: Real | Fraction,
     if z < 0:
         raise DomainError("series argument z must be >= 0")
     if z >= 1:
-        raise DivergenceError("series argument z must be < 1")
+        raise DomainError("series argument z must be < 1")
     if not (a.is_finite() and b.is_finite()):
         raise DomainError("series weights a, b must be finite")
     pn, pd = p.numerator, p.denominator

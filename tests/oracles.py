@@ -12,6 +12,8 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+from replica.precision import PrecisionContext
+
 
 def series_sum_fraction(p: Fraction, q: Fraction, a: Fraction, b: Fraction,
                         z: Fraction, digits: int) -> Fraction:
@@ -64,7 +66,7 @@ def series_sum_decimal(p: Fraction, q: Fraction, a: Decimal, b: Decimal, z: Deci
 def reference_context(ctx):
     """``ctx`` with 40 more guard digits, at which :func:`series_sum_decimal` is exact
     to ``ctx``'s working precision."""
-    return ctx.with_guard(ctx.guard_digits + 40)
+    return PrecisionContext(ctx.target_digits, ctx.guard_digits + 40)
 
 
 def invariant_decimal(s: Fraction, w: Fraction, a: Decimal, b: Decimal, z: Decimal,

@@ -20,16 +20,14 @@ from replica import (
     couple_product,
     ellipse_factor,
     make_context,
-    matching_digits,
-    nth_root,
     postprocess_constant,
     replication_invariant,
     run_borwein,
     run_ellipse,
-    to_sig_digits,
-    usable_error_logs,
 )
+from replica.algorithms import usable_error_logs
 from replica.cli import main
+from replica.precision import matching_digits, nth_root, to_sig_digits
 from replica.series import SeriesSpec, evaluate_series
 from replica.transforms import DESCEND, REPLICATE
 
@@ -87,7 +85,7 @@ def gamma_values():
             "gamma13": (ctx3, CUBIC, HALF),
         }
         _cache["gamma_extracted"] = {
-            name: postprocess_constant(name, run_borwein(kind, w, ctx).value, ctx)
+            name: postprocess_constant(name, run_borwein(kind, w, ctx))
             for name, (ctx, kind, w) in _cache["gammas"].items()
         }
     return _cache["gammas"], _cache["gamma_extracted"]
@@ -329,7 +327,7 @@ def test_criterion_10_two_precision_stability():
     recipes, extracted = gamma_values()
     for name, (ctx, kind, w) in recipes.items():
         big = ctx.doubled_guard()
-        redone = postprocess_constant(name, run_borwein(kind, w, big).value, big)
+        redone = postprocess_constant(name, run_borwein(kind, w, big))
         check(name, 500, extracted[name], redone)
 
     runs = ellipse_runs()

@@ -19,28 +19,28 @@ from replica import (
     QUARTIC,
     AlgorithmKind,
     DomainError,
-    InsufficientTraceError,
-    IterationState,
     NonConvergenceError,
     PrecisionContext,
     PrecisionInsufficientError,
-    UnknownConstantError,
-    UnsupportedExponentError,
     UnsupportedParameterError,
     couple_product,
     ellipse_factor,
     make_context,
-    matching_digits,
-    measure_orders,
     postprocess_constant,
     replication_invariant,
     run_borwein,
     run_ellipse,
 )
 from replica import algorithms
-from replica.algorithms import _eccentric_steps, _sized, _step
+from replica.algorithms import IterationState, _eccentric_steps, _sized, _step, measure_orders
 from replica.cli import main
-from replica.precision import MIN_GUARD_DIGITS, rat_pow, step_budget, to_sig_digits
+from replica.precision import (
+    MIN_GUARD_DIGITS,
+    matching_digits,
+    rat_pow,
+    step_budget,
+    to_sig_digits,
+)
 from replica.transforms import DESCEND, REPLICATE
 
 HALF = Fraction(1, 2)
@@ -110,11 +110,11 @@ class TestRunBorwein:
 
     def test_w_denominator_rejected(self, capsys):
         ctx = make_context(60, 2)
-        with pytest.raises(UnsupportedExponentError):
+        with pytest.raises(UnsupportedParameterError, match="w must have a denominator dividing 12"):
             run_borwein(QUADRATIC, Fraction(1, 5), ctx)
         # The quartic step's power 2w - 2 = -23/12 has a supported denominator,
         # so only run_borwein's own check refuses w = 1/24.
-        with pytest.raises(UnsupportedExponentError):
+        with pytest.raises(UnsupportedParameterError, match="w must have a denominator dividing 12"):
             run_borwein(QUARTIC, Fraction(1, 24), make_context(60, 4))
         assert main(["constant", "custom", "--w", "1/24", "--algorithm", "quartic"]) == 2
         captured = capsys.readouterr()
@@ -148,21 +148,23 @@ class TestRunBorwein:
 
 
 class TestMeasureOrders:
+    # working precision so wide that the noise floor cuts no synthetic error
+    WIDE = PrecisionContext(target_digits=300, guard_digits=32)
+
     def test_exact_doubling(self):
         trace = synthetic_trace(["1e-2", "1e-4", "1e-8"], Decimal("0.5"))
-        orders = measure_orders(trace, Decimal("0.5"))
+        orders = measure_orders(trace, Decimal("0.5"), self.WIDE)
         assert orders == pytest.approx([2.0, 2.0], abs=1e-9)
 
     def test_single_pair(self):
         trace = synthetic_trace(["1e-3", "1e-9"], Decimal("0.5"))
-        assert measure_orders(trace, Decimal("0.5")) == pytest.approx([3.0], abs=1e-9)
+        assert measure_orders(trace, Decimal("0.5"), self.WIDE) == pytest.approx([3.0], abs=1e-9)
 
     def test_insufficient_trace(self):
-        with pytest.raises(InsufficientTraceError):
-            measure_orders(synthetic_trace(["1e-2"], Decimal("0.5")), Decimal("0.5"))
+        trace = synthetic_trace(["1e-2"], Decimal("0.5"))
+        assert measure_orders(trace, Decimal("0.5"), self.WIDE) == []
         trace = synthetic_trace(["5", "3", "2"], Decimal("0.5"))  # errors not in (0,1)
-        with pytest.raises(InsufficientTraceError):
-            measure_orders(trace, Decimal("0.5"))
+        assert measure_orders(trace, Decimal("0.5"), self.WIDE) == []
 
     def test_noise_floor_cutoff(self):
         # with a context, errors below 10**(10 - working_digits) are unusable
@@ -172,8 +174,8 @@ class TestMeasureOrders:
         orders = measure_orders(trace, Decimal("0.5"), ctx)
         assert len(orders) == 5  # the 1e-92 point sits below the floor
         assert orders == pytest.approx([2.0] * 5, abs=1e-6)
-        # without a context the same pair is kept
-        assert len(measure_orders(trace, Decimal("0.5"))) == 6
+        # with a context wide enough for the 1e-92 point, the same pair is kept
+        assert len(measure_orders(trace, Decimal("0.5"), self.WIDE)) == 6
 
     def test_real_run_tail_orders(self):
         # the measured orders decrease toward the family order and the last
@@ -375,41 +377,37 @@ class TestPostprocessConstant:
     def test_pi(self):
         ctx = make_context(400, 2)
         run = run_borwein(QUADRATIC, ONE, ctx)
-        pi = postprocess_constant("pi", run.value, ctx)
+        pi = postprocess_constant("pi", run)
         assert str(pi).startswith(frozen.PI[:400])
 
     def test_gamma34(self):
         ctx = make_context(300, 4)
-        raw = run_borwein(QUARTIC, Fraction(3), ctx).value
-        value = postprocess_constant("gamma34", raw, ctx)
+        value = postprocess_constant("gamma34", run_borwein(QUARTIC, Fraction(3), ctx))
         assert str(value).startswith(frozen.GAMMA34[:290])
 
     def test_gamma14(self):
         ctx = make_context(300, 4)
-        raw = run_borwein(QUARTIC, Fraction(1, 3), ctx).value
-        value = postprocess_constant("gamma14", raw, ctx)
+        value = postprocess_constant("gamma14", run_borwein(QUARTIC, Fraction(1, 3), ctx))
         assert str(value).startswith(frozen.GAMMA14[:290])
 
     def test_gamma23(self):
         ctx = make_context(300, 3)
-        raw = run_borwein(CUBIC, Fraction(2), ctx).value
-        value = postprocess_constant("gamma23", raw, ctx)
+        value = postprocess_constant("gamma23", run_borwein(CUBIC, Fraction(2), ctx))
         assert str(value).startswith(frozen.GAMMA23[:290])
 
     def test_gamma13(self):
         ctx = make_context(300, 3)
-        raw = run_borwein(CUBIC, HALF, ctx).value
-        value = postprocess_constant("gamma13", raw, ctx)
+        value = postprocess_constant("gamma13", run_borwein(CUBIC, HALF, ctx))
         assert str(value).startswith(frozen.GAMMA13[:290])
 
     def test_reflection_products(self):
         ctx = make_context(200, 4)
-        pi = postprocess_constant("pi", run_borwein(QUARTIC, ONE, ctx).value, ctx)
-        g34 = postprocess_constant("gamma34", run_borwein(QUARTIC, Fraction(3), ctx).value, ctx)
-        g14 = postprocess_constant("gamma14", run_borwein(QUARTIC, Fraction(1, 3), ctx).value, ctx)
+        pi = postprocess_constant("pi", run_borwein(QUARTIC, ONE, ctx))
+        g34 = postprocess_constant("gamma34", run_borwein(QUARTIC, Fraction(3), ctx))
+        g14 = postprocess_constant("gamma14", run_borwein(QUARTIC, Fraction(1, 3), ctx))
         ctx3 = make_context(200, 3)
-        g23 = postprocess_constant("gamma23", run_borwein(CUBIC, Fraction(2), ctx3).value, ctx3)
-        g13 = postprocess_constant("gamma13", run_borwein(CUBIC, HALF, ctx3).value, ctx3)
+        g23 = postprocess_constant("gamma23", run_borwein(CUBIC, Fraction(2), ctx3))
+        g13 = postprocess_constant("gamma13", run_borwein(CUBIC, HALF, ctx3))
         with ctx.local():
             sqrt2 = decimal_sqrt(2, ctx.working_digits + 10)
             sqrt3 = decimal_sqrt(3, ctx.working_digits + 10)
@@ -417,9 +415,28 @@ class TestPostprocessConstant:
             assert matching_digits(g13 * g23, 2 * pi / sqrt3) >= ctx3.target_digits
 
     def test_unknown_constant(self):
-        ctx = make_context(60, 2)
-        with pytest.raises(UnknownConstantError):
-            postprocess_constant("zeta3", Decimal(1), ctx)
+        run = run_borwein(QUADRATIC, ONE, make_context(60, 2))
+        with pytest.raises(UnsupportedParameterError, match="unknown constant id 'zeta3'"):
+            postprocess_constant("zeta3", run)
+
+    def test_refuses_a_run_of_another_recipe(self):
+        # every (order, w) of a recipe, plus w = 1/6 which none uses, built once
+        ws = sorted({w for _, w in algorithms.CONSTANT_RECIPES.values()} | {Fraction(1, 6)})
+        runs = {(kind.order, w): run_borwein(kind, w, make_context(40, kind.order))
+                for kind in (QUADRATIC, CUBIC, QUARTIC) for w in ws}
+        for name, (orders, recipe_w) in algorithms.CONSTANT_RECIPES.items():
+            for (order, w), run in runs.items():
+                if order in orders and w == recipe_w:
+                    assert postprocess_constant(name, run) > 0
+                    continue
+                with pytest.raises(UnsupportedParameterError, match=f"constant {name} "):
+                    postprocess_constant(name, run)
+
+    def test_pi_from_a_cubic_run_is_refused(self):
+        # the cubic w = 1 limit inverts to 3.6275987284..., which is not pi
+        run = run_borwein(CUBIC, ONE, make_context(40, 3))
+        with pytest.raises(UnsupportedParameterError, match="constant pi is computed by"):
+            postprocess_constant("pi", run)
 
     def test_custom_raw_limit(self):
         # quadratic w = 3 converges to 1/Gamma(3/4)**4

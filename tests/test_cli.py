@@ -535,3 +535,25 @@ def test_module_entry_point_runs_on_the_standard_library_alone(capsys, command):
     )
     code, out, err = main(command.split()), *capsys.readouterr()
     assert (ran.returncode, ran.stdout, ran.stderr) == (code, out, err)
+
+
+@pytest.mark.parametrize("command", [
+    "constant pi --digits 20000", "constant pi --digits 30", "verify pi --digits 60",
+    "orders --digits 100", "--help",
+])
+def test_closed_reader_ends_the_request_quietly(command):
+    """A reader that closed stdout before the first write gets exit 0 and an empty stderr.
+
+    The pipe's read end is closed before the child starts, so every write the
+    child makes fails: inside a print for 20000 digits, at the final flush otherwise."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        ran = subprocess.run(
+            [sys.executable, "-S", "-m", "replica.cli", *command.split()],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (ran.returncode, ran.stderr) == (0, "")

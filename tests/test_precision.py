@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -10,19 +11,19 @@ from oracles import decimal_sqrt, isqrt_sqrt
 from replica import (
     DomainError,
     PrecisionContext,
-    UnsupportedExponentError,
+    UnsupportedParameterError,
     make_context,
-    matching_digits,
-    nth_root,
-    pow_rational,
-    to_sig_digits,
 )
 from replica.precision import (
     MIN_GUARD_DIGITS,
     SUPPORTED_DENOMINATORS,
     _ROOT_EXTRA_DIGITS,
     _newton_schedule,
+    matching_digits,
+    nth_root,
+    pow_rational,
     step_budget,
+    to_sig_digits,
 )
 
 
@@ -50,9 +51,9 @@ class TestMakeContext:
             make_context(-5, 2)
 
     def test_rejects_bad_order(self):
-        with pytest.raises(UnsupportedExponentError):
+        with pytest.raises(UnsupportedParameterError, match="algorithm_order must be 2, 3 or 4"):
             make_context(100, 5)
-        with pytest.raises(UnsupportedExponentError):
+        with pytest.raises(UnsupportedParameterError, match="algorithm_order must be 2, 3 or 4"):
             step_budget(100, 1)
 
     def test_invariants_enforced(self):
@@ -101,7 +102,8 @@ class TestNthRoot:
 
     def test_unsupported_degree(self):
         ctx = make_context(50, 2)
-        with pytest.raises(UnsupportedExponentError):
+        with pytest.raises(UnsupportedParameterError,
+                           match=re.escape("nth_root supports n in {2, 3, 4}, got 5")):
             nth_root(Decimal(2), 5, ctx)
 
     def test_roundtrip_random(self):
@@ -150,7 +152,8 @@ class TestPowRational:
 
     def test_unsupported_denominator(self):
         ctx = make_context(50, 2)
-        with pytest.raises(UnsupportedExponentError):
+        with pytest.raises(UnsupportedParameterError,
+                           match=re.escape(f"denominator 5 not in {SUPPORTED_DENOMINATORS}")):
             pow_rational(Decimal(2), 1, 5, ctx)
 
     def test_requires_positive_base(self):

@@ -1,12 +1,19 @@
-"""The README's Library example runs as written."""
+"""The README's Library example runs as written, and the package root exports
+exactly the names its Library section documents."""
 
 import re
 from pathlib import Path
+from types import ModuleType
 
 import frozen
-from replica import to_sig_digits
+import replica
+from replica.precision import to_sig_digits
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_section() -> str:
+    return README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
 
 
 def test_library_example_computes_pi():
@@ -15,3 +22,15 @@ def test_library_example_computes_pi():
     namespace = {}
     exec(blocks[0], namespace)
     assert to_sig_digits(namespace["pi"], 1000) == frozen.PI[:1001]
+
+
+def test_root_exports_exactly_all():
+    public = {name for name, value in vars(replica).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert public == set(replica.__all__)
+    assert len(replica.__all__) == len(set(replica.__all__)) == 19
+
+
+def test_every_root_name_is_documented_in_library_section():
+    documented = set(re.findall(r"`([A-Za-z_]\w*)`", library_section()))
+    assert [name for name in replica.__all__ if name not in documented] == []

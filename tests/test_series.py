@@ -15,18 +15,17 @@ from oracles import (
     series_sum_fraction,
 )
 from replica import (
-    DivergenceError,
     DomainError,
-    SeriesSpec,
+    PrecisionContext,
     SlowConvergenceError,
     UnsupportedParameterError,
     couple_product,
     ellipse_factor,
-    evaluate_series,
     make_context,
-    matching_digits,
 )
 from replica import series
+from replica.precision import matching_digits
+from replica.series import SeriesSpec, evaluate_series
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -60,9 +59,9 @@ class TestEvaluateSeries:
 
     def test_rejects_z_at_one(self):
         ctx = make_context(60, 2)
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DomainError, match="series argument z must be < 1"):
             evaluate_series(spec(ctx, HALF, HALF, 1, 0, 1), ctx)
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DomainError, match="series argument z must be < 1"):
             evaluate_series(spec(ctx, HALF, HALF, 1, 0, "1.5"), ctx)
 
     def test_rejects_negative_z(self):
@@ -251,7 +250,7 @@ class TestTermCap:
         a, b, z = Fraction(1), Fraction(2), Fraction(1, 2)
         outcomes = set()
         for guard in range(40, 100):
-            ctx = make_context(20, 2).with_guard(guard)
+            ctx = PrecisionContext(20, guard)
             tol = Fraction(1, 10**ctx.working_digits)
             term, k = Fraction(1), 0
             while term * max(1, abs(a) + abs(b) * k) * z / (1 - z) * (1 + k) >= tol:
@@ -274,7 +273,7 @@ class TestTermCap:
         p = q = HALF
         a, b, z = Fraction(1), Fraction(2), Fraction(1, 2)
         for guard in range(40, 80):
-            ctx = make_context(20, 2).with_guard(guard)
+            ctx = PrecisionContext(20, guard)
             tol = Fraction(1, 10**ctx.working_digits)
             term, k = Fraction(1), 0
             while term * max(1, abs(a) + abs(b) * k) * z / (1 - z) * (1 + k) >= tol:

@@ -6,20 +6,19 @@ import pytest
 
 import frozen
 from oracles import decimal_sqrt
-from replica import (
-    DomainError,
+from replica import DomainError, make_context
+from replica.precision import matching_digits, nth_root
+from replica.series import SeriesSpec, evaluate_series
+from replica.transforms import (
+    DESCEND,
+    REPLICATE,
     cubic_descend,
     cubic_replicate,
-    make_context,
-    matching_digits,
-    nth_root,
     quad_descend,
     quad_replicate,
     quartic_descend,
     quartic_replicate,
 )
-from replica.series import SeriesSpec, evaluate_series
-from replica.transforms import DESCEND, REPLICATE
 
 CTX = make_context(100, 2)
 
