@@ -108,19 +108,26 @@ class RunResult:
 def _step(order: int, w: Fraction, d: Real, c: Real, a: Real, ctx: PrecisionContext):
     """One update of (d, c, a) for the given family.
 
-    The power of the order-specific factor f is computed once (g = f**(w-1),
-    or f**(2w-2) for the quartic) and reused for the a-update exponent.
-
     This is the replication map with its divisions cancelled by hand: with
     t = DESCEND[m](d), (alpha, beta) = REPLICATE[m](a, c (1 - d^m), t) and
     pre = 1 + t, 1 + 2t or (1 + t)^2, the step returns
     (t, pre^w beta / (1 - t^m), pre^w alpha), which tests/test_algorithms.py
-    checks to within 10 digits of working precision.  It stays inlined
-    because the step built from REPLICATE divides twice more at full
-    precision by powers of (1 - t): at 20 000 digits and w = 1/3 that step
-    took 69 / 113 / 116 ms against 34 / 52 / 57 ms for this one (quadratic /
-    cubic / quartic, best of 5, 2 vCPU, Python 3.11), and these divisions are
-    the hot path of long runs.
+    checks to within 10 digits of working precision.  One rational power of
+    the factor f serves both updates, and the a-update divides by nothing
+    but 2 (f = 1 + t for orders 2 and 4, 1 + 2t for order 3):
+
+    - quadratic: g = f**(w-1), c1 = 2 c g, a1 = a g f^2 + c1 t (1 - t) / 2;
+    - cubic: h = f**(w-2), c1 = 3 c h f, a1 = a h f^3 + 2 c h t (1 - t^3),
+      which is g = h f with the division by 3 f of (1 - t^3) / (3 f) cancelled
+      (at w = 1, h = 1/f is the one division of the step);
+    - quartic: g = f**(2w-2), c1 = 4 c g, a1 = a g f^4 + c1 t (1 - t)(1 + t^2) / 2,
+      since (1 - t^4) / (2 (1 + t)) = (1 - t)(1 + t^2) / 2.
+
+    The step built from REPLICATE divides twice more at full precision, by
+    powers of (1 - t): at 20 000 digits and w = 1/3 it took 53 / 65 / 68 ms
+    against 30 / 41 / 38 ms for this one (quadratic / cubic / quartic, best
+    of 20, 2 vCPU, Python 3.11.7, shared machine), and steps at full
+    precision are the hot path of long runs.
 
     Precision rule.  Late in a run t ~ d^m is far below 1, and an error in t
     reaches a1 only through the terms c*t and (w+1)*a*t (the other uses of t
@@ -139,7 +146,7 @@ def _step(order: int, w: Fraction, d: Real, c: Real, a: Real, ctx: PrecisionCont
     a run, where p >= W, and d = 0 (a circle) take the full-precision path
     unchanged.  Once t < 10**-(W + _SLACK_DIGITS) and
     |c*t| < 10**-(W + _SLACK_DIGITS) * |a|, the step returns (t, m*c, a),
-    which is what the full formula rounds to: f rounds to 1, so g = 1, and
+    which is what the full formula rounds to: f rounds to 1, so g = h = 1, and
     the correction to a is below half a unit in its last place.  The
     confirming steps of the stopping rule are such steps: each costs a
     descend at MIN_GUARD_DIGITS + 1 digits.
@@ -163,14 +170,15 @@ def _step(order: int, w: Fraction, d: Real, c: Real, a: Real, ctx: PrecisionCont
         a1 = a * g * f * f + c1 * d1 * (1 - d1) / 2
     elif order == 3:
         f = 1 + 2 * d1
-        g = rat_pow(f, w - 1, ctx)
-        c1 = 3 * c * g
-        a1 = a * g * f * f + 2 * c1 * d1 * (1 - d1**3) / (3 * f)
+        h = rat_pow(f, w - 2, ctx)
+        hf = h * f
+        c1 = 3 * c * hf
+        a1 = a * hf * f * f + 2 * c * h * d1 * (1 - d1**3)
     else:
         f = 1 + d1
         g = rat_pow(f, 2 * w - 2, ctx)
         c1 = 4 * c * g
-        a1 = a * g * f**4 + c1 * d1 * (1 - d1**4) / (2 * f)
+        a1 = a * g * f**4 + c1 * d1 * (1 - d1) * (1 + d1 * d1) / 2
     return d1, c1, a1
 
 

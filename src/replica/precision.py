@@ -7,10 +7,12 @@ never bits).  Field operations inherit their rounding from the stdlib
 q > 1 each is one call to a single Newton kernel (Brent & Zimmermann, *Modern
 Computer Arithmetic* §4.2), the division-free inverse-root step
 y += y*(1 - X*y**q)/q from a float seed y ~ X**(-1/q) of X = x**|p|, at
-precisions that about double per step up to the elevated working precision.
-The power is y for p < 0 and X*y**(q-1) for p > 0, a small multiple of one
-full-precision multiplication; the error bounds are stated on
-:func:`nth_root` and :func:`pow_rational`.
+precisions that about double per step.  For p < 0 the power is y, taken up to
+the elevated working precision P.  For p > 0, every root among them, y and
+r = X*y**(q-1) are taken at about P/2 digits and one correction at P digits,
+r += y**(q-1)*(X - r**q)/q, finishes r (Karp & Markstein, ACM TOMS 23, 1997):
+the full-precision work is then r**q and products of half-length operands.
+The error bounds are stated on :func:`nth_root` and :func:`pow_rational`.
 """
 
 from __future__ import annotations
@@ -167,24 +169,43 @@ def _inverse_root(x: Real, n: int) -> Real:
 
 
 def _power(x: Real, p: int, q: int, ctx: PrecisionContext) -> Real:
-    """x**(p/q) for x > 0 and p != 0, from X = x**|p| at ``_ROOT_EXTRA_DIGITS``
-    digits above working precision: X or 1/X for q = 1, else one inverse root
-    y = X**(-1/q), which is the power for p < 0 and gives X*y**(q-1) for p > 0.
+    """x**(p/q) for x > 0 and p != 0, from X = x**|p| at P = working precision
+    + ``_ROOT_EXTRA_DIGITS`` digits: X or 1/X for q = 1, else one inverse root
+    y = X**(-1/q).
+
+    For p < 0 the power is y, taken at P digits.  For p > 0, y and
+    r = X*y**(q-1) are taken at H = P // 2 + 2 digits, whose Newton schedule
+    is that of P without its last step, and one correction at P digits
+    finishes r in place of that step:
+
+        r += y**(q-1) * (X - r**q) / q.
+
+    If r = X**(1/q) * (1 + e) and y**(q-1) = X**((1-q)/q) * (1 + f), the
+    corrected r is X**(1/q) * (1 - (q-1)/2 * e**2 - e*f + O(e**3)).  |e| and
+    |f| are a few units in the H-th digit and 2H >= P + 3, so what is left is
+    a fraction of a unit in the P-th digit, as after a last Newton step.  The
+    correction costs r**q from an H-digit r and products of H-digit by
+    (P - H)-digit operands, where the last step cost several P-digit products.
     """
-    with ctx.elevated(_ROOT_EXTRA_DIGITS):
+    with ctx.elevated(_ROOT_EXTRA_DIGITS) as full:
         big = x ** abs(p)
         if q == 1:
-            y = big if p > 0 else 1 / big
+            r = big if p > 0 else 1 / big
+        elif p < 0:
+            r = _inverse_root(big, q)
         else:
-            y = _inverse_root(big, q)
-            if p > 0:
-                y = big * y ** (q - 1)
+            with localcontext() as half:
+                half.prec = full.prec // 2 + 2
+                z = _inverse_root(big, q) ** (q - 1)  # y**(q-1)
+                r = +big * z
+            r += z * (big - r**q) / q
     with ctx.local():
-        return +y
+        return +r
 
 
 def nth_root(x: Real, n: int, ctx: PrecisionContext) -> Real:
-    """n-th root of x >= 0 for n in {2, 3, 4}, by the kernel of :func:`pow_rational`.
+    """n-th root of x >= 0 for n in {2, 3, 4}, by the kernel of :func:`pow_rational`:
+    the inverse root at half precision, then one correction (see :func:`_power`).
 
     The result r, rounded to working precision, satisfies
     |r**n - x| <= 3 * x * 10**(1 - working_digits).
@@ -203,7 +224,8 @@ def pow_rational(x: Real, p: int, q: int, ctx: PrecisionContext) -> Real:
     """x**(p/q) for x > 0, p any integer, q in ``SUPPORTED_DENOMINATORS``.
 
     q = 1 is integer-power arithmetic, x**p or 1/x**|p|; any other q is one
-    inverse root of order q of x**|p| (see :func:`_power`), with no long division.
+    inverse root of order q of x**|p|, with no long division, taken at half
+    precision and corrected once when p > 0 (see :func:`_power`).
     Relative error <= (|p| + 3) * 10**(1 - working_digits).
     """
     if q not in SUPPORTED_DENOMINATORS:

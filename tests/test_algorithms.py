@@ -510,3 +510,19 @@ class TestLateSteps:
         # At least the last three steps kept d to fewer than W digits.
         short = [len(st.d.as_tuple().digits) < run.ctx.working_digits for st in run.trace]
         assert short[-3:] == [True] * 3
+
+    @pytest.mark.parametrize("kind, w", [(CUBIC, ONE), (CUBIC, Fraction(2)), (CUBIC, Fraction(3)),
+                                         (QUARTIC, Fraction(1, 3)), (QUARTIC, Fraction(3))],
+                             ids=["cubic-1", "cubic-2", "cubic-3", "quartic-1/3", "quartic-3"])
+    def test_a_update_branches_match_the_series_oracle(self, kind, w):
+        # The cubic a-update takes h = f**(w-2): 1/f at w = 1, 1 at w = 2 and
+        # f at w = 3; the quartic one a power of f at each w but 1.
+        run = run_borwein(kind, w, make_context(3_000, kind.order))
+        oracle = couple_product(kind.couple_parameter, w, run.ctx)
+        assert matching_digits(run.value, oracle) >= run.ctx.target_digits
+
+    def test_quartic_ellipse_matches_the_series_oracle(self):
+        # The quartic a-update at w = 0, from ellipse initial values.
+        run = run_ellipse(QUARTIC, Decimal(2), Decimal(1), make_context(3_000, 4))
+        oracle = ellipse_factor(run.ctx.real(2), run.ctx.real(1), run.ctx)
+        assert matching_digits(run.value, oracle) >= run.ctx.target_digits

@@ -498,12 +498,12 @@ GOLDEN = [
     ("verify pi --digits 80 --json", 0,
      "ea5ee07fa20f490b81609c5739fe3e38f0c4a0a2017d09d6c4077c89cdc0b8a9"),
     ("verify gamma13 --digits 80 --trace", 0,
-     "783ba5f26b32ae837ed6097e4faf576f8e0306a46cb2fca74aa18c635501ba7a"),
+     "d3668bd2a0e6cfbf86fd894c9dbd762c320889463eb7f2644417749749dc6353"),
     # z > 0.99: the other perimeter family is the oracle
     ("verify ellipse 1 0.005 --digits 100", 0,
-     "e97526451108605125a72a30737b984c34c2025439f143283dd3e2a04100205f"),
+     "67105ff65e6c537140dcf69792a12c88b8731cf602c8b324bb437fca657e9a52"),
     ("verify ellipse 1 0.005 --digits 100 --json", 0,
-     "09e17ba370c943762a1c30de49f77d894686a26a20cf5222650eae804e7e71d8"),
+     "1ba56e2a9b6b9567c8ad4c01d3345d64082c68b90c39f8752c8f063b8d7f2f4f"),
     ("verify custom --w 1/2 --algorithm cubic --digits 120 --paper-example --json", 0,
      "8a6319481a32ec2b72d4deb89562ca8d4abaa6f79ce6a67e8cdd167ffebf8ced"),
     ("orders --digits 200 --json", 0,

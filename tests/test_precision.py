@@ -1,7 +1,7 @@
 import math
 import random
 import re
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 
 import pytest
@@ -350,3 +350,39 @@ class TestPowRationalOracle:
                     c.Emin, c.Emax = -10**6, 10**6
                     expected = (p * x.ln() / q).exp()
                     assert abs(r - expected) <= (abs(p) + 3) * ctx.epsilon(1) * expected, (x, p, q)
+
+
+class TestHalfPrecisionRoot:
+    """A power with p > 0 (every root among them) takes its inverse root at
+    about half the precision and finishes with one correction.  The documented
+    bounds hold, checked in exact arithmetic, where that half lies below the
+    float seed's 28 digits (working digits 33 to 35) and far above it (5 000)."""
+
+    @pytest.mark.parametrize("working_digits", (33, 34, 35, 5000))
+    def test_documented_bounds_at_the_edges(self, working_digits):
+        ctx = _min_guard_context(working_digits)
+        rng = random.Random(working_digits)
+        exponents = (-300, -157, -41, -1, 0, 1, 37, 211, 300)
+        if working_digits > 100:
+            exponents = (-300, 0, 300)
+        for q in SUPPORTED_DENOMINATORS:
+            for p in (1, 2, 5, 7, 13):
+                if math.gcd(p, q) != 1:
+                    continue
+                bound = (p + 3) * ctx.epsilon(1)
+                for exponent in exponents:
+                    x = Decimal(f"{rng.randrange(10**19, 10**20)}e{exponent - 19}")
+                    r = pow_rational(x, p, q, ctx)
+                    with _exact_context(q * (working_digits + 2) + 20 * p + 50):
+                        power = x**p
+                        assert (1 - bound) ** q * power <= r**q <= (1 + bound) ** q * power, \
+                            (x, p, q)
+                    if p == 1 and q in (2, 3, 4):
+                        r = nth_root(x, q, ctx)
+                        with _exact_context(q * (working_digits + 2) + 50):
+                            assert abs(r**q - x) <= 3 * x * ctx.epsilon(1), (x, q)
+
+
+def _exact_context(prec):
+    """A decimal context of ``prec`` digits in which any rounding raises."""
+    return localcontext(Context(prec=prec, Emin=-10**6, Emax=10**6, traps=[Inexact]))
