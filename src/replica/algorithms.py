@@ -43,7 +43,6 @@ from .precision import (
     make_context,
     nth_root,
     pow_rational,
-    rat_pow,
     step_budget,
 )
 from .series import check_axes, invariant
@@ -165,18 +164,18 @@ def _step(order: int, w: Fraction, d: Real, c: Real, a: Real, ctx: PrecisionCont
         d1 = DESCEND[order](d, ctx)
     if order == 2:
         f = 1 + d1
-        g = rat_pow(f, w - 1, ctx)
+        g = pow_rational(f, w - 1, ctx)
         c1 = 2 * c * g
         a1 = a * g * f * f + c1 * d1 * (1 - d1) / 2
     elif order == 3:
         f = 1 + 2 * d1
-        h = rat_pow(f, w - 2, ctx)
+        h = pow_rational(f, w - 2, ctx)
         hf = h * f
         c1 = 3 * c * hf
         a1 = a * hf * f * f + 2 * c * h * d1 * (1 - d1**3)
     else:
         f = 1 + d1
-        g = rat_pow(f, 2 * w - 2, ctx)
+        g = pow_rational(f, 2 * w - 2, ctx)
         c1 = 4 * c * g
         a1 = a * g * f**4 + c1 * d1 * (1 - d1) * (1 + d1 * d1) / 2
     return d1, c1, a1
@@ -240,7 +239,7 @@ def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunR
     m = kind.order
     ctx, budget = _sized(ctx, m)
     with ctx.local():
-        d0 = pow_rational(Decimal(2), -1, m, ctx)
+        d0 = pow_rational(Decimal(2), Fraction(-1, m), ctx)
         return _iterate(kind, w, d0, Decimal(2), Decimal(0), ctx, budget)
 
 
@@ -334,45 +333,40 @@ def replication_invariant(kind: AlgorithmKind, w: Fraction, state: IterationStat
     return invariant(kind.couple_parameter, w, state.a, b_n, z, ctx)
 
 
-#: constant id -> (algorithm orders that compute it, the w to run them at)
-CONSTANT_RECIPES: dict[str, tuple[tuple[int, ...], Fraction]] = {
-    "pi": ((2, 4), Fraction(1)),
-    "gamma34": ((2, 4), Fraction(3)),
-    "gamma14": ((2, 4), Fraction(1, 3)),
-    "gamma23": ((3,), Fraction(2)),
-    "gamma13": ((3,), Fraction(1, 2)),
+#: constant id -> (algorithm orders that compute it, the w to run them at, alpha, e):
+#: the run's limit is 2**alpha * C**(-1/e) for the constant C.
+CONSTANT_RECIPES: dict[str, tuple[tuple[int, ...], Fraction, Fraction, Fraction]] = {
+    "pi": ((2, 4), Fraction(1), Fraction(0), Fraction(1)),
+    "gamma34": ((2, 4), Fraction(3), Fraction(0), Fraction(1, 4)),
+    "gamma14": ((2, 4), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4)),
+    "gamma23": ((3,), Fraction(2), Fraction(-1, 3), Fraction(1, 3)),
+    "gamma13": ((3,), Fraction(1, 2), Fraction(1, 6), Fraction(2, 3)),
 }
 
 
 def postprocess_constant(name: str, run: RunResult) -> Real:
-    """The named constant, by inverting the limit formula of its recipe at ``run.ctx``.
+    """The named constant C = (L * 2**(-alpha))**(-e) from the run's limit
+    L = 2**alpha * C**(-1/e) of its recipe, at ``run.ctx``.
+
+    Error bound, with W working digits: each :func:`pow_rational` adds a
+    relative (|p| + 3) * 10**(1 - W) for its numerator p, and the product half
+    a unit in its last place.  A relative error r of L (and of the product)
+    becomes |e| * r in C, to first order, and |e| <= 1 in every recipe, so the
+    inversion never amplifies the run's own error.  So C is within a relative
+    |e| * r + 11 * 10**(1 - W): the largest inversion term, gamma14's, is
+    (3/4) * (5 + 1/2) + 6 = 10.125 units of 10**(1 - W).
 
     Raises :class:`UnsupportedParameterError` for an unknown name, and for a
     run whose family order and w are not the recipe of :data:`CONSTANT_RECIPES`.
     """
     if name not in CONSTANT_RECIPES:
         raise UnsupportedParameterError(f"unknown constant id {name!r}")
-    orders, w = CONSTANT_RECIPES[name]
+    orders, w, alpha, e = CONSTANT_RECIPES[name]
     if run.kind.order not in orders or run.w != w:
         raise UnsupportedParameterError(
             f"constant {name} is computed by an order in {orders} run at w={w}, "
             f"not by a {run.kind.name} run at w={run.w}"
         )
-    raw, ctx = run.value, run.ctx
+    ctx = run.ctx
     with ctx.local():
-        if name == "pi":
-            # raw = 1/pi
-            return 1 / raw
-        if name == "gamma34":
-            # raw = Gamma(3/4)**(-4)
-            return pow_rational(raw, -1, 4, ctx)
-        if name == "gamma14":
-            # raw = (sqrt(2)/Gamma(1/4))**(4/3)
-            return nth_root(Decimal(2), 2, ctx) * pow_rational(raw, -3, 4, ctx)
-        if name == "gamma23":
-            # raw = 2**(-1/3) / Gamma(2/3)**3
-            return pow_rational(pow_rational(Decimal(2), -1, 3, ctx) / raw, 1, 3, ctx)
-        # name == "gamma13": raw = 3**(3/4) * 2**(-4/3) * (2/(sqrt(3) Gamma(1/3)))**(3/2)
-        scale = pow_rational(Decimal(3), 3, 4, ctx) * pow_rational(Decimal(2), -4, 3, ctx)
-        core = pow_rational(scale / raw, 2, 3, ctx)
-        return 2 / nth_root(Decimal(3), 2, ctx) * core
+        return pow_rational(run.value * pow_rational(Decimal(2), -alpha, ctx), -e, ctx)

@@ -59,7 +59,6 @@ from .precision import (
     matching_digits,
     nth_root,
     pow_rational,
-    rat_pow,
     to_sig_digits,
 )
 from .series import couple_product, ellipse_factor
@@ -74,6 +73,9 @@ _OUTPUT_HELP = {
     "json": "machine-readable result",
     "trace": "emit the JSON run trace",
 }
+
+# argparse reads "-1/2" as an option, not as the value of --w (it takes "-3").
+_W_NEGATIVE = "; a negative fraction needs =, as in --w=-1/2"
 
 
 @functools.cache  # parse_args leaves the parser unchanged, so one serves every call
@@ -104,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_const = command("constant", "compute a constant", _cmd_constant, ("plain", "json", "trace"))
     p_const.add_argument("constant_id", help="pi, gamma14, gamma13, gamma23, gamma34 or custom")
-    p_const.add_argument("--w", help="free parameter p/q (required for custom)")
+    p_const.add_argument("--w", help="free parameter p/q (required for custom)" + _W_NEGATIVE)
 
     p_ell = command("ellipse", "perimeter of an ellipse", _cmd_ellipse, ("plain", "json", "trace"))
     p_ell.add_argument("semi_major", help="semi-major axis (decimal string)")
@@ -117,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     ("json", "trace"))
     p_ver.add_argument("target", help="constant id, custom, or ellipse")
     p_ver.add_argument("axes", nargs="*", help="semi-axes when target is ellipse")
-    p_ver.add_argument("--w", help="free parameter p/q for custom targets")
+    p_ver.add_argument("--w", help="free parameter p/q for custom targets" + _W_NEGATIVE)
     p_ver.add_argument(
         "--paper-example",
         action="store_true",
@@ -125,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_ord = command("orders", "convergence-order table", _cmd_orders, ("json",), digits=1000)
-    p_ord.add_argument("--w", default="1", help="free parameter p/q")
+    p_ord.add_argument("--w", default="1", help="free parameter p/q" + _W_NEGATIVE)
     return parser
 
 
@@ -235,7 +237,7 @@ def _resolve_constant(args, name: str) -> tuple[AlgorithmKind, Fraction]:
             raise ValueError(f"{args.command} custom requires --w")
         allowed, w = (2, 3, 4), w_arg
     elif name in CONSTANT_RECIPES:
-        allowed, w = CONSTANT_RECIPES[name]
+        allowed, w, _, _ = CONSTANT_RECIPES[name]
         if w_arg is not None and w_arg != w:
             raise ValueError(f"constant {name} is computed at w={w}; drop --w or use custom")
     else:
@@ -355,9 +357,10 @@ def _paper_example_probe(ctx: PrecisionContext, oracle: Real):
     with ctx.local():
         pi = postprocess_constant("pi", run_borwein(QUARTIC, Fraction(1), ctx))
         gamma23 = postprocess_constant("gamma23", run_borwein(CUBIC, Fraction(2), ctx))
-        example = rat_pow(gamma23 / pi, Fraction(3, 2), ctx)
+        example = pow_rational(gamma23 / pi, Fraction(3, 2), ctx)
         ratio = oracle / example
-        expected = pow_rational(Decimal(3), 3, 4, ctx) * pow_rational(Decimal(2), -4, 3, ctx)
+        expected = (pow_rational(Decimal(3), Fraction(3, 4), ctx)
+                    * pow_rational(Decimal(2), Fraction(-4, 3), ctx))
         support = (
             "general limit formula (the w=1/2 example value is off by this factor)"
             if matching_digits(ratio, expected) >= ctx.target_digits // 2

@@ -18,7 +18,6 @@ The error bounds are stated on :func:`nth_root` and :func:`pow_rational`.
 from __future__ import annotations
 
 import decimal
-import math
 from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -220,28 +219,23 @@ def nth_root(x: Real, n: int, ctx: PrecisionContext) -> Real:
     return _power(x, 1, n, ctx)
 
 
-def pow_rational(x: Real, p: int, q: int, ctx: PrecisionContext) -> Real:
-    """x**(p/q) for x > 0, p any integer, q in ``SUPPORTED_DENOMINATORS``.
+def pow_rational(x: Real, exponent: Fraction | int, ctx: PrecisionContext) -> Real:
+    """x**exponent for x > 0 and a rational exponent p/q (a Fraction or an int),
+    q in ``SUPPORTED_DENOMINATORS``.
 
     q = 1 is integer-power arithmetic, x**p or 1/x**|p|; any other q is one
     inverse root of order q of x**|p|, with no long division, taken at half
     precision and corrected once when p > 0 (see :func:`_power`).
     Relative error <= (|p| + 3) * 10**(1 - working_digits).
     """
+    p, q = exponent.numerator, exponent.denominator
     if q not in SUPPORTED_DENOMINATORS:
         raise UnsupportedParameterError(f"denominator {q} not in {SUPPORTED_DENOMINATORS}")
-    if math.gcd(p, q) != 1:
-        raise DomainError(f"exponent {p}/{q} must be in lowest terms")
     if x.is_signed() or x == 0:
         raise DomainError("pow_rational requires x > 0")
     if p == 0:
         return Decimal(1)
     return _power(x, p, q, ctx)
-
-
-def rat_pow(x: Real, exponent: Fraction, ctx: PrecisionContext) -> Real:
-    """x**exponent for a Fraction exponent whose denominator is in ``SUPPORTED_DENOMINATORS``."""
-    return pow_rational(x, exponent.numerator, exponent.denominator, ctx)
 
 
 def to_sig_digits(x: Real, n: int) -> str:

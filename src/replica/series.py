@@ -26,7 +26,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, Context, Decima
 from fractions import Fraction
 
 from .errors import DomainError, SlowConvergenceError, UnsupportedParameterError
-from .precision import PrecisionContext, Real, rat_pow
+from .precision import PrecisionContext, Real, pow_rational
 
 #: Couples are wired only for the parameters that have a matching transform.
 SUPPORTED_COUPLE_PARAMETERS = (Fraction(1, 2), Fraction(1, 3))
@@ -154,7 +154,7 @@ def invariant(s: Fraction, w: Fraction, a: Real, b: Real, z: Real | Fraction,
     if w == 0:
         return weighted
     with ctx.local():
-        return rat_pow(s0, w, ctx) * weighted
+        return pow_rational(s0, w, ctx) * weighted
 
 
 def couple_product(s: Fraction, w: Fraction, ctx: PrecisionContext) -> Real:

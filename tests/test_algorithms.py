@@ -3,6 +3,7 @@ import json
 import random
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -37,7 +38,7 @@ from replica.cli import main
 from replica.precision import (
     MIN_GUARD_DIGITS,
     matching_digits,
-    rat_pow,
+    pow_rational,
     step_budget,
     to_sig_digits,
 )
@@ -45,6 +46,7 @@ from replica.transforms import DESCEND, REPLICATE
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
 
 def synthetic_trace(errors, final):
@@ -372,6 +374,17 @@ class TestRunsSizeTheirBudget:
         assert other.value == own.value
         assert other.ctx == own.ctx
 
+    @pytest.mark.parametrize("target", [50, 300])
+    def test_a_larger_guard_is_honoured_at_the_runs_own_budget(self, target):
+        # make_context(target, 2) budgets more steps than a quartic run has, so
+        # its guard exceeds the quartic floor: the run keeps that guard (as a
+        # doubled_guard rerun needs) and still stops within its own step count
+        own = run_borwein(QUARTIC, ONE, make_context(target, 4))
+        wide = make_context(target, 2)
+        run = run_borwein(QUARTIC, ONE, wide)
+        assert run.iterations == own.iterations
+        assert run.ctx.guard_digits == wide.guard_digits > own.ctx.guard_digits
+
 
 class TestPostprocessConstant:
     def test_pi(self):
@@ -400,6 +413,19 @@ class TestPostprocessConstant:
         value = postprocess_constant("gamma13", run_borwein(CUBIC, HALF, ctx))
         assert str(value).startswith(frozen.GAMMA13[:290])
 
+    @pytest.mark.parametrize("name, order", [
+        (name, order) for name, (orders, *_) in algorithms.CONSTANT_RECIPES.items()
+        for order in orders
+    ])
+    def test_every_recipe_pair_at_5000_digits(self, name, order):
+        # bench/reference.json holds independent AGM digits, cross-checked with mpmath
+        exponent, digits = json.loads(REFERENCE.read_text())[name]
+        w = algorithms.CONSTANT_RECIPES[name][1]
+        run = run_borwein(AlgorithmKind(order), w, make_context(5000, order))
+        value = postprocess_constant(name, run)
+        assert value.adjusted() == exponent
+        assert to_sig_digits(value, 5000).replace(".", "") == digits[:5000]
+
     def test_reflection_products(self):
         ctx = make_context(200, 4)
         pi = postprocess_constant("pi", run_borwein(QUARTIC, ONE, ctx))
@@ -421,10 +447,10 @@ class TestPostprocessConstant:
 
     def test_refuses_a_run_of_another_recipe(self):
         # every (order, w) of a recipe, plus w = 1/6 which none uses, built once
-        ws = sorted({w for _, w in algorithms.CONSTANT_RECIPES.values()} | {Fraction(1, 6)})
+        ws = sorted({w for _, w, _, _ in algorithms.CONSTANT_RECIPES.values()} | {Fraction(1, 6)})
         runs = {(kind.order, w): run_borwein(kind, w, make_context(40, kind.order))
                 for kind in (QUADRATIC, CUBIC, QUARTIC) for w in ws}
-        for name, (orders, recipe_w) in algorithms.CONSTANT_RECIPES.items():
+        for name, (orders, recipe_w, _, _) in algorithms.CONSTANT_RECIPES.items():
             for (order, w), run in runs.items():
                 if order in orders and w == recipe_w:
                     assert postprocess_constant(name, run) > 0
@@ -471,7 +497,7 @@ class TestStepMatchesReplicate:
                     t = DESCEND[order](d, fine)
                     rc = REPLICATE[order](a, c * (1 - d**order), t, ctx)
                     pre = (1 + 2 * t) if order == 3 else (1 + t) ** (1 if order == 2 else 2)
-                    scale = rat_pow(pre, w, ctx)
+                    scale = pow_rational(pre, w, ctx)
                     expected_c = scale * rc.beta / (1 - t**order)
                     expected_a = scale * rc.alpha
                     # d1 is t to working precision, or to the absolute precision

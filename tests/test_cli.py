@@ -449,6 +449,14 @@ class TestArgumentHandling:
         assert err.startswith("error: ") and "out of range" in err
         assert err.count("\n") == 1 and "decimal." not in err
 
+    @pytest.mark.parametrize("command", ["constant custom", "orders"])
+    def test_a_negative_fractional_w_needs_equals(self, capsys, command):
+        code, out, _ = run_cli(capsys, *command.split(), "--w=-1/2", "--digits", "100")
+        assert code == 0 and out
+        code, out, err = run_cli(capsys, *command.split(), "--w", "-1/2", "--digits", "100")
+        assert code == 2 and out == ""
+        assert "argument --w: expected one argument" in err
+
     @pytest.mark.parametrize("axes, algorithm", [
         (("1", "0"), "cubic"), (("1", "-2"), "quad"), (("1", "2"), "cubic"), (("2", "1"), "cubic"),
     ])

@@ -134,45 +134,49 @@ class TestPowRational:
     def test_identity_exponent(self):
         ctx = make_context(50, 2)
         x = ctx.real("1.75")
-        assert pow_rational(x, 1, 1, ctx) == x
+        assert pow_rational(x, Fraction(1, 1), ctx) == x
 
     def test_exact_power(self):
         ctx = make_context(50, 2)
-        assert pow_rational(Decimal(4), 3, 2, ctx) == 8
+        assert pow_rational(Decimal(4), Fraction(3, 2), ctx) == 8
+
+    def test_an_int_exponent(self):
+        ctx = make_context(50, 2)
+        assert pow_rational(Decimal(4), -2, ctx) == Decimal("0.0625")
 
     def test_inverse_square_root(self):
         ctx = make_context(150, 2)
-        r = pow_rational(Decimal(2), -1, 2, ctx)
+        r = pow_rational(Decimal(2), Fraction(-1, 2), ctx)
         with ctx.local():
             assert abs(r * r * 2 - 1) <= ctx.epsilon(2)
 
     def test_zero_exponent(self):
         ctx = make_context(50, 2)
-        assert pow_rational(ctx.real("3.7"), 0, 1, ctx) == 1
+        assert pow_rational(ctx.real("3.7"), Fraction(0, 1), ctx) == 1
 
     def test_unsupported_denominator(self):
         ctx = make_context(50, 2)
         with pytest.raises(UnsupportedParameterError,
                            match=re.escape(f"denominator 5 not in {SUPPORTED_DENOMINATORS}")):
-            pow_rational(Decimal(2), 1, 5, ctx)
+            pow_rational(Decimal(2), Fraction(1, 5), ctx)
 
     def test_requires_positive_base(self):
         ctx = make_context(50, 2)
         with pytest.raises(DomainError):
-            pow_rational(Decimal(0), 1, 2, ctx)
+            pow_rational(Decimal(0), Fraction(1, 2), ctx)
         with pytest.raises(DomainError):
-            pow_rational(Decimal(-3), 1, 3, ctx)
+            pow_rational(Decimal(-3), Fraction(1, 3), ctx)
 
-    def test_requires_lowest_terms(self):
+    def test_a_fraction_exponent_is_in_lowest_terms(self):
         ctx = make_context(50, 2)
-        with pytest.raises(DomainError):
-            pow_rational(Decimal(2), 2, 4, ctx)
+        x = ctx.real("5.25")
+        assert pow_rational(x, Fraction(2, 4), ctx) == pow_rational(x, Fraction(1, 2), ctx)
 
     def test_twelfth_roots(self):
         # x**(1/12): one inverse root of order 12, then x*y**11
         ctx = make_context(100, 2)
         x = ctx.real("5.25")
-        r = pow_rational(x, 1, 12, ctx)
+        r = pow_rational(x, Fraction(1, 12), ctx)
         with ctx.local():
             assert matching_digits(r**12, x) >= ctx.working_digits - 3
 
@@ -188,7 +192,8 @@ class TestPowRational:
             if gcd(p, q) != 1:
                 continue
             with ctx.local():
-                product = pow_rational(x, p, q, ctx) * pow_rational(x, -p, q, ctx)
+                product = (pow_rational(x, Fraction(p, q), ctx)
+                           * pow_rational(x, Fraction(-p, q), ctx))
             assert matching_digits(product, Decimal(1)) >= ctx.working_digits - 2
 
 
@@ -279,7 +284,7 @@ class TestNewtonKernelAtScale:
                                       rng.getrandbits(4 * ctx.working_digits) | 1))
                 with ctx.local():
                     power = x**n
-                r = nth_root(power, n, ctx) if n <= 4 else pow_rational(power, 1, n, ctx)
+                r = nth_root(power, n, ctx) if n <= 4 else pow_rational(power, Fraction(1, n), ctx)
                 assert matching_digits(r, x) >= ctx.working_digits - 2, (ctx, n)
 
     def test_documented_bound_across_magnitudes(self):
@@ -299,7 +304,8 @@ class TestNewtonKernelAtScale:
         ctx = make_context(20000, 4)
         x = ctx.real(Fraction(22, 7))
         with ctx.local():
-            product = pow_rational(x, 5, q, ctx) * pow_rational(x, -5, q, ctx)
+            product = (pow_rational(x, Fraction(5, q), ctx)
+                       * pow_rational(x, Fraction(-5, q), ctx))
         assert matching_digits(product, Decimal(1)) >= ctx.working_digits - 2
 
     @pytest.mark.parametrize("q", (6, 12))
@@ -310,7 +316,7 @@ class TestNewtonKernelAtScale:
         ctx = make_context(20000, 4)
         for p, x in zip((-1, -5, -7, -11, -13), ("7.3e-300", "0.37", "41.5", "2.9e300", "5.25")):
             x = Decimal(x)
-            r = pow_rational(x, p, q, ctx)
+            r = pow_rational(x, Fraction(p, q), ctx)
             bound = (-p + 3) * ctx.epsilon(1)
             with localcontext() as c:
                 c.prec = q * (len(r.as_tuple().digits) + 4) + 50
@@ -328,8 +334,8 @@ class TestNewtonKernelAtScale:
             with localcontext() as c:
                 c.prec = 4 * wide.working_digits + 50
                 assert abs(_exact_power(r, n) - x) <= 3 * x * ctx.epsilon(1)
-        y = pow_rational(x, -5, 12, ctx)
-        assert matching_digits(y, pow_rational(x, -5, 12, wide)) >= ctx.working_digits - 2
+        y = pow_rational(x, Fraction(-5, 12), ctx)
+        assert matching_digits(y, pow_rational(x, Fraction(-5, 12), wide)) >= ctx.working_digits - 2
 
 
 class TestPowRationalOracle:
@@ -344,7 +350,7 @@ class TestPowRationalOracle:
         for p, q in exponents:
             for exponent in (-300, -41, 0, 37, 300):
                 x = Decimal(f"{rng.randrange(10**19, 10**20)}e{exponent - 19}")
-                r = pow_rational(x, p, q, ctx)
+                r = pow_rational(x, Fraction(p, q), ctx)
                 with localcontext() as c:
                     c.prec = working_digits + 20
                     c.Emin, c.Emax = -10**6, 10**6
@@ -372,7 +378,7 @@ class TestHalfPrecisionRoot:
                 bound = (p + 3) * ctx.epsilon(1)
                 for exponent in exponents:
                     x = Decimal(f"{rng.randrange(10**19, 10**20)}e{exponent - 19}")
-                    r = pow_rational(x, p, q, ctx)
+                    r = pow_rational(x, Fraction(p, q), ctx)
                     with _exact_context(q * (working_digits + 2) + 20 * p + 50):
                         power = x**p
                         assert (1 - bound) ** q * power <= r**q <= (1 + bound) ** q * power, \

@@ -1,12 +1,15 @@
-"""The README's Library example runs as written, and the package root exports
-exactly the names its Library section documents."""
+"""The README's Library example runs as written, its constant table is the
+library's recipe table, and the package root exports exactly the names its
+Library section documents."""
 
 import re
+from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
 
 import frozen
 import replica
+from replica.algorithms import CONSTANT_RECIPES
 from replica.precision import to_sig_digits
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -34,3 +37,13 @@ def test_root_exports_exactly_all():
 def test_every_root_name_is_documented_in_library_section():
     documented = set(re.findall(r"`([A-Za-z_]\w*)`", library_section()))
     assert [name for name in replica.__all__ if name not in documented] == []
+
+
+def test_constant_table_is_the_recipe_table():
+    families = {"quadratic/quartic": (2, 4), "cubic": (3,)}
+    # | `name` | family | w | limit | alpha | e |
+    row = r"^\| `(\w+)` +\| ([\w/]+) +\| ([-\d/]+) +\| [^|]+\| ([-\d/]+) +\| ([-\d/]+) +\|$"
+    rows = re.findall(row, README.read_text(), re.M)
+    table = {name: (families[family], Fraction(w), Fraction(alpha), Fraction(e))
+             for name, family, w, alpha, e in rows}
+    assert table == CONSTANT_RECIPES
