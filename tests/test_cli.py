@@ -516,6 +516,13 @@ GOLDEN = [
      "8a6319481a32ec2b72d4deb89562ca8d4abaa6f79ce6a67e8cdd167ffebf8ced"),
     ("orders --digits 200 --json", 0,
      "ee45fc1974dd5febd74de387434234adf48f3fe02b279cf8b7011fdb4e1ef638"),
+    ("ellipse 2 1 --digits 60 --plain", 0,
+     "f386174861bc066c70753575b3b7db80cb7d87bb2c1d96448fd34ee30f8f8102"),
+    ("verify ellipse 2 1 --digits 60 --trace", 0,
+     "0d99eaae2edbae78e8eb12112cae9568fdee345986f15045cc381e8f1b085957"),
+    # the fallback oracle in trace form
+    ("verify ellipse 1 0.005 --digits 100 --trace", 0,
+     "ecf33e54906602922051eee24403b8cdd29b4a6ec142d767d2ef9129f394b979"),
 ]
 
 
