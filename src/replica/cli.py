@@ -18,6 +18,8 @@ digits in tens, 50 per line, and ends with a ``...`` truncation marker
 A request has one context, ``PrecisionContext(digits, MIN_GUARD_DIGITS)``,
 which ``main`` passes to the handler.  Each run sizes its own guard and step
 budget from it (``RunResult.ctx``), so the CLI keeps no precision policy.
+A handler prints nothing: it returns a ``_Report``, and ``_write`` prints
+that report as a digit block, text lines, JSON or a run trace.
 
 ``main(argv)`` is re-entrant: the argument parser is built on the first call
 and reused for every later call in the process.  Handlers look up the
@@ -33,6 +35,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -148,7 +151,7 @@ def _serve(argv) -> int:
         return int(exc.code or 0)
     try:
         _check_digits(args.digits)
-        return args.handler(args, PrecisionContext(args.digits, MIN_GUARD_DIGITS))
+        return _write(args, args.handler(args, PrecisionContext(args.digits, MIN_GUARD_DIGITS)))
     except (ReplicaError, ValueError, decimal.InvalidOperation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, NonConvergenceError) else 2
@@ -171,10 +174,6 @@ def _check_digits(digits: int) -> None:
         raise ValueError(f"--digits exceeds REPLICA_MAX_DIGITS = {cap}")
 
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def _format_block(value: Real, digits: int, plain: bool) -> str:
     """Truncated significant digits, grouped in tens, 50 per line.
 
@@ -193,37 +192,49 @@ def _format_block(value: Real, digits: int, plain: bool) -> str:
     ) + marker
 
 
-def _trace_payload(args, run: RunResult, value: Real, oracle_digits: int | None = None) -> dict:
-    return {
-        "command": args.command,
-        "algorithm": run.kind.name,
-        "w": str(run.w),
-        "target_digits": run.ctx.target_digits,
-        "working_digits": run.ctx.working_digits,
-        "result": to_sig_digits(value, args.digits),
-        "iterations": [{"n": st.n, "delta_exp": st.delta_exp} for st in run.trace[1:]],
-        "orders": run.orders,
-        "oracle_digits": oracle_digits,
-    }
+@dataclass
+class _Report:
+    """A handler's answer: the run and the value it prints, the JSON fields, the
+    text lines (None: the digit block of the value), the oracle's agreeing
+    digits (``verify`` only) and the exit code."""
+
+    run: RunResult
+    value: Real
+    fields: dict
+    lines: list[str] | None = None
+    oracle_digits: int | None = None
+    code: int = 0
 
 
-def _print_result(args, run: RunResult, value: Real, fields: dict) -> int:
-    """Print a constant or perimeter as a run trace, one JSON line (``fields``
-    plus the common keys) or a digit block."""
+def _write(args, report: _Report) -> int:
+    """Print ``report`` in the form ``args.output`` names; return its exit code.
+
+    JSON is ``report.fields`` plus ``algorithm`` and ``digits``, and for a
+    value (no text lines) also ``value``, ``iterations`` and ``orders``."""
+    if args.output not in ("json", "trace"):
+        print(_format_block(report.value, args.digits, args.output == "plain")
+              if report.lines is None else "\n".join(report.lines))
+        return report.code
+    run = report.run
     if args.output == "trace":
-        print(_dump_json(_trace_payload(args, run, value)))
-    elif args.output == "json":
-        print(_dump_json({
-            **fields,
+        payload = {
+            "command": args.command,
             "algorithm": run.kind.name,
-            "digits": args.digits,
-            "value": to_sig_digits(value, args.digits),
-            "iterations": run.iterations,
+            "w": str(run.w),
+            "target_digits": run.ctx.target_digits,
+            "working_digits": run.ctx.working_digits,
+            "result": to_sig_digits(report.value, args.digits),
+            "iterations": [{"n": st.n, "delta_exp": st.delta_exp} for st in run.trace[1:]],
             "orders": run.orders,
-        }))
+            "oracle_digits": report.oracle_digits,
+        }
     else:
-        print(_format_block(value, args.digits, args.output == "plain"))
-    return 0
+        payload = {**report.fields, "algorithm": run.kind.name, "digits": args.digits}
+        if report.lines is None:
+            payload.update(value=to_sig_digits(report.value, args.digits),
+                           iterations=run.iterations, orders=run.orders)
+    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    return report.code
 
 
 def _resolve_constant(args, name: str) -> tuple[AlgorithmKind, Fraction]:
@@ -249,12 +260,12 @@ def _resolve_constant(args, name: str) -> tuple[AlgorithmKind, Fraction]:
     return AlgorithmKind(order), w
 
 
-def _cmd_constant(args, ctx: PrecisionContext) -> int:
+def _cmd_constant(args, ctx: PrecisionContext) -> _Report:
     name = args.constant_id
     kind, w = _resolve_constant(args, name)
     run = run_borwein(kind, w, ctx)
     value = run.value if name == "custom" else postprocess_constant(name, run)
-    return _print_result(args, run, value, {"constant": name, "w": str(w)})
+    return _Report(run, value, {"constant": name, "w": str(w)})
 
 
 def _run_perimeter(args, ctx: PrecisionContext, major: str, minor: str):
@@ -268,7 +279,7 @@ def _run_perimeter(args, ctx: PrecisionContext, major: str, minor: str):
     return a, b, run_ellipse(kind, a, b, ctx)
 
 
-def _cmd_ellipse(args, ctx: PrecisionContext) -> int:
+def _cmd_ellipse(args, ctx: PrecisionContext) -> _Report:
     a, b, run = _run_perimeter(args, ctx, args.semi_major, args.semi_minor)
     ctx = run.ctx
     axis_major, axis_minor = ctx.real(a), ctx.real(b)
@@ -282,14 +293,15 @@ def _cmd_ellipse(args, ctx: PrecisionContext) -> int:
         value = run.value
         if not args.normalized:
             pi = postprocess_constant("pi", run_borwein(QUARTIC, Fraction(1), ctx))
-            value = 2 * pi * axis_minor**2 / axis_major * value
+            # (b/a)*F stays of order a/b, so no product leaves the exponent range
+            value = 2 * pi * axis_minor * (axis_minor / axis_major * value)
         if args.output == "json":  # the only form that prints the eccentricity
             eccentricity = nth_root(1 - (axis_minor / axis_major) ** 2, 2, ctx)
             fields["eccentricity"] = to_sig_digits(eccentricity, min(args.digits, 30))
-    return _print_result(args, run, value, fields)
+    return _Report(run, value, fields)
 
 
-def _cmd_verify(args, ctx: PrecisionContext) -> int:
+def _cmd_verify(args, ctx: PrecisionContext) -> _Report:
     """Run a constant or perimeter and measure it against its oracle: the
     series, or where that is too slow the other perimeter family at its own budget."""
     ellipse = args.target == "ellipse"
@@ -302,37 +314,33 @@ def _cmd_verify(args, ctx: PrecisionContext) -> int:
         raise ValueError("--paper-example applies to the cubic family at w=1/2")
     if args.paper_example and args.output == "trace":
         raise ValueError("--paper-example prints text or JSON, not a --trace")
-    payload = {"command": "verify", "target": args.target, "digits": args.digits}
+    fields = {"command": "verify", "target": args.target}
     suffix = ""
     if ellipse:
         if len(args.axes) != 2:
             raise ValueError("verify ellipse needs two axes")
         a, b, run = _run_perimeter(args, ctx, *args.axes)
         lines = [f"verify ellipse {a} {b}: algorithm={run.kind.name} digits={args.digits}"]
-        payload.update(semi_major=str(a), semi_minor=str(b))
+        fields.update(semi_major=str(a), semi_minor=str(b))
         try:
             oracle = ellipse_factor(run.ctx.real(a), run.ctx.real(b), run.ctx)
-            reference = "series oracle"
+            suffix = " (vs series oracle)"
         except SlowConvergenceError:
             other = AlgorithmKind(6 - run.kind.order)
             oracle = run_ellipse(other, a, b, ctx).value
-            reference = f"{other.name} iteration (series oracle too slow for this eccentricity)"
+            suffix = f" (vs {other.name} iteration (series oracle too slow for this eccentricity))"
             lines.append("warning: 1 - b^2/a^2 > 0.99, series oracle skipped")
-            payload["warning"] = "slow-oracle"
-        suffix = f" (vs {reference})"
+            fields["warning"] = "slow-oracle"
     else:
         kind, w = constant
         run = run_borwein(kind, w, ctx)
         oracle = couple_product(kind.couple_parameter, w, run.ctx)
         lines = [f"verify {args.target}: algorithm={kind.name} w={w} digits={args.digits}"]
-        payload["w"] = str(w)
+        fields["w"] = str(w)
     agree = min(matching_digits(run.value, oracle), run.ctx.working_digits)
     ok = agree >= args.digits
-    if args.output == "trace":
-        print(_dump_json(_trace_payload(args, run, run.value, agree)))
-        return 0 if ok else 4
     lines.append(f"agree: >={agree} digits{suffix}")
-    payload.update(algorithm=run.kind.name, agree_digits=agree, ok=ok)
+    fields.update(agree_digits=agree, ok=ok)
     if args.paper_example:
         ratio, expected, support = _paper_example_probe(run.ctx, oracle)
         lines += [
@@ -340,10 +348,9 @@ def _cmd_verify(args, ctx: PrecisionContext) -> int:
             f"algebraic factor 3^(3/4) * 2^(-4/3) = {expected}",
             f"the series oracle supports the {support}",
         ]
-        payload.update(paper_example_ratio=ratio, expected_ratio=expected, oracle_supports=support)
+        fields.update(paper_example_ratio=ratio, expected_ratio=expected, oracle_supports=support)
     lines.append("PASS" if ok else "FAIL: oracle disagreement")
-    print(_dump_json(payload) if args.output == "json" else "\n".join(lines))
-    return 0 if ok else 4
+    return _Report(run, run.value, fields, lines, oracle_digits=agree, code=0 if ok else 4)
 
 
 def _paper_example_probe(ctx: PrecisionContext, oracle: Real):
@@ -369,7 +376,7 @@ def _paper_example_probe(ctx: PrecisionContext, oracle: Real):
         return to_sig_digits(ratio, 30), to_sig_digits(expected, 30), support
 
 
-def _cmd_orders(args, ctx: PrecisionContext) -> int:
+def _cmd_orders(args, ctx: PrecisionContext) -> _Report:
     if args.digits < 100:
         raise ValueError("orders needs --digits >= 100")
     # the table follows the raw run at --w, the value `constant custom` prints
@@ -378,6 +385,10 @@ def _cmd_orders(args, ctx: PrecisionContext) -> int:
     logs = usable_error_logs(run.trace, run.value, run.ctx)
     order_at = {n: order for (n, _), order in zip(logs, run.orders)}
     rows = []
+    lines = [
+        f"orders: algorithm={kind.name} w={w} digits={args.digits}",
+        f"{'n':>3} {'delta_exp':>10} {'err_exp':>9} {'order n->n+1':>13}",
+    ]
     for st in run.trace:
         with run.ctx.local():
             err = abs(st.a - run.value)
@@ -385,28 +396,12 @@ def _cmd_orders(args, ctx: PrecisionContext) -> int:
         if st.n in order_at:
             row["order"] = order_at[st.n]
         rows.append(row)
-    if args.output == "json":
-        print(_dump_json({
-            "command": "orders",
-            "algorithm": kind.name,
-            "w": str(w),
-            "digits": args.digits,
-            "iterations": rows,
-            "orders": run.orders,
-        }))
-        return 0
-    lines = [
-        f"orders: algorithm={kind.name} w={w} digits={args.digits}",
-        f"{'n':>3} {'delta_exp':>10} {'err_exp':>9} {'order n->n+1':>13}",
-    ]
-    for row in rows:
-        delta = "-" if row["delta_exp"] is None else str(row["delta_exp"])
-        err = "-" if row["err_exp"] is None else str(row["err_exp"])
+        delta, err = ("-" if x is None else str(x) for x in (st.delta_exp, row["err_exp"]))
         o = f"{row['order']:.4f}" if "order" in row else "-"
-        lines.append(f"{row['n']:>3} {delta:>10} {err:>9} {o:>13}")
+        lines.append(f"{st.n:>3} {delta:>10} {err:>9} {o:>13}")
     lines.append(f"orders tend to {kind.order} (convergence order of the {kind.name} family)")
-    print("\n".join(lines))
-    return 0
+    fields = {"command": "orders", "w": str(w), "iterations": rows, "orders": run.orders}
+    return _Report(run, run.value, fields, lines)
 
 
 if __name__ == "__main__":

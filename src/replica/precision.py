@@ -104,14 +104,17 @@ class PrecisionContext:
         """Convert ``value`` to a Real at working precision.
 
         Floats are rejected on purpose: decimal inputs must arrive as exact
-        strings or rationals, never through hardware floating point.
+        strings or rationals, never through hardware floating point.  A nonzero
+        value that would round to a subnormal or to zero raises :class:`DomainError`.
         """
         if isinstance(value, float):
             raise TypeError("floats are not accepted; pass a str, int, Fraction or Decimal")
-        with self.local():
-            if isinstance(value, Fraction):
-                return Decimal(value.numerator) / Decimal(value.denominator)
-            return +Decimal(value)
+        with self.local() as c:
+            result = (Decimal(value.numerator) / Decimal(value.denominator)
+                      if isinstance(value, Fraction) else +Decimal(value))
+            if c.flags[decimal.Subnormal]:
+                raise DomainError(f"{value} is out of range (nonzero and below 1e-{_EMAX})")
+            return result
 
     def epsilon(self, shift: int = 0) -> Real:
         """10**(-working_digits + shift) as an exact Decimal."""

@@ -353,6 +353,17 @@ class TestRunEllipse:
             "b/a is below the working precision; increase digits to resolve d0 < 1"
         )
 
+    @pytest.mark.parametrize("semi_major, semi_minor", [
+        ("3.14159e-1000000000000108", "1.23456e-1000000000000108"),
+        ("1", "1e-1000000000000001"),
+        ("1e-1000000000000000000", "1e-1000000000000000000"),
+    ])
+    def test_axes_below_the_exponent_floor_are_refused(self, semi_major, semi_minor):
+        # the context would round such an axis to a subnormal or to zero
+        for kind in (QUADRATIC, QUARTIC):
+            with pytest.raises(DomainError, match="out of range"):
+                run_ellipse(kind, Decimal(semi_major), Decimal(semi_minor), make_context(30, 4))
+
 
 class TestRunsSizeTheirBudget:
     """A run takes its step budget from its own order, not from the context's."""

@@ -230,6 +230,30 @@ class TestEllipseCommand:
         assert code == 0
         assert out.startswith("40000.")  # P(a, b) -> 4a as b/a -> 0
 
+    @pytest.mark.parametrize("offset", [0, 45, 70, 200, 499999999999990])
+    def test_tiny_axes_give_the_digits_of_the_scaled_ellipse(self, capsys, offset):
+        # b^2 would underflow from offset 45 on, and round to 0 from offset 70 on
+        exp = -(500000000000000 + offset)
+        code, out, _ = run_cli(capsys, "ellipse", f"3e{exp}", f"1e{exp}", "--digits", "60",
+                               "--plain")
+        _, unscaled, _ = run_cli(capsys, "ellipse", "3", "1", "--digits", "60", "--plain")
+        assert code == 0
+        mantissa, _, power = out.partition("e")
+        assert mantissa.replace(".", "") == unscaled.replace(".", "")
+        assert int(power) == exp + 1  # P(3, 1) = 13.36...
+
+    def test_huge_circle(self, capsys):
+        code, out, _ = run_cli(capsys, "ellipse", "1e999999999999999", "1e999999999999999",
+                               "--digits", "60", "--plain")
+        _, unit, _ = run_cli(capsys, "ellipse", "1", "1", "--digits", "60", "--plain")
+        assert code == 0
+        assert out == unit + "e999999999999999"
+
+    def test_axes_at_the_exponent_floor(self, capsys):
+        code, out, _ = run_cli(capsys, "ellipse", "1e-1000000000000000", "1e-1000000000000000")
+        assert code == 0
+        assert out.startswith("6.2831853071") and out.endswith("e-1000000000000000 ...")
+
 
 class TestVerifyCommand:
     def test_pi(self, capsys):
@@ -442,6 +466,11 @@ class TestArgumentHandling:
         "constant custom --w 1e20",
         "constant custom --w=-1e20",
         "ellipse 1e100000000000000000 1",
+        # axes below the exponent floor, which the context would round
+        "ellipse 3.14159e-1000000000000108 1.23456e-1000000000000108 --normalized --digits 30",
+        "verify ellipse 3.14159e-1000000000000108 1.23456e-1000000000000108 --digits 30",
+        "ellipse 1e-1000000000000000000 1e-1000000000000000000",
+        "ellipse 1 1e-1000000000000001",
     ])
     def test_out_of_range_input_exits_2(self, capsys, command):
         code, out, err = run_cli(capsys, *command.split())

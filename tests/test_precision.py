@@ -68,6 +68,18 @@ class TestMakeContext:
         with pytest.raises(TypeError):
             ctx.real(0.5)
 
+    @pytest.mark.parametrize("value", [
+        "9.99e-1000000000000001", "-1e-1000000000000050", Decimal("1e-1000000000000000000"),
+    ])
+    def test_real_refuses_what_would_round_to_a_subnormal_or_zero(self, value):
+        with pytest.raises(DomainError, match="out of range"):
+            make_context(50, 2).real(value)
+
+    @pytest.mark.parametrize("value", ["1e-1000000000000000", "-1e-1000000000000000",
+                                       "0E-1000000000000000000", "0"])
+    def test_real_keeps_the_exponent_floor_and_zero(self, value):
+        assert make_context(50, 2).real(value) == Decimal(value)
+
 
 class TestNthRoot:
     def test_exact_power(self):
