@@ -10,9 +10,19 @@ from d_0 = 2**(-1/m), c_0 = 2, a_0 = 0.  The quantity
     A_n = (sum_k C_k d_n^{mk})**w * sum_k C_k (a_n + b_n k) d_n^{mk},
 
 with b_n = c_n (1 - d_n^m), is invariant along the run, so a_n converges to
-A_0, the couple product evaluated independently by the series module.  The
-same recurrences at w = 0 with ellipse-specific initial values converge to
-the normalized perimeter factor F(a, b).
+A_0, the couple product evaluated independently by the series module.
+
+The chain d_n does not depend on w, and a step at w scales (c, a) by
+f(d_{n+1})**(e (w - w1)) against the step at w1 (f = 1 + d and e = 1 for
+order 2, f = 1 + 2d and e = 1 for order 3, f = 1 + d and e = 2 for order 4).
+So the limit at any w is L(w) = K**(w - w1) * L(w1), with K the product of
+the factors f**e along the chain: Gauss's AGM for orders 2 and 4 (Borwein &
+Borwein, *Pi and the AGM*, 1987) and the cubic AGM for order 3 (Borwein &
+Borwein, Trans. AMS 323, 1991), both 1/AGM = S(1, 0; z_0).  At the root-free
+weight w1 (:attr:`AlgorithmKind.root_free_w`) a step takes no power of f,
+so the named constants run at w1 and take their own w from K
+(:meth:`RunResult.limit`), and the perimeter factor F(a, b), the limit at
+w = 0 from ellipse initial values, is L(1) / K of a run at w1 = 1.
 
 Since d_{n+1} ~ d_n^m, late steps move a by ever less.  Each step computes
 d_{n+1} only to the absolute precision its contribution to a needs, a
@@ -51,6 +61,9 @@ from .transforms import DESCEND
 #: Digits below a unit in the last place of a at which a late step keeps d (see _step).
 _SLACK_DIGITS = 12
 
+#: Largest |w| a run takes: the limit of a run at 2e16 leaves decimal's exponent range.
+MAX_ABS_W = 10**16
+
 
 @dataclass(frozen=True)
 class AlgorithmKind:
@@ -71,6 +84,12 @@ class AlgorithmKind:
         """The s of the series couple this family starts from and tends to."""
         return Fraction(1, 3) if self.order == 3 else Fraction(1, 2)
 
+    @property
+    def root_free_w(self) -> Fraction:
+        """w1, the w at which a step takes no power of f: 1 for orders 2 and 4
+        (g = f**0) and 2 for order 3 (h = f**0)."""
+        return Fraction(2) if self.order == 3 else Fraction(1)
+
 
 QUADRATIC = AlgorithmKind(2)
 CUBIC = AlgorithmKind(3)
@@ -90,7 +109,12 @@ class IterationState:
 
 @dataclass
 class RunResult:
-    """Outcome of a run: value, trace, the family, w and context it ran at, orders."""
+    """Outcome of a run: value, trace, the family, the w its trace rows belong
+    to, the context it ran at, and the orders measured on the trace.
+
+    The value is the trace's limit, except for a perimeter run, whose trace
+    runs at w = 1 and whose value is the limit at w = 0 (``limit(0)``).
+    """
 
     value: Real
     trace: list[IterationState]
@@ -102,6 +126,44 @@ class RunResult:
     @property
     def iterations(self) -> int:
         return len(self.trace) - 1
+
+    @property
+    def k(self) -> Real:
+        """K = prod f(d_n)**e over ``trace[1:]``, at ``ctx``: the ratio of the
+        limits at w + 1 and at w from this run's start, 1/AGM = S(1, 0; z_0).
+
+        f = 1 + d for orders 2 and 4 and 1 + 2d for order 3; e = 2 for order 4
+        and 1 otherwise.  A factor that rounds to 1 is skipped.  Against the
+        product of the traced factors, the run's own chain, each of the
+        N = ``iterations`` factors adds at most 3/2 units of 10**(1 - W) of
+        rounding (W working digits): f, its square and the product round half
+        a unit each.  A d_n that a late step kept to reduced precision is off
+        by less than 10**(-10 - W) as long as |a| <= |c| (the :func:`_step`
+        rule bounds |c| * |d_n - t|), so such steps move K by far less than a
+        unit in its last place.  So r_K <= 2 * N * 10**(1 - W).
+        """
+        m = self.kind.order
+        with self.ctx.local():
+            k = Decimal(1)
+            for state in self.trace[1:]:
+                f = 1 + (2 * state.d if m == 3 else state.d)
+                if f != 1:
+                    k *= f * f if m == 4 else f
+            return k
+
+    def limit(self, w: Fraction) -> Real:
+        """The limit of this family's iteration at weight ``w`` from this run's
+        start: K**(w - self.w) times the trace's limit, at ``ctx``.
+
+        Only a ``w`` other than ``self.w`` computes :attr:`k`; the power adds
+        a relative |w - self.w| * r_K + (|p| + 3) * 10**(1 - W) for the
+        numerator p of w - self.w, and the product half a unit.
+        """
+        limit = self.trace[-1].a
+        if w == self.w:
+            return limit
+        with self.ctx.local():
+            return pow_rational(self.k, w - self.w, self.ctx) * limit
 
 
 def _step(order: int, w: Fraction, d: Real, c: Real, a: Real, ctx: PrecisionContext):
@@ -199,11 +261,16 @@ def _sized(ctx: PrecisionContext, order: int,
 
 def _iterate(kind: AlgorithmKind, w: Fraction, d0: Real, c0: Real, a0: Real,
              ctx: PrecisionContext, budget: int) -> RunResult:
-    """Run the recurrences until two consecutive deltas drop below
-    10**(-target_digits - 8), or raise :class:`NonConvergenceError` after ``budget`` steps.
+    """Run the recurrences until two consecutive deltas are small, or raise
+    :class:`NonConvergenceError` after ``budget`` steps.
+
+    A delta |a_n - a_{n-1}| is small when delta_exp <= e(a_n) - target_digits - 8
+    (e(x) = x.adjusted()): below 10**(-target_digits - 8) times the power of ten
+    just above |a_n|.  So a limit far from 1 (about 1e-73 at w = -1000) keeps
+    its digits, and a limit in [0.1, 1), as of pi and gamma23, stops where the
+    absolute bound 10**(-target_digits - 8) stopped it.
     """
     with ctx.local():
-        threshold = Decimal(1).scaleb(-(ctx.target_digits + 8))
         d, c, a = d0, c0, a0
         trace = [IterationState(0, d, c, a)]
         consecutive = 0
@@ -211,10 +278,10 @@ def _iterate(kind: AlgorithmKind, w: Fraction, d0: Real, c0: Real, a0: Real,
             d, c, a1 = _step(kind.order, w, d, c, a, ctx)
             delta = abs(a1 - a)
             a = a1
-            trace.append(
-                IterationState(n, d, c, a, delta.adjusted() if delta != 0 else None)
-            )
-            consecutive = consecutive + 1 if delta < threshold else 0
+            delta_exp = delta.adjusted() if delta != 0 else None
+            trace.append(IterationState(n, d, c, a, delta_exp))
+            small = delta_exp is None or delta_exp <= a.adjusted() - ctx.target_digits - 8
+            consecutive = consecutive + 1 if small else 0
             if consecutive == 2:
                 break
         if consecutive < 2:
@@ -232,10 +299,14 @@ def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunR
     quartic families and s = 1/3 for the cubic one.  The run allows
     step_budget(target, m) steps at ``ctx`` raised to at least 32 target
     digits and the guard of make_context(target, m) (see ``RunResult.ctx``).
+    A w with a denominator not dividing 12, or with |w| > :data:`MAX_ABS_W`,
+    raises :class:`UnsupportedParameterError` before any arithmetic.
     """
     w = Fraction(w)
     if w.denominator not in SUPPORTED_DENOMINATORS:
         raise UnsupportedParameterError("w must have a denominator dividing 12")
+    if abs(w) > MAX_ABS_W:
+        raise UnsupportedParameterError("w is out of range: |w| must be at most 1e16")
     m = kind.order
     ctx, budget = _sized(ctx, m)
     with ctx.local():
@@ -245,11 +316,14 @@ def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunR
 
 def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
                 ctx: PrecisionContext) -> RunResult:
-    """Perimeter iteration (order 2 or 4): the value converges to F(a, b)
-    with P(a, b) = (2 pi b^2 / a) * F(a, b).
+    """Perimeter iteration (order 2 or 4): the value is F(a, b) with
+    P(a, b) = (2 pi b^2 / a) * F(a, b).
 
-    Same recurrences as :func:`run_borwein` at w = 0, started from
-    d_0 = (1 - b^2/a^2)**(1/m), c_0 = 2 a^2/b^2, a_0 = 1, at the context of
+    F is the limit at w = 0 of the recurrences of :func:`run_borwein` started
+    from d_0 = (1 - b^2/a^2)**(1/m), c_0 = 2 a^2/b^2, a_0 = 1.  The run
+    iterates from that start at the root-free w = 1, whose steps take no power
+    and no division of f, and returns F = L(1) / K (``RunResult.limit(0)``);
+    ``RunResult.w`` is 1, the w of the trace rows.  It runs at the context of
     :func:`run_borwein` plus :func:`_eccentric_steps` steps (``RunResult.ctx``).
     """
     check_axes(semi_major, semi_minor)
@@ -264,7 +338,9 @@ def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
                 "b/a is below the working precision; increase digits to resolve d0 < 1"
             )
         c0 = 2 / (ratio * ratio)
-        return _iterate(kind, Fraction(0), d0, c0, Decimal(1), ctx, budget)
+        run = _iterate(kind, kind.root_free_w, d0, c0, Decimal(1), ctx, budget)
+        run.value = run.limit(Fraction(0))
+        return run
 
 
 def _eccentric_steps(semi_major: Real, semi_minor: Real) -> int:
@@ -333,8 +409,8 @@ def replication_invariant(kind: AlgorithmKind, w: Fraction, state: IterationStat
     return invariant(kind.couple_parameter, w, state.a, b_n, z, ctx)
 
 
-#: constant id -> (algorithm orders that compute it, the w to run them at, alpha, e):
-#: the run's limit is 2**alpha * C**(-1/e) for the constant C.
+#: constant id -> (algorithm orders that compute it, the w of its limit, alpha, e):
+#: the limit at that w is 2**alpha * C**(-1/e) for the constant C.
 CONSTANT_RECIPES: dict[str, tuple[tuple[int, ...], Fraction, Fraction, Fraction]] = {
     "pi": ((2, 4), Fraction(1), Fraction(0), Fraction(1)),
     "gamma34": ((2, 4), Fraction(3), Fraction(0), Fraction(1, 4)),
@@ -345,28 +421,38 @@ CONSTANT_RECIPES: dict[str, tuple[tuple[int, ...], Fraction, Fraction, Fraction]
 
 
 def postprocess_constant(name: str, run: RunResult) -> Real:
-    """The named constant C = (L * 2**(-alpha))**(-e) from the run's limit
-    L = 2**alpha * C**(-1/e) of its recipe, at ``run.ctx``.
+    """The named constant C = (L * 2**(-alpha))**(-e) from the limit
+    L = 2**alpha * C**(-1/e) at its recipe's w, at ``run.ctx``.
+
+    ``run`` is a :func:`run_borwein` run of one of the recipe's orders at any
+    w; L is ``run.limit(w)`` = K**(w - run.w) * run.value, so a run at the
+    recipe's own w (the root-free w1 of pi and gamma23) needs no K.
 
     Error bound, with W working digits: each :func:`pow_rational` adds a
-    relative (|p| + 3) * 10**(1 - W) for its numerator p, and the product half
-    a unit in its last place.  A relative error r of L (and of the product)
-    becomes |e| * r in C, to first order, and |e| <= 1 in every recipe, so the
-    inversion never amplifies the run's own error.  So C is within a relative
-    |e| * r + 11 * 10**(1 - W): the largest inversion term, gamma14's, is
-    (3/4) * (5 + 1/2) + 6 = 10.125 units of 10**(1 - W).
+    relative (|p| + 3) * 10**(1 - W) for its numerator p, and each product
+    half a unit in its last place.  With a relative error r of the run's
+    value and r_K of K (see :attr:`RunResult.k`), L is within a relative
+    r + |w - run.w| * r_K plus the rounding of ``RunResult.limit``.  A
+    relative error of L (and of the product) becomes |e| times as large in
+    C, to first order, and |e| <= 1 in every recipe, so the inversion never
+    amplifies it.  So C is within a relative
+    |e| * (r + |w - run.w| * r_K) + 15 * 10**(1 - W): the largest rounding
+    term, gamma14's from a run at w1 = 1, is (3/4) * (5.5 + 5 + 1/2) + 6 = 14.25
+    units of 10**(1 - W).
 
     Raises :class:`UnsupportedParameterError` for an unknown name, and for a
-    run whose family order and w are not the recipe of :data:`CONSTANT_RECIPES`.
+    run that is not a :func:`run_borwein` run (a_0 = 0) of an order of the
+    recipe of :data:`CONSTANT_RECIPES`.
     """
     if name not in CONSTANT_RECIPES:
         raise UnsupportedParameterError(f"unknown constant id {name!r}")
     orders, w, alpha, e = CONSTANT_RECIPES[name]
-    if run.kind.order not in orders or run.w != w:
+    start = run.trace[0].a
+    if run.kind.order not in orders or start != 0:
         raise UnsupportedParameterError(
-            f"constant {name} is computed by an order in {orders} run at w={w}, "
-            f"not by a {run.kind.name} run at w={run.w}"
+            f"constant {name} is computed by a run_borwein run (a_0 = 0) of an order in "
+            f"{orders}, not by a {run.kind.name} run from a_0 = {start}"
         )
     ctx = run.ctx
     with ctx.local():
-        return pow_rational(run.value * pow_rational(Decimal(2), -alpha, ctx), -e, ctx)
+        return pow_rational(run.limit(w) * pow_rational(Decimal(2), -alpha, ctx), -e, ctx)

@@ -260,10 +260,16 @@ def _resolve_constant(args, name: str) -> tuple[AlgorithmKind, Fraction]:
     return AlgorithmKind(order), w
 
 
+def _run_constant(name: str, kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext):
+    """A named constant runs at its family's root-free w1 and takes its w from
+    K (``RunResult.limit``); ``custom`` runs the paper's iteration at w itself."""
+    return run_borwein(kind, w if name == "custom" else kind.root_free_w, ctx)
+
+
 def _cmd_constant(args, ctx: PrecisionContext) -> _Report:
     name = args.constant_id
     kind, w = _resolve_constant(args, name)
-    run = run_borwein(kind, w, ctx)
+    run = _run_constant(name, kind, w, ctx)
     value = run.value if name == "custom" else postprocess_constant(name, run)
     return _Report(run, value, {"constant": name, "w": str(w)})
 
@@ -320,6 +326,7 @@ def _cmd_verify(args, ctx: PrecisionContext) -> _Report:
         if len(args.axes) != 2:
             raise ValueError("verify ellipse needs two axes")
         a, b, run = _run_perimeter(args, ctx, *args.axes)
+        value = run.value
         lines = [f"verify ellipse {a} {b}: algorithm={run.kind.name} digits={args.digits}"]
         fields.update(semi_major=str(a), semi_minor=str(b))
         try:
@@ -333,11 +340,12 @@ def _cmd_verify(args, ctx: PrecisionContext) -> _Report:
             fields["warning"] = "slow-oracle"
     else:
         kind, w = constant
-        run = run_borwein(kind, w, ctx)
+        run = _run_constant(args.target, kind, w, ctx)
+        value = run.limit(w)
         oracle = couple_product(kind.couple_parameter, w, run.ctx)
         lines = [f"verify {args.target}: algorithm={kind.name} w={w} digits={args.digits}"]
         fields["w"] = str(w)
-    agree = min(matching_digits(run.value, oracle), run.ctx.working_digits)
+    agree = min(matching_digits(value, oracle), run.ctx.working_digits)
     ok = agree >= args.digits
     lines.append(f"agree: >={agree} digits{suffix}")
     fields.update(agree_digits=agree, ok=ok)
@@ -350,7 +358,7 @@ def _cmd_verify(args, ctx: PrecisionContext) -> _Report:
         ]
         fields.update(paper_example_ratio=ratio, expected_ratio=expected, oracle_supports=support)
     lines.append("PASS" if ok else "FAIL: oracle disagreement")
-    return _Report(run, run.value, fields, lines, oracle_digits=agree, code=0 if ok else 4)
+    return _Report(run, value, fields, lines, oracle_digits=agree, code=0 if ok else 4)
 
 
 def _paper_example_probe(ctx: PrecisionContext, oracle: Real):

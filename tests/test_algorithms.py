@@ -4,6 +4,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -123,6 +124,33 @@ class TestRunBorwein:
         assert captured.out == ""
         assert captured.err == "error: w must have a denominator dividing 12\n"
 
+    @pytest.mark.parametrize("w", [-10_000, -1_000, 1_000])
+    @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC])
+    def test_stopping_rule_is_relative_to_the_limit(self, kind, w):
+        # the limit is about 10**(0.07 w): an absolute rule stopped early (w < 0)
+        # or never (w = 1000, quadratic)
+        run = run_borwein(kind, Fraction(w), make_context(20, kind.order))
+        oracle = couple_product(kind.couple_parameter, Fraction(w), run.ctx)
+        assert matching_digits(run.value, oracle) >= run.ctx.target_digits
+
+    def test_huge_w_is_refused_before_any_arithmetic(self, capsys):
+        # a power of f with a numerator of 300 000 digits took seconds to overflow
+        for w in (Fraction(10**16 + 1), Fraction(-12 * 10**16 - 1, 12), Fraction(10**300_000)):
+            started = perf_counter()
+            with pytest.raises(UnsupportedParameterError, match="w is out of range"):
+                run_borwein(CUBIC, w, make_context(20, 3))
+            assert perf_counter() - started < 0.1
+        started = perf_counter()
+        assert main(["constant", "custom", "--w", "1e300000", "--digits", "20"]) == 2
+        assert perf_counter() - started < 1
+        assert capsys.readouterr() == ("", "error: w is out of range: |w| must be at most 1e16\n")
+        for kind in (QUADRATIC, CUBIC, QUARTIC):
+            for w in (Fraction(10**16), Fraction(-(10**16))):
+                run = run_borwein(kind, w, make_context(20, kind.order))
+                oracle = couple_product(kind.couple_parameter, w, run.ctx)
+                with run.ctx.local():  # the limit is beyond the default context's exponents
+                    assert matching_digits(run.value, oracle) >= 20
+
     def test_non_convergence_carries_trace(self, monkeypatch):
         monkeypatch.setattr(algorithms, "step_budget", lambda target, order: 2)
         with pytest.raises(NonConvergenceError) as err:
@@ -230,14 +258,23 @@ class TestReplicationInvariant:
     @pytest.mark.parametrize("semi_major, semi_minor", [("2", "1"), ("1", "0.2")])
     @pytest.mark.parametrize("kind", [QUADRATIC, QUARTIC])
     def test_ellipse_run_conserves_the_ellipse_factor(self, kind, semi_major, semi_minor):
-        # A at w = 0 is F(a, b) on every state of a perimeter run
+        # A perimeter run iterates at w = 1: A at run.w is conserved on every
+        # state and is the trace's limit, value * K.  The value is F(a, b), A at
+        # w = 0 of the start state.
         ctx = make_context(60, kind.order)
         run = run_ellipse(kind, ctx.real(semi_major), ctx.real(semi_minor), ctx)
-        values = [replication_invariant(kind, Fraction(0), state, run.ctx) for state in run.trace]
+        assert run.w == kind.root_free_w == ONE
+        working = run.ctx.working_digits
+        values = [replication_invariant(kind, run.w, state, run.ctx) for state in run.trace]
         for v in values[1:]:
-            assert matching_digits(values[0], v) >= run.ctx.working_digits - 10
+            assert matching_digits(values[0], v) >= working - 10
+        with run.ctx.local():
+            assert matching_digits(run.value * run.k, run.trace[-1].a) >= working - 10
+        assert matching_digits(values[0], run.trace[-1].a) >= working - 10
         oracle = ellipse_factor(run.ctx.real(semi_major), run.ctx.real(semi_minor), run.ctx)
-        assert matching_digits(values[0], oracle) >= run.ctx.working_digits - 10
+        assert matching_digits(run.value, oracle) >= working - 10
+        start = replication_invariant(kind, Fraction(0), run.trace[0], run.ctx)
+        assert matching_digits(start, oracle) >= working - 10
 
     def test_degenerate_state_collapses_to_a(self):
         ctx = make_context(80, 2)
@@ -314,7 +351,7 @@ class TestRunEllipse:
         ctx = make_context(100, 4)
         run = run_ellipse(QUARTIC, ctx.real(2), ctx.real(1), ctx)
         assert run.ctx == ctx
-        assert (run.kind, run.w) == (QUARTIC, Fraction(0))
+        assert (run.kind, run.w) == (QUARTIC, QUARTIC.root_free_w)
 
     def test_eccentric_budget_extends_steps_and_guard(self):
         # (b/a)^2 = 1e-6: 2 + bit_length(6) = 5 steps more, 8 guard digits each
@@ -397,6 +434,25 @@ class TestRunsSizeTheirBudget:
         assert run.ctx.guard_digits == wide.guard_digits > own.ctx.guard_digits
 
 
+class TestRootFreeRuns:
+    """A run at the root-free w1 and its AGM product K give the limit at every w."""
+
+    @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC])
+    def test_k_is_the_series_s0_at_one_half(self, kind):
+        run = run_borwein(kind, kind.root_free_w, make_context(500, kind.order))
+        s0 = frozen.S0_THIRD if kind.order == 3 else frozen.S0_HALF
+        assert matching_digits(run.k, Decimal(s0)) >= 500
+
+    @pytest.mark.parametrize("digits", [300, 3000])
+    @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC])
+    def test_k_powers_give_the_paper_iteration_at_every_w(self, kind, digits):
+        run = run_borwein(kind, kind.root_free_w, make_context(digits, kind.order))
+        for w in (Fraction(0), Fraction(1, 6), Fraction(1, 3), HALF, Fraction(3)):
+            paper = run_borwein(kind, w, make_context(digits, kind.order))
+            assert matching_digits(run.limit(w), paper.value) >= digits, w
+        assert run.limit(run.w) is run.value
+
+
 class TestPostprocessConstant:
     def test_pi(self):
         ctx = make_context(400, 2)
@@ -430,12 +486,13 @@ class TestPostprocessConstant:
     ])
     def test_every_recipe_pair_at_5000_digits(self, name, order):
         # bench/reference.json holds independent AGM digits, cross-checked with mpmath
+        # from a run at the recipe's w, and from the root-free run the CLI makes
         exponent, digits = json.loads(REFERENCE.read_text())[name]
-        w = algorithms.CONSTANT_RECIPES[name][1]
-        run = run_borwein(AlgorithmKind(order), w, make_context(5000, order))
-        value = postprocess_constant(name, run)
-        assert value.adjusted() == exponent
-        assert to_sig_digits(value, 5000).replace(".", "") == digits[:5000]
+        kind = AlgorithmKind(order)
+        for w in {algorithms.CONSTANT_RECIPES[name][1], kind.root_free_w}:
+            value = postprocess_constant(name, run_borwein(kind, w, make_context(5000, order)))
+            assert value.adjusted() == exponent
+            assert to_sig_digits(value, 5000).replace(".", "") == digits[:5000]
 
     def test_reflection_products(self):
         ctx = make_context(200, 4)
@@ -457,16 +514,27 @@ class TestPostprocessConstant:
             postprocess_constant("zeta3", run)
 
     def test_refuses_a_run_of_another_recipe(self):
-        # every (order, w) of a recipe, plus w = 1/6 which none uses, built once
+        # every (order, w) of a recipe, plus w = 1/6 which none uses, built once:
+        # a run of the recipe's family gives the constant's digits at any w, and a
+        # run of another family, or a perimeter run of the right one, is refused
         ws = sorted({w for _, w, _, _ in algorithms.CONSTANT_RECIPES.values()} | {Fraction(1, 6)})
         runs = {(kind.order, w): run_borwein(kind, w, make_context(40, kind.order))
                 for kind in (QUADRATIC, CUBIC, QUARTIC) for w in ws}
-        for name, (orders, recipe_w, _, _) in algorithms.CONSTANT_RECIPES.items():
+        perimeters = [run_ellipse(kind, Decimal(2), Decimal(1), make_context(40, kind.order))
+                      for kind in (QUADRATIC, QUARTIC)]
+        expected = {"pi": frozen.PI, "gamma34": frozen.GAMMA34, "gamma14": frozen.GAMMA14,
+                    "gamma23": frozen.GAMMA23, "gamma13": frozen.GAMMA13}
+        for name, (orders, *_) in algorithms.CONSTANT_RECIPES.items():
+            printed = set()
             for (order, w), run in runs.items():
-                if order in orders and w == recipe_w:
-                    assert postprocess_constant(name, run) > 0
+                if order in orders:
+                    printed.add(to_sig_digits(postprocess_constant(name, run), 40))
                     continue
                 with pytest.raises(UnsupportedParameterError, match=f"constant {name} "):
+                    postprocess_constant(name, run)
+            assert printed == {expected[name][:41]}
+            for run in perimeters:
+                with pytest.raises(UnsupportedParameterError, match="from a_0 = 1"):
                     postprocess_constant(name, run)
 
     def test_pi_from_a_cubic_run_is_refused(self):
@@ -538,6 +606,20 @@ class TestLateSteps:
         assert trace["orders"] == orders
         assert hashlib.sha256(trace["result"].encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("command", list(frozen.ROOT_FREE_CONSTANTS))
+    def test_named_constant_traces_its_root_free_run(self, capsys, command):
+        # gamma34, gamma14 and gamma13 run at w1, as pi and gamma23 do, and
+        # print the digits of the paper's iteration at their own w
+        root_free, digest = frozen.ROOT_FREE_CONSTANTS[command]
+        traces = []
+        for argv in (command, root_free):
+            assert main([*argv.split(), "--trace"]) == 0
+            traces.append(json.loads(capsys.readouterr().out))
+        got, want = traces
+        assert (got["w"], got["iterations"], got["orders"]) == (
+            want["w"], want["iterations"], want["orders"])
+        assert hashlib.sha256(got["result"].encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("kind, w", [(QUADRATIC, ONE), (CUBIC, HALF), (QUARTIC, ONE)],
                              ids=["quadratic", "cubic", "quartic"])
     def test_ten_thousand_digits_match_the_series_oracle(self, kind, w):
@@ -559,7 +641,7 @@ class TestLateSteps:
         assert matching_digits(run.value, oracle) >= run.ctx.target_digits
 
     def test_quartic_ellipse_matches_the_series_oracle(self):
-        # The quartic a-update at w = 0, from ellipse initial values.
+        # The quartic a-update at w = 1 from ellipse initial values, and F = L(1) / K.
         run = run_ellipse(QUARTIC, Decimal(2), Decimal(1), make_context(3_000, 4))
         oracle = ellipse_factor(run.ctx.real(2), run.ctx.real(1), run.ctx)
         assert matching_digits(run.value, oracle) >= run.ctx.target_digits

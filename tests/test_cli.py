@@ -9,7 +9,7 @@ from pathlib import Path
 
 import frozen
 import pytest
-from replica import AlgorithmKind, ReplicaError, make_context, run_ellipse
+from replica import AlgorithmKind, ReplicaError, RunResult, make_context, run_ellipse
 from replica.cli import main
 
 
@@ -59,6 +59,14 @@ class TestConstantCommand:
             c.prec = 150
             expected = str(1 / Decimal(frozen.GAMMA34) ** 4)
         assert expected.startswith(out[:100])
+
+    def test_a_limit_far_from_one_keeps_its_digits(self, capsys):
+        # the limit at w = -1000 is about 10**-73: a stopping rule absolute in a
+        # stopped after 2 steps and printed 2.6878013760...e-73
+        argv = ["custom", "--w=-1000", "--algorithm", "quad", "--digits", "20"]
+        assert run_cli(capsys, "constant", *argv) == (0, "2.6515352199743354413e-73 ...", "")
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0 and out.endswith("PASS")
 
     def test_gamma_constants(self, capsys):
         for name, digits in (
@@ -315,6 +323,14 @@ class TestVerifyCommand:
         assert code == 4
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("target", ["gamma34", "gamma14", "gamma13"])
+    def test_a_wrong_k_fails_verify(self, capsys, monkeypatch, target):
+        # verify derives the limit at the recipe's w from the root-free run's K
+        k = RunResult.k.fget
+        monkeypatch.setattr(RunResult, "k", property(lambda run: k(run) * Decimal("1.0000000001")))
+        code, out, _ = run_cli(capsys, "verify", target, "--digits", "100")
+        assert code == 4 and out.endswith("FAIL: oracle disagreement")
+
     def test_unknown_target(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "tau", "--digits", "100")
         assert code == 2
@@ -506,7 +522,7 @@ GOLDEN = [
     ("constant pi --digits 1000", 0,
      "c849b645c5973dfc4e19525a2f7941239084a7ba382edfcc56d7cd26369ad6f0"),
     ("constant gamma14 --digits 500 --json", 0,
-     "185039bf249795c6907c902bc2f602163b6e9cf3d068b7a3c34f1aef04ec1535"),
+     "412da6baca7ad5292ddd4d8264ba97169ee1a139a09c6de1d951ae36fb7d0751"),
     ("constant custom --w 3 --algorithm quad --digits 100", 0,
      "ae35303cde031c2ea434d9036b47937632ecbf1b815d52d833fcb83aef7b0967"),
     ("ellipse 2 1 --digits 500", 0,
@@ -529,18 +545,18 @@ GOLDEN = [
     ("constant gamma13 --digits 60 --plain", 0,
      "55e7641e92511b0a6b96922ab89a8f6b783984ed2ab2c6106b8e44551dcccf2e"),
     ("ellipse 2 1 --digits 60 --json", 0,
-     "35cb440fb333ae0dff1c3416cd55c683fef3f9f0219453776e43de9f9d2510a5"),
+     "26b88653a755790a30b5a185d49422a7fcbcc1c40fa3e6ccb419edcbbcfdcb9c"),
     ("ellipse 1 1e-30 --digits 60 --trace", 0,
-     "5166f3016993fb31c3ada7802a84567e7c16ea4530f6c8ab718e01c38310f2bd"),
+     "173ebbd4dba0b160c8d96e1c356f1a59933d87ddb7f0bbe208b923d3c933202d"),
     ("verify pi --digits 80 --json", 0,
      "ea5ee07fa20f490b81609c5739fe3e38f0c4a0a2017d09d6c4077c89cdc0b8a9"),
     ("verify gamma13 --digits 80 --trace", 0,
-     "d3668bd2a0e6cfbf86fd894c9dbd762c320889463eb7f2644417749749dc6353"),
+     "8d1642ce18c4f43db50be0fd2f56583b64c64c5d5a7818491ec1598241601ae9"),
     # z > 0.99: the other perimeter family is the oracle
     ("verify ellipse 1 0.005 --digits 100", 0,
-     "67105ff65e6c537140dcf69792a12c88b8731cf602c8b324bb437fca657e9a52"),
+     "e97526451108605125a72a30737b984c34c2025439f143283dd3e2a04100205f"),
     ("verify ellipse 1 0.005 --digits 100 --json", 0,
-     "1ba56e2a9b6b9567c8ad4c01d3345d64082c68b90c39f8752c8f063b8d7f2f4f"),
+     "09e17ba370c943762a1c30de49f77d894686a26a20cf5222650eae804e7e71d8"),
     ("verify custom --w 1/2 --algorithm cubic --digits 120 --paper-example --json", 0,
      "8a6319481a32ec2b72d4deb89562ca8d4abaa6f79ce6a67e8cdd167ffebf8ced"),
     ("orders --digits 200 --json", 0,
@@ -548,10 +564,10 @@ GOLDEN = [
     ("ellipse 2 1 --digits 60 --plain", 0,
      "f386174861bc066c70753575b3b7db80cb7d87bb2c1d96448fd34ee30f8f8102"),
     ("verify ellipse 2 1 --digits 60 --trace", 0,
-     "0d99eaae2edbae78e8eb12112cae9568fdee345986f15045cc381e8f1b085957"),
+     "3d484b988fa09160da104c2c63684087e1f8775e4fb542300e688c4b945c3a8e"),
     # the fallback oracle in trace form
     ("verify ellipse 1 0.005 --digits 100 --trace", 0,
-     "ecf33e54906602922051eee24403b8cdd29b4a6ec142d767d2ef9129f394b979"),
+     "e9b76990ece318794953089dd1423eb7a3bb26a16c8cfe3b9ebb5f80753672fc"),
 ]
 
 
