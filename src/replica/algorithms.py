@@ -12,17 +12,18 @@ from d_0 = 2**(-1/m), c_0 = 2, a_0 = 0.  The quantity
 with b_n = c_n (1 - d_n^m), is invariant along the run, so a_n converges to
 A_0, the couple product evaluated independently by the series module.
 
-The chain d_n does not depend on w, and a step at w scales (c, a) by
-f(d_{n+1})**(e (w - w1)) against the step at w1 (f = 1 + d and e = 1 for
-order 2, f = 1 + 2d and e = 1 for order 3, f = 1 + d and e = 2 for order 4).
-So the limit at any w is L(w) = K**(w - w1) * L(w1), with K the product of
-the factors f**e along the chain: Gauss's AGM for orders 2 and 4 (Borwein &
-Borwein, *Pi and the AGM*, 1987) and the cubic AGM for order 3 (Borwein &
-Borwein, Trans. AMS 323, 1991), both 1/AGM = S(1, 0; z_0).  At the root-free
-weight w1 (:attr:`AlgorithmKind.root_free_w`) a step takes no power of f,
-so the named constants run at w1 and take their own w from K
-(:meth:`RunResult.limit`), and the perimeter factor F(a, b), the limit at
-w = 0 from ellipse initial values, is L(1) / K of a run at w1 = 1.
+A step is its family's root-free update, the step at the root-free weight
+w1 (:attr:`AlgorithmKind.root_free_w`), times one power f(d_{n+1})**(e (w - w1))
+of the replication factor, with f and e stated once in
+:meth:`AlgorithmKind.factor` (f = 1 + d for orders 2 and 4 and 1 + 2d for
+order 3; e = 2 for order 4 and 1 otherwise).  The chain d_n does not depend
+on w, so the limit at any w is L(w) = K**(w - w1) * L(w1), with K the product
+of the factors f**e along the chain: Gauss's AGM for orders 2 and 4 (Borwein
+& Borwein, *Pi and the AGM*, 1987) and the cubic AGM for order 3 (Borwein &
+Borwein, Trans. AMS 323, 1991), both 1/AGM = S(1, 0; z_0).  So the named
+constants run at w1, whose steps take no power of f, and take their own w
+from K (:meth:`RunResult.limit`), and the perimeter factor F(a, b), the limit
+at w = 0 from ellipse initial values, is L(1) / K of a run at w1 = 1.
 
 Since d_{n+1} ~ d_n^m, late steps move a by ever less.  Each step computes
 d_{n+1} only to the absolute precision its contribution to a needs, a
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .errors import (
@@ -64,6 +65,9 @@ _SLACK_DIGITS = 12
 #: Largest |w| a run takes: the limit of a run at 2e16 leaves decimal's exponent range.
 MAX_ABS_W = 10**16
 
+_W_OUT_OF_RANGE = "w is out of range: |w| must be at most 1e16"
+_W_DENOMINATOR = "w must have a denominator dividing 12"
+
 
 @dataclass(frozen=True)
 class AlgorithmKind:
@@ -86,9 +90,15 @@ class AlgorithmKind:
 
     @property
     def root_free_w(self) -> Fraction:
-        """w1, the w at which a step takes no power of f: 1 for orders 2 and 4
-        (g = f**0) and 2 for order 3 (h = f**0)."""
+        """w1, the w at which a step takes no power of f: 2 for order 3 and 1
+        otherwise."""
         return Fraction(2) if self.order == 3 else Fraction(1)
+
+    def factor(self, t: Real) -> tuple[Real, int]:
+        """(f, e) of a step to t = d_{n+1}: the step at w is the step at w1
+        times f**(e (w - w1)), with f = 1 + 2t for order 3 and 1 + t otherwise,
+        and e = 2 for order 4 and 1 otherwise."""
+        return (1 + 2 * t, 1) if self.order == 3 else (1 + t, 2 if self.order == 4 else 1)
 
 
 QUADRATIC = AlgorithmKind(2)
@@ -132,23 +142,22 @@ class RunResult:
         """K = prod f(d_n)**e over ``trace[1:]``, at ``ctx``: the ratio of the
         limits at w + 1 and at w from this run's start, 1/AGM = S(1, 0; z_0).
 
-        f = 1 + d for orders 2 and 4 and 1 + 2d for order 3; e = 2 for order 4
-        and 1 otherwise.  A factor that rounds to 1 is skipped.  Against the
-        product of the traced factors, the run's own chain, each of the
-        N = ``iterations`` factors adds at most 3/2 units of 10**(1 - W) of
-        rounding (W working digits): f, its square and the product round half
-        a unit each.  A d_n that a late step kept to reduced precision is off
-        by less than 10**(-10 - W) as long as |a| <= |c| (the :func:`_step`
-        rule bounds |c| * |d_n - t|), so such steps move K by far less than a
-        unit in its last place.  So r_K <= 2 * N * 10**(1 - W).
+        f and e are those of :meth:`AlgorithmKind.factor`.  A factor that
+        rounds to 1 is skipped.  Against the product of the traced factors,
+        the run's own chain, each of the N = ``iterations`` factors adds at
+        most 3/2 units of 10**(1 - W) of rounding (W working digits): f, its
+        square and the product round half a unit each.  A d_n that a late
+        step kept to reduced precision is off by less than 10**(-10 - W) as
+        long as |a| <= |c| (the :func:`_step` rule bounds |c| * |d_n - t|),
+        so such steps move K by far less than a unit in its last place.  So
+        r_K <= 2 * N * 10**(1 - W).
         """
-        m = self.kind.order
         with self.ctx.local():
             k = Decimal(1)
             for state in self.trace[1:]:
-                f = 1 + (2 * state.d if m == 3 else state.d)
+                f, e = self.kind.factor(state.d)
                 if f != 1:
-                    k *= f * f if m == 4 else f
+                    k *= f * f if e == 2 else f
             return k
 
     def limit(self, w: Fraction) -> Real:
@@ -166,23 +175,24 @@ class RunResult:
             return pow_rational(self.k, w - self.w, self.ctx) * limit
 
 
-def _step(order: int, w: Fraction, d: Real, c: Real, a: Real, ctx: PrecisionContext):
+def _step(kind: AlgorithmKind, w: Fraction, d: Real, c: Real, a: Real, ctx: PrecisionContext):
     """One update of (d, c, a) for the given family.
 
     This is the replication map with its divisions cancelled by hand: with
     t = DESCEND[m](d), (alpha, beta) = REPLICATE[m](a, c (1 - d^m), t) and
     pre = 1 + t, 1 + 2t or (1 + t)^2, the step returns
     (t, pre^w beta / (1 - t^m), pre^w alpha), which tests/test_algorithms.py
-    checks to within 10 digits of working precision.  One rational power of
-    the factor f serves both updates, and the a-update divides by nothing
-    but 2 (f = 1 + t for orders 2 and 4, 1 + 2t for order 3):
+    checks to within 10 digits of working precision.  At the root-free w1 the
+    updates take no power of f (:meth:`AlgorithmKind.factor`) and divide by
+    nothing but 2:
 
-    - quadratic: g = f**(w-1), c1 = 2 c g, a1 = a g f^2 + c1 t (1 - t) / 2;
-    - cubic: h = f**(w-2), c1 = 3 c h f, a1 = a h f^3 + 2 c h t (1 - t^3),
-      which is g = h f with the division by 3 f of (1 - t^3) / (3 f) cancelled
-      (at w = 1, h = 1/f is the one division of the step);
-    - quartic: g = f**(2w-2), c1 = 4 c g, a1 = a g f^4 + c1 t (1 - t)(1 + t^2) / 2,
+    - quadratic: c1 = 2 c, a1 = a f^2 + c1 t (1 - t) / 2;
+    - cubic: c1 = 3 c f, a1 = a f^3 + 2 c t (1 - t^3);
+    - quartic: c1 = 4 c, a1 = a f^4 + c1 t (1 - t)(1 + t^2) / 2,
       since (1 - t^4) / (2 (1 + t)) = (1 - t)(1 + t^2) / 2.
+
+    Any other w multiplies both c1 and a1 by the one rational power
+    f**(e (w - w1)).
 
     The step built from REPLICATE divides twice more at full precision, by
     powers of (1 - t): at 20 000 digits and w = 1/3 it took 53 / 65 / 68 ms
@@ -207,12 +217,13 @@ def _step(order: int, w: Fraction, d: Real, c: Real, a: Real, ctx: PrecisionCont
     a run, where p >= W, and d = 0 (a circle) take the full-precision path
     unchanged.  Once t < 10**-(W + _SLACK_DIGITS) and
     |c*t| < 10**-(W + _SLACK_DIGITS) * |a|, the step returns (t, m*c, a),
-    which is what the full formula rounds to: f rounds to 1, so g = h = 1, and
+    which is what the full formula rounds to: f and its power round to 1, and
     the correction to a is below half a unit in its last place.  The
     confirming steps of the stopping rule are such steps: each costs a
     descend at MIN_GUARD_DIGITS + 1 digits.
     """
     working = ctx.working_digits
+    order = kind.order
     digits = working + order * (d.adjusted() + 1) + c.adjusted() - a.adjusted() + _SLACK_DIGITS
     if a and digits < working:
         # A context of max(digits, MIN_GUARD_DIGITS + 1) working digits.
@@ -224,22 +235,19 @@ def _step(order: int, w: Fraction, d: Real, c: Real, a: Real, ctx: PrecisionCont
             return d1, order * c, a
     else:
         d1 = DESCEND[order](d, ctx)
+    f, e = kind.factor(d1)
     if order == 2:
-        f = 1 + d1
-        g = pow_rational(f, w - 1, ctx)
-        c1 = 2 * c * g
-        a1 = a * g * f * f + c1 * d1 * (1 - d1) / 2
+        c1 = 2 * c
+        a1 = a * f * f + c1 * d1 * (1 - d1) / 2
     elif order == 3:
-        f = 1 + 2 * d1
-        h = pow_rational(f, w - 2, ctx)
-        hf = h * f
-        c1 = 3 * c * hf
-        a1 = a * hf * f * f + 2 * c * h * d1 * (1 - d1**3)
+        c1 = 3 * c * f
+        a1 = a * f * f * f + 2 * c * d1 * (1 - d1**3)
     else:
-        f = 1 + d1
-        g = pow_rational(f, 2 * w - 2, ctx)
-        c1 = 4 * c * g
-        a1 = a * g * f**4 + c1 * d1 * (1 - d1) * (1 + d1 * d1) / 2
+        c1 = 4 * c
+        a1 = a * f**4 + c1 * d1 * (1 - d1) * (1 + d1 * d1) / 2
+    if w != kind.root_free_w:
+        g = pow_rational(f, e * (w - kind.root_free_w), ctx)
+        c1, a1 = c1 * g, a1 * g
     return d1, c1, a1
 
 
@@ -275,7 +283,7 @@ def _iterate(kind: AlgorithmKind, w: Fraction, d0: Real, c0: Real, a0: Real,
         trace = [IterationState(0, d, c, a)]
         consecutive = 0
         for n in range(1, budget + 1):
-            d, c, a1 = _step(kind.order, w, d, c, a, ctx)
+            d, c, a1 = _step(kind, w, d, c, a, ctx)
             delta = abs(a1 - a)
             a = a1
             delta_exp = delta.adjusted() if delta != 0 else None
@@ -292,6 +300,32 @@ def _iterate(kind: AlgorithmKind, w: Fraction, d0: Real, c0: Real, a0: Real,
         return RunResult(a, trace, kind, w, ctx, measure_orders(trace, a, ctx))
 
 
+def as_weight(w) -> Fraction:
+    """``Fraction(w)`` for a free parameter given as a Fraction, an int, a
+    Decimal or a text (p/q or a decimal).
+
+    Fraction builds the integer 10**k of a decimal exponent form, which takes
+    seconds for 1e4000000.  So a decimal w that :func:`run_borwein` would
+    refuse anyway, |w| >= 1e17 or nonzero |w| < 0.1 (a finite decimal with a
+    denominator dividing 12 is a multiple of 1/4), raises its
+    :class:`UnsupportedParameterError` first.  A text that is neither p/q nor
+    a finite decimal raises ValueError.
+    """
+    if isinstance(w, Decimal) or (isinstance(w, str) and "/" not in w):
+        try:
+            value = Decimal(w)
+        except InvalidOperation:  # not a decimal, or an exponent beyond decimal's range
+            value = Decimal("NaN")
+        if not value.is_finite():
+            raise ValueError(f"w must be a number p/q or a decimal, got {w!r}")
+        if value.adjusted() > 16:
+            raise UnsupportedParameterError(_W_OUT_OF_RANGE)
+        if value and value.adjusted() < -1:
+            raise UnsupportedParameterError(_W_DENOMINATOR)
+        w = value
+    return Fraction(w)
+
+
 def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunResult:
     """Run the order-m constant algorithm with free parameter w.
 
@@ -302,11 +336,11 @@ def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunR
     A w with a denominator not dividing 12, or with |w| > :data:`MAX_ABS_W`,
     raises :class:`UnsupportedParameterError` before any arithmetic.
     """
-    w = Fraction(w)
+    w = as_weight(w)
     if w.denominator not in SUPPORTED_DENOMINATORS:
-        raise UnsupportedParameterError("w must have a denominator dividing 12")
+        raise UnsupportedParameterError(_W_DENOMINATOR)
     if abs(w) > MAX_ABS_W:
-        raise UnsupportedParameterError("w is out of range: |w| must be at most 1e16")
+        raise UnsupportedParameterError(_W_OUT_OF_RANGE)
     m = kind.order
     ctx, budget = _sized(ctx, m)
     with ctx.local():
@@ -356,21 +390,30 @@ def _eccentric_steps(semi_major: Real, semi_minor: Real) -> int:
 
 def usable_error_logs(trace: list[IterationState], final_value: Real,
                       ctx: PrecisionContext) -> list[tuple[int, float]]:
-    """(n, log10 err_n) for the contiguous block of order-measurable errors.
+    """(n, log10 err_n) for the last contiguous block of order-measurable errors.
 
-    err_n = |a_n - final_value| is usable when it lies in (0, 1) and above the
+    err_n = |a_n - final_value| / 10**(e + 1), with e = e(final_value), is the
+    error on the scale of the stopping rule of :func:`_iterate`: the power of
+    ten just above |final_value|, which is 1 for a limit in [0.1, 1).  It is
+    usable when it lies in (0, 1) and |a_n - final_value| lies above the
     rounding noise floor 10**(10 - working_digits) * |final_value| of ``ctx``;
-    below that floor the trace measures rounding, not the algorithm.
+    below that floor the trace measures rounding, not the algorithm.  The
+    block is the one that ends at the last usable error, so an early step
+    that overshoots the limit (as the first one does at w = -1000) does not
+    end it.
     """
+    shift = final_value.adjusted() + 1
     floor = abs(final_value) * Decimal(1).scaleb(10 - ctx.working_digits)
     logs: list[tuple[int, float]] = []
+    gap = False
     for state in trace:
         err = abs(state.a - final_value)
-        if err == 0 or err >= 1 or err <= floor:
-            if logs:
-                break  # errors decrease monotonically; the usable block ended
+        if err == 0 or err.adjusted() >= shift or err <= floor:
+            gap = True
             continue
-        logs.append((state.n, _log10(err)))
+        if gap:  # an unusable error ended the block before this one
+            logs, gap = [], False
+        logs.append((state.n, _log10(err) - shift))
     return logs
 
 
@@ -378,9 +421,9 @@ def measure_orders(trace: list[IterationState], final_value: Real,
                    ctx: PrecisionContext) -> list[float]:
     """Convergence orders log(err_{n+1}) / log(err_n) from a run trace.
 
-    A pair of consecutive states contributes only when both errors are
-    usable in the sense of :func:`usable_error_logs`.  The i-th returned
-    order belongs to the i-th usable state; with fewer than two usable
+    A pair of consecutive states contributes only when both scaled errors
+    are in the block of :func:`usable_error_logs`.  The i-th returned order
+    belongs to the i-th state of that block; with fewer than two usable
     errors the list is empty.
     """
     logs = usable_error_logs(trace, final_value, ctx)

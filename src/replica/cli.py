@@ -45,6 +45,7 @@ from .algorithms import (
     QUARTIC,
     AlgorithmKind,
     RunResult,
+    as_weight,
     postprocess_constant,
     run_borwein,
     run_ellipse,
@@ -98,7 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--algorithm",
             choices=[*_ALGORITHM_ORDERS, "auto"],
             default="auto",
-            help="iteration family (auto picks per target)",
+            help="iteration family (auto: the highest order the target allows, "
+            "quartic except cubic for gamma23 and gamma13)",
         )
         forms = p.add_mutually_exclusive_group()
         for form in outputs:
@@ -240,7 +242,7 @@ def _write(args, report: _Report) -> int:
 def _resolve_constant(args, name: str) -> tuple[AlgorithmKind, Fraction]:
     """The family and w that compute constant ``name`` (or ``custom`` at --w)."""
     try:
-        w_arg = None if args.w is None else Fraction(args.w)
+        w_arg = None if args.w is None else as_weight(args.w)
     except ZeroDivisionError:
         raise ValueError(f"--w {args.w} is out of range") from None
     if name == "custom":

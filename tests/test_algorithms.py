@@ -133,6 +133,27 @@ class TestRunBorwein:
         oracle = couple_product(kind.couple_parameter, Fraction(w), run.ctx)
         assert matching_digits(run.value, oracle) >= run.ctx.target_digits
 
+    def test_an_exponent_form_w_is_refused_before_its_integer_exists(self):
+        # Fraction("1e40000000") builds 10**40000000, which takes minutes
+        for text, message in (("1e40000000", "w is out of range"),
+                              ("-1.5e40000000", "w is out of range"),
+                              ("1e-40000000", "w must have a denominator dividing 12"),
+                              ("-3e-40000000", "w must have a denominator dividing 12")):
+            for w in (text, Decimal(text)):
+                started = perf_counter()
+                with pytest.raises(UnsupportedParameterError, match=message):
+                    run_borwein(CUBIC, w, make_context(20, 3))
+                assert perf_counter() - started < 0.1
+        # p/q texts and decimals in range keep their exact value
+        assert algorithms.as_weight("-3/12") == Fraction(-1, 4)
+        assert algorithms.as_weight("1e16") == 10**16
+        assert algorithms.as_weight(Decimal("-2.25")) == Fraction(-9, 4)
+        assert algorithms.as_weight("0e-40000000") == 0
+        assert algorithms.as_weight(Fraction(1, 3)) == Fraction(1, 3)
+        for text in ("abc", "nan", "inf", "1e9999999999999999999999"):
+            with pytest.raises(ValueError, match="w must be a number p/q or a decimal"):
+                algorithms.as_weight(text)
+
     def test_huge_w_is_refused_before_any_arithmetic(self, capsys):
         # a power of f with a numerator of 300 000 digits took seconds to overflow
         for w in (Fraction(10**16 + 1), Fraction(-12 * 10**16 - 1, 12), Fraction(10**300_000)):
@@ -206,6 +227,26 @@ class TestMeasureOrders:
         assert orders == pytest.approx([2.0] * 5, abs=1e-6)
         # with a context wide enough for the 1e-92 point, the same pair is kept
         assert len(measure_orders(trace, Decimal("0.5"), self.WIDE)) == 6
+
+    @pytest.mark.parametrize("final, errors, expected", [
+        # a limit near 1e-73 (scale 10**-72): the overshoot at n = 1 ends the
+        # first block, and the last block gives the orders
+        ("2.5e-73", ["1e-74", "5e-72", "1e-76", "1e-80", "1e-88"], [2.0, 2.0]),
+        # a limit near 2.9e61 (scale 10**62), as of a perimeter trace
+        ("2.9e61", ["1e60", "1e58", "1e54", "1e46"], [2.0, 2.0, 2.0]),
+    ])
+    def test_errors_are_scaled_to_the_limit(self, final, errors, expected):
+        trace = synthetic_trace(errors, Decimal(final))
+        assert measure_orders(trace, Decimal(final), self.WIDE) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("w", [-1000, 1000])
+    @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC])
+    def test_a_limit_far_from_one_measures_the_family_order(self, kind, w):
+        # the limit is about 10**(0.07 w); absolute errors gave orders near 1
+        # at w = -1000 and none at quartic w = 1000
+        run = run_borwein(kind, Fraction(w), make_context(1000, kind.order))
+        assert len(run.orders) >= 3, run.orders
+        assert abs(run.orders[-1] - kind.order) <= 0.15, run.orders
 
     def test_real_run_tail_orders(self):
         # the measured orders decrease toward the family order and the last
@@ -438,6 +479,25 @@ class TestRootFreeRuns:
     """A run at the root-free w1 and its AGM product K give the limit at every w."""
 
     @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC])
+    def test_only_a_run_off_w1_takes_a_power_in_its_steps(self, kind, monkeypatch):
+        calls = []
+
+        def counted(x, exponent, ctx):
+            calls.append(exponent)
+            return pow_rational(x, exponent, ctx)
+
+        monkeypatch.setattr(algorithms, "pow_rational", counted)
+        d0_power = Fraction(-1, kind.order)  # d_0 = 2**(-1/m)
+        run = run_borwein(kind, kind.root_free_w, make_context(300, kind.order))
+        assert run.iterations > 4 and calls == [d0_power]
+        # one power f**(e (w - w1)) per step that computes (c, a), at w = w1 + 1
+        calls.clear()
+        run = run_borwein(kind, kind.root_free_w + 1, make_context(300, kind.order))
+        e = 2 if kind.order == 4 else 1
+        assert calls[0] == d0_power and set(calls[1:]) == {e}
+        assert run.iterations - 2 <= len(calls) - 1 <= run.iterations
+
+    @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC])
     def test_k_is_the_series_s0_at_one_half(self, kind):
         run = run_borwein(kind, kind.root_free_w, make_context(500, kind.order))
         s0 = frozen.S0_THIRD if kind.order == 3 else frozen.S0_HALF
@@ -561,18 +621,25 @@ class TestStepMatchesReplicate:
         fine = PrecisionContext(target_digits=308, guard_digits=32)
         rng = random.Random(0x57E9)
         for order in (2, 3, 4):
+            kind = AlgorithmKind(order)
+            # w1, where the step takes no power of f, and the ws next to it;
+            # half the draws of every band of d take one of them
+            w1 = kind.root_free_w
+            near = [w1, w1 + Fraction(1, 12), w1 - Fraction(1, 12), w1 - 1]
             # d in (0, 1); then down to 10**-(W/m), where late steps descend at
             # reduced precision; then below 10**-W, where the step is a no-op.
             shifts = [0] * 60
             shifts += [rng.randint(1, working // order) for _ in range(60)]
             shifts += [rng.randint(working, working + 40) for _ in range(20)]
-            for shift in shifts:
+            for i, shift in enumerate(shifts):
                 d = ctx.real(Fraction(rng.randint(1, 9999), 10000)).scaleb(-shift)
                 c = ctx.real(Fraction(rng.randint(1, 4000), 1000))
                 a = ctx.real(Fraction(rng.randint(0, 2000), 1000))
                 w = Fraction(rng.randint(-24, 36), 12)
+                if i % 8 < len(near):
+                    w = near[i % 8]
                 with ctx.local():
-                    d1, c1, a1 = _step(order, w, d, c, a, ctx)
+                    d1, c1, a1 = _step(kind, w, d, c, a, ctx)
                     t = DESCEND[order](d, fine)
                     rc = REPLICATE[order](a, c * (1 - d**order), t, ctx)
                     pre = (1 + 2 * t) if order == 3 else (1 + t) ** (1 if order == 2 else 2)
@@ -634,8 +701,9 @@ class TestLateSteps:
                                          (QUARTIC, Fraction(1, 3)), (QUARTIC, Fraction(3))],
                              ids=["cubic-1", "cubic-2", "cubic-3", "quartic-1/3", "quartic-3"])
     def test_a_update_branches_match_the_series_oracle(self, kind, w):
-        # The cubic a-update takes h = f**(w-2): 1/f at w = 1, 1 at w = 2 and
-        # f at w = 3; the quartic one a power of f at each w but 1.
+        # A step at w other than w1 scales the root-free update by
+        # f**(e (w - w1)): 1/f at cubic w = 1, no power at w = 2 and f at
+        # w = 3; the quartic power is f**(2 w - 2), a root at w = 1/3.
         run = run_borwein(kind, w, make_context(3_000, kind.order))
         oracle = couple_product(kind.couple_parameter, w, run.ctx)
         assert matching_digits(run.value, oracle) >= run.ctx.target_digits

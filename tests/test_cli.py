@@ -6,6 +6,7 @@ import subprocess
 import sys
 from decimal import Decimal, localcontext
 from pathlib import Path
+from time import perf_counter
 
 import frozen
 import pytest
@@ -249,6 +250,14 @@ class TestEllipseCommand:
         mantissa, _, power = out.partition("e")
         assert mantissa.replace(".", "") == unscaled.replace(".", "")
         assert int(power) == exp + 1  # P(3, 1) = 13.36...
+
+    def test_a_trace_far_from_one_reports_its_orders(self, capsys):
+        # the run's trace tends to L(1), about 2.9e61; its orders are measured
+        # on errors scaled to that size
+        for algorithm in ("quad", "quartic"):
+            code, out, _ = run_cli(capsys, "ellipse", "1", "1e-30", "--digits", "60", "--json",
+                                   "--algorithm", algorithm)
+            assert code == 0 and len(json.loads(out)["orders"]) >= 3
 
     def test_huge_circle(self, capsys):
         code, out, _ = run_cli(capsys, "ellipse", "1e999999999999999", "1e999999999999999",
@@ -494,6 +503,27 @@ class TestArgumentHandling:
         assert err.startswith("error: ") and "out of range" in err
         assert err.count("\n") == 1 and "decimal." not in err
 
+    @pytest.mark.parametrize("w, message", [
+        ("1e40000000", "w is out of range: |w| must be at most 1e16"),
+        ("-1e40000000", "w is out of range: |w| must be at most 1e16"),
+        ("1e-40000000", "w must have a denominator dividing 12"),
+    ])
+    @pytest.mark.parametrize("command", ["constant custom", "verify custom", "orders",
+                                         "constant pi"])
+    def test_an_exponent_form_w_exits_at_once(self, capsys, command, w, message):
+        # Fraction(w) would build the integer 10**40000000 first, for minutes
+        started = perf_counter()
+        code, out, err = run_cli(capsys, *command.split(), f"--w={w}", "--digits", "100")
+        assert perf_counter() - started < 0.1
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("w", ["abc", "nan", "inf", "1e9999999999999999999999", "1/x"])
+    def test_a_w_that_is_not_a_number_exits_2(self, capsys, w):
+        code, out, err = run_cli(capsys, "constant", "custom", f"--w={w}", "--digits", "20")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "decimal." not in err and "Conversion" not in err
+
     @pytest.mark.parametrize("command", ["constant custom", "orders"])
     def test_a_negative_fractional_w_needs_equals(self, capsys, command):
         code, out, _ = run_cli(capsys, *command.split(), "--w=-1/2", "--digits", "100")
@@ -545,9 +575,9 @@ GOLDEN = [
     ("constant gamma13 --digits 60 --plain", 0,
      "55e7641e92511b0a6b96922ab89a8f6b783984ed2ab2c6106b8e44551dcccf2e"),
     ("ellipse 2 1 --digits 60 --json", 0,
-     "26b88653a755790a30b5a185d49422a7fcbcc1c40fa3e6ccb419edcbbcfdcb9c"),
+     "4853595fa65d0307c01d98962aa1f76c1d8e1a2c504cdf9d094c7ab375d59c73"),
     ("ellipse 1 1e-30 --digits 60 --trace", 0,
-     "173ebbd4dba0b160c8d96e1c356f1a59933d87ddb7f0bbe208b923d3c933202d"),
+     "d17840ffd91b48f4a1949e234cc850a67e2d2bb126b3dc455684adab67838313"),
     ("verify pi --digits 80 --json", 0,
      "ea5ee07fa20f490b81609c5739fe3e38f0c4a0a2017d09d6c4077c89cdc0b8a9"),
     ("verify gamma13 --digits 80 --trace", 0,
@@ -564,10 +594,10 @@ GOLDEN = [
     ("ellipse 2 1 --digits 60 --plain", 0,
      "f386174861bc066c70753575b3b7db80cb7d87bb2c1d96448fd34ee30f8f8102"),
     ("verify ellipse 2 1 --digits 60 --trace", 0,
-     "3d484b988fa09160da104c2c63684087e1f8775e4fb542300e688c4b945c3a8e"),
+     "4687d0ffe7ca0b60bb673661d07fe12bf95c5027b0de64f67c668694ce785460"),
     # the fallback oracle in trace form
     ("verify ellipse 1 0.005 --digits 100 --trace", 0,
-     "e9b76990ece318794953089dd1423eb7a3bb26a16c8cfe3b9ebb5f80753672fc"),
+     "e09a55eacc8287a44002b61ce3d73beb2a98c0abdadf6a38e24158ff0d4b563e"),
 ]
 
 
