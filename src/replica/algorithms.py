@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     DomainError,
@@ -120,10 +121,13 @@ class IterationState:
 @dataclass
 class RunResult:
     """Outcome of a run: value, trace, the family, the w its trace rows belong
-    to, the context it ran at, and the orders measured on the trace.
+    to, and the context it ran at.
 
     The value is the trace's limit, except for a perimeter run, whose trace
-    runs at w = 1 and whose value is the limit at w = 0 (``limit(0)``).
+    runs at w = 1 and whose value is the limit at w = 0 (``limit(0)``).  The
+    run measures its errors and orders (:attr:`error_table`, :attr:`orders`)
+    only when they are first read, at ``ctx``, whatever the calling thread's
+    decimal context.
     """
 
     value: Real
@@ -131,11 +135,21 @@ class RunResult:
     kind: AlgorithmKind
     w: Fraction
     ctx: PrecisionContext
-    orders: list[float]
 
     @property
     def iterations(self) -> int:
         return len(self.trace) - 1
+
+    @cached_property
+    def error_table(self) -> list[tuple[int | None, float | None]]:
+        """:func:`error_table` of the trace against its own limit ``trace[-1].a``,
+        at ``ctx``: (err_exp, order or None) per trace row."""
+        return error_table(self.trace, self.trace[-1].a, self.ctx)
+
+    @property
+    def orders(self) -> list[float]:
+        """The convergence orders of :attr:`error_table`, in row order."""
+        return [order for _, order in self.error_table if order is not None]
 
     @property
     def k(self) -> Real:
@@ -297,19 +311,20 @@ def _iterate(kind: AlgorithmKind, w: Fraction, d0: Real, c0: Real, a0: Real,
                 f"{kind.name} run did not converge within {budget} iterations",
                 trace=trace,
             )
-        return RunResult(a, trace, kind, w, ctx, measure_orders(trace, a, ctx))
+        return RunResult(a, trace, kind, w, ctx)
 
 
 def as_weight(w) -> Fraction:
     """``Fraction(w)`` for a free parameter given as a Fraction, an int, a
     Decimal or a text (p/q or a decimal).
 
+    A w with a denominator not dividing 12, a zero denominator or
+    |w| > :data:`MAX_ABS_W` raises :class:`UnsupportedParameterError`.
     Fraction builds the integer 10**k of a decimal exponent form, which takes
-    seconds for 1e4000000.  So a decimal w that :func:`run_borwein` would
-    refuse anyway, |w| >= 1e17 or nonzero |w| < 0.1 (a finite decimal with a
-    denominator dividing 12 is a multiple of 1/4), raises its
-    :class:`UnsupportedParameterError` first.  A text that is neither p/q nor
-    a finite decimal raises ValueError.
+    seconds for 1e4000000, so a decimal with |w| >= 1e17 or nonzero |w| < 0.1
+    (a finite decimal with a denominator dividing 12 is a multiple of 1/4)
+    raises first.  A text that is neither p/q nor a finite decimal raises
+    ValueError.
     """
     if isinstance(w, Decimal) or (isinstance(w, str) and "/" not in w):
         try:
@@ -323,7 +338,15 @@ def as_weight(w) -> Fraction:
         if value and value.adjusted() < -1:
             raise UnsupportedParameterError(_W_DENOMINATOR)
         w = value
-    return Fraction(w)
+    try:
+        w = Fraction(w)
+    except ZeroDivisionError:
+        raise UnsupportedParameterError(_W_OUT_OF_RANGE) from None
+    if w.denominator not in SUPPORTED_DENOMINATORS:
+        raise UnsupportedParameterError(_W_DENOMINATOR)
+    if abs(w) > MAX_ABS_W:
+        raise UnsupportedParameterError(_W_OUT_OF_RANGE)
+    return w
 
 
 def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunResult:
@@ -333,14 +356,9 @@ def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunR
     quartic families and s = 1/3 for the cubic one.  The run allows
     step_budget(target, m) steps at ``ctx`` raised to at least 32 target
     digits and the guard of make_context(target, m) (see ``RunResult.ctx``).
-    A w with a denominator not dividing 12, or with |w| > :data:`MAX_ABS_W`,
-    raises :class:`UnsupportedParameterError` before any arithmetic.
+    A w that :func:`as_weight` refuses raises before any arithmetic.
     """
     w = as_weight(w)
-    if w.denominator not in SUPPORTED_DENOMINATORS:
-        raise UnsupportedParameterError(_W_DENOMINATOR)
-    if abs(w) > MAX_ABS_W:
-        raise UnsupportedParameterError(_W_OUT_OF_RANGE)
     m = kind.order
     ctx, budget = _sized(ctx, m)
     with ctx.local():
@@ -388,46 +406,35 @@ def _eccentric_steps(semi_major: Real, semi_minor: Real) -> int:
         return 2 + max(1, -r2.adjusted()).bit_length()
 
 
-def usable_error_logs(trace: list[IterationState], final_value: Real,
-                      ctx: PrecisionContext) -> list[tuple[int, float]]:
-    """(n, log10 err_n) for the last contiguous block of order-measurable errors.
+def error_table(trace: list[IterationState], limit: Real,
+                ctx: PrecisionContext) -> list[tuple[int | None, float | None]]:
+    """(err_exp, order) for each row of ``trace``, measured at ``ctx``.
 
-    err_n = |a_n - final_value| / 10**(e + 1), with e = e(final_value), is the
-    error on the scale of the stopping rule of :func:`_iterate`: the power of
-    ten just above |final_value|, which is 1 for a limit in [0.1, 1).  It is
-    usable when it lies in (0, 1) and |a_n - final_value| lies above the
-    rounding noise floor 10**(10 - working_digits) * |final_value| of ``ctx``;
-    below that floor the trace measures rounding, not the algorithm.  The
-    block is the one that ends at the last usable error, so an early step
-    that overshoots the limit (as the first one does at w = -1000) does not
-    end it.
+    err_exp is e(|a_n - limit|) (e(x) = x.adjusted()), None when a_n = limit.
+    The order of row n is log(err_{n+1}) / log(err_n) of the scaled errors
+    err_n = |a_n - limit| / 10**(e(limit) + 1), on the scale of the stopping
+    rule of :func:`_iterate`: the power of ten just above |limit|, which is 1
+    for a limit in [0.1, 1).  An error is usable when its scaled value lies in
+    (0, 1) and |a_n - limit| lies above the rounding noise floor
+    10**(10 - working_digits) * |limit| of ``ctx``; below that floor the trace
+    measures rounding, not the algorithm.  Row n has an order only when rows
+    n and n + 1 both lie in the last contiguous block of usable errors, so an
+    early step that overshoots the limit (as the first one does at w = -1000)
+    does not end the block; every other order is None.
     """
-    shift = final_value.adjusted() + 1
-    floor = abs(final_value) * Decimal(1).scaleb(10 - ctx.working_digits)
-    logs: list[tuple[int, float]] = []
-    gap = False
-    for state in trace:
-        err = abs(state.a - final_value)
-        if err == 0 or err.adjusted() >= shift or err <= floor:
-            gap = True
-            continue
-        if gap:  # an unusable error ended the block before this one
-            logs, gap = [], False
-        logs.append((state.n, _log10(err) - shift))
-    return logs
-
-
-def measure_orders(trace: list[IterationState], final_value: Real,
-                   ctx: PrecisionContext) -> list[float]:
-    """Convergence orders log(err_{n+1}) / log(err_n) from a run trace.
-
-    A pair of consecutive states contributes only when both scaled errors
-    are in the block of :func:`usable_error_logs`.  The i-th returned order
-    belongs to the i-th state of that block; with fewer than two usable
-    errors the list is empty.
-    """
-    logs = usable_error_logs(trace, final_value, ctx)
-    return [later / earlier for (_, earlier), (_, later) in zip(logs, logs[1:])]
+    shift = limit.adjusted() + 1
+    with ctx.local():
+        errors = [abs(state.a - limit) for state in trace]
+        floor = abs(limit) * ctx.epsilon(10)
+        logs = [_log10(err) - shift if err and err.adjusted() < shift and err > floor else None
+                for err in errors]
+    # the block runs from just after the last unusable row before its end to
+    # the last usable row
+    end = max((n for n, log in enumerate(logs) if log is not None), default=-1)
+    start = max((n + 1 for n, log in enumerate(logs[:end]) if log is None), default=0)
+    return [(err.adjusted() if err else None,
+             logs[n + 1] / logs[n] if start <= n < end else None)
+            for n, err in enumerate(errors)]
 
 
 def _log10(x: Real) -> float:

@@ -19,7 +19,9 @@ A request has one context, ``PrecisionContext(digits, MIN_GUARD_DIGITS)``,
 which ``main`` passes to the handler.  Each run sizes its own guard and step
 budget from it (``RunResult.ctx``), so the CLI keeps no precision policy.
 A handler prints nothing: it returns a ``_Report``, and ``_write`` prints
-that report as a digit block, text lines, JSON or a run trace.
+that report as a digit block, text lines, JSON or a run trace.  Every value,
+agreement count and order is computed at a run's context, so the output does
+not depend on the calling thread's decimal context.
 
 ``main(argv)`` is re-entrant: the argument parser is built on the first call
 and reused for every later call in the process.  Handlers look up the
@@ -49,7 +51,6 @@ from .algorithms import (
     postprocess_constant,
     run_borwein,
     run_ellipse,
-    usable_error_logs,
 )
 from .errors import (
     NonConvergenceError,
@@ -241,10 +242,7 @@ def _write(args, report: _Report) -> int:
 
 def _resolve_constant(args, name: str) -> tuple[AlgorithmKind, Fraction]:
     """The family and w that compute constant ``name`` (or ``custom`` at --w)."""
-    try:
-        w_arg = None if args.w is None else as_weight(args.w)
-    except ZeroDivisionError:
-        raise ValueError(f"--w {args.w} is out of range") from None
+    w_arg = None if args.w is None else as_weight(args.w)
     if name == "custom":
         if w_arg is None:
             raise ValueError(f"{args.command} custom requires --w")
@@ -279,8 +277,8 @@ def _cmd_constant(args, ctx: PrecisionContext) -> _Report:
 def _run_perimeter(args, ctx: PrecisionContext, major: str, minor: str):
     """Parse the semi-axes and run the perimeter iteration of the family
     ``args`` asks for: (a, b, run), with a and b as parsed."""
-    try:
-        a, b = Decimal(major), Decimal(minor)
+    try:  # a fresh context traps a malformed axis whatever the caller's context traps
+        a, b = Decimal(major, decimal.Context()), Decimal(minor, decimal.Context())
     except decimal.InvalidOperation:
         raise ValueError("axes must be decimal numbers") from None
     kind = AlgorithmKind(_ALGORITHM_ORDERS.get(args.algorithm, QUARTIC.order))
@@ -392,22 +390,18 @@ def _cmd_orders(args, ctx: PrecisionContext) -> _Report:
     # the table follows the raw run at --w, the value `constant custom` prints
     kind, w = _resolve_constant(args, "custom")
     run = run_borwein(kind, w, ctx)
-    logs = usable_error_logs(run.trace, run.value, run.ctx)
-    order_at = {n: order for (n, _), order in zip(logs, run.orders)}
     rows = []
     lines = [
         f"orders: algorithm={kind.name} w={w} digits={args.digits}",
         f"{'n':>3} {'delta_exp':>10} {'err_exp':>9} {'order n->n+1':>13}",
     ]
-    for st in run.trace:
-        with run.ctx.local():
-            err = abs(st.a - run.value)
-        row = {"n": st.n, "delta_exp": st.delta_exp, "err_exp": err.adjusted() if err else None}
-        if st.n in order_at:
-            row["order"] = order_at[st.n]
+    for st, (err_exp, order) in zip(run.trace, run.error_table):
+        row = {"n": st.n, "delta_exp": st.delta_exp, "err_exp": err_exp}
+        if order is not None:
+            row["order"] = order
         rows.append(row)
-        delta, err = ("-" if x is None else str(x) for x in (st.delta_exp, row["err_exp"]))
-        o = f"{row['order']:.4f}" if "order" in row else "-"
+        delta, err = ("-" if x is None else str(x) for x in (st.delta_exp, err_exp))
+        o = "-" if order is None else f"{order:.4f}"
         lines.append(f"{st.n:>3} {delta:>10} {err:>9} {o:>13}")
     lines.append(f"orders tend to {kind.order} (convergence order of the {kind.name} family)")
     fields = {"command": "orders", "w": str(w), "iterations": rows, "orders": run.orders}

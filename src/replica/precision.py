@@ -252,9 +252,7 @@ def to_sig_digits(x: Real, n: int) -> str:
         raise DomainError("need at least one digit")
     if x == 0:
         return "0"
-    with localcontext() as c:
-        c.prec = n + 5
-        c.Emin, c.Emax = -_EMAX, _EMAX
+    with localcontext(decimal.Context(prec=n + 5, Emin=-_EMAX, Emax=_EMAX)):
         adj = x.adjusted()
         quantum = Decimal(1).scaleb(adj - n + 1)
         q = x.quantize(quantum, rounding=decimal.ROUND_DOWN)
@@ -273,13 +271,24 @@ def to_sig_digits(x: Real, n: int) -> str:
     return prefix + "0." + "0" * (-adj - 1) + digs
 
 
-def matching_digits(x: Real, y: Real) -> int:
-    """Significant decimal digits on which x and y agree (conservative floor).
+# x - y rounded toward zero keeps the exponent of the exact difference, and
+# decimal's widest exponent range keeps a tiny difference from rounding to 0.
+_TRUNCATED = decimal.Context(prec=1, rounding=decimal.ROUND_DOWN,
+                             Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
 
-    Returns a large sentinel (10**9) when the two values are identical.
+
+def matching_digits(x: Real, y: Real) -> int:
+    """Significant decimal digits on which x and y agree (conservative floor):
+    e(max(|x|, |y|)) - e(|x - y|), at least 0, with e(v) = v.adjusted().
+
+    Returns a large sentinel (10**9) when the two values are identical.  The
+    answer depends on x and y alone, not on the calling thread's decimal
+    context: the difference is taken at its exact exponent, so it is 0 only
+    when x = y, however far below 1 both values are.
     """
-    diff = abs(x - y)
-    if diff == 0:
+    with localcontext(_TRUNCATED):
+        diff = x - y
+    if not diff:
         return 10**9
-    ref = max(abs(x), abs(y))
+    ref = max(x.copy_abs(), y.copy_abs())
     return max(0, ref.adjusted() - diff.adjusted())

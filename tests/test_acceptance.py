@@ -25,7 +25,7 @@ from replica import (
     run_borwein,
     run_ellipse,
 )
-from replica.algorithms import usable_error_logs
+from replica.algorithms import error_table
 from replica.cli import main
 from replica.precision import matching_digits, nth_root, to_sig_digits
 from replica.series import SeriesSpec, evaluate_series
@@ -184,8 +184,8 @@ def test_criterion_6_convergence_orders():
     for kind in (QUADRATIC, CUBIC, QUARTIC):
         ctx, run, _, _ = thousand_digit_run(kind)
         lo, hi = bands[kind.order]
-        logs = usable_error_logs(run.trace, run.value, ctx)
-        indexed = list(zip((n for n, _ in logs[:-1]), run.orders))
+        table = error_table(run.trace, run.value, ctx)
+        indexed = [(n, o) for n, (_, o) in enumerate(table) if o is not None]
         window = [(n, o) for n, o in indexed if 2 <= n <= run.iterations - 1]
         windows[kind.name] = [(n, round(o, 3)) for n, o in window]
         failures += [
@@ -205,8 +205,8 @@ def test_criterion_6_supplement_asymptotic_orders():
     for kind in (QUADRATIC, CUBIC, QUARTIC):
         ctx, run, _, _ = thousand_digit_run(kind)
         lo, hi = bands[kind.order]
-        logs = usable_error_logs(run.trace, run.value, ctx)
-        indexed = list(zip((n for n, _ in logs[:-1]), run.orders))
+        table = error_table(run.trace, run.value, ctx)
+        indexed = [(n, o) for n, (_, o) in enumerate(table) if o is not None]
         tail = [(n, o) for n, o in indexed if n >= start[kind.order]]
         assert tail, (kind.name, indexed)
         for n, o in tail:

@@ -34,7 +34,7 @@ from replica import (
     run_ellipse,
 )
 from replica import algorithms
-from replica.algorithms import IterationState, _eccentric_steps, _sized, _step, measure_orders
+from replica.algorithms import IterationState, _eccentric_steps, _sized, _step, error_table
 from replica.cli import main
 from replica.precision import (
     MIN_GUARD_DIGITS,
@@ -154,6 +154,16 @@ class TestRunBorwein:
             with pytest.raises(ValueError, match="w must be a number p/q or a decimal"):
                 algorithms.as_weight(text)
 
+    @pytest.mark.parametrize("w, message", [
+        ("1/0", "w is out of range"), ("1/5", "w must have a denominator dividing 12"),
+        ("0.1", "w must have a denominator dividing 12"),
+        (Fraction(1, 7), "w must have a denominator dividing 12"),
+        (10**16 + 1, "w is out of range"), ("-10000000000000001", "w is out of range"),
+    ])
+    def test_as_weight_states_the_w_rule(self, w, message):
+        with pytest.raises(UnsupportedParameterError, match=message):
+            algorithms.as_weight(w)
+
     def test_huge_w_is_refused_before_any_arithmetic(self, capsys):
         # a power of f with a numerator of 300 000 digits took seconds to overflow
         for w in (Fraction(10**16 + 1), Fraction(-12 * 10**16 - 1, 12), Fraction(10**300_000)):
@@ -198,35 +208,49 @@ class TestRunBorwein:
         assert [st.delta_exp for st in err.value.trace[1:]] == [-1, -4, -20, -85, None]
 
 
+def measured_orders(trace, final, ctx):
+    """The orders of :func:`error_table`, in row order."""
+    return [order for _, order in error_table(trace, final, ctx) if order is not None]
+
+
 class TestMeasureOrders:
     # working precision so wide that the noise floor cuts no synthetic error
     WIDE = PrecisionContext(target_digits=300, guard_digits=32)
 
     def test_exact_doubling(self):
         trace = synthetic_trace(["1e-2", "1e-4", "1e-8"], Decimal("0.5"))
-        orders = measure_orders(trace, Decimal("0.5"), self.WIDE)
+        orders = measured_orders(trace, Decimal("0.5"), self.WIDE)
         assert orders == pytest.approx([2.0, 2.0], abs=1e-9)
 
     def test_single_pair(self):
         trace = synthetic_trace(["1e-3", "1e-9"], Decimal("0.5"))
-        assert measure_orders(trace, Decimal("0.5"), self.WIDE) == pytest.approx([3.0], abs=1e-9)
+        assert measured_orders(trace, Decimal("0.5"), self.WIDE) == pytest.approx([3.0], abs=1e-9)
 
     def test_insufficient_trace(self):
         trace = synthetic_trace(["1e-2"], Decimal("0.5"))
-        assert measure_orders(trace, Decimal("0.5"), self.WIDE) == []
+        assert measured_orders(trace, Decimal("0.5"), self.WIDE) == []
         trace = synthetic_trace(["5", "3", "2"], Decimal("0.5"))  # errors not in (0,1)
-        assert measure_orders(trace, Decimal("0.5"), self.WIDE) == []
+        assert measured_orders(trace, Decimal("0.5"), self.WIDE) == []
 
     def test_noise_floor_cutoff(self):
         # with a context, errors below 10**(10 - working_digits) are unusable
         ctx = PrecisionContext(target_digits=64, guard_digits=32)
         errors = ["1e-2", "1e-4", "1e-8", "1e-16", "1e-32", "1e-64", "1e-92"]
         trace = synthetic_trace(errors, Decimal("0.5"))
-        orders = measure_orders(trace, Decimal("0.5"), ctx)
+        orders = measured_orders(trace, Decimal("0.5"), ctx)
         assert len(orders) == 5  # the 1e-92 point sits below the floor
         assert orders == pytest.approx([2.0] * 5, abs=1e-6)
         # with a context wide enough for the 1e-92 point, the same pair is kept
-        assert len(measure_orders(trace, Decimal("0.5"), self.WIDE)) == 6
+        assert len(measured_orders(trace, Decimal("0.5"), self.WIDE)) == 6
+
+    def test_one_row_per_state(self):
+        # each row holds e(|a_n - limit|) and the order of the pair (n, n + 1);
+        # the overshoot at n = 1 and the exact last row give no order
+        trace = synthetic_trace(["1e-2", "5", "1e-3", "1e-6"], Decimal("0.5"))
+        table = error_table(trace, Decimal("0.5"), self.WIDE)
+        assert [err for err, _ in table] == [-2, 0, -3, -6, None]
+        assert [order is None for _, order in table] == [True, True, False, True, True]
+        assert table[2][1] == pytest.approx(2.0, abs=1e-9)
 
     @pytest.mark.parametrize("final, errors, expected", [
         # a limit near 1e-73 (scale 10**-72): the overshoot at n = 1 ends the
@@ -237,7 +261,7 @@ class TestMeasureOrders:
     ])
     def test_errors_are_scaled_to_the_limit(self, final, errors, expected):
         trace = synthetic_trace(errors, Decimal(final))
-        assert measure_orders(trace, Decimal(final), self.WIDE) == pytest.approx(expected, abs=1e-9)
+        assert measured_orders(trace, Decimal(final), self.WIDE) == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("w", [-1000, 1000])
     @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC])

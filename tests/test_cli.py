@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import itertools
 import json
@@ -5,13 +6,25 @@ import os
 import subprocess
 import sys
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
 import frozen
 import pytest
-from replica import AlgorithmKind, ReplicaError, RunResult, make_context, run_ellipse
+from replica import (
+    QUARTIC,
+    AlgorithmKind,
+    ReplicaError,
+    RunResult,
+    couple_product,
+    make_context,
+    run_borwein,
+    run_ellipse,
+)
+from replica import algorithms
 from replica.cli import main
+from replica.precision import matching_digits
 
 
 def run_cli(capsys, *argv):
@@ -397,6 +410,85 @@ class TestOrdersCommand:
         code, out, _ = run_cli(capsys, "orders", "--w", "0", "--digits", "100")
         assert code == 0
         assert out.startswith("orders: algorithm=quartic w=0 digits=100\n")
+
+    def test_the_largest_w_gives_a_table(self, capsys):
+        # the limit is about 10**(7.2e14): its errors leave the default context
+        code, out, err = run_cli(capsys, "orders", "--w", "10000000000000000", "--digits", "100",
+                                 "--json")
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["iterations"]) > 3
+
+
+# Every command and output form, at w = 1, -1000 and 2e7 (a limit near 1e1400000).
+CONTEXT_FREE_REQUESTS = [
+    *(f"constant custom --w={w} --digits 20 {form}".rstrip()
+      for w in ("1", "-1000", "20000000") for form in ("", "--plain", "--json", "--trace")),
+    *(f"verify custom --w={w} --digits 20 {form}".rstrip()
+      for w in ("1", "-1000", "20000000") for form in ("", "--json", "--trace")),
+    *(f"orders --w={w} --digits 100 {form}".rstrip()
+      for w in ("1", "-1000", "20000000") for form in ("", "--json")),
+    *(f"{command} --digits 30 {form}".rstrip()
+      for command in ("constant gamma14", "ellipse 2 1", "ellipse 2 1 --normalized")
+      for form in ("", "--plain", "--json", "--trace")),
+    *(f"verify {target} --digits 30 {form}".rstrip()
+      for target in ("pi", "ellipse 2 1", "ellipse 1 0.005") for form in ("", "--json", "--trace")),
+    "verify custom --w 1/2 --algorithm cubic --digits 30 --paper-example",
+    "verify custom --w 1/2 --algorithm cubic --digits 30 --paper-example --json",
+    "constant tau", "ellipse x 1", "constant custom --w abc",
+]
+
+
+@pytest.mark.parametrize("command", CONTEXT_FREE_REQUESTS)
+def test_output_does_not_depend_on_the_callers_decimal_context(capsys, command):
+    """A request prints the same bytes under a 6-digit context with a narrow
+    exponent range, and under one that traps every rounding but no invalid
+    operation, as under Python's default context."""
+    outcomes = []
+    for context in (decimal.Context(), decimal.Context(prec=6, Emin=-60, Emax=60),
+                    decimal.Context(traps=[decimal.Inexact])):
+        with localcontext(context):
+            outcomes.append(run_cli(capsys, *command.split()))
+    assert outcomes[0][0] in (0, 2) and outcomes[1] == outcomes[2] == outcomes[0]
+
+
+def _scaled_oracle(s, w, ctx):
+    """couple_product times 1 + 1e-5: an oracle that disagrees from the 5th digit."""
+    with ctx.local():
+        return couple_product(s, w, ctx) * (1 + Decimal("1e-5"))
+
+
+@pytest.mark.parametrize("w", [20000000, -20000000])
+def test_a_wrong_oracle_fails_verify_at_a_limit_outside_the_default_range(capsys, monkeypatch, w):
+    # the limit is about 10**(0.07 w): 1e-1400000 underflowed to an exact
+    # agreement and 1e1400000 overflowed, in the default context
+    import replica.cli as cli_mod
+
+    run = run_borwein(QUARTIC, Fraction(w), make_context(20, QUARTIC.order))
+    assert matching_digits(run.value, _scaled_oracle(Fraction(1, 2), Fraction(w), run.ctx)) < 20
+    monkeypatch.setattr(cli_mod, "couple_product", _scaled_oracle)
+    code, out, _ = run_cli(capsys, "verify", "custom", f"--w={w}", "--digits", "20")
+    assert code == 4 and out.endswith("FAIL: oracle disagreement")
+
+
+@pytest.mark.parametrize("command, measured", [
+    ("constant pi --digits 30", 0), ("constant pi --digits 30 --plain", 0),
+    ("ellipse 2 1 --digits 30", 0), ("verify pi --digits 30", 0),
+    ("verify pi --digits 30 --json", 0), ("constant pi --digits 30 --json", 1),
+    ("constant pi --digits 30 --trace", 1), ("orders --digits 100", 1),
+    ("orders --digits 100 --json", 1),
+])
+def test_a_run_measures_its_orders_only_when_they_are_printed(capsys, monkeypatch, command,
+                                                              measured):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return error_table(*args)
+
+    error_table = algorithms.error_table
+    monkeypatch.setattr(algorithms, "error_table", counted)
+    assert run_cli(capsys, *command.split())[0] == 0
+    assert len(calls) == measured
 
 
 class TestArgumentHandling:

@@ -245,6 +245,17 @@ class TestDigitStrings:
         assert matching_digits(a, Decimal("3.14159265999999")) in (8, 9)
         assert matching_digits(Decimal(1), Decimal(2)) == 0
 
+    @pytest.mark.parametrize("exp", [0, -1400000, 1400000, -999999999999999])
+    def test_matching_digits_ignores_the_callers_context(self, exp):
+        # the default context underflowed the difference at 1e-1400000 to an
+        # exact agreement and overflowed at 1e1400000
+        x, y = Decimal(f"3.14159265358979e{exp}"), Decimal(f"3.14159265999999e{exp}")
+        for context in (Context(), Context(prec=6, Emin=-60, Emax=60)):
+            with localcontext(context):
+                assert matching_digits(x, y) == 9
+                assert matching_digits(x.copy_negate(), y.copy_negate()) == 9
+                assert matching_digits(x, x) == 10**9
+
 
 class TestTwoPrecisionStability:
     def test_root_stable_under_doubled_guard(self):
