@@ -227,7 +227,13 @@ def _step(kind: AlgorithmKind, w: Fraction, d: Real, c: Real, a: Real, ctx: Prec
     p-digit descend is good to 10**(2 - p) * t, the result d1 satisfies
     |c| * |d1 - t| < 10**(2 - _SLACK_DIGITS) units in the last place of a, so
     a1 moves by at most 4 * 10**(2 - _SLACK_DIGITS) of a unit in its last
-    place (given |w + 1| * |a| <= |c|, as in every run).  The early steps of
+    place, given |w + 1| * |a| <= |c|.  That holds on every row of a w1 run,
+    the run of every named constant and perimeter.  At other w the bound grows
+    by the ratio: over the trace rows, log10(|w + 1| * |a| / |c|) reaches 1.9,
+    1.7 and 1.6 (quadratic, cubic, quartic) at w = 1000 and 14.9, 14.7 and 14.6
+    at |w| = 10**16, a few times 10**5 units in the last place of a, inside the
+    guard; at w = +-1000 and +-10**16 the runs at 50, 100 and 1000 digits give
+    values and traces bit-identical to runs without late steps.  The early steps of
     a run, where p >= W, and d = 0 (a circle) take the full-precision path
     unchanged.  Once t < 10**-(W + _SLACK_DIGITS) and
     |c*t| < 10**-(W + _SLACK_DIGITS) * |a|, the step returns (t, m*c, a),
@@ -369,7 +375,8 @@ def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunR
 def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
                 ctx: PrecisionContext) -> RunResult:
     """Perimeter iteration (order 2 or 4): the value is F(a, b) with
-    P(a, b) = (2 pi b^2 / a) * F(a, b).
+    P(a, b) = 2 pi b ((b/a) F(a, b)), the form whose products stay in the
+    exponent range (b^2 underflows for axes near 1e-500000000000060).
 
     F is the limit at w = 0 of the recurrences of :func:`run_borwein` started
     from d_0 = (1 - b^2/a^2)**(1/m), c_0 = 2 a^2/b^2, a_0 = 1.  The run
@@ -426,8 +433,10 @@ def error_table(trace: list[IterationState], limit: Real,
     with ctx.local():
         errors = [abs(state.a - limit) for state in trace]
         floor = abs(limit) * ctx.epsilon(10)
-        logs = [_log10(err) - shift if err and err.adjusted() < shift and err > floor else None
-                for err in errors]
+        # scaleb shifts the exponent exactly; subtracting shift from a float log
+        # near e(limit) would round the log to that float's spacing
+        logs = [_log10(err.scaleb(-shift)) if err and err.adjusted() < shift and err > floor
+                else None for err in errors]
     # the block runs from just after the last unusable row before its end to
     # the last usable row
     end = max((n for n, log in enumerate(logs) if log is not None), default=-1)

@@ -242,33 +242,24 @@ def pow_rational(x: Real, exponent: Fraction | int, ctx: PrecisionContext) -> Re
 
 
 def to_sig_digits(x: Real, n: int) -> str:
-    """Plain positional string of the first ``n`` significant digits of x.
+    """String of the first ``n`` significant digits of x.
 
     Truncated toward zero, never rounded, so the output is a stable prefix
-    as ``n`` grows.  Values whose magnitude needs more than ``n`` integer
-    digits or leading zeros beyond 6 places fall back to scientific notation.
+    as ``n`` grows.  The form is positional, zero-padded to ``n`` digits, when
+    -6 <= e(x) <= n + 6 (e(x) = x.adjusted()), else scientific, ``d.ddde<e(x)>``.
     """
     if n < 1:
         raise DomainError("need at least one digit")
     if x == 0:
         return "0"
+    adj = x.adjusted()
+    # n digits exactly, the last at 10**(adj - n + 1), so q keeps x's adjusted exponent
     with localcontext(decimal.Context(prec=n + 5, Emin=-_EMAX, Emax=_EMAX)):
-        adj = x.adjusted()
-        quantum = Decimal(1).scaleb(adj - n + 1)
-        q = x.quantize(quantum, rounding=decimal.ROUND_DOWN)
-    sign, digits, exp = q.as_tuple()
-    digs = "".join(map(str, digits)).ljust(n, "0")[:n]
-    prefix = "-" if sign else ""
-    if adj >= n:
-        if adj > n + 6:
-            return f"{prefix}{digs[0]}.{digs[1:]}e{adj}"
-        return prefix + digs + "0" * (adj + 1 - n)
-    if adj >= 0:
-        head, tail = digs[: adj + 1], digs[adj + 1 :]
-        return prefix + head + ("." + tail if tail else "")
-    if adj < -6:
-        return f"{prefix}{digs[0]}.{digs[1:]}e{adj}"
-    return prefix + "0." + "0" * (-adj - 1) + digs
+        q = x.quantize(Decimal(1).scaleb(adj - n + 1), rounding=decimal.ROUND_DOWN)
+    if -6 <= adj <= n + 6:
+        return format(q, "f")
+    sign, (head, *tail), _ = q.as_tuple()
+    return f"{'-' * sign}{head}.{''.join(map(str, tail))}e{adj}"
 
 
 # x - y rounded toward zero keeps the exponent of the exact difference, and

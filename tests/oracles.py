@@ -115,3 +115,33 @@ def isqrt_sqrt(n: int, digits: int) -> Decimal:
     with localcontext() as c:
         c.prec = digits + 10
         return Decimal(scaled).scaleb(-digits)
+
+
+def sig_digits_reference(x: Decimal, n: int) -> str:
+    """The first ``n`` significant digits of x truncated toward zero, in the form
+    ``to_sig_digits`` prints: positional when -6 <= e(x) <= n + 6, else
+    ``d.ddde<e(x)>``.
+
+    Built from ``x.as_tuple()`` by integer arithmetic and string slicing alone,
+    with no ``quantize``, no ``format`` and no decimal context.
+    """
+    if x == 0:
+        return "0"
+    sign, digits, exp = x.as_tuple()
+    coefficient = int("".join(map(str, digits)))
+    length = len(str(coefficient))
+    adjusted = exp + length - 1
+    if length >= n:
+        coefficient //= 10 ** (length - n)
+    else:
+        coefficient *= 10 ** (n - length)
+    digs = str(coefficient)
+    prefix = "-" if sign else ""
+    if not -6 <= adjusted <= n + 6:
+        return f"{prefix}{digs[0]}.{digs[1:]}e{adjusted}"
+    point = adjusted + 1  # digits before the decimal point
+    if point <= 0:
+        return prefix + "0." + "0" * -point + digs
+    if point >= n:
+        return prefix + digs + "0" * (point - n)
+    return prefix + digs[:point] + "." + digs[point:]

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
@@ -51,8 +51,6 @@ REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
 
 def synthetic_trace(errors, final):
-    from decimal import localcontext
-
     with localcontext() as c:
         c.prec = 300
         states = [
@@ -271,6 +269,23 @@ class TestMeasureOrders:
         run = run_borwein(kind, Fraction(w), make_context(1000, kind.order))
         assert len(run.orders) >= 3, run.orders
         assert abs(run.orders[-1] - kind.order) <= 0.15, run.orders
+
+    @pytest.mark.parametrize("w", [-10**16, 10**16])
+    @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC])
+    def test_orders_of_a_limit_near_the_exponent_edge_are_exact_log_ratios(self, kind, w):
+        # e(limit) is about 7.2e14 w / |w|; a log of the unscaled error less that
+        # exponent, both floats, rounded every log to a multiple of 1/8
+        run = run_borwein(kind, Fraction(w), make_context(100, kind.order))
+        limit = run.trace[-1].a
+        with run.ctx.local():
+            errors = [abs(state.a - limit) for state in run.trace]
+        with localcontext(Context(prec=40, Emin=MIN_EMIN, Emax=MAX_EMAX)):
+            # log10(err * 10**-(e(limit) + 1)), the shift exact in 40 digits
+            logs = [err.log10() - (limit.adjusted() + 1) if err else None for err in errors]
+        table = [(n, order) for n, (_, order) in enumerate(run.error_table) if order is not None]
+        assert table
+        for n, order in table:
+            assert order == pytest.approx(float(logs[n + 1] / logs[n]), abs=1e-9), (n, run.orders)
 
     def test_real_run_tail_orders(self):
         # the measured orders decrease toward the family order and the last

@@ -669,7 +669,7 @@ GOLDEN = [
     ("ellipse 2 1 --digits 60 --json", 0,
      "4853595fa65d0307c01d98962aa1f76c1d8e1a2c504cdf9d094c7ab375d59c73"),
     ("ellipse 1 1e-30 --digits 60 --trace", 0,
-     "d17840ffd91b48f4a1949e234cc850a67e2d2bb126b3dc455684adab67838313"),
+     "485eafb7137bcf52cdd8e5f44f31a4a24118669a780e6b086e5443c96fcbd882"),
     ("verify pi --digits 80 --json", 0,
      "ea5ee07fa20f490b81609c5739fe3e38f0c4a0a2017d09d6c4077c89cdc0b8a9"),
     ("verify gamma13 --digits 80 --trace", 0,
@@ -689,7 +689,7 @@ GOLDEN = [
      "4687d0ffe7ca0b60bb673661d07fe12bf95c5027b0de64f67c668694ce785460"),
     # the fallback oracle in trace form
     ("verify ellipse 1 0.005 --digits 100 --trace", 0,
-     "e09a55eacc8287a44002b61ce3d73beb2a98c0abdadf6a38e24158ff0d4b563e"),
+     "5fddbbc6746cf87528ddeabae2ee0238bda074609003729c09de4bed0937d560"),
 ]
 
 

@@ -232,6 +232,27 @@ class TestDigitStrings:
     def test_scientific_fallback(self):
         assert to_sig_digits(Decimal("1.5e-40"), 3) == "1.50e-40"
 
+    @pytest.mark.parametrize("value, n, expected", [
+        # positional for -6 <= e(x) <= n + 6, scientific outside
+        ("6.28318530717958e-6", 8, "0.0000062831853"),
+        ("6.28318530717958e-7", 8, "6.2831853e-7"),
+        ("6.28318530717958e14", 8, "628318530000000"),
+        ("6.28318530717958e15", 8, "6.2831853e15"),
+        ("-6.28318530717958e-6", 8, "-0.0000062831853"),
+        ("-6.28318530717958e-7", 8, "-6.2831853e-7"),
+        ("-6.28318530717958e14", 8, "-628318530000000"),
+        ("-6.28318530717958e15", 8, "-6.2831853e15"),
+        ("-31.4159", 3, "-31.4"),
+        # one digit keeps the point of the scientific form
+        ("6.28318530717958e20", 1, "6.e20"),
+        # exponents at the edges of the package's exponent range
+        ("6.28318530717958e999999999999999", 8, "6.2831853e999999999999999"),
+        ("6.28318530717958e-1000000000000000", 8, "6.2831853e-1000000000000000"),
+        ("-6.28318530717958e-999999999999999", 1, "-6.e-999999999999999"),
+    ])
+    def test_form_at_the_exponent_edges(self, value, n, expected):
+        assert to_sig_digits(Decimal(value), n) == expected
+
     def test_needs_at_least_one_digit(self):
         with pytest.raises(DomainError):
             to_sig_digits(Decimal("3.14"), 0)
