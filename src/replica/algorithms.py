@@ -55,6 +55,7 @@ from .precision import (
     make_context,
     nth_root,
     pow_rational,
+    quotient,
     step_budget,
 )
 from .series import check_axes, invariant
@@ -224,7 +225,9 @@ def _step(kind: AlgorithmKind, w: Fraction, d: Real, c: Real, a: Real, ctx: Prec
 
     digits, at least MIN_GUARD_DIGITS + 1, and the descend runs at p digits
     whenever p < W and a != 0.  Since t < d^m < 10**(m*(e(d) + 1)) and the
-    p-digit descend is good to 10**(2 - p) * t, the result d1 satisfies
+    p-digit descend is good to 10**(2 - p) * t (its closing :func:`quotient`
+    adds at most one unit in the last place to a long division's half unit),
+    the result d1 satisfies
     |c| * |d1 - t| < 10**(2 - _SLACK_DIGITS) units in the last place of a, so
     a1 moves by at most 4 * 10**(2 - _SLACK_DIGITS) of a unit in its last
     place, given |w + 1| * |a| <= |c|.  That holds on every row of a w1 run,
@@ -396,7 +399,7 @@ def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
             raise PrecisionInsufficientError(
                 "b/a is below the working precision; increase digits to resolve d0 < 1"
             )
-        c0 = 2 / (ratio * ratio)
+        c0 = quotient(Decimal(2), ratio * ratio)
         run = _iterate(kind, kind.root_free_w, d0, c0, Decimal(1), ctx, budget)
         run.value = run.limit(Fraction(0))
         return run

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .precision import PrecisionContext, Real, nth_root
+from .precision import PrecisionContext, Real, nth_root, quotient
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ def quad_descend(x: Real, ctx: PrecisionContext) -> Real:
     _check_unit_interval(x, "x")
     with ctx.local():
         u = nth_root(1 - x * x, 2, ctx)
-        return x * x / ((1 + u) * (1 + u))
+        return quotient(x * x, (1 + u) * (1 + u))
 
 
 def cubic_descend(x: Real, ctx: PrecisionContext) -> Real:
@@ -47,7 +47,7 @@ def cubic_descend(x: Real, ctx: PrecisionContext) -> Real:
         x3 = x * x * x
         u = nth_root(1 - x3, 3, ctx)
         # 1 - u = x^3 / (1 + u + u^2)
-        return x3 / ((1 + u + u * u) * (1 + 2 * u))
+        return quotient(x3, (1 + u + u * u) * (1 + 2 * u))
 
 
 def quartic_descend(x: Real, ctx: PrecisionContext) -> Real:
@@ -59,7 +59,7 @@ def quartic_descend(x: Real, ctx: PrecisionContext) -> Real:
         u = nth_root(1 - x4, 4, ctx)
         opu = 1 + u
         # 1 - u = x^4 / ((1 + u)(1 + u^2))
-        return x4 / (opu * opu * (1 + u * u))
+        return quotient(x4, opu * opu * (1 + u * u))
 
 
 def quad_replicate(a: Real, b: Real, t: Real, ctx: PrecisionContext) -> ReplicatedCoefficients:

@@ -27,6 +27,9 @@ from replica.cli import main
 from replica.precision import matching_digits
 
 
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -158,6 +161,23 @@ class TestConstantCommand:
     def test_zero_digits(self, capsys):
         code, _, err = run_cli(capsys, "constant", "pi", "--digits", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, key", [
+        (("constant", "pi", "--algorithm", "quad"), "pi"),
+        (("constant", "pi", "--algorithm", "quartic"), "pi"),
+        (("constant", "gamma13"), "gamma13"),
+        (("constant", "gamma34"), "gamma34"),
+        (("ellipse", "2", "1"), "perimeter 2 1"),
+    ])
+    def test_12000_digits_match_the_reference(self, capsys, argv, key):
+        # Above the quotient crossover (10 000 working digits), the descend
+        # maps, constant pi's 1/X and the perimeter's c0 take the Newton
+        # quotient. bench/reference.json holds independent AGM digits.
+        exponent, digits = json.loads(REFERENCE.read_text())[key]
+        assert exponent == 0
+        code, out, err = run_cli(capsys, *argv, "--digits", "12000", "--plain")
+        assert (code, err) == (0, "")
+        assert out.replace(".", "") == digits[:12000]
 
 
 class TestEllipseCommand:

@@ -14,17 +14,21 @@ from replica import (
     UnsupportedParameterError,
     make_context,
 )
+from replica import precision
 from replica.precision import (
     MIN_GUARD_DIGITS,
     SUPPORTED_DENOMINATORS,
+    _QUOTIENT_CROSSOVER,
     _ROOT_EXTRA_DIGITS,
     _newton_schedule,
     matching_digits,
     nth_root,
     pow_rational,
+    quotient,
     step_budget,
     to_sig_digits,
 )
+from replica.transforms import DESCEND
 
 
 class TestMakeContext:
@@ -436,3 +440,95 @@ class TestHalfPrecisionRoot:
 def _exact_context(prec):
     """A decimal context of ``prec`` digits in which any rounding raises."""
     return localcontext(Context(prec=prec, Emin=-10**6, Emax=10**6, traps=[Inexact]))
+
+
+def _operand(rng, digits, exponent, sign=""):
+    """A random ``digits``-digit Decimal of adjusted exponent ``exponent``."""
+    mantissa = (rng.randrange(1, 10), *rng.choices(range(10), k=digits - 1))
+    return Decimal((sign == "-", mantissa, exponent - digits + 1))
+
+
+def _wide_context(prec):
+    return Context(prec=prec, Emin=-10**6, Emax=10**6)
+
+
+# The relative error bound documented on quotient, in units of 10**(1 - P).
+_QUOTIENT_BOUND = Decimal("0.56")
+
+
+def _assert_quotient_bound(num, den, prec):
+    with localcontext(_wide_context(prec)):
+        got = quotient(num, den)
+    with localcontext(_wide_context(prec + 30)):
+        exact = num / den
+        assert abs(got - exact) <= _QUOTIENT_BOUND * Decimal(10) ** (1 - prec) * abs(exact), \
+            (prec, num.adjusted(), den.adjusted())
+
+
+class TestQuotient:
+    """quotient is decimal's division below the crossover, and a Newton
+    reciprocal at half precision with one correction from there up."""
+
+    @pytest.mark.parametrize("prec", (1, 50, 1136, _QUOTIENT_CROSSOVER - 1))
+    def test_is_long_division_below_the_crossover(self, prec):
+        rng = random.Random(prec)
+        for exponent in (-400000, -3, 0, 7, 400000):
+            num = _operand(rng, prec + 5, exponent, rng.choice(("", "-")))
+            den = _operand(rng, prec + 5, -exponent // 2)
+            with localcontext(_wide_context(prec)):
+                assert quotient(num, den) == num / den
+
+    @pytest.mark.parametrize("prec", (_QUOTIENT_CROSSOVER, 13337, 20100))
+    def test_documented_bound_above_the_crossover(self, prec):
+        rng = random.Random(prec)
+        cases = [(_operand(rng, prec, e1, sign), _operand(rng, prec, e2))
+                 for e1, e2, sign in ((0, 0, ""), (400000, -400000, ""), (-400000, 400000, "-"),
+                                      (-400000, -400000, ""), (400000, 400000, "-"),
+                                      (3, 250000, ""), (-1, -250000, "-"))]
+        # den = 1 - 10**-k, whose leading nines round the float seed to 1
+        cases += [(_operand(rng, prec, 0), 1 - Decimal(10) ** -k) for k in (1, 17, prec // 2, prec - 1)]
+        # a negative den, and short operands, as in 1/X and 2/(b/a)**2
+        cases += [(_operand(rng, prec, 2), -_operand(rng, prec, 5)),
+                  (Decimal(1), _operand(rng, prec, 11)), (Decimal(2), Decimal("0.25"))]
+        cases += [(_operand(rng, prec + rng.randrange(-5, 6), rng.randrange(-400000, 400001),
+                            rng.choice(("", "-"))),
+                   _operand(rng, prec + rng.randrange(-5, 6), rng.randrange(-400000, 400001)))
+                  for _ in range(20)]
+        for num, den in cases:
+            _assert_quotient_bound(num, den, prec)
+
+    def test_the_newton_branch_starts_at_the_crossover(self, monkeypatch):
+        reciprocals = []
+        original = precision._inverse_root
+        monkeypatch.setattr(precision, "_inverse_root",
+                            lambda x, n: reciprocals.append(n) or original(x, n))
+        for prec in (_QUOTIENT_CROSSOVER - 1, _QUOTIENT_CROSSOVER):
+            with localcontext(_wide_context(prec)):
+                quotient(Decimal(2), Decimal(3))
+        assert reciprocals == [1]
+
+    def test_zero_numerator_and_denominator_above_the_crossover(self):
+        with localcontext(_wide_context(_QUOTIENT_CROSSOVER)):
+            assert quotient(Decimal(0), Decimal(3)) == 0
+            with pytest.raises(ZeroDivisionError):
+                quotient(Decimal(1), Decimal(0))
+
+    @pytest.mark.parametrize("order", (2, 3, 4))
+    def test_descend_maps_match_their_division_at_12000_digits(self, order):
+        # The map's numerator and denominator, formed as in transforms.py,
+        # divided 30 digits higher.
+        ctx = make_context(12000, order)
+        assert ctx.working_digits >= _QUOTIENT_CROSSOVER
+        prec = ctx.working_digits
+        for x in (ctx.real(Fraction(1, 3)), ctx.real("0.999"), ctx.real("1e-3000")):
+            t = DESCEND[order](x, ctx)
+            with ctx.local():
+                xm = x * x * x if order == 3 else x * x
+                xm = xm * xm if order == 4 else xm
+                u = nth_root(1 - xm, order, ctx)
+                den = {2: (1 + u) * (1 + u),
+                       3: (1 + u + u * u) * (1 + 2 * u),
+                       4: (1 + u) * (1 + u) * (1 + u * u)}[order]
+            with localcontext(_wide_context(prec + 30)):
+                exact = xm / den
+                assert abs(t - exact) <= _QUOTIENT_BOUND * Decimal(10) ** (1 - prec) * exact, x
