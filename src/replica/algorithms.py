@@ -193,11 +193,12 @@ class RunResult:
 def _step(kind: AlgorithmKind, w: Fraction, d: Real, c: Real, a: Real, ctx: PrecisionContext):
     """One update of (d, c, a) for the given family.
 
-    This is the replication map with its divisions cancelled by hand: with
-    t = DESCEND[m](d), (alpha, beta) = REPLICATE[m](a, c (1 - d^m), t) and
-    pre = 1 + t, 1 + 2t or (1 + t)^2, the step returns
-    (t, pre^w beta / (1 - t^m), pre^w alpha), which tests/test_algorithms.py
-    checks to within 10 digits of working precision.  At the root-free w1 the
+    This is the paper's replication map with its divisions cancelled by hand:
+    with t = DESCEND[m](d), (alpha, beta) the map's weights for (a, c (1 - d^m))
+    at t, and pre = 1 + t, 1 + 2t or (1 + t)^2, the step returns
+    (t, pre^w beta / (1 - t^m), pre^w alpha).  The maps themselves live in
+    tests/oracles.py, and tests/test_algorithms.py checks the step against them
+    to within 10 digits of working precision.  At the root-free w1 the
     updates take no power of f (:meth:`AlgorithmKind.factor`) and divide by
     nothing but 2:
 
@@ -209,7 +210,7 @@ def _step(kind: AlgorithmKind, w: Fraction, d: Real, c: Real, a: Real, ctx: Prec
     Any other w multiplies both c1 and a1 by the one rational power
     f**(e (w - w1)).
 
-    The step built from REPLICATE divides twice more at full precision, by
+    The step built from the maps divides twice more at full precision, by
     powers of (1 - t): at 20 000 digits and w = 1/3 it took 53 / 65 / 68 ms
     against 30 / 41 / 38 ms for this one (quadratic / cubic / quartic, best
     of 20, 2 vCPU, Python 3.11.7, shared machine), and steps at full

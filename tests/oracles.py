@@ -4,14 +4,18 @@ Everything here deliberately avoids the package's own evaluation paths:
 series sums are exact rational arithmetic or a plain Decimal term loop
 (the package sums fixed-point integer terms), powers use ``Decimal.__pow__``,
 square roots go through ``decimal.Decimal.sqrt`` or integer ``math.isqrt``.
+The paper's replication maps, with the divisions that ``algorithms._step``
+cancels by hand, are the form that step is checked against.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+from replica.errors import DomainError
 from replica.precision import PrecisionContext
 
 
@@ -61,6 +65,61 @@ def series_sum_decimal(p: Fraction, q: Fraction, a: Decimal, b: Decimal, z: Deci
                 return +total
             term = term * z * ((pn + k * pd) * (qn + k * qd)) / (pd * qd * (1 + k) ** 2)
             k += 1
+
+
+@dataclass(frozen=True)
+class ReplicatedCoefficients:
+    """The (alpha, beta) pair produced by a replication map; beta is 0 iff b is 0."""
+
+    alpha: Decimal
+    beta: Decimal
+
+
+def _check_t(t: Decimal) -> None:
+    if t < 0 or t >= 1:
+        raise DomainError(f"t must lie in [0, 1), got {t}")
+
+
+def quad_replicate(a: Decimal, b: Decimal, t: Decimal, ctx: PrecisionContext) -> ReplicatedCoefficients:
+    """alpha = a(1+t) + b t(1+t)/(1-t), beta = 2b (1+t)^2/(1-t)."""
+    _check_t(t)
+    with ctx.local():
+        opt = 1 + t
+        omt = 1 - t
+        alpha = a * opt + b * t * opt / omt
+        beta = 2 * b * opt * opt / omt
+        return ReplicatedCoefficients(alpha, beta)
+
+
+def cubic_replicate(a: Decimal, b: Decimal, t: Decimal, ctx: PrecisionContext) -> ReplicatedCoefficients:
+    """alpha = a(1+2t) + 2b t(1+2t)(1-t^3)/(1-t)^3, beta = 3b (1-t^3)(1+2t)^2/(1-t)^3."""
+    _check_t(t)
+    with ctx.local():
+        f = 1 + 2 * t
+        omt = 1 - t
+        omt3 = omt * omt * omt  # computed once, reused by both coefficients
+        num = 1 - t * t * t
+        alpha = a * f + 2 * b * t * f * num / omt3
+        beta = 3 * b * num * f * f / omt3
+        return ReplicatedCoefficients(alpha, beta)
+
+
+def quartic_replicate(a: Decimal, b: Decimal, t: Decimal, ctx: PrecisionContext) -> ReplicatedCoefficients:
+    """alpha = a(1+t)^2 + 2b t(1+t^2)(1+t)^2/(1-t)^3, beta = 4b (1+t^2)(1+t)^3/(1-t)^3."""
+    _check_t(t)
+    with ctx.local():
+        opt = 1 + t
+        opt2 = opt * opt
+        omt = 1 - t
+        omt3 = omt * omt * omt
+        s2 = 1 + t * t
+        alpha = a * opt2 + 2 * b * t * s2 * opt2 / omt3
+        beta = 4 * b * s2 * opt2 * opt / omt3
+        return ReplicatedCoefficients(alpha, beta)
+
+
+#: order -> replication map
+REPLICATE = {2: quad_replicate, 3: cubic_replicate, 4: quartic_replicate}
 
 
 def reference_context(ctx):

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import REPLICATE
 from replica import (
     CUBIC,
     QUADRATIC,
@@ -29,7 +30,7 @@ from replica.algorithms import error_table
 from replica.cli import main
 from replica.precision import matching_digits, nth_root, to_sig_digits
 from replica.series import SeriesSpec, evaluate_series
-from replica.transforms import DESCEND, REPLICATE
+from replica.transforms import DESCEND
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)

@@ -10,6 +10,7 @@ import pytest
 
 import frozen
 from oracles import (
+    REPLICATE,
     assert_invariant_accurate,
     decimal_sqrt,
     invariant_decimal,
@@ -43,7 +44,7 @@ from replica.precision import (
     step_budget,
     to_sig_digits,
 )
-from replica.transforms import DESCEND, REPLICATE
+from replica.transforms import DESCEND
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)

@@ -284,6 +284,119 @@ class TestTermCap:
                 evaluate_series(spec(ctx, p, q, a, b, z), ctx)
 
 
+def replay_stop(p, q, a, b, z, working_digits, block):
+    """Replay the stopping rule t_k max(1, |a| + |b| k) z/(1-z) (1+k) < 10**-W in
+    exact integers: the first k at which it holds, the first block start
+    (k = 0, block, 2 block, ...) at which it holds, and the exact partial sums of
+    t_j and of j t_j for j up to that start, both to 10**-(W + 60).
+
+    t_k 10**W = num/den, and the sums are over the same den."""
+    zn, zd = z.numerator, z.denominator
+    num = sum0 = 10**working_digits
+    den = 1
+    sum1 = 0
+    first = None
+    k = 0
+    while True:
+        weight = max(Fraction(1), abs(a) + abs(b) * k)
+        left = weight.numerator * zn * (1 + k)
+        right = weight.denominator * (zd - zn)
+        # the bit lengths alone settle the comparison while terms are large
+        if (num.bit_length() + left.bit_length() <= den.bit_length() + right.bit_length() + 1
+                and num * left < den * right):
+            first = k if first is None else first
+            if k % block == 0:
+                scale = 10 ** (working_digits + 60)
+                return (first, k, Fraction(sum0 * scale // (den * 10**working_digits), scale),
+                        Fraction(sum1 * scale // (den * 10**working_digits), scale))
+        ratio_num = zn * (p.numerator + k * p.denominator) * (q.numerator + k * q.denominator)
+        ratio_den = zd * p.denominator * q.denominator * (1 + k) ** 2
+        num *= ratio_num
+        den *= ratio_den
+        k += 1
+        sum0 = sum0 * ratio_den + num
+        sum1 = sum1 * ratio_den + k * num
+
+
+class TestBlocks:
+    """Above ``_BLOCK_MIN_BITS`` a sum takes ``_BLOCK_TERMS`` terms per division and
+    checks its stopping rule only at block starts: the first term of a block is
+    added before the rule is checked, and no block passes the term cap."""
+
+    BLOCK = series._BLOCK_TERMS
+    # 2 000 working digits put the fixed-point terms in blocks.
+    CTX = PrecisionContext(2000 - 32, 32)
+
+    def test_blocks_are_on_at_2000_digits(self):
+        digits = self.CTX.working_digits + series._TERM_GUARD_DIGITS + 1
+        assert (10**digits).bit_length() >= series._BLOCK_MIN_BITS
+
+    @pytest.mark.parametrize("digits, tiny", [(100, "1e-500"), (1000, "1e-2000")])
+    def test_rule_holding_at_the_first_term_keeps_it(self, digits, tiny):
+        # at z = 0 and at z < 10**-W the rule holds at k = 0, and t_0 = 1 is the sum
+        ctx = make_context(digits, 2)
+        a, b = ctx.real("2.75"), ctx.real(3)
+        for z in (Fraction(0), Fraction(tiny)):
+            assert series._sums(HALF, HALF, a, b, z, ctx) == (1, a)
+
+    @pytest.mark.parametrize("stop", [BLOCK - 1, BLOCK, BLOCK + 1, None])
+    def test_block_sums_match_the_exact_partial_sums(self, stop):
+        # replay the rule in exact rationals: where it first holds (stop), and the
+        # first block start where it holds, through which the sums must be exact to
+        # within the floor and rounding bounds stated on series._sums
+        ctx, block = self.CTX, self.BLOCK
+        working = ctx.working_digits
+        p = q = HALF
+        a, b = Fraction(1), Fraction(2)
+        if stop is None:
+            z = Fraction(3, 4)
+        else:
+            # z = 10**-e stops at about W/e - 1 terms; find the e that stops at `stop`
+            z = next(Fraction(1, 10**e) for e in range(40, 80)
+                     if replay_stop(p, q, a, b, Fraction(1, 10**e), working, 1)[0] == stop)
+        first, last, exact0, exact1 = replay_stop(p, q, a, b, z, working, block)
+        if stop is None:
+            assert first > 10_000
+        else:
+            assert last == -(-stop // block) * block
+        assert 0 <= last - first < block
+        got0, got = series._sums(p, q, ctx.real(a), ctx.real(b), z, ctx)
+        exact = a * exact0 + b * exact1
+        guard = series._TERM_GUARD_DIGITS
+        k = last
+        replay = Fraction(1 + abs(a) + abs(b), 10 ** (working + 60))
+        floor0 = Fraction(k * (k + 3), 2 * 10 ** (working + guard + 1))
+        floor = Fraction(k * (k + 1) * (k + 2) // 3 + k * (k + 1), 10 ** (working + guard))
+        forming = Fraction(10, 10 ** (working + guard)) * (abs(a) * exact0 + abs(b) * exact1)
+        for value, want, bound in ((got0, exact0, floor0),
+                                   (got, exact, floor + forming)):
+            half_ulp = Fraction(5, 10 ** (working - value.adjusted()))
+            assert abs(Fraction(value) - want) <= bound + half_ulp + replay
+
+    def test_the_cap_ends_a_block(self, monkeypatch):
+        # with the cap one term past the first block, a sum raises exactly when the
+        # exact stopping index passes the cap, and the rule is checked at the cap
+        cap = self.BLOCK + 1
+        monkeypatch.setattr(series, "_MAX_TERMS", cap)
+        ctx = self.CTX
+        p = q = HALF
+        a, b = Fraction(1), Fraction(2)
+        outcomes = set()
+        for e in range(55, 62):
+            for m in (1, 2, 4, 7):
+                z = Fraction(1, m * 10**e)
+                k = replay_stop(p, q, a, b, z, ctx.working_digits, 1)[0]
+                try:
+                    series._sums(p, q, ctx.real(a), ctx.real(b), z, ctx)
+                    outcomes.add(k)
+                    assert k <= cap
+                except SlowConvergenceError as exc:
+                    assert k > cap
+                    if "did not certify after" in str(exc):
+                        outcomes.add("capped")
+        assert {cap - 1, cap, "capped"} <= outcomes
+
+
 class TestEllipseFactor:
     def test_circle(self):
         ctx = make_context(80, 2)

@@ -5,20 +5,17 @@ from fractions import Fraction
 import pytest
 
 import frozen
-from oracles import decimal_sqrt
+from oracles import (
+    REPLICATE,
+    cubic_replicate,
+    decimal_sqrt,
+    quad_replicate,
+    quartic_replicate,
+)
 from replica import DomainError, make_context
 from replica.precision import matching_digits, nth_root
 from replica.series import SeriesSpec, evaluate_series
-from replica.transforms import (
-    DESCEND,
-    REPLICATE,
-    cubic_descend,
-    cubic_replicate,
-    quad_descend,
-    quad_replicate,
-    quartic_descend,
-    quartic_replicate,
-)
+from replica.transforms import DESCEND, cubic_descend, quad_descend, quartic_descend
 
 CTX = make_context(100, 2)
 
