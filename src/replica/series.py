@@ -11,10 +11,11 @@ bound used by the stopping rule.
 
 This module is the package's independent oracle.  Its one term loop sums
 S(1, 0; z) and S(a, b; z) in a single pass, in fixed-point Python ints with z
-an exact rational.  Long terms are taken a block at a time: the block's term
-ratios are combined into small exact ints, so one division of the big term
-serves the whole block, not one term (Brent & Zimmermann, *Modern Computer
-Arithmetic* §4.9.1); the error bound is stated on :func:`_sums`.  With
+an exact rational.  Long terms over short term ratios are taken a block at a
+time: the block's term ratios are combined into small exact ints, so one
+division of the big term serves the whole block, not one term (Brent &
+Zimmermann, *Modern Computer Arithmetic* §4.9.1); the error bound is stated on
+:func:`_sums`.  With
 (p, q) = (s, 1 - s) :func:`invariant` forms A = S(1, 0; z)**w * S(a, b; z), the quantity every
 state of a run conserves.  The pi and Gamma limits are A at z = 1/2
 (:func:`couple_product`); the ellipse factor is A at w = 0 (:func:`ellipse_factor`).
@@ -42,8 +43,8 @@ _TERM_GUARD_DIGITS = 30
 #: Terms a block sums per division of the big term (see :func:`_sums`).
 _BLOCK_TERMS = 32
 
-#: Terms shorter than this many bits are taken one per division: at that size the
-#: division costs less than building a block does.
+#: Terms shorter than this many bits are taken one per division (see
+#: :func:`_block_length`).
 _BLOCK_MIN_BITS = 2_000
 
 # A context that never rounds: scaleb under it only moves the exponent.
@@ -65,6 +66,34 @@ class SeriesSpec:
             raise UnsupportedParameterError("Pochhammer parameters must lie in (0, 1]")
 
 
+def _block_length(term: int, zpq: int) -> int:
+    """Terms :func:`_sums` takes per division of its first fixed-point term ``term``,
+    for term ratios over d_k = ``zpq`` (1 + k)^2.
+
+    A block pays only for a long term and short ratios: ``_BLOCK_TERMS`` when
+    ``term`` has at least ``_BLOCK_MIN_BITS`` bits and at least 2 L^2 bits for the
+    L bits of ``zpq``, else 1.  On a long zpq, which a z with many digits brings
+    (a ``verify ellipse`` axis of many digits, or the z = d_n^m of
+    ``algorithms.replication_invariant``), D = d_k ... d_{k+31} has about 32 L
+    bits, and building it and dividing by it cost more than 32 divisions by d_k.
+    Time with blocks over time with one division per term, per call at s = 1/2,
+    weight (0, 1), z = zn/zd close to 1/2 for a random zd, with zpq of about
+    L/2, L, 3L/2 and 2L bits for the largest L the rule admits, best of 2 to 7
+    runs (2 vCPU, Python 3.11.7, shared machine):
+
+        term bits   L      L/2     L       3L/2    2L
+        2 881       37     0.74    0.86    1.08    1.15
+        7 226       60     0.51    0.76    0.93    1.13
+        17 245      92     0.50    0.79    0.76    1.17
+        67 127      183    0.66    0.72    0.82    1.10
+
+    So the rule takes blocks only where they were measured to win, and gives up
+    some gain between L and 2L.
+    """
+    bits = term.bit_length()
+    return _BLOCK_TERMS if bits >= max(_BLOCK_MIN_BITS, 2 * zpq.bit_length() ** 2) else 1
+
+
 def _sums(p: Fraction, q: Fraction, a: Real, b: Real, z: Real | Fraction,
           ctx: PrecisionContext) -> tuple[Real, Real]:
     """S(1, 0; z) and S(a, b; z), summed in one pass of fixed-point integer terms.
@@ -78,8 +107,8 @@ def _sums(p: Fraction, q: Fraction, a: Real, b: Real, z: Real | Fraction,
 
     The loop adds T_k and k T_k to the two sums at each block start k, checks the
     stopping rule there, and then takes the block of terms up to the next start
-    k + n.  n is ``_BLOCK_TERMS`` = 32, or 1 for a term shorter than
-    ``_BLOCK_MIN_BITS``, and no block passes the ``_MAX_TERMS`` cap.  For n = 1,
+    k + n.  n is ``_BLOCK_TERMS`` = 32 for a long term and short ratios, else 1
+    (:func:`_block_length`), and no block passes the ``_MAX_TERMS`` cap.  For n = 1,
     T_{k+1} = floor(T_k n_k / d_k).  For n > 1, Horner's rule forms exact ints
     N0, N1 and P over D = d_k ... d_{k+n-1}: N0/D and N1/D are the sums of t_j/t_k
     and j t_j/t_k over k < j < k + n, and P/D = t_{k+n}/t_k.  With
@@ -104,9 +133,13 @@ def _sums(p: Fraction, q: Fraction, a: Real, b: Real, z: Real | Fraction,
     z (k+2)/k, which is below 1 for k > 2z/(1-z).  And for p q >= 2/9 (every
     couple here) and W >= 2 the rule cannot hold at any k in [1, 2z/(1-z)]:
     there t_k >= p q z^k/k^2 keeps the left side above p q/(2e^2) > 10**(-W).
-    So a sum stops at most n - 1 terms past the first index where its rule
-    holds, and since every block ends at the cap, it raises only when that index
-    passes the cap.  After K terms each sum is off by at most the sum of
+    The rule the loop checks keeps this up to its slack: with T_k <= t_k 10**G
+    its left side is at most 10**G times the exact one, which falls over the
+    block, plus (k+1)^2 max(1, A + B k) z/(1-z), which stays far below
+    10**(G - W) up to the cap (see below).  So a sum stops at most n - 1 terms
+    past the first index where the exact rule holds with that much to spare, and
+    since every block ends at the cap, it raises only when that index passes the
+    cap.  After K terms each sum is off by at most the sum of
 
     - truncation: 10**(2 - W);
     - floor: the deficits of the terms, weighted by |a| + |b| k, and the floors
@@ -123,12 +156,13 @@ def _sums(p: Fraction, q: Fraction, a: Real, b: Real, z: Real | Fraction,
     refusal sees.
 
     Dividing a 17 000-bit term by a two-word d_k takes 9.1 us, multiplying it by
-    a small int 1.6 us, and a block divides once for 32 terms.  On shorter terms
-    building a block costs what it saves: blocks took 1.03 times as long as one
-    division per term at 400 working digits and 1.26 times at 200, hence
-    ``_BLOCK_MIN_BITS`` (about 570 working digits).  Per call at W working
-    digits, s = 1/2, weight (0, 1), best of 3 to 200 runs, each next to a run of
-    the loop that divides once per term (2 vCPU, Python 3.11.7, shared machine):
+    a small int 1.6 us, and a block divides once for 32 terms.  On shorter terms,
+    and on longer ratios (see :func:`_block_length`), building a block costs what
+    it saves: blocks took 1.03 times as long as one division per term at 400
+    working digits and 1.26 times at 200, hence ``_BLOCK_MIN_BITS`` (about 570
+    working digits).  Per call at W working digits, s = 1/2, weight (0, 1), best
+    of 3 to 200 runs, each next to a run of the loop that divides once per term
+    (2 vCPU, Python 3.11.7, shared machine):
 
         W        z     once per term   this loop   ratio
         50       1/2    0.210 ms       0.203 ms    0.96   (n = 1)
@@ -163,8 +197,8 @@ def _sums(p: Fraction, q: Fraction, a: Real, b: Real, z: Real | Fraction,
     shift = _TERM_GUARD_DIGITS + max(1, abs_a.adjusted() + 1, abs_b.adjusted() + 1)
     limit = 10**shift * (zd - zn)
     term = 10 ** (ctx.working_digits + shift)
-    block = _BLOCK_TERMS if term.bit_length() >= _BLOCK_MIN_BITS else 1
     zpq = zd * pd * qd
+    block = _block_length(term, zpq)
     s0 = s1 = 0
     k = 0
     while True:

@@ -318,22 +318,65 @@ def replay_stop(p, q, a, b, z, working_digits, block):
         sum1 = sum1 * ratio_den + k * num
 
 
-class TestBlocks:
-    """Above ``_BLOCK_MIN_BITS`` a sum takes ``_BLOCK_TERMS`` terms per division and
-    checks its stopping rule only at block starts: the first term of a block is
-    added before the rule is checked, and no block passes the term cap."""
+class TestBlockLength:
+    """A sum takes ``_BLOCK_TERMS`` terms per division only for a long term and
+    short term ratios; a long zd, from a z of many digits, keeps one term per
+    division, and the sums match the Decimal reference loop either way."""
 
-    BLOCK = series._BLOCK_TERMS
-    # 2 000 working digits put the fixed-point terms in blocks.
     CTX = PrecisionContext(2000 - 32, 32)
 
-    def test_blocks_are_on_at_2000_digits(self):
-        digits = self.CTX.working_digits + series._TERM_GUARD_DIGITS + 1
-        assert (10**digits).bit_length() >= series._BLOCK_MIN_BITS
+    def first_term(self):
+        return 10 ** (self.CTX.working_digits + series._TERM_GUARD_DIGITS + 1)
 
+    def test_short_ratios_at_2000_digits_take_blocks(self):
+        # z = 3/4 and s = 1/2: d_k = 16 (1 + k)^2
+        assert series._block_length(self.first_term(), 16) == series._BLOCK_TERMS
+
+    def test_short_terms_take_one_term(self):
+        assert series._block_length(10**200, 16) == 1
+
+    @pytest.mark.parametrize("s", [HALF, THIRD])
+    @pytest.mark.parametrize("z, n", [
+        ("0.123456789012", series._BLOCK_TERMS),  # zd of 38 bits, d_k of 2 or 3 words
+        (None, 1),                                # 0.01 and 1 998 random digits
+    ])
+    def test_sums_match_the_reference_loop_at_2000_digits(self, s, z, n):
+        ctx = self.CTX
+        if z is None:
+            rng = random.Random(2000)
+            z = "0.01" + "".join(rng.choice("0123456789") for _ in range(1998))
+        z = Decimal(z)
+        exact_z = Fraction(z)
+        zpq = exact_z.denominator * s.denominator * (1 - s).denominator
+        assert series._block_length(self.first_term(), zpq) == n
+        a, b = ctx.real(1), ctx.real(2)
+        got0, got = series._sums(s, 1 - s, a, b, exact_z, ctx)
+        ref = reference_context(ctx)
+        for value, weights in ((got0, (1, 0)), (got, (1, 2))):
+            want = series_sum_decimal(s, 1 - s, *map(Decimal, weights), z, ref)
+            assert matching_digits(value, want) >= ctx.working_digits - 1, weights
+
+
+class TestBlocks:
+    """In blocks a sum takes ``_BLOCK_TERMS`` terms per division and checks its
+    stopping rule only at block starts: the first term of a block is added before
+    the rule is checked, and no block passes the term cap.
+
+    The edge cases need a tiny z, whose long zd would send a sum one term per
+    division, so every test here sets the block length itself."""
+
+    BLOCK = series._BLOCK_TERMS
+    CTX = PrecisionContext(2000 - 32, 32)
+
+    @pytest.fixture(autouse=True)
+    def in_blocks(self, monkeypatch):
+        monkeypatch.setattr(series, "_block_length", lambda term, zpq: self.BLOCK)
+
+    @pytest.mark.parametrize("n", [1, BLOCK])
     @pytest.mark.parametrize("digits, tiny", [(100, "1e-500"), (1000, "1e-2000")])
-    def test_rule_holding_at_the_first_term_keeps_it(self, digits, tiny):
+    def test_rule_holding_at_the_first_term_keeps_it(self, digits, tiny, n, monkeypatch):
         # at z = 0 and at z < 10**-W the rule holds at k = 0, and t_0 = 1 is the sum
+        monkeypatch.setattr(series, "_block_length", lambda term, zpq: n)
         ctx = make_context(digits, 2)
         a, b = ctx.real("2.75"), ctx.real(3)
         for z in (Fraction(0), Fraction(tiny)):
