@@ -58,7 +58,7 @@ from .precision import (
     quotient,
     step_budget,
 )
-from .series import check_axes, invariant
+from .series import check_axes, evaluate_series
 from .transforms import DESCEND
 
 #: Digits below a unit in the last place of a at which a late step keeps d (see _step).
@@ -458,8 +458,8 @@ def _log10(x: Real) -> float:
 
 def replication_invariant(kind: AlgorithmKind, w: Fraction, state: IterationState,
                           ctx: PrecisionContext) -> Real:
-    """A_n = S(1, 0; z)**w * S(a_n, b_n; z) of one trace state, by :func:`series.invariant`
-    with z = d_n^m and b_n = c_n (1 - z).
+    """A_n = S(1, 0; z)**w * S(a_n, b_n; z) of one trace state, by
+    :func:`series.evaluate_series` with z = d_n^m and b_n = c_n (1 - z).
 
     Successive states of a single run must produce equal values (to roughly
     working precision); the shared value is the run's limit.
@@ -469,7 +469,7 @@ def replication_invariant(kind: AlgorithmKind, w: Fraction, state: IterationStat
     with ctx.local():
         z = state.d**kind.order
         b_n = state.c * (1 - z)
-    return invariant(kind.couple_parameter, w, state.a, b_n, z, ctx)
+    return evaluate_series(kind.couple_parameter, w, state.a, b_n, z, ctx)
 
 
 #: constant id -> (algorithm orders that compute it, the w of its limit, alpha, e):

@@ -332,11 +332,11 @@ def _cmd_verify(args, ctx: PrecisionContext) -> _Report:
         try:
             oracle = ellipse_factor(run.ctx.real(a), run.ctx.real(b), run.ctx)
             suffix = " (vs series oracle)"
-        except SlowConvergenceError:
+        except SlowConvergenceError as exc:
             other = AlgorithmKind(6 - run.kind.order)
             oracle = run_ellipse(other, a, b, ctx).value
             suffix = f" (vs {other.name} iteration (series oracle too slow for this eccentricity))"
-            lines.append("warning: 1 - b^2/a^2 > 0.99, series oracle skipped")
+            lines.append(f"warning: series oracle skipped: {exc}")
             fields["warning"] = "slow-oracle"
     else:
         kind, w = constant

@@ -9,21 +9,21 @@ with Pochhammer parameters p, q in (0, 1].  Because the coefficient ratio
 at least geometrically with ratio z, which yields the cheap certified tail
 bound used by the stopping rule.
 
-This module is the package's independent oracle.  Its one term loop sums
-S(1, 0; z) and S(a, b; z) in a single pass, in fixed-point Python ints with z
-an exact rational.  Long terms over short term ratios are taken a block at a
-time: the block's term ratios are combined into small exact ints, so one
-division of the big term serves the whole block, not one term (Brent &
-Zimmermann, *Modern Computer Arithmetic* §4.9.1); the error bound is stated on
-:func:`_sums`.  With
-(p, q) = (s, 1 - s) :func:`invariant` forms A = S(1, 0; z)**w * S(a, b; z), the quantity every
-state of a run conserves.  The pi and Gamma limits are A at z = 1/2
+This module is the package's independent oracle.  Its one term loop,
+:func:`_sums`, sums S(1, 0; z) and S(a, b; z) in a single pass, in fixed-point
+Python ints with z an exact rational.  Long terms over short term ratios are
+taken a block at a time: the block's term ratios are combined into small exact
+ints, so one division of the big term serves the whole block, not one term
+(Brent & Zimmermann, *Modern Computer Arithmetic* §4.9.1); the error bound is
+stated on :func:`_sums`.  Its one public entry, :func:`evaluate_series`, takes
+(p, q) = (s, 1 - s) with s in {1/2, 1/3}, the pairs its stopping rule is proved
+for, and forms A = S(1, 0; z)**w * S(a, b; z), the quantity every state of a
+run conserves.  The pi and Gamma limits are A at z = 1/2
 (:func:`couple_product`); the ellipse factor is A at w = 0 (:func:`ellipse_factor`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 
@@ -49,21 +49,6 @@ _BLOCK_MIN_BITS = 2_000
 
 # A context that never rounds: scaleb under it only moves the exponent.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
-
-
-@dataclass(frozen=True)
-class SeriesSpec:
-    """One evaluation request: sum_k (p)_k(q)_k/((1)_k)^2 (a + b k) z^k."""
-
-    p: Fraction
-    q: Fraction
-    a: Real
-    b: Real
-    z: Real
-
-    def __post_init__(self):
-        if not (0 < self.p <= 1 and 0 < self.q <= 1):
-            raise UnsupportedParameterError("Pochhammer parameters must lie in (0, 1]")
 
 
 def _block_length(term: int, zpq: int) -> int:
@@ -245,16 +230,12 @@ def _sums(p: Fraction, q: Fraction, a: Real, b: Real, z: Real | Fraction,
         return +scaled_s0, +total
 
 
-def evaluate_series(spec: SeriesSpec, ctx: PrecisionContext) -> Real:
-    """S(a, b; z), off by at most its truncation, floor and rounding errors, which
-    :func:`_sums` bounds, block floors included: about 10**(2 - working_digits) in
-    all, plus half an ulp."""
-    return _sums(spec.p, spec.q, spec.a, spec.b, spec.z, ctx)[1]
+def evaluate_series(s: Fraction, w: Fraction, a: Real, b: Real, z: Real | Fraction,
+                    ctx: PrecisionContext) -> Real:
+    """A = S(1, 0; z)**w * S(a, b; z) with Pochhammer pair (s, 1 - s), s in {1/2, 1/3}.
 
-
-def invariant(s: Fraction, w: Fraction, a: Real, b: Real, z: Real | Fraction,
-              ctx: PrecisionContext) -> Real:
-    """A = S(1, 0; z)**w * S(a, b; z) with Pochhammer pair (s, 1 - s), s in {1/2, 1/3}."""
+    Each sum is off by at most its truncation, floor and rounding errors, which
+    :func:`_sums` bounds: about 10**(2 - working_digits) in all, plus half an ulp."""
     if s not in SUPPORTED_COUPLE_PARAMETERS:
         raise UnsupportedParameterError(
             f"couple parameter must be one of {SUPPORTED_COUPLE_PARAMETERS}, got {s}"
@@ -272,7 +253,7 @@ def couple_product(s: Fraction, w: Fraction, ctx: PrecisionContext) -> Real:
 
     s0 = S(1, 0; 1/2) and s1 = S(0, 1; 1/2) are the couple that seeds the algorithms.
     """
-    return invariant(s, w, ctx.real(0), ctx.real(1), Fraction(1, 2), ctx)
+    return evaluate_series(s, w, ctx.real(0), ctx.real(1), Fraction(1, 2), ctx)
 
 
 def check_axes(semi_major: Real, semi_minor: Real) -> None:
@@ -309,4 +290,4 @@ def ellipse_factor(semi_major: Real, semi_minor: Real, ctx: PrecisionContext) ->
         raise SlowConvergenceError(
             "1 - b^2/a^2 exceeds 0.99; use the iterative perimeter algorithms"
         )
-    return invariant(Fraction(1, 2), Fraction(0), ctx.real(1), ctx.real(2), z, ctx)
+    return evaluate_series(Fraction(1, 2), Fraction(0), ctx.real(1), ctx.real(2), z, ctx)

@@ -29,7 +29,7 @@ from replica import (
 from replica.algorithms import error_table
 from replica.cli import main
 from replica.precision import matching_digits, nth_root, to_sig_digits
-from replica.series import SeriesSpec, evaluate_series
+from replica.series import evaluate_series
 from replica.transforms import DESCEND
 
 HALF = Fraction(1, 2)
@@ -37,11 +37,8 @@ THIRD = Fraction(1, 3)
 ONE = Fraction(1)
 W_SWEEP = (THIRD, HALF, ONE, Fraction(2), Fraction(3))
 
-POCHHAMMER = {
-    2: (HALF, HALF),
-    3: (THIRD, Fraction(2, 3)),
-    4: (HALF, HALF),
-}
+#: order -> s of the Pochhammer pair (s, 1 - s) its transform preserves
+COUPLE = {2: HALF, 3: THIRD, 4: HALF}
 
 _cache = {}
 
@@ -259,20 +256,20 @@ def test_criterion_8_identity_property_suites():
     worst = Decimal(0)
     checks = 0
     for order in (2, 3, 4):
-        p, q = POCHHAMMER[order]
+        s = COUPLE[order]
         for _ in range(100):
             x = ctx.real(Fraction(rng.randint(1, 8999), 10000))
             t = DESCEND[order](x, ctx)
             with ctx.local():
-                lhs = evaluate_series(SeriesSpec(p, q, Decimal(1), Decimal(0), x**order), ctx)
-                inner = evaluate_series(SeriesSpec(p, q, Decimal(1), Decimal(0), t**order), ctx)
+                lhs = evaluate_series(s, 0, Decimal(1), Decimal(0), x**order, ctx)
+                inner = evaluate_series(s, 0, Decimal(1), Decimal(0), t**order, ctx)
                 pre = (1 + 2 * t) if order == 3 else (1 + t) ** (1 if order == 2 else 2)
                 defect = abs(lhs - pre * inner)
             assert defect <= bound, (order, x, defect)
             worst = max(worst, defect)
             checks += 1
     for order in (2, 3, 4):
-        p, q = POCHHAMMER[order]
+        s = COUPLE[order]
         for _ in range(100):
             x = ctx.real(Fraction(rng.randint(1, 8999), 10000))
             a = ctx.real(Fraction(rng.randint(-1999, 1999), 1000))
@@ -280,8 +277,8 @@ def test_criterion_8_identity_property_suites():
             t = DESCEND[order](x, ctx)
             rc = REPLICATE[order](a, b, t, ctx)
             with ctx.local():
-                lhs = evaluate_series(SeriesSpec(p, q, a, b, x**order), ctx)
-                rhs = evaluate_series(SeriesSpec(p, q, rc.alpha, rc.beta, t**order), ctx)
+                lhs = evaluate_series(s, 0, a, b, x**order, ctx)
+                rhs = evaluate_series(s, 0, rc.alpha, rc.beta, t**order, ctx)
                 defect = abs(lhs - rhs)
             assert defect <= bound, (order, x, a, b, defect)
             worst = max(worst, defect)

@@ -22,7 +22,7 @@ from replica import (
     run_borwein,
     run_ellipse,
 )
-from replica import algorithms
+from replica import algorithms, series
 from replica.cli import main
 from replica.precision import matching_digits
 
@@ -328,6 +328,15 @@ class TestVerifyCommand:
         assert code == 0
         assert "warning" in out and "series oracle skipped" in out
 
+    def test_ellipse_warning_names_the_refusal_it_caught(self, capsys, monkeypatch):
+        # z = 3/4 is far below 0.99, but a 100-term cap refuses the series up front
+        monkeypatch.setattr(series, "_MAX_TERMS", 100)
+        code, out, _ = run_cli(capsys, "verify", "ellipse", "2", "1", "--digits", "50")
+        assert code == 0
+        assert "(vs quadratic iteration" in out and "PASS" in out
+        warning = next(line for line in out.splitlines() if line.startswith("warning:"))
+        assert "cannot certify in 100 terms" in warning and "0.99" not in warning
+
     def test_paper_example_probe(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "custom", "--w", "1/2", "--algorithm", "cubic",
@@ -509,6 +518,28 @@ def test_a_run_measures_its_orders_only_when_they_are_printed(capsys, monkeypatc
     monkeypatch.setattr(algorithms, "error_table", counted)
     assert run_cli(capsys, *command.split())[0] == 0
     assert len(calls) == measured
+
+
+@pytest.mark.parametrize("command, sums", [
+    ("constant pi --digits 50", 0), ("ellipse 2 1 --digits 50", 0), ("orders --digits 100", 0),
+    ("verify pi --digits 50", 1), ("verify gamma14 --digits 50", 1),
+    ("verify custom --w 1/3 --algorithm quad --digits 50", 1), ("verify ellipse 2 1 --digits 50", 1),
+    ("verify custom --w 1/2 --algorithm cubic --digits 50 --paper-example", 1),
+    ("verify ellipse 1 0.005 --digits 50", 0),  # refused before any sum
+])
+def test_each_oracle_sums_through_evaluate_series(capsys, monkeypatch, command, sums):
+    """``couple_product`` and ``ellipse_factor`` reach the term loop only through
+    ``series.evaluate_series``, the function the benchmark's series rows time."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate_series(*args)
+
+    evaluate_series = series.evaluate_series
+    monkeypatch.setattr(series, "evaluate_series", counted)
+    assert run_cli(capsys, *command.split())[0] == 0
+    assert len(calls) == sums
 
 
 class TestArgumentHandling:
@@ -696,7 +727,7 @@ GOLDEN = [
      "8d1642ce18c4f43db50be0fd2f56583b64c64c5d5a7818491ec1598241601ae9"),
     # z > 0.99: the other perimeter family is the oracle
     ("verify ellipse 1 0.005 --digits 100", 0,
-     "e97526451108605125a72a30737b984c34c2025439f143283dd3e2a04100205f"),
+     "9e4e26d6d98afc2e671d40ba322241da8733919ca05d9651bfba896773484393"),
     ("verify ellipse 1 0.005 --digits 100 --json", 0,
      "09e17ba370c943762a1c30de49f77d894686a26a20cf5222650eae804e7e71d8"),
     ("verify custom --w 1/2 --algorithm cubic --digits 120 --paper-example --json", 0,

@@ -1,7 +1,8 @@
 """The README's Library example runs as written, its constant table is the
-library's recipe table, and the package root exports exactly the names its
-Library section documents."""
+library's recipe table, the package root exports exactly the names its
+Library section documents, and every module name that section lists exists."""
 
+import importlib
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -37,6 +38,19 @@ def test_root_exports_exactly_all():
 def test_every_root_name_is_documented_in_library_section():
     documented = set(re.findall(r"`([A-Za-z_]\w*)`", library_section()))
     assert [name for name in replica.__all__ if name not in documented] == []
+
+
+def test_every_module_name_in_library_section_exists():
+    # `replica.series.evaluate_series(...)`, and `replica.series` (`evaluate_series`, ...)
+    section = library_section()
+    modules = "precision|series|transforms|algorithms"
+    named = re.findall(rf"`replica\.({modules})\.(\w+)", section)
+    for module, listed in re.findall(rf"`replica\.({modules})`\s+\(([^)]*)\)", section):
+        named += [(module, name) for name in re.findall(r"`(\w+)`", listed)]
+    assert {module for module, _ in named} == set(modules.split("|"))
+    missing = [f"replica.{module}.{name}" for module, name in named
+               if not hasattr(importlib.import_module(f"replica.{module}"), name)]
+    assert missing == []
 
 
 def test_constant_table_is_the_recipe_table():

@@ -25,61 +25,71 @@ from replica import (
 )
 from replica import series
 from replica.precision import matching_digits
-from replica.series import SeriesSpec, evaluate_series
+from replica.series import evaluate_series
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 
 
-def spec(ctx, p, q, a, b, z):
-    return SeriesSpec(p, q, ctx.real(a), ctx.real(b), ctx.real(z))
+def series_at(ctx, s, a, b, z):
+    """S(a, b; z) for the couple (s, 1 - s): evaluate_series at w = 0."""
+    return evaluate_series(s, Fraction(0), ctx.real(a), ctx.real(b), ctx.real(z), ctx)
+
+
+def pair_sum(ctx, p, q, a, b, z):
+    """S(a, b; z) for any Pochhammer pair (p, q), from the term loop itself."""
+    return series._sums(p, q, ctx.real(a), ctx.real(b), ctx.real(z), ctx)[1]
 
 
 def couple(s, ctx):
     """(s0, s1): the weight-(1, 0) and weight-(0, 1) series at z = 1/2, one call each."""
-    return (evaluate_series(spec(ctx, s, 1 - s, 1, 0, HALF), ctx),
-            evaluate_series(spec(ctx, s, 1 - s, 0, 1, HALF), ctx))
+    return series_at(ctx, s, 1, 0, HALF), series_at(ctx, s, 0, 1, HALF)
 
 
 class TestEvaluateSeries:
+    """evaluate_series at w = 0 is S(a, b; z) for a couple; the checks on general
+    pairs (p, q) call the term loop ``_sums`` directly."""
+
     def test_z_zero_returns_constant_weight(self):
         ctx = make_context(60, 2)
         a = ctx.real("2.75")
-        assert evaluate_series(spec(ctx, HALF, HALF, "2.75", 3, 0), ctx) == a
+        assert series_at(ctx, HALF, "2.75", 3, 0) == a
 
     def test_geometric_series(self):
         ctx = make_context(80, 2)
-        value = evaluate_series(spec(ctx, Fraction(1), Fraction(1), 1, 0, HALF), ctx)
+        value = pair_sum(ctx, Fraction(1), Fraction(1), 1, 0, HALF)
         assert matching_digits(value, Decimal(2)) >= ctx.working_digits - 2
 
     def test_central_value_at_half(self):
         ctx = make_context(300, 2)
-        value = evaluate_series(spec(ctx, HALF, HALF, 1, 0, HALF), ctx)
+        value = series_at(ctx, HALF, 1, 0, HALF)
         assert str(value).startswith(frozen.S0_HALF[:250])
 
     def test_rejects_z_at_one(self):
         ctx = make_context(60, 2)
         with pytest.raises(DomainError, match="series argument z must be < 1"):
-            evaluate_series(spec(ctx, HALF, HALF, 1, 0, 1), ctx)
+            series_at(ctx, HALF, 1, 0, 1)
         with pytest.raises(DomainError, match="series argument z must be < 1"):
-            evaluate_series(spec(ctx, HALF, HALF, 1, 0, "1.5"), ctx)
+            series_at(ctx, HALF, 1, 0, "1.5")
 
     def test_rejects_negative_z(self):
         ctx = make_context(60, 2)
         with pytest.raises(DomainError):
-            evaluate_series(spec(ctx, HALF, HALF, 1, 0, "-0.25"), ctx)
+            series_at(ctx, HALF, 1, 0, "-0.25")
 
     def test_rejects_non_finite_weights(self):
         ctx = make_context(60, 2)
         for a, b in (("Infinity", 0), (1, "-Infinity"), ("NaN", 0)):
             with pytest.raises(DomainError):
-                evaluate_series(spec(ctx, HALF, HALF, a, b, HALF), ctx)
+                series_at(ctx, HALF, a, b, HALF)
 
     def test_rejects_bad_pochhammer(self):
-        with pytest.raises(UnsupportedParameterError):
-            SeriesSpec(Fraction(0), HALF, Decimal(1), Decimal(0), Decimal(0))
-        with pytest.raises(UnsupportedParameterError):
-            SeriesSpec(Fraction(3, 2), HALF, Decimal(1), Decimal(0), Decimal(0))
+        # only the couples (1/2, 1/2) and (1/3, 2/3), which the stopping rule's
+        # proof covers, are summed
+        ctx = make_context(60, 2)
+        for s in (Fraction(0), Fraction(1, 4), Fraction(3, 2)):
+            with pytest.raises(UnsupportedParameterError):
+                series_at(ctx, s, 1, 0, 0)
 
     def test_against_exact_rational_sums(self):
         # stated tail bound: absolute truncation error <= 10**(-wd + 2)
@@ -91,7 +101,7 @@ class TestEvaluateSeries:
             a = Fraction(rng.randint(-400, 400), 100)
             b = Fraction(rng.randint(-400, 400), 100)
             z = Fraction(rng.randint(0, 89), 100)
-            got = evaluate_series(spec(ctx, p, q, a, b, z), ctx)
+            got = pair_sum(ctx, p, q, a, b, z)
             want = fraction_to_decimal(
                 series_sum_fraction(p, q, a, b, z, ctx.working_digits),
                 ctx.working_digits + 10,
@@ -119,7 +129,7 @@ class TestEvaluateSeries:
         assert truncation < Fraction(1, 10 ** (ctx.working_digits - 2))
         # and the decimal evaluation lands within rounding distance of the
         # exact partial sum it is supposed to compute
-        got = evaluate_series(spec(ctx, p, q, a, b, z), ctx)
+        got = series_at(ctx, p, a, b, z)
         want = fraction_to_decimal(full, ctx.working_digits + 10)
         with ctx.doubled_guard().local():
             assert abs(got - want) <= ctx.epsilon(4)
@@ -189,11 +199,11 @@ class TestCoupleProduct:
 
 
 class TestOnePass:
-    """invariant sums S(1, 0) and S(a, b) in one pass of fixed-point integer terms;
+    """_sums sums S(1, 0) and S(a, b) in one pass of fixed-point integer terms;
     every value matches the Decimal reference loop run 40 digits above it, each
     series summed alone: to W - 1 digits, or within the power's bound for w != 0."""
 
-    def test_evaluate_series_matches_the_reference_loop(self):
+    def test_term_loop_matches_the_reference_loop(self):
         ctx = make_context(80, 2)
         rng = random.Random(707)
         params = [HALF, THIRD, Fraction(2, 3), Fraction(1)]
@@ -201,7 +211,7 @@ class TestOnePass:
             p, q = rng.choice(params), rng.choice(params)
             a, b = ctx.real(Fraction(rng.randint(-400, 400), 100)), ctx.real(rng.randint(-40, 40))
             z = ctx.real(Fraction(rng.randint(0, 95), 100))
-            got = evaluate_series(SeriesSpec(p, q, a, b, z), ctx)
+            got = series._sums(p, q, a, b, z, ctx)[1]
             want = series_sum_decimal(p, q, a, b, z, reference_context(ctx))
             assert matching_digits(got, want) >= ctx.working_digits - 1, (p, q, a, b, z)
 
@@ -227,7 +237,7 @@ class TestOnePass:
         want = series_sum_decimal(HALF, HALF, Decimal(1), Decimal(2), z, reference_context(ctx))
         factor = ellipse_factor(ctx.real(semi_major), ctx.real(semi_minor), ctx)
         assert matching_digits(factor, want) >= ctx.working_digits - 1
-        spec_value = evaluate_series(SeriesSpec(HALF, HALF, ctx.real(1), ctx.real(2), z), ctx)
+        spec_value = evaluate_series(HALF, Fraction(0), ctx.real(1), ctx.real(2), z, ctx)
         assert matching_digits(spec_value, want) >= ctx.working_digits - 1
 
 
@@ -257,7 +267,7 @@ class TestTermCap:
                 term *= (p + k) * (q + k) * z / (1 + k) ** 2
                 k += 1
             try:
-                evaluate_series(spec(ctx, p, q, a, b, z), ctx)
+                series_at(ctx, p, a, b, z)
                 outcomes.add("summed")
                 assert k <= cap
             except SlowConvergenceError as exc:
@@ -281,7 +291,7 @@ class TestTermCap:
                 k += 1
             monkeypatch.setattr(series, "_MAX_TERMS", k - 1)
             with pytest.raises(SlowConvergenceError):
-                evaluate_series(spec(ctx, p, q, a, b, z), ctx)
+                series_at(ctx, p, a, b, z)
 
 
 def replay_stop(p, q, a, b, z, working_digits, block):

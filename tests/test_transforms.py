@@ -14,16 +14,13 @@ from oracles import (
 )
 from replica import DomainError, make_context
 from replica.precision import matching_digits, nth_root
-from replica.series import SeriesSpec, evaluate_series
+from replica.series import evaluate_series
 from replica.transforms import DESCEND, cubic_descend, quad_descend, quartic_descend
 
 CTX = make_context(100, 2)
 
-POCHHAMMER = {
-    2: (Fraction(1, 2), Fraction(1, 2)),
-    3: (Fraction(1, 3), Fraction(2, 3)),
-    4: (Fraction(1, 2), Fraction(1, 2)),
-}
+#: order -> s of the Pochhammer pair (s, 1 - s) its transform preserves
+COUPLE = {2: Fraction(1, 2), 3: Fraction(1, 3), 4: Fraction(1, 2)}
 
 
 def prefactor(order, t):
@@ -152,12 +149,12 @@ class TestIdentities:
         for _ in range(8):
             x = CTX.real(Fraction(rng.randint(1, 8999), 10000))
             for order in (2, 3, 4):
-                p, q = POCHHAMMER[order]
+                s = COUPLE[order]
                 t = DESCEND[order](x, CTX)
                 with CTX.local():
-                    lhs = evaluate_series(SeriesSpec(p, q, Decimal(1), Decimal(0), x**order), CTX)
+                    lhs = evaluate_series(s, 0, Decimal(1), Decimal(0), x**order, CTX)
                     rhs = prefactor(order, t) * evaluate_series(
-                        SeriesSpec(p, q, Decimal(1), Decimal(0), t**order), CTX
+                        s, 0, Decimal(1), Decimal(0), t**order, CTX
                     )
                 assert matching_digits(lhs, rhs) >= CTX.working_digits - 10
 
@@ -168,12 +165,12 @@ class TestIdentities:
             a = CTX.real(Fraction(rng.randint(-1999, 1999), 1000))
             b = CTX.real(Fraction(rng.randint(-1999, 1999), 1000))
             for order in (2, 3, 4):
-                p, q = POCHHAMMER[order]
+                s = COUPLE[order]
                 t = DESCEND[order](x, CTX)
                 rc = REPLICATE[order](a, b, t, CTX)
                 with CTX.local():
-                    lhs = evaluate_series(SeriesSpec(p, q, a, b, x**order), CTX)
-                    rhs = evaluate_series(SeriesSpec(p, q, rc.alpha, rc.beta, t**order), CTX)
+                    lhs = evaluate_series(s, 0, a, b, x**order, CTX)
+                    rhs = evaluate_series(s, 0, rc.alpha, rc.beta, t**order, CTX)
                 with CTX.local():
                     defect = abs(lhs - rhs)
                 assert defect <= CTX.epsilon(10)
