@@ -24,7 +24,6 @@ from .algorithms import (
 from .errors import (
     DomainError,
     NonConvergenceError,
-    PrecisionInsufficientError,
     ReplicaError,
     SlowConvergenceError,
     UnsupportedParameterError,
@@ -52,6 +51,5 @@ __all__ = [
     "DomainError",
     "UnsupportedParameterError",
     "SlowConvergenceError",
-    "PrecisionInsufficientError",
     "NonConvergenceError",
 ]

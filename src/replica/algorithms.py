@@ -1,54 +1,71 @@
 """The Borwein-like iteration families and the ellipse-perimeter iterations.
 
-Each family of order m in {2, 3, 4} iterates
-
-    d_{n+1} = descend_m(d_n)          (the order-m algebraic argument map)
-    c_{n+1}, a_{n+1}                  (coefficient updates with free parameter w)
-
-from d_0 = 2**(-1/m), c_0 = 2, a_0 = 0.  The quantity
+Each family of order m in {2, 3, 4} has the paper's state (d_n, c_n, a_n),
+from d_0 = 2**(-1/m), c_0 = 2, a_0 = 0 for the constants.  The quantity
 
     A_n = (sum_k C_k d_n^{mk})**w * sum_k C_k (a_n + b_n k) d_n^{mk},
 
 with b_n = c_n (1 - d_n^m), is invariant along the run, so a_n converges to
 A_0, the couple product evaluated independently by the series module.
 
-A step is its family's root-free update, the step at the root-free weight
-w1 (:attr:`AlgorithmKind.root_free_w`), times one power f(d_{n+1})**(e (w - w1))
-of the replication factor, with f and e stated once in
-:meth:`AlgorithmKind.factor` (f = 1 + d for orders 2 and 4 and 1 + 2d for
-order 3; e = 2 for order 4 and 1 otherwise).  The chain d_n does not depend
-on w, so the limit at any w is L(w) = K**(w - w1) * L(w1), with K the product
-of the factors f**e along the chain: Gauss's AGM for orders 2 and 4 (Borwein
-& Borwein, *Pi and the AGM*, 1987) and the cubic AGM for order 3 (Borwein &
-Borwein, Trans. AMS 323, 1991), both 1/AGM = S(1, 0; z_0).  So the named
-constants run at w1, whose steps take no power of f, and take their own w
-from K (:meth:`RunResult.limit`), and the perimeter factor F(a, b), the limit
-at w = 0 from ellipse initial values, is L(1) / K of a run at w1 = 1.
+The chain d_n does not depend on w, and a step at w is the step at the
+root-free weight w1 (:attr:`AlgorithmKind.root_free_w`) times the power
+f(d_{n+1})**(e (w - w1)), with f = 1 + d for orders 2 and 4 and 1 + 2d for
+order 3, and e = 2 for order 4 and 1 otherwise (:attr:`AlgorithmKind.e`).
+At w1 the iteration is its family's AGM (Borwein & Borwein, *Pi and the
+AGM*, 1987; Trans. AMS 323, 1991) written in ratios of the means, so a run
+carries the means themselves, as the Gauss-Legendre algorithm does (Brent,
+J. ACM 23, 1976): A_0 = 1, B_0 = (1 - d_0^m)**(1/m), h_0 = 0, and per step
 
-Since d_{n+1} ~ d_n^m, late steps move a by ever less.  Each step computes
-d_{n+1} only to the absolute precision its contribution to a needs, a
-margin of _SLACK_DIGITS digits below a unit in the last place of a, and a
-step that cannot move a (the confirming steps of the stopping rule) returns
-(t, m c_n, a_n) outright; see :func:`_step` for the rule and its error bound.
+    quadratic  A' = (A + B)/2,  C' = (A - B)/2,  B' = (A B)**(1/2),
+               h' = h + 2**n C' B
+    cubic      A' = (A + 2B)/3, C' = (A - B)/3,  B'**3 = B (A^2 + A B + B^2)/3,
+               h' = h + 2 * 3**n C' B'**3 / (A A')
+    quartic    A' = (A + B)/2,  C' = (A - B)/2,  B'**4 = A B (A^2 + B^2)/2,
+               h' = h + 4**n C' B (A^2 + B^2)
+
+(for the quartic, A, B and C are Borwein's alpha, beta and gamma on the
+square roots of the means).  The paper's row n at weight w is then
+
+    d_n = C_n / A_n,   c_n = c_0 m**n A_n**(-e (w - 1)),
+    a_n = (a_0 + c_0 h_n) A_n**(-e (w + 1)),
+
+so a step takes one root and, for the cubic family only, one quotient, and
+each f is A_{n-1} / A_n: K = prod f(d_n)**e = A_N**(-e), and the limits of
+one chain satisfy L(w) = K**(w - w1) * L(w1).  The named constants run at
+w1 and take their own w from K (:meth:`RunResult.limit`), and the perimeter
+factor F(a, b), the limit at w = 0 from ellipse initial values, is L(1) / K
+of a run at w1 = 1.
+
+A run at w1 forms no row: the stopping rule reads each step's rise in a
+from the chain (:func:`_rise_at_w1`), and a row's d, c and a are each formed
+when first read (:attr:`RunResult.trace`).  A run at any other w forms each
+row's a at w, one power per row, and stops on those rows.  The chain runs at
+W' = W + ``_CHAIN_DIGITS`` digits, which covers the digits its differences
+of means lose, and every value is rounded once to W.  Once (C'/A')**m falls
+below 10**(2 - W') the root is skipped and B' = A', so the chain stops
+moving and the confirming steps of the stopping rule cost nothing.  The
+error bounds are stated on :func:`_advance` (the chain), :attr:`RunResult.k`
+(K) and :class:`_ChainRow` (a row formed when read).
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     DomainError,
     NonConvergenceError,
-    PrecisionInsufficientError,
     UnsupportedParameterError,
 )
 from .precision import (
     GUARD_DIGITS_PER_STEP,
-    MIN_GUARD_DIGITS,
     SUPPORTED_DENOMINATORS,
     PrecisionContext,
     Real,
@@ -59,16 +76,20 @@ from .precision import (
     step_budget,
 )
 from .series import check_axes, evaluate_series
-from .transforms import DESCEND
-
-#: Digits below a unit in the last place of a at which a late step keeps d (see _step).
-_SLACK_DIGITS = 12
 
 #: Largest |w| a run takes: the limit of a run at 2e16 leaves decimal's exponent range.
 MAX_ABS_W = 10**16
 
 _W_OUT_OF_RANGE = "w is out of range: |w| must be at most 1e16"
 _W_DENOMINATOR = "w must have a denominator dividing 12"
+
+#: Digits the chain carries beyond the working digits: more than the N log10(m) + 2
+#: its differences of means lose (see :func:`_advance`).
+_CHAIN_DIGITS = 10
+
+#: The context of a step's rise in a at w1 and of the late-step test: every
+#: operand is positive there, so 30 digits give each to a relative 1e-28.
+_LOW = decimal.Context(prec=30, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
 
 
 @dataclass(frozen=True)
@@ -96,11 +117,11 @@ class AlgorithmKind:
         otherwise."""
         return Fraction(2) if self.order == 3 else Fraction(1)
 
-    def factor(self, t: Real) -> tuple[Real, int]:
-        """(f, e) of a step to t = d_{n+1}: the step at w is the step at w1
-        times f**(e (w - w1)), with f = 1 + 2t for order 3 and 1 + t otherwise,
-        and e = 2 for order 4 and 1 otherwise."""
-        return (1 + 2 * t, 1) if self.order == 3 else (1 + t, 2 if self.order == 4 else 1)
+    @property
+    def e(self) -> int:
+        """The power of the chain's mean in K = A_N**-e and in a row's scale:
+        2 for order 4 (whose chain carries the square roots of the means), else 1."""
+        return 2 if self.order == 4 else 1
 
 
 QUADRATIC = AlgorithmKind(2)
@@ -119,27 +140,70 @@ class IterationState:
     delta_exp: int | None = None
 
 
+class _Link(NamedTuple):
+    """One state of a run's chain: the mean A_n, the sum h_n, the row's
+    delta_exp, and a_n at the run's w when the run formed it (w != w1)."""
+
+    mean: Real
+    total: Real
+    delta_exp: int | None
+    a: Real | None = None
+
+
 @dataclass
 class RunResult:
-    """Outcome of a run: value, trace, the family, the w its trace rows belong
-    to, and the context it ran at.
+    """Outcome of a run: the family, the w its trace rows belong to, the
+    context it ran at, its start (B_0, c_0, a_0), its chain and its value.
 
-    The value is the trace's limit, except for a perimeter run, whose trace
-    runs at w = 1 and whose value is the limit at w = 0 (``limit(0)``).  The
-    run measures its errors and orders (:attr:`error_table`, :attr:`orders`)
-    only when they are first read, at ``ctx``, whatever the calling thread's
-    decimal context.
+    The value is the trace's limit, the chain's a_N at ``w``, except for a
+    perimeter run, whose chain runs at w = 1 and whose value is the limit at
+    w = 0.  The trace rows, errors and orders (:attr:`trace`,
+    :attr:`error_table`, :attr:`orders`) are formed only when first read, at
+    ``ctx``, whatever the calling thread's decimal context.
     """
 
-    value: Real
-    trace: list[IterationState]
     kind: AlgorithmKind
     w: Fraction
     ctx: PrecisionContext
+    start: tuple[Real, Real, Real]
+    chain: list[_Link]
+    value: Real | None = None
+
+    def __post_init__(self):
+        if self.value is None:
+            self.value = self._final
+
+    @cached_property
+    def _final(self) -> Real:
+        """The trace's limit: the last row's a, formed without reading :attr:`trace`."""
+        return self._a(self.chain[-1])
+
+    def _a(self, link: _Link) -> Real:
+        """a of a chain state at ``w``, formed at the chain's precision and
+        rounded to ``ctx`` (the a the run formed, off w1)."""
+        if link.a is None:
+            return self.ctx.real(_a_at(self.start, link.mean, link.total, self._a_exponent,
+                                       self._fine))
+        return self.ctx.real(link.a)
+
+    @cached_property
+    def _fine(self) -> PrecisionContext:
+        return _chain_context(self.ctx)
+
+    @cached_property
+    def _a_exponent(self) -> Fraction:
+        """-e (w + 1): a_n at ``w`` is (a_0 + c_0 h_n) A_n**_a_exponent."""
+        return -self.kind.e * (self.w + 1)
 
     @property
     def iterations(self) -> int:
-        return len(self.trace) - 1
+        return len(self.chain) - 1
+
+    @cached_property
+    def trace(self) -> list[IterationState]:
+        """The paper's rows (n, d_n, c_n, a_n, delta_exp) of the chain; each row
+        forms its d, c and a when they are first read (:class:`_ChainRow`)."""
+        return [_ChainRow(self, n) for n in range(len(self.chain))]
 
     @cached_property
     def error_table(self) -> list[tuple[int | None, float | None]]:
@@ -154,125 +218,169 @@ class RunResult:
 
     @property
     def k(self) -> Real:
-        """K = prod f(d_n)**e over ``trace[1:]``, at ``ctx``: the ratio of the
-        limits at w + 1 and at w from this run's start, 1/AGM = S(1, 0; z_0).
+        """K = A_N**-e, read off the chain at ``ctx``: the ratio of the limits at
+        w + 1 and at w from this run's start, 1/AGM = S(1, 0; z_0).
 
-        f and e are those of :meth:`AlgorithmKind.factor`.  A factor that
-        rounds to 1 is skipped.  Against the product of the traced factors,
-        the run's own chain, each of the N = ``iterations`` factors adds at
-        most 3/2 units of 10**(1 - W) of rounding (W working digits): f, its
-        square and the product round half a unit each.  A d_n that a late
-        step kept to reduced precision is off by less than 10**(-10 - W) as
-        long as |a| <= |c| (the :func:`_step` rule bounds |c| * |d_n - t|),
-        so such steps move K by far less than a unit in its last place.  So
-        r_K <= 2 * N * 10**(1 - W).
+        With N = ``iterations`` and the chain's u' = 10**(1 - W') of
+        :func:`_advance`: each family's AGM is homogeneous of degree 1 and
+        increasing in both means, so the relative errors a step leaves in A'
+        and B', at most 5u', move the limit by as much, and A_N is within
+        5 N u' plus A_N / M(A_N, B_N) - 1 (below d_N**m / m) of the exact AGM
+        of the start.  The power adds (e + 3) * 10**(1 - W), so
+        r_K <= (e + 3) * 10**(1 - W) + e (5 N u' + d_N**m / m), where the
+        stopping rule has made d_N**m far smaller than 10**-target.  Against
+        the product of f(d_n)**e over the rows of :attr:`trace`, which
+        telescopes to the same A_N**-e, K is within 2 N * 10**(1 - W).
         """
-        with self.ctx.local():
-            k = Decimal(1)
-            for state in self.trace[1:]:
-                f, e = self.kind.factor(state.d)
-                if f != 1:
-                    k *= f * f if e == 2 else f
-            return k
+        return pow_rational(self.chain[-1].mean, -self.kind.e, self.ctx)
 
     def limit(self, w: Fraction) -> Real:
         """The limit of this family's iteration at weight ``w`` from this run's
-        start: K**(w - self.w) times the trace's limit, at ``ctx``.
+        start: K**(w - self.w) times the trace's limit :attr:`_final`, at ``ctx``.
 
         Only a ``w`` other than ``self.w`` computes :attr:`k`; the power adds
         a relative |w - self.w| * r_K + (|p| + 3) * 10**(1 - W) for the
         numerator p of w - self.w, and the product half a unit.
         """
-        limit = self.trace[-1].a
         if w == self.w:
-            return limit
+            return self._final
         with self.ctx.local():
-            return pow_rational(self.k, w - self.w, self.ctx) * limit
+            return pow_rational(self.k, w - self.w, self.ctx) * self._final
 
 
-def _step(kind: AlgorithmKind, w: Fraction, d: Real, c: Real, a: Real, ctx: PrecisionContext):
-    """One update of (d, c, a) for the given family.
+def _a_at(start, mean: Real, total: Real, exponent: Fraction, ctx: PrecisionContext) -> Real:
+    """a_n of the chain state (A_n, h_n) = (``mean``, ``total``) at the w with
+    -e (w + 1) = ``exponent``: (a_0 + c_0 h_n) A_n**exponent, at ``ctx``."""
+    _, c0, a0 = start
+    with ctx.local():
+        return _times_power(a0 + c0 * total, mean, exponent, ctx)
 
-    This is the paper's replication map with its divisions cancelled by hand:
-    with t = DESCEND[m](d), (alpha, beta) the map's weights for (a, c (1 - d^m))
-    at t, and pre = 1 + t, 1 + 2t or (1 + t)^2, the step returns
-    (t, pre^w beta / (1 - t^m), pre^w alpha).  The maps themselves live in
-    tests/oracles.py, and tests/test_algorithms.py checks the step against them
-    to within 10 digits of working precision.  At the root-free w1 the
-    updates take no power of f (:meth:`AlgorithmKind.factor`) and divide by
-    nothing but 2:
 
-    - quadratic: c1 = 2 c, a1 = a f^2 + c1 t (1 - t) / 2;
-    - cubic: c1 = 3 c f, a1 = a f^3 + 2 c t (1 - t^3);
-    - quartic: c1 = 4 c, a1 = a f^4 + c1 t (1 - t)(1 + t^2) / 2,
-      since (1 - t^4) / (2 (1 + t)) = (1 - t)(1 + t^2) / 2.
+def _times_power(x: Real, mean: Real, exponent: Fraction, ctx: PrecisionContext) -> Real:
+    """x * mean**exponent at ``ctx``: :func:`pow_rational` for a fractional
+    exponent; an integer one is a power and at most one quotient, inside the
+    same bound, with no root and no elevated context."""
+    if exponent.denominator != 1:
+        return x * pow_rational(mean, exponent, ctx)
+    p = exponent.numerator
+    return quotient(x, mean**-p) if p < 0 else x * mean**p
 
-    Any other w multiplies both c1 and a1 by the one rational power
-    f**(e (w - w1)).
 
-    The step built from the maps divides twice more at full precision, by
-    powers of (1 - t): at 20 000 digits and w = 1/3 it took 53 / 65 / 68 ms
-    against 30 / 41 / 38 ms for this one (quadratic / cubic / quartic, best
-    of 20, 2 vCPU, Python 3.11.7, shared machine), and steps at full
-    precision are the hot path of long runs.
+class _ChainRow(IterationState):
+    """Row n of a run's trace: n and delta_exp as the run found them, and d_n,
+    c_n and a_n each formed from the chain when first read.
 
-    Precision rule.  Late in a run t ~ d^m is far below 1, and an error in t
-    reaches a1 only through the terms c*t and (w+1)*a*t (the other uses of t
-    are of order t^2).  So d is kept to the absolute precision those terms
-    need, not to W (working digits) significant digits: with
-    e(x) = x.adjusted(), d is rounded to
-
-        p = W + m*(e(d) + 1) + e(c) - e(a) + _SLACK_DIGITS
-
-    digits, at least MIN_GUARD_DIGITS + 1, and the descend runs at p digits
-    whenever p < W and a != 0.  Since t < d^m < 10**(m*(e(d) + 1)) and the
-    p-digit descend is good to 10**(2 - p) * t (its closing :func:`quotient`
-    adds at most one unit in the last place to a long division's half unit),
-    the result d1 satisfies
-    |c| * |d1 - t| < 10**(2 - _SLACK_DIGITS) units in the last place of a, so
-    a1 moves by at most 4 * 10**(2 - _SLACK_DIGITS) of a unit in its last
-    place, given |w + 1| * |a| <= |c|.  That holds on every row of a w1 run,
-    the run of every named constant and perimeter.  At other w the bound grows
-    by the ratio: over the trace rows, log10(|w + 1| * |a| / |c|) reaches 1.9,
-    1.7 and 1.6 (quadratic, cubic, quartic) at w = 1000 and 14.9, 14.7 and 14.6
-    at |w| = 10**16, a few times 10**5 units in the last place of a, inside the
-    guard; at w = +-1000 and +-10**16 the runs at 50, 100 and 1000 digits give
-    values and traces bit-identical to runs without late steps.  The early steps of
-    a run, where p >= W, and d = 0 (a circle) take the full-precision path
-    unchanged.  Once t < 10**-(W + _SLACK_DIGITS) and
-    |c*t| < 10**-(W + _SLACK_DIGITS) * |a|, the step returns (t, m*c, a),
-    which is what the full formula rounds to: f and its power round to 1, and
-    the correction to a is below half a unit in its last place.  The
-    confirming steps of the stopping rule are such steps: each costs a
-    descend at MIN_GUARD_DIGITS + 1 digits.
+    d_n = C_n / A_n, c_n = c_0 m**n A_n**(-e (w - 1)) and
+    a_n = (a_0 + c_0 h_n) A_n**(-e (w + 1)) (the a the run formed, off w1)
+    are taken at the chain's W' = W + ``_CHAIN_DIGITS`` digits and rounded
+    once to the run's W, with C_0 = (1 - B_0**m)**(1/m) and, from n = 1 on,
+    C_n = A_{n-1} - A_n (half that for the cubic family): a difference of
+    means, as in the step.  With u' = 10**(1 - W'): C_n is good to 3u' of
+    A_n absolutely (:func:`_advance`), so d_n is within half a unit in its
+    last place plus 4u' absolutely of the chain's exact ratio; a power with
+    numerator p adds (|p| + 3) u' to c_n and a_n relatively (:func:`pow_rational`),
+    and each product half a unit of u', on top of the chain's own error in a_n.
     """
-    working = ctx.working_digits
-    order = kind.order
-    digits = working + order * (d.adjusted() + 1) + c.adjusted() - a.adjusted() + _SLACK_DIGITS
-    if a and digits < working:
-        # A context of max(digits, MIN_GUARD_DIGITS + 1) working digits.
-        small = PrecisionContext(max(digits - MIN_GUARD_DIGITS, 1), MIN_GUARD_DIGITS)
-        with small.local():
-            d1 = DESCEND[order](+d, small)
-        tiny = ctx.epsilon(-_SLACK_DIGITS)
-        if d1 < tiny and abs(c * d1) < tiny * abs(a):
-            return d1, order * c, a
+
+    def __init__(self, run: RunResult, n: int):
+        # the row is frozen; cached_property stores d, c and a in the instance
+        # dict, which the frozen __setattr__ does not guard
+        for name, value in (("n", n), ("delta_exp", run.chain[n].delta_exp), ("_run", run)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def d(self) -> Real:
+        run, link = self._run, self._run.chain[self.n]
+        m, fine = run.kind.order, run._fine
+        with fine.local():
+            if self.n:
+                gap = run.chain[self.n - 1].mean - link.mean
+                gap = gap / 2 if m == 3 else gap
+            else:
+                gap = nth_root(1 - run.start[0] ** m, m, fine)
+            return run.ctx.real(quotient(gap, link.mean))
+
+    @cached_property
+    def c(self) -> Real:
+        run, link = self._run, self._run.chain[self.n]
+        exponent, fine = -run.kind.e * (run.w - 1), run._fine
+        with fine.local():
+            c = _times_power(run.start[1] * run.kind.order**self.n, link.mean, exponent, fine)
+            return run.ctx.real(c)
+
+    @cached_property
+    def a(self) -> Real:
+        return self._run._a(self._run.chain[self.n])
+
+
+def _advance(order: int, mean: Real, low: Real, weight: int,
+             ctx: PrecisionContext) -> tuple[Real, Real, Real]:
+    """One step of the family's AGM from the means (A_n, B_n), with
+    ``weight`` = m**n: (A_{n+1}, B_{n+1}, h_{n+1} - h_n), at ``ctx``,
+    the chain's context of W' digits (:func:`_chain_context`).
+
+    The root is skipped (B_{n+1} = A_{n+1}) once (C_{n+1}/A_{n+1})**m is below
+    10**(2 - W'), and a step from A_n = B_n returns at once, so the steps after
+    that move nothing.
+
+    Error bound, with u' = 10**(1 - W').  A' and C' are rounded to half a unit
+    of a sum or difference of means, the radicand of B' to about two units,
+    and :func:`nth_root` adds 3/m units, so B' is within 2u' of the exact root
+    of the rounded means; a skipped root leaves B' above the exact one by at
+    most 10**(2 - W') / m <= 5u'.  The nth_root bound is smaller than
+    1 - B'/A' ~ (C'/A')**m / m wherever the root is taken, so B' < A' and
+    every gap C is positive.  A relative error delta in B_n moves the run's
+    limit by about c_n delta / 2 (the invariant's derivative in z_n), and
+    C_{n+1}, a difference, carries it absolutely: so the chain's a_N is
+    within a relative 5u' sum_n |c_n| / |a_N| <= 10u' |c_N| / |a_N|, with
+    c_N = c_0 m**N.  For the constants c_0 = 2 and |a_N| > 1/4, a loss of
+    about N log10(m) + 2 digits: up to 8 at 20 000 digits (quadratic, N = 18),
+    inside the ``_CHAIN_DIGITS`` = 10 the chain carries beyond the working
+    precision, so the value rounded to W digits keeps the accuracy of the
+    paper's normalized recurrence.
+    """
+    if mean == low:
+        return mean, mean, Decimal(0)
+    if order == 3:
+        mean1, gap = (mean + 2 * low) / 3, (mean - low) / 3
+        radicand = low * ((mean + low) ** 2 - mean * low) / 3
+        rise = quotient(2 * weight * gap * radicand, mean * mean1)
     else:
-        d1 = DESCEND[order](d, ctx)
-    f, e = kind.factor(d1)
-    if order == 2:
-        c1 = 2 * c
-        a1 = a * f * f + c1 * d1 * (1 - d1) / 2
-    elif order == 3:
-        c1 = 3 * c * f
-        a1 = a * f * f * f + 2 * c * d1 * (1 - d1**3)
-    else:
-        c1 = 4 * c
-        a1 = a * f**4 + c1 * d1 * (1 - d1) * (1 + d1 * d1) / 2
-    if w != kind.root_free_w:
-        g = pow_rational(f, e * (w - kind.root_free_w), ctx)
-        c1, a1 = c1 * g, a1 * g
-    return d1, c1, a1
+        mean1, gap = (mean + low) / 2, (mean - low) / 2
+        if order == 2:
+            radicand, rise = mean * low, weight * gap * low
+        else:
+            tail = low * (mean * mean + low * low)
+            radicand, rise = mean * tail / 2, weight * gap * tail
+    with localcontext(_LOW):
+        negligible = (+gap / +mean1) ** order < ctx.epsilon(2)
+    return mean1, mean1 if negligible else nth_root(radicand, order, ctx), rise
+
+
+def _rise_at_w1(kind: AlgorithmKind, start, total: Real, rise: Real, mean: Real,
+                mean1: Real) -> tuple[Real, Real]:
+    """(a_{n+1} - a_n, a_{n+1}) at w1 of the step from (A_n, h_n) = (``mean``,
+    ``total``) to A_{n+1} = ``mean1``, h_{n+1} = h_n + ``rise``, in the 30-digit context.
+
+    With a_n = hat / A_n**E (E = e (w1 + 1) = m), hat = a_0 + c_0 h_n and
+    gain = c_0 ``rise``,
+    a_{n+1} - a_n = hat (A_n**E - A_{n+1}**E) / (A_n A_{n+1})**E + gain / A_{n+1}**E,
+    and A_n**E - A_{n+1}**E = (A_n - A_{n+1}) sum_j A_n**j A_{n+1}**(E-1-j).
+    Both terms are nonnegative at w1 (a_0 >= 0, A_{n+1} <= A_n, every gap
+    positive), so no digit cancels: the rise is good to a relative 1e-27,
+    and is exactly 0 when the chain did not move.
+    """
+    _, c0, a0 = start
+    m = kind.order
+    with localcontext(_LOW):
+        drop = mean - mean1
+        mean, mean1, c0 = +mean, +mean1, +c0
+        hat, gain = a0 + c0 * total, c0 * rise
+        span = mean + mean1  # sum_j A_n**j A_{n+1}**(m-1-j), by Horner's rule
+        for k in range(2, m):
+            span = span * mean + mean1**k
+        top = mean1**m
+        return (hat * drop * span / mean**m + gain) / top, (hat + gain) / top
 
 
 def _sized(ctx: PrecisionContext, order: int,
@@ -291,37 +399,55 @@ def _sized(ctx: PrecisionContext, order: int,
     return ctx, step_budget(target, order) + extra_steps
 
 
-def _iterate(kind: AlgorithmKind, w: Fraction, d0: Real, c0: Real, a0: Real,
-             ctx: PrecisionContext, budget: int) -> RunResult:
-    """Run the recurrences until two consecutive deltas are small, or raise
-    :class:`NonConvergenceError` after ``budget`` steps.
+def _chain_context(ctx: PrecisionContext) -> PrecisionContext:
+    """The context a chain and its start compute at: ``_CHAIN_DIGITS`` more guard."""
+    return PrecisionContext(ctx.target_digits, ctx.guard_digits + _CHAIN_DIGITS)
+
+
+def _iterate(kind: AlgorithmKind, w: Fraction, start: tuple[Real, Real, Real],
+             ctx: PrecisionContext, budget: int) -> list[_Link]:
+    """The chain from ``start`` = (B_0, c_0, a_0), run until two consecutive
+    deltas are small; :class:`NonConvergenceError` after ``budget`` steps.
 
     A delta |a_n - a_{n-1}| is small when delta_exp <= e(a_n) - target_digits - 8
     (e(x) = x.adjusted()): below 10**(-target_digits - 8) times the power of ten
     just above |a_n|.  So a limit far from 1 (about 1e-73 at w = -1000) keeps
     its digits, and a limit in [0.1, 1), as of pi and gamma23, stops where the
-    absolute bound 10**(-target_digits - 8) stopped it.
+    absolute bound 10**(-target_digits - 8) stopped it.  At w1 the delta is
+    :func:`_rise_at_w1`; at any other w it is the difference of the rows' a at
+    w, formed at the chain's precision.
     """
-    with ctx.local():
-        d, c, a = d0, c0, a0
-        trace = [IterationState(0, d, c, a)]
+    m = kind.order
+    low, _, a0 = start
+    root_free = w == kind.root_free_w
+    exponent = -kind.e * (w + 1)
+    fine = _chain_context(ctx)
+    with fine.local():
+        link = _Link(Decimal(1), Decimal(0), None, None if root_free else a0)
+        chain = [link]
+        a = link.a
         consecutive = 0
         for n in range(1, budget + 1):
-            d, c, a1 = _step(kind, w, d, c, a, ctx)
-            delta = abs(a1 - a)
-            a = a1
-            delta_exp = delta.adjusted() if delta != 0 else None
-            trace.append(IterationState(n, d, c, a, delta_exp))
-            small = delta_exp is None or delta_exp <= a.adjusted() - ctx.target_digits - 8
+            mean, low, rise = _advance(m, link.mean, low, m ** (n - 1), fine)
+            total = link.total + rise
+            if root_free:
+                delta, a = _rise_at_w1(kind, start, link.total, rise, link.mean, mean)
+                a1 = None
+            else:
+                a1 = _a_at(start, mean, total, exponent, fine)
+                delta, a = abs(a1 - a), a1
+            link = _Link(mean, total, delta.adjusted() if delta else None, a1)
+            chain.append(link)
+            small = not delta or delta.adjusted() <= a.adjusted() - ctx.target_digits - 8
             consecutive = consecutive + 1 if small else 0
             if consecutive == 2:
                 break
-        if consecutive < 2:
-            raise NonConvergenceError(
-                f"{kind.name} run did not converge within {budget} iterations",
-                trace=trace,
-            )
-        return RunResult(a, trace, kind, w, ctx)
+    if consecutive < 2:
+        raise NonConvergenceError(
+            f"{kind.name} run did not converge within {budget} iterations",
+            trace=RunResult(kind, w, ctx, start, chain).trace,
+        )
+    return chain
 
 
 def as_weight(w) -> Fraction:
@@ -359,11 +485,14 @@ def as_weight(w) -> Fraction:
     return w
 
 
+
+
 def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunResult:
     """Run the order-m constant algorithm with free parameter w.
 
     The limit is couple_product(s, w) with s = 1/2 for the quadratic and
-    quartic families and s = 1/3 for the cubic one.  The run allows
+    quartic families and s = 1/3 for the cubic one.  The chain starts from
+    B_0 = d_0 = 2**(-1/m), since 1 - d_0**m = d_0**m.  The run allows
     step_budget(target, m) steps at ``ctx`` raised to at least 32 target
     digits and the guard of make_context(target, m) (see ``RunResult.ctx``).
     A w that :func:`as_weight` refuses raises before any arithmetic.
@@ -371,9 +500,8 @@ def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunR
     w = as_weight(w)
     m = kind.order
     ctx, budget = _sized(ctx, m)
-    with ctx.local():
-        d0 = pow_rational(Decimal(2), Fraction(-1, m), ctx)
-        return _iterate(kind, w, d0, Decimal(2), Decimal(0), ctx, budget)
+    start = pow_rational(Decimal(2), Fraction(-1, m), _chain_context(ctx)), Decimal(2), Decimal(0)
+    return RunResult(kind, w, ctx, start, _iterate(kind, w, start, ctx, budget))
 
 
 def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
@@ -383,27 +511,33 @@ def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
     exponent range (b^2 underflows for axes near 1e-500000000000060).
 
     F is the limit at w = 0 of the recurrences of :func:`run_borwein` started
-    from d_0 = (1 - b^2/a^2)**(1/m), c_0 = 2 a^2/b^2, a_0 = 1.  The run
-    iterates from that start at the root-free w = 1, whose steps take no power
-    and no division of f, and returns F = L(1) / K (``RunResult.limit(0)``);
-    ``RunResult.w`` is 1, the w of the trace rows.  It runs at the context of
-    :func:`run_borwein` plus :func:`_eccentric_steps` steps (``RunResult.ctx``).
+    from d_0 = (1 - b^2/a^2)**(1/m), c_0 = 2 a^2/b^2, a_0 = 1.  The chain
+    starts from the complementary means, B_0 = (b/a)**(2/m) (b/a or its square
+    root), so it never forms 1 - b^2/a^2 and takes any b/a whose square the
+    exponent range holds, however far below the working precision.  The run
+    iterates from that start at the root-free w = 1, and F = L(1) / K is the
+    chain's a_N at w = 0, (1 + c_0 h_N) A_N**-e; ``RunResult.w`` is 1, the w of
+    the trace rows.
+    It runs at the context of :func:`run_borwein` plus :func:`_eccentric_steps`
+    steps (``RunResult.ctx``).  A (b/a)**2 below the exponent range raises
+    :class:`DomainError`.
     """
     check_axes(semi_major, semi_minor)
     if kind.order not in (2, 4):
         raise UnsupportedParameterError("perimeter algorithms exist for quad and quartic only")
     ctx, budget = _sized(ctx, kind.order, _eccentric_steps(semi_major, semi_minor))
+    fine = _chain_context(ctx)
+    with fine.local() as local:
+        ratio = fine.real(semi_minor) / fine.real(semi_major)
+        square = ratio * ratio
+        if local.flags[decimal.Subnormal]:
+            raise DomainError("b/a is out of range: (b/a)^2 is below the exponent range")
+        b0 = ratio if kind.order == 2 else nth_root(ratio, 2, fine)
+        start = b0, quotient(Decimal(2), square), Decimal(1)
+        chain = _iterate(kind, kind.root_free_w, start, ctx, budget)
+        value = _a_at(start, chain[-1].mean, chain[-1].total, Fraction(-kind.e), fine)
     with ctx.local():
-        ratio = ctx.real(semi_minor) / ctx.real(semi_major)
-        d0 = nth_root(1 - ratio * ratio, kind.order, ctx)
-        if d0 >= 1:
-            raise PrecisionInsufficientError(
-                "b/a is below the working precision; increase digits to resolve d0 < 1"
-            )
-        c0 = quotient(Decimal(2), ratio * ratio)
-        run = _iterate(kind, kind.root_free_w, d0, c0, Decimal(1), ctx, budget)
-        run.value = run.limit(Fraction(0))
-        return run
+        return RunResult(kind, kind.root_free_w, ctx, start, chain, +value)
 
 
 def _eccentric_steps(semi_major: Real, semi_minor: Real) -> int:
@@ -510,7 +644,7 @@ def postprocess_constant(name: str, run: RunResult) -> Real:
     if name not in CONSTANT_RECIPES:
         raise UnsupportedParameterError(f"unknown constant id {name!r}")
     orders, w, alpha, e = CONSTANT_RECIPES[name]
-    start = run.trace[0].a
+    start = run.start[2]
     if run.kind.order not in orders or start != 0:
         raise UnsupportedParameterError(
             f"constant {name} is computed by a run_borwein run (a_0 = 0) of an order in "

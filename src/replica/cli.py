@@ -301,8 +301,16 @@ def _cmd_ellipse(args, ctx: PrecisionContext) -> _Report:
             pi = postprocess_constant("pi", run_borwein(QUARTIC, Fraction(1), ctx))
             # (b/a)*F stays of order a/b, so no product leaves the exponent range
             value = 2 * pi * axis_minor * (axis_minor / axis_major * value)
+            # P > 4a for every b > 0, but once (b/a)^2 ln(a/b) is below the working
+            # precision P rounds to about 4a, where its truncation would read ...999
+            # whenever the rounding fell below: keep the value above 4a
+            with ctx.elevated(1):
+                value = max(value, (4 * axis_major).next_plus())
         if args.output == "json":  # the only form that prints the eccentricity
-            eccentricity = nth_root(1 - (axis_minor / axis_major) ** 2, 2, ctx)
+            # below 1 for every b > 0, though 1 - (b/a)^2 rounds to 1 once b/a
+            # is below the working precision: the truncation must read 0.99...9
+            eccentricity = min(nth_root(1 - (axis_minor / axis_major) ** 2, 2, ctx),
+                               Decimal(1).next_minus())
             fields["eccentricity"] = to_sig_digits(eccentricity, min(args.digits, 30))
     return _Report(run, value, fields)
 

@@ -18,10 +18,6 @@ class SlowConvergenceError(ReplicaError):
     """Series argument too close to 1 for certified truncation in reasonable time."""
 
 
-class PrecisionInsufficientError(ReplicaError):
-    """The working precision cannot distinguish an input from a singular value."""
-
-
 class NonConvergenceError(ReplicaError):
     """An iteration hit its step budget before meeting the stopping rule.
 

@@ -13,10 +13,12 @@ r = X*y**(q-1) are taken at about P/2 digits and one correction at P digits,
 r += y**(q-1)*(X - r**q)/q, finishes r (Karp & Markstein, ACM TOMS 23, 1997):
 the full-precision work is then r**q and products of half-length operands.
 The error bounds are stated on :func:`nth_root` and :func:`pow_rational`.
-Quotients at full precision (the descend maps, 1/X for q = 1 and p < 0, and
-a perimeter run's c_0) take :func:`quotient`: below ``_QUOTIENT_CROSSOVER``
-digits decimal's long division, from there up the same kernel at q = 1, a
-reciprocal at about P/2 digits and one correction at P digits.
+Quotients at full precision (the one of a cubic step, a run's value and a
+trace row's d_n and a_n, 1/X for q = 1 and p < 0, and a perimeter run's
+c_0) take :func:`quotient`:
+below ``_QUOTIENT_CROSSOVER`` digits decimal's long division, from there up
+the same kernel at q = 1, a reciprocal at about P/2 digits and one
+correction at P digits.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
 """Algebraic descend maps x -> t.
 
-Three self-replicating transformations drive the iterations: a quadratic one
+Three self-replicating transformations define the iterations: a quadratic one
 (the classical Landen argument map), a cubic one and a quartic one.  Each
-``*_descend`` contracts [0, 1) toward 0.  The paper's replication maps, which
-rewrite the weight (a + b*k) of the series into (alpha + beta*k) on the
-transformed side, are cancelled into ``algorithms._step``; tests/oracles.py
-keeps them as the form that step is checked against.
+``*_descend`` contracts [0, 1) toward 0.  A run does not call them: it
+carries its family's AGM in homogeneous means (``algorithms._advance``),
+whose rows d_n = C_n / A_n follow the same map.  They stay as the maps those
+rows are checked against, with the paper's replication maps of
+tests/oracles.py, which rewrite the weight (a + b*k) of the series into
+(alpha + beta*k) on the transformed side.  The benchmark's tracer
+(bench/tracer.py) wraps them by name, and a traced run fails if one is missing.
 """
 
 from __future__ import annotations

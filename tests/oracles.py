@@ -4,8 +4,8 @@ Everything here deliberately avoids the package's own evaluation paths:
 series sums are exact rational arithmetic or a plain Decimal term loop
 (the package sums fixed-point integer terms), powers use ``Decimal.__pow__``,
 square roots go through ``decimal.Decimal.sqrt`` or integer ``math.isqrt``.
-The paper's replication maps, with the divisions that ``algorithms._step``
-cancels by hand, are the form that step is checked against.
+The paper's replication maps, whose divisions a run's chain of homogeneous
+means cancels, are the form each row of a run is checked against.
 """
 
 from __future__ import annotations
@@ -204,3 +204,15 @@ def sig_digits_reference(x: Decimal, n: int) -> str:
     if point >= n:
         return prefix + digs + "0" * (point - n)
     return prefix + digs[:point] + "." + digs[point:]
+
+
+def near_degenerate_perimeter(a: str, b: str, digits: int) -> Decimal:
+    """4a[1 + (k^2/2)(ln(4/k) - 1/2)] with k = b/a, at ``digits`` digits: the
+    perimeter of an ellipse with semi-axes a >= b up to a remainder of order
+    k^4 ln(1/k) relative (DLMF 19.12, the expansion of E about k' = 0), by
+    ``Decimal.ln``."""
+    with localcontext() as c:
+        c.prec = digits
+        c.Emin, c.Emax = -(10**9), 10**9
+        a, k = Decimal(a), Decimal(b) / Decimal(a)
+        return 4 * a * (1 + k * k / 2 * ((4 / k).ln() - Decimal("0.5")))

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import random
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +13,7 @@ from oracles import (
     assert_invariant_accurate,
     decimal_sqrt,
     invariant_decimal,
+    near_degenerate_perimeter,
     reference_context,
 )
 from replica import (
@@ -24,7 +24,6 @@ from replica import (
     DomainError,
     NonConvergenceError,
     PrecisionContext,
-    PrecisionInsufficientError,
     UnsupportedParameterError,
     couple_product,
     ellipse_factor,
@@ -35,11 +34,13 @@ from replica import (
     run_ellipse,
 )
 from replica import algorithms
-from replica.algorithms import IterationState, _eccentric_steps, _sized, _step, error_table
+from replica.algorithms import IterationState, _eccentric_steps, _sized, error_table
+from replica import cli
 from replica.cli import main
 from replica.precision import (
     MIN_GUARD_DIGITS,
     matching_digits,
+    nth_root,
     pow_rational,
     step_budget,
     to_sig_digits,
@@ -91,7 +92,10 @@ class TestRunBorwein:
         run = run_borwein(kind, Fraction(2), make_context(120, kind.order))
         ds = [st.d for st in run.trace]
         assert all(0 <= d < 1 for d in ds)
-        assert all(b < a for a, b in zip(ds, ds[1:]))
+        # d strictly decreases until the chain stops moving, and is 0 after that
+        moving = [d for d in ds if d > 0]
+        assert ds == moving + [0] * (len(ds) - len(moving))
+        assert all(b < a for a, b in zip(moving, moving[1:]))
         assert all(st.c > 0 for st in run.trace)
 
     def test_stopping_rule_two_small_deltas(self):
@@ -457,19 +461,30 @@ class TestRunEllipse:
         assert main(["ellipse", "1", "1e-50", "--normalized", "--digits", "100", "--plain"]) == 0
         assert capsys.readouterr().out == to_sig_digits(run.value, 100) + "\n"
 
-    def test_precision_insufficient_for_extreme_axes(self):
-        ctx = make_context(50, 2)
-        with pytest.raises(PrecisionInsufficientError):
-            run_ellipse(QUADRATIC, ctx.real(1), Decimal(1).scaleb(-200), ctx)
+    @pytest.mark.parametrize("kind, minor", [(QUADRATIC, "1e-200"), (QUARTIC, "1e-105")],
+                             ids=["quadratic", "quartic"])
+    def test_axis_ratio_below_the_working_precision_prints_its_digits(self, capsys, kind, minor):
+        # 1 - (b/a)^2 rounds to 1 at the working precision (1e-210 survives in
+        # it, but its fourth root rounds to 1): the chain starts from b/a itself
+        algorithm = "quad" if kind is QUADRATIC else "quartic"
+        argv = ["ellipse", "1", minor, "--algorithm", algorithm, "--digits", "50", "--plain"]
+        assert main([*argv, "--normalized"]) == 0
+        with localcontext() as c:
+            c.prec, c.Emax = 120, 10**6
+            # F = P a / (2 pi b^2), from the expansion of P about k' = b/a = 0
+            factor = near_degenerate_perimeter("1", minor, 120) / (
+                2 * Decimal(frozen.PI[:120]) * Decimal(minor) ** 2)
+        assert capsys.readouterr().out == to_sig_digits(factor, 50) + "\n"
+        # the perimeter lies above 4a by far less than the working precision
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "4." + "0" * 49 + "\n"
+        run = run_ellipse(kind, Decimal(1), Decimal(minor), make_context(50, kind.order))
+        assert run.trace[0].d == 1  # d_0, formed when read, rounds to 1
 
-    def test_d0_rounded_to_one_is_the_same_refusal(self):
-        # (b/a)^2 = 1e-210 survives in 1 - (b/a)^2, but its fourth root rounds to 1
-        ctx = make_context(50, 4)
-        with pytest.raises(PrecisionInsufficientError) as raised:
-            run_ellipse(QUARTIC, ctx.real(1), Decimal("1e-105"), ctx)
-        assert str(raised.value) == (
-            "b/a is below the working precision; increase digits to resolve d0 < 1"
-        )
+    def test_a_ratio_whose_square_leaves_the_exponent_range_is_refused(self):
+        with pytest.raises(DomainError, match="b/a is out of range"):
+            run_ellipse(QUADRATIC, Decimal("1e999999999999999"), Decimal("1e-999999999999999"),
+                        make_context(20, 2))
 
     @pytest.mark.parametrize("semi_major, semi_minor", [
         ("3.14159e-1000000000000108", "1.23456e-1000000000000108"),
@@ -519,7 +534,7 @@ class TestRootFreeRuns:
     """A run at the root-free w1 and its AGM product K give the limit at every w."""
 
     @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC])
-    def test_only_a_run_off_w1_takes_a_power_in_its_steps(self, kind, monkeypatch):
+    def test_only_a_run_off_w1_takes_a_power_per_row(self, kind, monkeypatch):
         calls = []
 
         def counted(x, exponent, ctx):
@@ -528,14 +543,16 @@ class TestRootFreeRuns:
 
         monkeypatch.setattr(algorithms, "pow_rational", counted)
         d0_power = Fraction(-1, kind.order)  # d_0 = 2**(-1/m)
-        run = run_borwein(kind, kind.root_free_w, make_context(300, kind.order))
+        # at w1 only d_0 takes a rational power: the value a_N = hat_N / A_N**m
+        # is one quotient once the chain has stopped
+        w1 = kind.root_free_w
+        run = run_borwein(kind, w1, make_context(300, kind.order))
         assert run.iterations > 4 and calls == [d0_power]
-        # one power f**(e (w - w1)) per step that computes (c, a), at w = w1 + 1
+        # off w1: one power A_n**(-e (w + 1)) per row, and none for the value
         calls.clear()
-        run = run_borwein(kind, kind.root_free_w + 1, make_context(300, kind.order))
-        e = 2 if kind.order == 4 else 1
-        assert calls[0] == d0_power and set(calls[1:]) == {e}
-        assert run.iterations - 2 <= len(calls) - 1 <= run.iterations
+        w = w1 + Fraction(1, 3)
+        run = run_borwein(kind, w, make_context(300, kind.order))
+        assert calls == [d0_power] + [-kind.e * (w + 1)] * run.iterations
 
     @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC])
     def test_k_is_the_series_s0_at_one_half(self, kind):
@@ -652,57 +669,88 @@ class TestPostprocessConstant:
         assert matching_digits(raw, expected) >= ctx.target_digits
 
 
-class TestStepMatchesReplicate:
-    """``_step`` is the replication map with its divisions cancelled by hand."""
+class TestRowsMatchReplicate:
+    """Each row a run forms is the paper's replication map applied to the row
+    before it: the chain in homogeneous means is that map with its divisions
+    cancelled."""
 
-    def test_step_equals_replicate_form(self):
-        ctx = PrecisionContext(target_digits=288, guard_digits=32)
-        working = ctx.working_digits
-        fine = PrecisionContext(target_digits=308, guard_digits=32)
-        rng = random.Random(0x57E9)
-        for order in (2, 3, 4):
-            kind = AlgorithmKind(order)
-            # w1, where the step takes no power of f, and the ws next to it;
-            # half the draws of every band of d take one of them
-            w1 = kind.root_free_w
-            near = [w1, w1 + Fraction(1, 12), w1 - Fraction(1, 12), w1 - 1]
-            # d in (0, 1); then down to 10**-(W/m), where late steps descend at
-            # reduced precision; then below 10**-W, where the step is a no-op.
-            shifts = [0] * 60
-            shifts += [rng.randint(1, working // order) for _ in range(60)]
-            shifts += [rng.randint(working, working + 40) for _ in range(20)]
-            for i, shift in enumerate(shifts):
-                d = ctx.real(Fraction(rng.randint(1, 9999), 10000)).scaleb(-shift)
-                c = ctx.real(Fraction(rng.randint(1, 4000), 1000))
-                a = ctx.real(Fraction(rng.randint(0, 2000), 1000))
-                w = Fraction(rng.randint(-24, 36), 12)
-                if i % 8 < len(near):
-                    w = near[i % 8]
+    @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC],
+                             ids=["quadratic", "cubic", "quartic"])
+    def test_every_row_is_the_map_of_the_row_before(self, kind):
+        m = kind.order
+        w1 = kind.root_free_w
+        # w1, the ws next to it, and ws far from it, where each row takes a power
+        weights = [w1, w1 + Fraction(1, 12), w1 - Fraction(1, 12), w1 - 1,
+                   Fraction(1, 3), Fraction(3), Fraction(-1000)]
+        for w in weights:
+            run = run_borwein(kind, w, PrecisionContext(target_digits=288, guard_digits=32))
+            ctx = run.ctx
+            working = ctx.working_digits
+            fine = PrecisionContext(ctx.target_digits + 20, ctx.guard_digits)
+            for prev, row in zip(run.trace, run.trace[1:]):
                 with ctx.local():
-                    d1, c1, a1 = _step(kind, w, d, c, a, ctx)
-                    t = DESCEND[order](d, fine)
-                    rc = REPLICATE[order](a, c * (1 - d**order), t, ctx)
-                    pre = (1 + 2 * t) if order == 3 else (1 + t) ** (1 if order == 2 else 2)
+                    t = DESCEND[m](prev.d, fine)
+                    rc = REPLICATE[m](prev.a, prev.c * (1 - prev.d**m), t, ctx)
+                    pre = (1 + 2 * t) if m == 3 else (1 + t) ** (1 if m == 2 else 2)
                     scale = pow_rational(pre, w, ctx)
-                    expected_c = scale * rc.beta / (1 - t**order)
+                    expected_c = scale * rc.beta / (1 - t**m)
                     expected_a = scale * rc.alpha
-                    # d1 is t to working precision, or to the absolute precision
-                    # of the precision rule: |c| |d1 - t| below 10**(2 - SLACK)
-                    # units in the last place of a.
-                    error = abs(d1 - t)
-                    ulp = Decimal(1).scaleb(a.adjusted() + 1 - working)
-                    assert (error <= t * ctx.epsilon(2)
-                            or abs(c) * error < ulp.scaleb(2 - algorithms._SLACK_DIGITS)), \
-                        (order, d, c, a, w)
-                    if shift >= working and a != 0:
-                        assert (a1, c1) == (a, order * c)
-                agree = min(matching_digits(c1, expected_c), matching_digits(a1, expected_a))
-                assert agree >= ctx.working_digits - 10, (order, d, c, a, w, agree)
+                    # d_n = C_n / A_n, C_n a difference of means: good to the
+                    # chain's absolute precision, 10 digits below the working one
+                    assert abs(row.d - t) <= t * ctx.epsilon(2) + ctx.epsilon(-8), (w, row.n)
+                    if row.delta_exp is None:
+                        assert row.a == prev.a, (w, row.n)
+                    elif row.delta_exp > row.a.adjusted() - working + 12:
+                        assert row.delta_exp == abs(row.a - prev.a).adjusted(), (w, row.n)
+                agree = min(matching_digits(row.c, expected_c), matching_digits(row.a, expected_a))
+                assert agree >= working - 10, (w, row.n, agree)
+
+    @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC],
+                             ids=["quadratic", "cubic", "quartic"])
+    @pytest.mark.parametrize("w", [Fraction(1, 3), Fraction(3)])
+    def test_k_is_the_product_of_the_row_factors(self, kind, w):
+        # K = A_N**-e, read off the chain; the factors f(d_n)**e of the rows
+        # telescope to the same value, within 2 N units of 10**(1 - W)
+        for run in (run_borwein(kind, w, make_context(400, kind.order)),
+                    run_borwein(kind, kind.root_free_w, make_context(400, kind.order))):
+            with run.ctx.local():
+                product = Decimal(1)
+                for state in run.trace[1:]:
+                    f = 1 + 2 * state.d if kind.order == 3 else 1 + state.d
+                    product *= f**kind.e
+                bound = 2 * run.iterations * run.ctx.epsilon(1)
+                assert abs(run.k / product - 1) <= bound
+
+    def test_ellipse_k_is_the_product_of_the_row_factors(self):
+        for kind in (QUADRATIC, QUARTIC):
+            run = run_ellipse(kind, Decimal(3), Decimal("0.01"), make_context(300, kind.order))
+            with run.ctx.local():
+                product = Decimal(1)
+                for state in run.trace[1:]:
+                    product *= (1 + state.d) ** kind.e
+                assert abs(run.k / product - 1) <= 2 * run.iterations * run.ctx.epsilon(1)
+
+    def test_a_text_constant_forms_no_row(self, capsys, monkeypatch):
+        runs = []
+
+        def kept(*args):
+            runs.append(run_borwein(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_borwein", kept)
+        assert main(["constant", "pi", "--digits", "20000"]) == 0
+        assert capsys.readouterr().out.startswith("3.1415926535 8979323846")
+        assert "trace" not in vars(runs[0])
+        # --json prints orders, which read every row's a and no d or c
+        assert main(["constant", "pi", "--digits", "200", "--json"]) == 0
+        formed = [sorted(set(vars(row)) & {"d", "c", "a"}) for row in runs[1].trace]
+        assert formed == [["a"]] * (runs[1].iterations + 1)
 
 
 class TestLateSteps:
-    """Late steps descend at reduced precision and the last ones are no-ops;
-    neither moves a traced number or a printed digit."""
+    """Late steps skip the root once (C'/A')**m is below the chain's precision,
+    and the steps after them move nothing; neither changes a traced number or
+    a printed digit."""
 
     @pytest.mark.parametrize("command", list(frozen.LATE_STEP_TRACES))
     def test_trace_is_unchanged(self, capsys, command):
@@ -729,13 +777,22 @@ class TestLateSteps:
 
     @pytest.mark.parametrize("kind, w", [(QUADRATIC, ONE), (CUBIC, HALF), (QUARTIC, ONE)],
                              ids=["quadratic", "cubic", "quartic"])
-    def test_ten_thousand_digits_match_the_series_oracle(self, kind, w):
+    def test_ten_thousand_digits_match_the_series_oracle(self, kind, w, monkeypatch):
+        roots = []
+
+        def counted(x, n, ctx):
+            roots.append(n)
+            return nth_root(x, n, ctx)
+
+        monkeypatch.setattr(algorithms, "nth_root", counted)
         run = run_borwein(kind, w, make_context(10_000, kind.order))
         oracle = couple_product(kind.couple_parameter, w, run.ctx)
         assert matching_digits(run.value, oracle) >= run.ctx.target_digits
-        # At least the last three steps kept d to fewer than W digits.
-        short = [len(st.d.as_tuple().digits) < run.ctx.working_digits for st in run.trace]
-        assert short[-3:] == [True] * 3
+        # The last three steps take no root: the first meets the late-step rule,
+        # (C'/A')**m below 10**(2 - W), and the chain stops moving after it.
+        assert roots == [kind.order] * (run.iterations - 3)
+        assert [st.d for st in run.trace[-3:]] == [run.trace[-3].d, 0, 0]
+        assert run.trace[-3].d > 0
 
     @pytest.mark.parametrize("kind, w", [(CUBIC, ONE), (CUBIC, Fraction(2)), (CUBIC, Fraction(3)),
                                          (QUARTIC, Fraction(1, 3)), (QUARTIC, Fraction(3))],

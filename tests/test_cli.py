@@ -12,6 +12,7 @@ from time import perf_counter
 
 import frozen
 import pytest
+from oracles import near_degenerate_perimeter
 from replica import (
     QUARTIC,
     AlgorithmKind,
@@ -24,7 +25,7 @@ from replica import (
 )
 from replica import algorithms, series
 from replica.cli import main
-from replica.precision import matching_digits
+from replica.precision import matching_digits, to_sig_digits
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
@@ -238,13 +239,23 @@ class TestEllipseCommand:
         code, _, _ = run_cli(capsys, "ellipse", "1", "0")
         assert code == 2
 
-    def test_axis_ratio_below_working_precision_exits_2(self, capsys):
-        # (b/a)^2 = 1e-210 is resolved, but d0 = (1 - 1e-210)^(1/4) rounds to 1
+    def test_axis_ratio_below_working_precision_prints_4a(self, capsys):
+        # (b/a)^2 = 1e-210 is resolved, but d0 = (1 - 1e-210)^(1/4) rounds to 1;
+        # P = 4 (1 + 1.2e-208) truncates to 4 on every printed digit, not 3.999...
         code, out, err = run_cli(capsys, "ellipse", "1", "1e-105", "--digits", "50")
-        assert code == 2 and out == ""
-        assert err == (
-            "error: b/a is below the working precision; increase digits to resolve d0 < 1\n"
-        )
+        assert (code, err) == (0, "")
+        assert out == "4.0000000000 0000000000 0000000000 0000000000 000000000 ..."
+
+    def test_axis_ratio_of_1e_400_matches_the_expansion_about_k_prime_0(self, capsys):
+        # the remainder of the expansion is of order k'^4 ln(1/k') ~ 1e-1597,
+        # so every one of the 1000 digits is checked
+        code, out, _ = run_cli(capsys, "ellipse", "1", "1e-400", "--digits", "1000", "--plain")
+        assert code == 0
+        assert out == to_sig_digits(near_degenerate_perimeter("1", "1e-400", 1100), 1000)
+        assert out.startswith("4." + "0" * 796 + "18")  # 4 + 1.84e-797
+        # the eccentricity is below 1: its truncation reads 0.999..., not 1.000...
+        code, out, _ = run_cli(capsys, "ellipse", "1", "1e-400", "--digits", "1000", "--json")
+        assert json.loads(out)["eccentricity"] == "0." + "9" * 30
 
     def test_non_decimal_axis_rejected(self, capsys):
         code, _, err = run_cli(capsys, "ellipse", "two", "1")
@@ -703,11 +714,11 @@ GOLDEN = [
     ("ellipse 2 1 --normalized", 0,
      "0cf28e4141686acaf48f110190c565fa696d26b50a61b5baab69a1de4ac4fcd0"),
     ("verify pi --digits 1000", 0,
-     "2338aec057e44870a2eb9098c197556b7d666ba11a5867d591fa5180382048a0"),
+     "d67f25b11f716bcd69402c11975bf7589e85132e03064afa83a34ba5756fed53"),
     ("verify ellipse 2 1 --digits 500", 0,
-     "5934ce214472a101b319cfc95e327359509f59ad542248f8a51e38358d84e27d"),
+     "c62961c28c25e6b3e0c52490cdd24b34aa89ce29b2d9ef1176d1c41b61d3e5ee"),
     ("verify custom --w 1/2 --algorithm cubic --digits 200 --paper-example", 0,
-     "d1bce0851241da231c8ad942519b053887b0187ab3d817d23bb920db80f79789"),
+     "71dbf0de8dad4a4f63baf24dd4e281d092b486aba21c0d9cf1726844a8c2af5e"),
     ("orders --algorithm quartic --w 1 --digits 1000", 0,
      "38f5390342da5907d25b24a2fb89de18c73d0c99004ea0b82a5b104dd2e4e8f2"),
     ("ellipse 1 1e-12 --normalized --digits 10", 0,
@@ -737,7 +748,7 @@ GOLDEN = [
     ("ellipse 2 1 --digits 60 --plain", 0,
      "f386174861bc066c70753575b3b7db80cb7d87bb2c1d96448fd34ee30f8f8102"),
     ("verify ellipse 2 1 --digits 60 --trace", 0,
-     "4687d0ffe7ca0b60bb673661d07fe12bf95c5027b0de64f67c668694ce785460"),
+     "a3bbdbcdd0d39e4ef75d318057086cb5b0fde77a4d5e4a62bbff56e171f930d8"),
     # the fallback oracle in trace form
     ("verify ellipse 1 0.005 --digits 100 --trace", 0,
      "5fddbbc6746cf87528ddeabae2ee0238bda074609003729c09de4bed0937d560"),
