@@ -87,6 +87,10 @@ _W_DENOMINATOR = "w must have a denominator dividing 12"
 #: its differences of means lose (see :func:`_advance`).
 _CHAIN_DIGITS = 10
 
+#: order -> L of the descend map's leading term t ~ d**m / L near d = 0
+#: (:mod:`replica.transforms`), which continues the rows once the chain stops moving.
+_DESCEND_LEADING = {2: 4, 3: 9, 4: 8}
+
 #: The context of a step's rise in a at w1 and of the late-step test: every
 #: operand is positive there, so 30 digits give each to a relative 1e-28.
 _LOW = decimal.Context(prec=30, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
@@ -142,7 +146,8 @@ class IterationState:
 
 class _Link(NamedTuple):
     """One state of a run's chain: the mean A_n, the sum h_n, the row's
-    delta_exp, and a_n at the run's w when the run formed it (w != w1)."""
+    delta_exp, and a_n at the run's w, rounded to W, when the run formed it
+    (every state of a run off w1, and the last one of a :func:`run_borwein` run)."""
 
     mean: Real
     total: Real
@@ -167,24 +172,15 @@ class RunResult:
     ctx: PrecisionContext
     start: tuple[Real, Real, Real]
     chain: list[_Link]
-    value: Real | None = None
-
-    def __post_init__(self):
-        if self.value is None:
-            self.value = self._final
-
-    @cached_property
-    def _final(self) -> Real:
-        """The trace's limit: the last row's a, formed without reading :attr:`trace`."""
-        return self._a(self.chain[-1])
+    value: Real
 
     def _a(self, link: _Link) -> Real:
-        """a of a chain state at ``w``, formed at the chain's precision and
-        rounded to ``ctx`` (the a the run formed, off w1)."""
+        """a of a chain state at ``w``, rounded to ``ctx``: the a the run
+        formed, or else formed now at the chain's precision."""
         if link.a is None:
             return self.ctx.real(_a_at(self.start, link.mean, link.total, self._a_exponent,
                                        self._fine))
-        return self.ctx.real(link.a)
+        return link.a
 
     @cached_property
     def _fine(self) -> PrecisionContext:
@@ -236,16 +232,17 @@ class RunResult:
 
     def limit(self, w: Fraction) -> Real:
         """The limit of this family's iteration at weight ``w`` from this run's
-        start: K**(w - self.w) times the trace's limit :attr:`_final`, at ``ctx``.
+        start: K**(w - self.w) times the trace's limit, the last row's a, at ``ctx``.
 
         Only a ``w`` other than ``self.w`` computes :attr:`k`; the power adds
         a relative |w - self.w| * r_K + (|p| + 3) * 10**(1 - W) for the
         numerator p of w - self.w, and the product half a unit.
         """
+        final = self._a(self.chain[-1])
         if w == self.w:
-            return self._final
+            return final
         with self.ctx.local():
-            return pow_rational(self.k, w - self.w, self.ctx) * self._final
+            return pow_rational(self.k, w - self.w, self.ctx) * final
 
 
 def _a_at(start, mean: Real, total: Real, exponent: Fraction, ctx: PrecisionContext) -> Real:
@@ -253,17 +250,7 @@ def _a_at(start, mean: Real, total: Real, exponent: Fraction, ctx: PrecisionCont
     -e (w + 1) = ``exponent``: (a_0 + c_0 h_n) A_n**exponent, at ``ctx``."""
     _, c0, a0 = start
     with ctx.local():
-        return _times_power(a0 + c0 * total, mean, exponent, ctx)
-
-
-def _times_power(x: Real, mean: Real, exponent: Fraction, ctx: PrecisionContext) -> Real:
-    """x * mean**exponent at ``ctx``: :func:`pow_rational` for a fractional
-    exponent; an integer one is a power and at most one quotient, inside the
-    same bound, with no root and no elevated context."""
-    if exponent.denominator != 1:
-        return x * pow_rational(mean, exponent, ctx)
-    p = exponent.numerator
-    return quotient(x, mean**-p) if p < 0 else x * mean**p
+        return (a0 + c0 * total) * pow_rational(mean, exponent, ctx)
 
 
 class _ChainRow(IterationState):
@@ -280,6 +267,13 @@ class _ChainRow(IterationState):
     last place plus 4u' absolutely of the chain's exact ratio; a power with
     numerator p adds (|p| + 3) u' to c_n and a_n relatively (:func:`pow_rational`),
     and each product half a unit of u', on top of the chain's own error in a_n.
+
+    On a row after the chain stopped moving (C_n = 0, B' = A' having been
+    set by the late-step rule), d_n is the descend map's leading term
+    d_{n-1}**m / L, L = 4, 9 and 8 for orders 2, 3 and 4, which the rule's
+    d_{n-1}**m < 10**(2 - W') makes exact to a relative 10**(2 - W'): d_n
+    stays positive and decreasing to the last row, within three units in
+    its last place of the map of the row before.
     """
 
     def __init__(self, run: RunResult, n: int):
@@ -293,11 +287,14 @@ class _ChainRow(IterationState):
         run, link = self._run, self._run.chain[self.n]
         m, fine = run.kind.order, run._fine
         with fine.local():
-            if self.n:
+            if not self.n:
+                gap = nth_root(1 - run.start[0] ** m, m, fine)
+            elif link.mean != run.chain[self.n - 1].mean:
                 gap = run.chain[self.n - 1].mean - link.mean
                 gap = gap / 2 if m == 3 else gap
             else:
-                gap = nth_root(1 - run.start[0] ** m, m, fine)
+                with run.ctx.local():
+                    return run.trace[self.n - 1].d ** m / _DESCEND_LEADING[m]
             return run.ctx.real(quotient(gap, link.mean))
 
     @cached_property
@@ -305,7 +302,7 @@ class _ChainRow(IterationState):
         run, link = self._run, self._run.chain[self.n]
         exponent, fine = -run.kind.e * (run.w - 1), run._fine
         with fine.local():
-            c = _times_power(run.start[1] * run.kind.order**self.n, link.mean, exponent, fine)
+            c = run.start[1] * run.kind.order**self.n * pow_rational(link.mean, exponent, fine)
             return run.ctx.real(c)
 
     @cached_property
@@ -432,11 +429,11 @@ def _iterate(kind: AlgorithmKind, w: Fraction, start: tuple[Real, Real, Real],
             total = link.total + rise
             if root_free:
                 delta, a = _rise_at_w1(kind, start, link.total, rise, link.mean, mean)
-                a1 = None
+                kept = None
             else:
                 a1 = _a_at(start, mean, total, exponent, fine)
-                delta, a = abs(a1 - a), a1
-            link = _Link(mean, total, delta.adjusted() if delta else None, a1)
+                delta, a, kept = abs(a1 - a), a1, ctx.real(a1)
+            link = _Link(mean, total, delta.adjusted() if delta else None, kept)
             chain.append(link)
             small = not delta or delta.adjusted() <= a.adjusted() - ctx.target_digits - 8
             consecutive = consecutive + 1 if small else 0
@@ -445,7 +442,7 @@ def _iterate(kind: AlgorithmKind, w: Fraction, start: tuple[Real, Real, Real],
     if consecutive < 2:
         raise NonConvergenceError(
             f"{kind.name} run did not converge within {budget} iterations",
-            trace=RunResult(kind, w, ctx, start, chain).trace,
+            trace=RunResult(kind, w, ctx, start, chain, value=None).trace,  # no limit
         )
     return chain
 
@@ -485,8 +482,6 @@ def as_weight(w) -> Fraction:
     return w
 
 
-
-
 def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunResult:
     """Run the order-m constant algorithm with free parameter w.
 
@@ -500,8 +495,14 @@ def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunR
     w = as_weight(w)
     m = kind.order
     ctx, budget = _sized(ctx, m)
-    start = pow_rational(Decimal(2), Fraction(-1, m), _chain_context(ctx)), Decimal(2), Decimal(0)
-    return RunResult(kind, w, ctx, start, _iterate(kind, w, start, ctx, budget))
+    fine = _chain_context(ctx)
+    start = pow_rational(Decimal(2), Fraction(-1, m), fine), Decimal(2), Decimal(0)
+    chain = _iterate(kind, w, start, ctx, budget)
+    last = chain[-1]
+    if last.a is None:  # a run at w1 forms its a_N only here
+        a = _a_at(start, last.mean, last.total, -kind.e * (w + 1), fine)
+        chain[-1] = last = last._replace(a=ctx.real(a))
+    return RunResult(kind, w, ctx, start, chain, last.a)
 
 
 def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
