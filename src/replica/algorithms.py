@@ -37,10 +37,12 @@ w1 and take their own w from K (:meth:`RunResult.limit`), and the perimeter
 factor F(a, b), the limit at w = 0 from ellipse initial values, is L(1) / K
 of a run at w1 = 1.
 
-A run at w1 forms no row: the stopping rule reads each step's rise in a
-from the chain (:func:`_rise_at_w1`), and a row's d, c and a are each formed
-when first read (:attr:`RunResult.trace`).  A run at any other w forms each
-row's a at w, one power per row, and stops on those rows.  The chain runs at
+No run forms a row, and no step takes a power: every run takes the
+chain's steps and stops on the rises of a at w1, read off the chain
+(:func:`_rise_at_w1`), so runs at any two w from one start and context
+build the same chain.  The weight enters only when something is read: the
+value is one power, and a row's d, c, a and, off w1, delta_exp are each
+formed when first read (:attr:`RunResult.trace`).  The chain runs at
 W' = W + ``_CHAIN_DIGITS`` digits, which covers the digits its differences
 of means lose, and every value is rounded once to W.  Once (C'/A')**m falls
 below 10**(2 - W') the root is skipped and B' = A', so the chain stops
@@ -145,20 +147,20 @@ class IterationState:
 
 
 class _Link(NamedTuple):
-    """One state of a run's chain: the mean A_n, the sum h_n, the row's
-    delta_exp, and a_n at the run's w, rounded to W, when the run formed it
-    (every state of a run off w1, and the last one of a :func:`run_borwein` run)."""
+    """One state of a run's chain: the mean A_n, the sum h_n and the exponent
+    of the step's rise in a at w1 (None on the first state and where a did not move)."""
 
     mean: Real
     total: Real
     delta_exp: int | None
-    a: Real | None = None
 
 
 @dataclass
 class RunResult:
     """Outcome of a run: the family, the w its trace rows belong to, the
-    context it ran at, its start (B_0, c_0, a_0), its chain and its value.
+    context it ran at, its start (B_0, c_0, a_0), its chain and its value,
+    and, when the value is the rounding of the last row's a, that a at the
+    chain's precision (``fine_value``), which the last row reads.
 
     The value is the trace's limit, the chain's a_N at ``w``, except for a
     perimeter run, whose chain runs at w = 1 and whose value is the limit at
@@ -173,23 +175,11 @@ class RunResult:
     start: tuple[Real, Real, Real]
     chain: list[_Link]
     value: Real
-
-    def _a(self, link: _Link) -> Real:
-        """a of a chain state at ``w``, rounded to ``ctx``: the a the run
-        formed, or else formed now at the chain's precision."""
-        if link.a is None:
-            return self.ctx.real(_a_at(self.start, link.mean, link.total, self._a_exponent,
-                                       self._fine))
-        return link.a
+    fine_value: Real | None = None
 
     @cached_property
     def _fine(self) -> PrecisionContext:
         return _chain_context(self.ctx)
-
-    @cached_property
-    def _a_exponent(self) -> Fraction:
-        """-e (w + 1): a_n at ``w`` is (a_0 + c_0 h_n) A_n**_a_exponent."""
-        return -self.kind.e * (self.w + 1)
 
     @property
     def iterations(self) -> int:
@@ -197,8 +187,8 @@ class RunResult:
 
     @cached_property
     def trace(self) -> list[IterationState]:
-        """The paper's rows (n, d_n, c_n, a_n, delta_exp) of the chain; each row
-        forms its d, c and a when they are first read (:class:`_ChainRow`)."""
+        """The paper's rows (n, d_n, c_n, a_n, delta_exp) of the chain at ``w``;
+        each row forms its d, c, a and delta_exp when first read (:class:`_ChainRow`)."""
         return [_ChainRow(self, n) for n in range(len(self.chain))]
 
     @cached_property
@@ -238,7 +228,7 @@ class RunResult:
         a relative |w - self.w| * r_K + (|p| + 3) * 10**(1 - W) for the
         numerator p of w - self.w, and the product half a unit.
         """
-        final = self._a(self.chain[-1])
+        final = self.value if self.fine_value is not None else self.trace[-1].a
         if w == self.w:
             return final
         with self.ctx.local():
@@ -254,19 +244,25 @@ def _a_at(start, mean: Real, total: Real, exponent: Fraction, ctx: PrecisionCont
 
 
 class _ChainRow(IterationState):
-    """Row n of a run's trace: n and delta_exp as the run found them, and d_n,
-    c_n and a_n each formed from the chain when first read.
+    """Row n of a run's trace at the run's w: d_n, c_n, a_n and delta_exp
+    each formed from the chain when first read.
 
     d_n = C_n / A_n, c_n = c_0 m**n A_n**(-e (w - 1)) and
-    a_n = (a_0 + c_0 h_n) A_n**(-e (w + 1)) (the a the run formed, off w1)
-    are taken at the chain's W' = W + ``_CHAIN_DIGITS`` digits and rounded
-    once to the run's W, with C_0 = (1 - B_0**m)**(1/m) and, from n = 1 on,
-    C_n = A_{n-1} - A_n (half that for the cubic family): a difference of
-    means, as in the step.  With u' = 10**(1 - W'): C_n is good to 3u' of
-    A_n absolutely (:func:`_advance`), so d_n is within half a unit in its
-    last place plus 4u' absolutely of the chain's exact ratio; a power with
-    numerator p adds (|p| + 3) u' to c_n and a_n relatively (:func:`pow_rational`),
-    and each product half a unit of u', on top of the chain's own error in a_n.
+    a_n = (a_0 + c_0 h_n) A_n**(-e (w + 1)) are taken at the chain's
+    W' = W + ``_CHAIN_DIGITS`` digits and rounded once to the run's W, with
+    C_0 = (1 - B_0**m)**(1/m) and, from n = 1 on, C_n = A_{n-1} - A_n (half
+    that for the cubic family): a difference of means, as in the step.  Row
+    0's a is a_0 (A_0 = 1), and the last row's a is the one the run formed
+    for its value (:attr:`RunResult.fine_value`), so neither takes a power.
+    delta_exp is the chain's own at w1, the rise the stopping rule read
+    (:func:`_rise_at_w1`); off w1 it is e(|a_n - a_{n-1}|) of the two rows'
+    a at W', None on row 0 and where a did not move.
+
+    With u' = 10**(1 - W'): C_n is good to 3u' of A_n absolutely
+    (:func:`_advance`), so d_n is within half a unit in its last place plus
+    4u' absolutely of the chain's exact ratio; a power with numerator p adds
+    (|p| + 3) u' to c_n and a_n relatively (:func:`pow_rational`), and each
+    product half a unit of u', on top of the chain's own error in a_n.
 
     On a row after the chain stopped moving (C_n = 0, B' = A' having been
     set by the late-step rule), d_n is the descend map's leading term
@@ -277,10 +273,10 @@ class _ChainRow(IterationState):
     """
 
     def __init__(self, run: RunResult, n: int):
-        # the row is frozen; cached_property stores d, c and a in the instance
-        # dict, which the frozen __setattr__ does not guard
-        for name, value in (("n", n), ("delta_exp", run.chain[n].delta_exp), ("_run", run)):
-            object.__setattr__(self, name, value)
+        # the row is frozen; cached_property stores d, c, a and delta_exp in the
+        # instance dict, which the frozen __setattr__ does not guard
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_run", run)
 
     @cached_property
     def d(self) -> Real:
@@ -306,8 +302,27 @@ class _ChainRow(IterationState):
             return run.ctx.real(c)
 
     @cached_property
+    def _fine_a(self) -> Real:
+        """a_n at the run's w at the chain's W' digits."""
+        run, link = self._run, self._run.chain[self.n]
+        if not self.n:
+            return run.start[2]
+        if self.n == run.iterations and run.fine_value is not None:
+            return run.fine_value
+        return _a_at(run.start, link.mean, link.total, -run.kind.e * (run.w + 1), run._fine)
+
+    @cached_property
     def a(self) -> Real:
-        return self._run._a(self._run.chain[self.n])
+        return self._run.ctx.real(self._fine_a)
+
+    @cached_property
+    def delta_exp(self) -> int | None:
+        run = self._run
+        if not self.n or run.w == run.kind.root_free_w:
+            return run.chain[self.n].delta_exp
+        with run._fine.local():
+            delta = abs(self._fine_a - run.trace[self.n - 1]._fine_a)
+        return delta.adjusted() if delta else None
 
 
 def _advance(order: int, mean: Real, low: Real, weight: int,
@@ -401,50 +416,63 @@ def _chain_context(ctx: PrecisionContext) -> PrecisionContext:
     return PrecisionContext(ctx.target_digits, ctx.guard_digits + _CHAIN_DIGITS)
 
 
-def _iterate(kind: AlgorithmKind, w: Fraction, start: tuple[Real, Real, Real],
-             ctx: PrecisionContext, budget: int) -> list[_Link]:
+def _iterate(kind: AlgorithmKind, start: tuple[Real, Real, Real], ctx: PrecisionContext,
+             budget: int) -> tuple[list[_Link], bool]:
     """The chain from ``start`` = (B_0, c_0, a_0), run until two consecutive
-    deltas are small; :class:`NonConvergenceError` after ``budget`` steps.
+    rises of a at w1 are small, and whether that happened within ``budget`` steps.
 
-    A delta |a_n - a_{n-1}| is small when delta_exp <= e(a_n) - target_digits - 8
-    (e(x) = x.adjusted()): below 10**(-target_digits - 8) times the power of ten
-    just above |a_n|.  So a limit far from 1 (about 1e-73 at w = -1000) keeps
-    its digits, and a limit in [0.1, 1), as of pi and gamma23, stops where the
-    absolute bound 10**(-target_digits - 8) stopped it.  At w1 the delta is
-    :func:`_rise_at_w1`; at any other w it is the difference of the rows' a at
-    w, formed at the chain's precision.
+    A rise |a_n - a_{n-1}| (:func:`_rise_at_w1`) is small when its exponent
+    is at most e(a_n) - target_digits - 8 (e(x) = x.adjusted()): below
+    10**(-target_digits - 8) times the power of ten just above |a_n|, so a
+    relative rise r below 10**-(target_digits + 7).  A limit in [0.1, 1), as
+    of pi and gamma23, stops where the absolute bound 10**(-target_digits - 8)
+    stopped it.
+
+    The rule reads no w, so runs at every w from one start and context build
+    the same chain, and it certifies a at each of them.  a at w is
+    hat * A**(-e (w + 1)) with hat = a_0 + c_0 h, and both terms of the rise
+    at w1 are nonnegative, so each bounds on its own the relative moves of
+    hat and of A**(-e (w1 + 1)) by r.  A step then moves a at w by at most
+    (1 + e |w + 1| / (e (w1 + 1))) r = (1 + |w + 1| / (w1 + 1)) r relatively,
+    a factor below 10**16 for |w| <= :data:`MAX_ABS_W`.  The rises fall with
+    the family's order m, so after two small ones what a at w still moves is
+    about 10**16 * 10**(-m (target_digits + 7)), below
+    10**-(target_digits + 24) for m >= 2 and the 32-digit floor of
+    :func:`_sized`; once the chain stands still (B' = A'), it is below
+    e |w + 1| 10**(2 - W') / m.
     """
-    m = kind.order
-    low, _, a0 = start
-    root_free = w == kind.root_free_w
-    exponent = -kind.e * (w + 1)
+    low = start[0]
     fine = _chain_context(ctx)
     with fine.local():
-        link = _Link(Decimal(1), Decimal(0), None, None if root_free else a0)
+        link = _Link(Decimal(1), Decimal(0), None)
         chain = [link]
-        a = link.a
         consecutive = 0
         for n in range(1, budget + 1):
-            mean, low, rise = _advance(m, link.mean, low, m ** (n - 1), fine)
-            total = link.total + rise
-            if root_free:
-                delta, a = _rise_at_w1(kind, start, link.total, rise, link.mean, mean)
-                kept = None
-            else:
-                a1 = _a_at(start, mean, total, exponent, fine)
-                delta, a, kept = abs(a1 - a), a1, ctx.real(a1)
-            link = _Link(mean, total, delta.adjusted() if delta else None, kept)
+            mean, low, rise = _advance(kind.order, link.mean, low, kind.order ** (n - 1), fine)
+            delta, a = _rise_at_w1(kind, start, link.total, rise, link.mean, mean)
+            link = _Link(mean, link.total + rise, delta.adjusted() if delta else None)
             chain.append(link)
             small = not delta or delta.adjusted() <= a.adjusted() - ctx.target_digits - 8
             consecutive = consecutive + 1 if small else 0
             if consecutive == 2:
                 break
-    if consecutive < 2:
+    return chain, consecutive == 2
+
+
+def _run(kind: AlgorithmKind, w: Fraction, start: tuple[Real, Real, Real],
+         ctx: PrecisionContext, budget: int, value_w: Fraction) -> RunResult:
+    """The run of :func:`_iterate`'s chain from ``start``, with its rows at ``w``
+    and its value, the chain's a_N at ``value_w`` rounded to ``ctx``: one power.
+    A chain that meets no stop within ``budget`` steps raises
+    :class:`NonConvergenceError` with its rows at ``w``."""
+    chain, converged = _iterate(kind, start, ctx, budget)
+    if not converged:
         raise NonConvergenceError(
             f"{kind.name} run did not converge within {budget} iterations",
             trace=RunResult(kind, w, ctx, start, chain, value=None).trace,  # no limit
         )
-    return chain
+    a = _a_at(start, chain[-1].mean, chain[-1].total, -kind.e * (value_w + 1), _chain_context(ctx))
+    return RunResult(kind, w, ctx, start, chain, ctx.real(a), a if value_w == w else None)
 
 
 def as_weight(w) -> Fraction:
@@ -495,14 +523,8 @@ def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunR
     w = as_weight(w)
     m = kind.order
     ctx, budget = _sized(ctx, m)
-    fine = _chain_context(ctx)
-    start = pow_rational(Decimal(2), Fraction(-1, m), fine), Decimal(2), Decimal(0)
-    chain = _iterate(kind, w, start, ctx, budget)
-    last = chain[-1]
-    if last.a is None:  # a run at w1 forms its a_N only here
-        a = _a_at(start, last.mean, last.total, -kind.e * (w + 1), fine)
-        chain[-1] = last = last._replace(a=ctx.real(a))
-    return RunResult(kind, w, ctx, start, chain, last.a)
+    start = pow_rational(Decimal(2), Fraction(-1, m), _chain_context(ctx)), Decimal(2), Decimal(0)
+    return _run(kind, w, start, ctx, budget, w)
 
 
 def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
@@ -535,10 +557,7 @@ def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
             raise DomainError("b/a is out of range: (b/a)^2 is below the exponent range")
         b0 = ratio if kind.order == 2 else nth_root(ratio, 2, fine)
         start = b0, quotient(Decimal(2), square), Decimal(1)
-        chain = _iterate(kind, kind.root_free_w, start, ctx, budget)
-        value = _a_at(start, chain[-1].mean, chain[-1].total, Fraction(-kind.e), fine)
-    with ctx.local():
-        return RunResult(kind, kind.root_free_w, ctx, start, chain, +value)
+    return _run(kind, kind.root_free_w, start, ctx, budget, Fraction(0))
 
 
 def _eccentric_steps(semi_major: Real, semi_minor: Real) -> int:

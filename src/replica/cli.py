@@ -262,7 +262,7 @@ def _resolve_constant(args, name: str) -> tuple[AlgorithmKind, Fraction]:
 
 def _run_constant(name: str, kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext):
     """A named constant runs at its family's root-free w1 and takes its w from
-    K (``RunResult.limit``); ``custom`` runs the paper's iteration at w itself."""
+    K (``RunResult.limit``); ``custom`` reads the same chain at w itself."""
     return run_borwein(kind, w if name == "custom" else kind.root_free_w, ctx)
 
 
@@ -358,7 +358,7 @@ def _cmd_verify(args, ctx: PrecisionContext) -> _Report:
     lines.append(f"agree: >={agree} digits{suffix}")
     fields.update(agree_digits=agree, ok=ok)
     if args.paper_example:
-        ratio, expected, support = _paper_example_probe(run.ctx, oracle)
+        ratio, expected, support = _paper_example_probe(run, oracle)
         lines += [
             f"paper-example probe: measured ratio (general limit / example value) = {ratio}",
             f"algebraic factor 3^(3/4) * 2^(-4/3) = {expected}",
@@ -369,17 +369,20 @@ def _cmd_verify(args, ctx: PrecisionContext) -> _Report:
     return _Report(run, value, fields, lines, oracle_digits=agree, code=0 if ok else 4)
 
 
-def _paper_example_probe(ctx: PrecisionContext, oracle: Real):
+def _paper_example_probe(run: RunResult, oracle: Real):
     """Measure the cubic w=1/2 limit against (2/(sqrt(3) Gamma(1/3)))**(3/2).
 
     By the reflection identity Gamma(1/3) Gamma(2/3) = 2 pi / sqrt(3) that
-    example value is (Gamma(2/3)/pi)**(3/2), formed independently of the
-    w=1/2 run: Gamma(2/3) from the cubic w=2 run, pi from the quartic w=1 run.
+    example value is (Gamma(2/3)/pi)**(3/2), formed from the iterations, not
+    from the series oracle it is measured against: Gamma(2/3) from the limit
+    at w = 2 of ``run``, the cubic w=1/2 run, whose chain is that of the
+    w1 = 2 run (:meth:`RunResult.limit`), and pi from the quartic w=1 run.
     Returns both ratios to 30 digits and the formula the oracle supports.
     """
+    ctx = run.ctx
     with ctx.local():
         pi = postprocess_constant("pi", run_borwein(QUARTIC, Fraction(1), ctx))
-        gamma23 = postprocess_constant("gamma23", run_borwein(CUBIC, Fraction(2), ctx))
+        gamma23 = postprocess_constant("gamma23", run)
         example = pow_rational(gamma23 / pi, Fraction(3, 2), ctx)
         ratio = oracle / example
         expected = (pow_rational(Decimal(3), Fraction(3, 4), ctx)

@@ -188,6 +188,18 @@ class TestRunBorwein:
             run_borwein(QUADRATIC, ONE, PrecisionContext(target_digits=100, guard_digits=48))
         assert len(err.value.trace) == 3
 
+    def test_non_convergence_off_w1_carries_rows_at_its_w(self, monkeypatch):
+        w, ctx = Fraction(3), PrecisionContext(target_digits=100, guard_digits=48)
+        monkeypatch.setattr(algorithms, "step_budget", lambda target, order: 2)
+        with pytest.raises(NonConvergenceError) as err:
+            run_borwein(QUADRATIC, w, ctx)
+        monkeypatch.undo()
+        # the rows of the stalled chain are those of the full run at w, not at w1
+        full, root_free = run_borwein(QUADRATIC, w, ctx), run_borwein(QUADRATIC, ONE, ctx)
+        rows = [(st.n, st.d, st.c, st.a, st.delta_exp) for st in err.value.trace]
+        assert rows == [(st.n, st.d, st.c, st.a, st.delta_exp) for st in full.trace[:3]]
+        assert all(st.a != w1.a for st, w1 in zip(err.value.trace[1:], root_free.trace[1:]))
+
     def test_bad_order_rejected(self):
         with pytest.raises(UnsupportedParameterError):
             AlgorithmKind(5)
@@ -531,7 +543,7 @@ class TestRootFreeRuns:
     """A run at the root-free w1 and its AGM product K give the limit at every w."""
 
     @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC])
-    def test_only_a_run_off_w1_takes_a_power_per_row(self, kind, monkeypatch):
+    def test_no_run_takes_a_power_per_step(self, kind, monkeypatch):
         calls = []
 
         def counted(x, exponent, ctx):
@@ -540,16 +552,48 @@ class TestRootFreeRuns:
 
         monkeypatch.setattr(algorithms, "pow_rational", counted)
         d0_power = Fraction(-1, kind.order)  # d_0 = 2**(-1/m)
-        # at w1 the steps take no power: d_0 takes one and the value
-        # a_N = hat_N * A_N**-m one, once the chain has stopped
         w1 = kind.root_free_w
-        run = run_borwein(kind, w1, make_context(300, kind.order))
-        assert run.iterations > 4 and calls == [d0_power, -kind.e * (w1 + 1)]
-        # off w1: one power A_n**(-e (w + 1)) per row, and none more for the value
-        calls.clear()
-        w = w1 + 1
-        run = run_borwein(kind, w, make_context(300, kind.order))
-        assert calls == [d0_power] + [-kind.e * (w + 1)] * run.iterations
+        for w in (w1, w1 + 1, w1 + Fraction(1, 3), Fraction(-1000)):
+            # the steps take no power at any w: d_0 takes one and the value
+            # a_N = hat_N * A_N**(-e (w + 1)) one, once the chain has stopped
+            calls.clear()
+            run = run_borwein(kind, w, make_context(300, kind.order))
+            value_power = -kind.e * (w + 1)
+            assert run.iterations > 4 and calls == [d0_power, value_power], w
+            # rows read later take one power each, except row 0 (a_0) and the
+            # last row (the run's own a_N)
+            assert run.orders
+            assert calls == [d0_power] + [value_power] * run.iterations, w
+
+    @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC])
+    def test_every_w_builds_the_chain_of_w1(self, kind):
+        # the means, the sums and the rise exponents the stopping rule read
+        w1 = kind.root_free_w
+        weights = [w1 + Fraction(1, 12), w1 - Fraction(1, 12), Fraction(1, 3), Fraction(3),
+                   Fraction(-1000), Fraction(2 * 10**7), Fraction(-2 * 10**7),
+                   Fraction(10**16), Fraction(-(10**16))]
+        for target in (1, 50, 300):
+            ctx = make_context(target, kind.order)
+            chain = run_borwein(kind, w1, ctx).chain
+            for w in weights:
+                assert run_borwein(kind, w, ctx).chain == chain, (target, w)
+
+    # the cells of a sweep over 1-200 digits where the rises at w1 end a run
+    # off w1 a step away from where the rises at w would: every target up to
+    # 32 runs at the 32-digit floor, so 32 stands for 1-32
+    @pytest.mark.parametrize("kind, weights, targets", [
+        (CUBIC, (-1000, Fraction(-1, 2), 0, Fraction(1, 3), HALF, 1, 3), (32,)),
+        (QUADRATIC, (-(10**16), -2 * 10**7, -(10**4), -1000, 10**4, 2 * 10**7, 10**16),
+         (32, 33, *range(64, 77))),
+        (QUARTIC, (-(10**16), -2 * 10**7, -(10**4), 10**4, 2 * 10**7, 10**16), range(64, 77)),
+    ], ids=["cubic", "quadratic", "quartic"])
+    def test_a_stop_read_at_w1_keeps_the_digits_at_w(self, kind, weights, targets):
+        for w in map(Fraction, weights):
+            for target in targets:
+                run = run_borwein(kind, w, PrecisionContext(target, MIN_GUARD_DIGITS))
+                oracle = couple_product(kind.couple_parameter, w, run.ctx)
+                with run.ctx.local():  # the limits leave the default context's exponents
+                    assert matching_digits(run.value, oracle) >= run.ctx.target_digits, (w, target)
 
     @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC])
     def test_k_is_the_series_s0_at_one_half(self, kind):

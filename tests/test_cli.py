@@ -357,6 +357,25 @@ class TestVerifyCommand:
         assert "0.904622975044737105902076526" in out
         assert "supports the general limit formula" in out
 
+    def test_paper_example_takes_gamma23_from_its_own_run(self, capsys, monkeypatch):
+        # the cubic w = 1/2 run has the chain of the w1 = 2 run, so the probe
+        # runs only the quartic pi run besides it
+        import replica.cli as cli_mod
+
+        runs = []
+
+        def counted(kind, w, ctx):
+            runs.append((kind.order, w))
+            return run_borwein(kind, w, ctx)
+
+        monkeypatch.setattr(cli_mod, "run_borwein", counted)
+        for form in ((), ("--json",)):
+            runs.clear()
+            code, _, _ = run_cli(capsys, "verify", "custom", "--w", "1/2", "--algorithm", "cubic",
+                                 "--digits", "60", "--paper-example", *form)
+            assert code == 0
+            assert runs == [(3, Fraction(1, 2)), (4, Fraction(1))]
+
     def test_paper_example_needs_cubic_half(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "pi", "--digits", "100", "--paper-example"
