@@ -41,14 +41,15 @@ No run forms a row, and no step takes a power: every run takes the
 chain's steps and stops on the rises of a at w1, read off the chain
 (:func:`_rise_at_w1`), so runs at any two w from one start and context
 build the same chain.  The weight enters only when something is read: the
-value is one power, and a row's d, c, a and, off w1, delta_exp are each
-formed when first read (:attr:`RunResult.trace`).  The chain runs at
+value is one power, and a row, an :class:`IterationState` of the run's
+trace, forms its d, c, a and, off w1, delta_exp each when first read
+(:attr:`RunResult.trace`).  The chain runs at
 W' = W + ``_CHAIN_DIGITS`` digits, which covers the digits its differences
 of means lose, and every value is rounded once to W.  Once (C'/A')**m falls
 below 10**(2 - W') the root is skipped and B' = A', so the chain stops
 moving and the confirming steps of the stopping rule cost nothing.  The
 error bounds are stated on :func:`_advance` (the chain), :attr:`RunResult.k`
-(K) and :class:`_ChainRow` (a row formed when read).
+(K) and :class:`IterationState` (a row formed when read).
 """
 
 from __future__ import annotations
@@ -135,17 +136,6 @@ CUBIC = AlgorithmKind(3)
 QUARTIC = AlgorithmKind(4)
 
 
-@dataclass(frozen=True)
-class IterationState:
-    """One row of a run trace; delta_exp is floor(log10 |a_n - a_{n-1}|)."""
-
-    n: int
-    d: Real
-    c: Real
-    a: Real
-    delta_exp: int | None = None
-
-
 class _Link(NamedTuple):
     """One state of a run's chain: the mean A_n, the sum h_n and the exponent
     of the step's rise in a at w1 (None on the first state and where a did not move)."""
@@ -160,7 +150,7 @@ class RunResult:
     """Outcome of a run: the family, the w its trace rows belong to, the
     context it ran at, its start (B_0, c_0, a_0), its chain and its value,
     and, when the value is the rounding of the last row's a, that a at the
-    chain's precision (``fine_value``), which the last row reads.
+    chain's precision (``_fine_value``), which the last row reads.
 
     The value is the trace's limit, the chain's a_N at ``w``, except for a
     perimeter run, whose chain runs at w = 1 and whose value is the limit at
@@ -175,7 +165,7 @@ class RunResult:
     start: tuple[Real, Real, Real]
     chain: list[_Link]
     value: Real
-    fine_value: Real | None = None
+    _fine_value: Real | None = None
 
     @cached_property
     def _fine(self) -> PrecisionContext:
@@ -187,9 +177,10 @@ class RunResult:
 
     @cached_property
     def trace(self) -> list[IterationState]:
-        """The paper's rows (n, d_n, c_n, a_n, delta_exp) of the chain at ``w``;
-        each row forms its d, c, a and delta_exp when first read (:class:`_ChainRow`)."""
-        return [_ChainRow(self, n) for n in range(len(self.chain))]
+        """The paper's rows (n, d_n, c_n, a_n, delta_exp) of the chain at ``w``, one
+        :class:`IterationState` per link, each forming its d, c, a and delta_exp
+        when first read."""
+        return [IterationState(self, n) for n in range(len(self.chain))]
 
     @cached_property
     def error_table(self) -> list[tuple[int | None, float | None]]:
@@ -228,7 +219,7 @@ class RunResult:
         a relative |w - self.w| * r_K + (|p| + 3) * 10**(1 - W) for the
         numerator p of w - self.w, and the product half a unit.
         """
-        final = self.value if self.fine_value is not None else self.trace[-1].a
+        final = self.value if self._fine_value is not None else self.trace[-1].a
         if w == self.w:
             return final
         with self.ctx.local():
@@ -243,9 +234,10 @@ def _a_at(start, mean: Real, total: Real, exponent: Fraction, ctx: PrecisionCont
         return (a0 + c0 * total) * pow_rational(mean, exponent, ctx)
 
 
-class _ChainRow(IterationState):
-    """Row n of a run's trace at the run's w: d_n, c_n, a_n and delta_exp
-    each formed from the chain when first read.
+class IterationState:
+    """Row n of a run's trace at the run's w: d_n, c_n, a_n and delta_exp,
+    floor(log10 |a_n - a_{n-1}|), each formed from the chain when first read.
+    Rows compare by identity.
 
     d_n = C_n / A_n, c_n = c_0 m**n A_n**(-e (w - 1)) and
     a_n = (a_0 + c_0 h_n) A_n**(-e (w + 1)) are taken at the chain's
@@ -253,7 +245,7 @@ class _ChainRow(IterationState):
     C_0 = (1 - B_0**m)**(1/m) and, from n = 1 on, C_n = A_{n-1} - A_n (half
     that for the cubic family): a difference of means, as in the step.  Row
     0's a is a_0 (A_0 = 1), and the last row's a is the one the run formed
-    for its value (:attr:`RunResult.fine_value`), so neither takes a power.
+    for its value (``RunResult._fine_value``), so neither takes a power.
     delta_exp is the chain's own at w1, the rise the stopping rule read
     (:func:`_rise_at_w1`); off w1 it is e(|a_n - a_{n-1}|) of the two rows'
     a at W', None on row 0 and where a did not move.
@@ -273,10 +265,8 @@ class _ChainRow(IterationState):
     """
 
     def __init__(self, run: RunResult, n: int):
-        # the row is frozen; cached_property stores d, c, a and delta_exp in the
-        # instance dict, which the frozen __setattr__ does not guard
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_run", run)
+        self.n = n
+        self._run = run
 
     @cached_property
     def d(self) -> Real:
@@ -307,8 +297,8 @@ class _ChainRow(IterationState):
         run, link = self._run, self._run.chain[self.n]
         if not self.n:
             return run.start[2]
-        if self.n == run.iterations and run.fine_value is not None:
-            return run.fine_value
+        if self.n == run.iterations and run._fine_value is not None:
+            return run._fine_value
         return _a_at(run.start, link.mean, link.total, -run.kind.e * (run.w + 1), run._fine)
 
     @cached_property
@@ -464,15 +454,14 @@ def _run(kind: AlgorithmKind, w: Fraction, start: tuple[Real, Real, Real],
     """The run of :func:`_iterate`'s chain from ``start``, with its rows at ``w``
     and its value, the chain's a_N at ``value_w`` rounded to ``ctx``: one power.
     A chain that meets no stop within ``budget`` steps raises
-    :class:`NonConvergenceError` with its rows at ``w``."""
+    :class:`NonConvergenceError` with the rows at ``w`` of that same run."""
     chain, converged = _iterate(kind, start, ctx, budget)
+    a = _a_at(start, chain[-1].mean, chain[-1].total, -kind.e * (value_w + 1), _chain_context(ctx))
+    run = RunResult(kind, w, ctx, start, chain, ctx.real(a), a if value_w == w else None)
     if not converged:
         raise NonConvergenceError(
-            f"{kind.name} run did not converge within {budget} iterations",
-            trace=RunResult(kind, w, ctx, start, chain, value=None).trace,  # no limit
-        )
-    a = _a_at(start, chain[-1].mean, chain[-1].total, -kind.e * (value_w + 1), _chain_context(ctx))
-    return RunResult(kind, w, ctx, start, chain, ctx.real(a), a if value_w == w else None)
+            f"{kind.name} run did not converge within {budget} iterations", trace=run.trace)
+    return run
 
 
 def as_weight(w) -> Fraction:

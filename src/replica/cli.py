@@ -198,14 +198,12 @@ def _format_block(value: Real, digits: int, plain: bool) -> str:
 @dataclass
 class _Report:
     """A handler's answer: the run and the value it prints, the JSON fields, the
-    text lines (None: the digit block of the value), the oracle's agreeing
-    digits (``verify`` only) and the exit code."""
+    text lines (None: the digit block of the value) and the exit code."""
 
     run: RunResult
     value: Real
     fields: dict
     lines: list[str] | None = None
-    oracle_digits: int | None = None
     code: int = 0
 
 
@@ -229,7 +227,7 @@ def _write(args, report: _Report) -> int:
             "result": to_sig_digits(report.value, args.digits),
             "iterations": [{"n": st.n, "delta_exp": st.delta_exp} for st in run.trace[1:]],
             "orders": run.orders,
-            "oracle_digits": report.oracle_digits,
+            "oracle_digits": report.fields.get("agree_digits"),
         }
     else:
         payload = {**report.fields, "algorithm": run.kind.name, "digits": args.digits}
@@ -366,7 +364,7 @@ def _cmd_verify(args, ctx: PrecisionContext) -> _Report:
         ]
         fields.update(paper_example_ratio=ratio, expected_ratio=expected, oracle_supports=support)
     lines.append("PASS" if ok else "FAIL: oracle disagreement")
-    return _Report(run, value, fields, lines, oracle_digits=agree, code=0 if ok else 4)
+    return _Report(run, value, fields, lines, code=0 if ok else 4)
 
 
 def _paper_example_probe(run: RunResult, oracle: Real):

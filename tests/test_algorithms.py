@@ -4,6 +4,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -34,7 +35,7 @@ from replica import (
     run_ellipse,
 )
 from replica import algorithms
-from replica.algorithms import IterationState, _eccentric_steps, _sized, error_table
+from replica.algorithms import _eccentric_steps, _sized, error_table
 from replica import cli
 from replica.cli import main
 from replica.precision import (
@@ -56,10 +57,10 @@ def synthetic_trace(errors, final):
     with localcontext() as c:
         c.prec = 300
         states = [
-            IterationState(n, Decimal(0), Decimal(1), final + Decimal(e))
+            SimpleNamespace(n=n, d=Decimal(0), c=Decimal(1), a=final + Decimal(e))
             for n, e in enumerate(errors)
         ]
-    states.append(IterationState(len(errors), Decimal(0), Decimal(1), final))
+    states.append(SimpleNamespace(n=len(errors), d=Decimal(0), c=Decimal(1), a=final))
     return states
 
 
@@ -372,12 +373,12 @@ class TestReplicationInvariant:
 
     def test_degenerate_state_collapses_to_a(self):
         ctx = make_context(80, 2)
-        state = IterationState(0, Decimal(0), Decimal(2), ctx.real("0.375"))
+        state = SimpleNamespace(n=0, d=Decimal(0), c=Decimal(2), a=ctx.real("0.375"))
         assert replication_invariant(QUADRATIC, ONE, state, ctx) == ctx.real("0.375")
 
     def test_domain_check(self):
         ctx = make_context(80, 2)
-        state = IterationState(0, Decimal(1), Decimal(2), Decimal(0))
+        state = SimpleNamespace(n=0, d=Decimal(1), c=Decimal(2), a=Decimal(0))
         with pytest.raises(DomainError):
             replication_invariant(QUADRATIC, ONE, state, ctx)
 
@@ -396,6 +397,16 @@ class TestRunEllipse:
             oracle = ellipse_factor(ctx.real(2), ctx.real(1), ctx)
             assert matching_digits(run.value, oracle) >= ctx.target_digits
             assert str(run.value).startswith(frozen.F21[:300])
+
+    @pytest.mark.parametrize("semi_major, semi_minor", [("2", "1"), ("1", "1e-30"), ("3", "0.01")])
+    @pytest.mark.parametrize("kind", [QUADRATIC, QUARTIC], ids=["quadratic", "quartic"])
+    def test_limit_at_its_own_w_is_the_last_row(self, kind, semi_major, semi_minor):
+        # the only run whose value is not its limit at its own w: the value is
+        # the limit at w = 0, and the rows are at w = 1
+        ctx = make_context(300, kind.order)
+        run = run_ellipse(kind, Decimal(semi_major), Decimal(semi_minor), ctx)
+        assert run.limit(run.w) == run.trace[-1].a
+        assert matching_digits(run.limit(Fraction(0)), run.value) >= run.ctx.working_digits - 10
 
     def test_scale_invariance(self):
         ctx = make_context(150, 4)
@@ -789,10 +800,14 @@ class TestRowsMatchReplicate:
         assert main(["constant", "pi", "--digits", "20000"]) == 0
         assert capsys.readouterr().out.startswith("3.1415926535 8979323846")
         assert "trace" not in vars(runs[0])
-        # --json prints orders, which read every row's a and no d or c
-        assert main(["constant", "pi", "--digits", "200", "--json"]) == 0
-        formed = [sorted(set(vars(row)) & {"d", "c", "a"}) for row in runs[1].trace]
-        assert formed == [["a"]] * (runs[1].iterations + 1)
+        # --json prints orders, which read every row's a; --trace and orders
+        # (here off w1) read every row's delta_exp too; none reads a d or c
+        for argv in (["constant", "pi", "--digits", "200", "--json"],
+                     ["constant", "pi", "--digits", "200", "--trace"],
+                     ["orders", "--w", "1/3", "--digits", "200"]):
+            assert main(argv) == 0
+            formed = [sorted(set(vars(row)) & {"d", "c", "a"}) for row in runs[-1].trace]
+            assert formed == [["a"]] * (runs[-1].iterations + 1), argv
 
 
 class TestLateSteps:
