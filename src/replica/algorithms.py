@@ -33,17 +33,16 @@ square roots of the means).  The paper's row n at weight w is then
 so a step takes one root and, for the cubic family only, one quotient, and
 each f is A_{n-1} / A_n: K = prod f(d_n)**e = A_N**(-e), and the limits of
 one chain satisfy L(w) = K**(w - w1) * L(w1).  The named constants run at
-w1 and take their own w from K (:meth:`RunResult.limit`), and the perimeter
-factor F(a, b), the limit at w = 0 from ellipse initial values, is L(1) / K
-of a run at w1 = 1.
+w1 and take their own w from K (:meth:`RunResult.limit`); the perimeter
+factor F(a, b) is the paper's iteration at w = 0 from ellipse initial values.
 
-No run forms a row, and no step takes a power: every run takes the
-chain's steps and stops on the rises of a at w1, read off the chain
-(:func:`_rise_at_w1`), so runs at any two w from one start and context
-build the same chain.  The weight enters only when something is read: the
-value is one power, and a row, an :class:`IterationState` of the run's
-trace, forms its d, c, a and, off w1, delta_exp each when first read
-(:attr:`RunResult.trace`).  The chain runs at
+No step takes a power: every run takes the chain's steps and stops on the
+rises of a at w1, read off the chain (:func:`_rise_at_w1`), so runs at any
+two w from one start and context build the same chain.  The weight enters
+only when something is read.  A row, an :class:`IterationState` of the
+run's trace, forms its d, c, a and, off w1, delta_exp each when first read
+(:attr:`RunResult.trace`), and every run's value is its last row's a at the
+run's own w: one power, formed when the run is built.  The chain runs at
 W' = W + ``_CHAIN_DIGITS`` digits, which covers the digits its differences
 of means lose, and every value is rounded once to W.  Once (C'/A')**m falls
 below 10**(2 - W') the root is skipped and B' = A', so the chain stops
@@ -56,7 +55,7 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from functools import cached_property
@@ -149,14 +148,12 @@ class _Link(NamedTuple):
 class RunResult:
     """Outcome of a run: the family, the w its trace rows belong to, the
     context it ran at, its start (B_0, c_0, a_0), its chain and its value,
-    and, when the value is the rounding of the last row's a, that a at the
-    chain's precision (``_fine_value``), which the last row reads.
+    the last trace row's a: the chain's a_N at ``w``, formed at the chain's
+    W' digits when the run is built and rounded once to W.
 
-    The value is the trace's limit, the chain's a_N at ``w``, except for a
-    perimeter run, whose chain runs at w = 1 and whose value is the limit at
-    w = 0.  The trace rows, errors and orders (:attr:`trace`,
-    :attr:`error_table`, :attr:`orders`) are formed only when first read, at
-    ``ctx``, whatever the calling thread's decimal context.
+    The trace rows, errors and orders (:attr:`trace`, :attr:`error_table`,
+    :attr:`orders`) are formed only when first read, at ``ctx``, whatever the
+    calling thread's decimal context.
     """
 
     kind: AlgorithmKind
@@ -164,12 +161,28 @@ class RunResult:
     ctx: PrecisionContext
     start: tuple[Real, Real, Real]
     chain: list[_Link]
-    value: Real
-    _fine_value: Real | None = None
+    value: Real = field(init=False)
+
+    def __post_init__(self):
+        # the run keeps its rows' a at W', not a row: a row refers to its run,
+        # and the cycle would hold the chain until the cyclic collector ran
+        self._fine_as = {0: self.start[2]}
+        self.value = self.ctx.real(self._fine_a(self.iterations))
 
     @cached_property
     def _fine(self) -> PrecisionContext:
         return _chain_context(self.ctx)
+
+    def _fine_a(self, n: int) -> Real:
+        """a_n at ``w`` at the chain's W' digits, (a_0 + c_0 h_n) A_n**(-e (w + 1)),
+        formed once: row 0's a_0 takes no power, and every other row one."""
+        if n not in self._fine_as:
+            _, c0, a0 = self.start
+            link = self.chain[n]
+            with self._fine.local():
+                self._fine_as[n] = (a0 + c0 * link.total) * pow_rational(
+                    link.mean, -self.kind.e * (self.w + 1), self._fine)
+        return self._fine_as[n]
 
     @property
     def iterations(self) -> int:
@@ -184,9 +197,9 @@ class RunResult:
 
     @cached_property
     def error_table(self) -> list[tuple[int | None, float | None]]:
-        """:func:`error_table` of the trace against its own limit ``trace[-1].a``,
+        """:func:`error_table` of the trace against its own limit, the value,
         at ``ctx``: (err_exp, order or None) per trace row."""
-        return error_table(self.trace, self.trace[-1].a, self.ctx)
+        return error_table(self.trace, self.value, self.ctx)
 
     @property
     def orders(self) -> list[float]:
@@ -211,27 +224,20 @@ class RunResult:
         """
         return pow_rational(self.chain[-1].mean, -self.kind.e, self.ctx)
 
-    def limit(self, w: Fraction) -> Real:
+    def limit(self, w) -> Real:
         """The limit of this family's iteration at weight ``w`` from this run's
-        start: K**(w - self.w) times the trace's limit, the last row's a, at ``ctx``.
+        start: K**(w - self.w) times the value, at ``ctx``.  A ``w`` that
+        :func:`as_weight` refuses raises :class:`UnsupportedParameterError`.
 
         Only a ``w`` other than ``self.w`` computes :attr:`k`; the power adds
         a relative |w - self.w| * r_K + (|p| + 3) * 10**(1 - W) for the
         numerator p of w - self.w, and the product half a unit.
         """
-        final = self.value if self._fine_value is not None else self.trace[-1].a
+        w = as_weight(w)
         if w == self.w:
-            return final
+            return self.value
         with self.ctx.local():
-            return pow_rational(self.k, w - self.w, self.ctx) * final
-
-
-def _a_at(start, mean: Real, total: Real, exponent: Fraction, ctx: PrecisionContext) -> Real:
-    """a_n of the chain state (A_n, h_n) = (``mean``, ``total``) at the w with
-    -e (w + 1) = ``exponent``: (a_0 + c_0 h_n) A_n**exponent, at ``ctx``."""
-    _, c0, a0 = start
-    with ctx.local():
-        return (a0 + c0 * total) * pow_rational(mean, exponent, ctx)
+            return pow_rational(self.k, w - self.w, self.ctx) * self.value
 
 
 class IterationState:
@@ -244,8 +250,9 @@ class IterationState:
     W' = W + ``_CHAIN_DIGITS`` digits and rounded once to the run's W, with
     C_0 = (1 - B_0**m)**(1/m) and, from n = 1 on, C_n = A_{n-1} - A_n (half
     that for the cubic family): a difference of means, as in the step.  Row
-    0's a is a_0 (A_0 = 1), and the last row's a is the one the run formed
-    for its value (``RunResult._fine_value``), so neither takes a power.
+    0's a is a_0 (A_0 = 1) and takes no power.  Each a_n at W' is formed
+    once per run (:meth:`RunResult._fine_a`), so the last row's a is the
+    run's value and takes no power of its own.
     delta_exp is the chain's own at w1, the rise the stopping rule read
     (:func:`_rise_at_w1`); off w1 it is e(|a_n - a_{n-1}|) of the two rows'
     a at W', None on row 0 and where a did not move.
@@ -292,18 +299,8 @@ class IterationState:
             return run.ctx.real(c)
 
     @cached_property
-    def _fine_a(self) -> Real:
-        """a_n at the run's w at the chain's W' digits."""
-        run, link = self._run, self._run.chain[self.n]
-        if not self.n:
-            return run.start[2]
-        if self.n == run.iterations and run._fine_value is not None:
-            return run._fine_value
-        return _a_at(run.start, link.mean, link.total, -run.kind.e * (run.w + 1), run._fine)
-
-    @cached_property
     def a(self) -> Real:
-        return self._run.ctx.real(self._fine_a)
+        return self._run.ctx.real(self._run._fine_a(self.n))
 
     @cached_property
     def delta_exp(self) -> int | None:
@@ -311,7 +308,7 @@ class IterationState:
         if not self.n or run.w == run.kind.root_free_w:
             return run.chain[self.n].delta_exp
         with run._fine.local():
-            delta = abs(self._fine_a - run.trace[self.n - 1]._fine_a)
+            delta = abs(run._fine_a(self.n) - run._fine_a(self.n - 1))
         return delta.adjusted() if delta else None
 
 
@@ -450,14 +447,12 @@ def _iterate(kind: AlgorithmKind, start: tuple[Real, Real, Real], ctx: Precision
 
 
 def _run(kind: AlgorithmKind, w: Fraction, start: tuple[Real, Real, Real],
-         ctx: PrecisionContext, budget: int, value_w: Fraction) -> RunResult:
-    """The run of :func:`_iterate`'s chain from ``start``, with its rows at ``w``
-    and its value, the chain's a_N at ``value_w`` rounded to ``ctx``: one power.
-    A chain that meets no stop within ``budget`` steps raises
-    :class:`NonConvergenceError` with the rows at ``w`` of that same run."""
+         ctx: PrecisionContext, budget: int) -> RunResult:
+    """The run of :func:`_iterate`'s chain from ``start`` at ``w``, its value
+    the last row's a: one power.  A chain that meets no stop within ``budget``
+    steps raises :class:`NonConvergenceError` with the rows of that same run."""
     chain, converged = _iterate(kind, start, ctx, budget)
-    a = _a_at(start, chain[-1].mean, chain[-1].total, -kind.e * (value_w + 1), _chain_context(ctx))
-    run = RunResult(kind, w, ctx, start, chain, ctx.real(a), a if value_w == w else None)
+    run = RunResult(kind, w, ctx, start, chain)
     if not converged:
         raise NonConvergenceError(
             f"{kind.name} run did not converge within {budget} iterations", trace=run.trace)
@@ -513,7 +508,7 @@ def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunR
     m = kind.order
     ctx, budget = _sized(ctx, m)
     start = pow_rational(Decimal(2), Fraction(-1, m), _chain_context(ctx)), Decimal(2), Decimal(0)
-    return _run(kind, w, start, ctx, budget, w)
+    return _run(kind, w, start, ctx, budget)
 
 
 def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
@@ -523,13 +518,12 @@ def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
     exponent range (b^2 underflows for axes near 1e-500000000000060).
 
     F is the limit at w = 0 of the recurrences of :func:`run_borwein` started
-    from d_0 = (1 - b^2/a^2)**(1/m), c_0 = 2 a^2/b^2, a_0 = 1.  The chain
-    starts from the complementary means, B_0 = (b/a)**(2/m) (b/a or its square
-    root), so it never forms 1 - b^2/a^2 and takes any b/a whose square the
-    exponent range holds, however far below the working precision.  The run
-    iterates from that start at the root-free w = 1, and F = L(1) / K is the
-    chain's a_N at w = 0, (1 + c_0 h_N) A_N**-e; ``RunResult.w`` is 1, the w of
-    the trace rows.
+    from d_0 = (1 - b^2/a^2)**(1/m), c_0 = 2 a^2/b^2, a_0 = 1, and the run's
+    rows are those of that iteration: ``RunResult.w`` is 0, and the value is
+    the last row's a, (1 + c_0 h_N) A_N**-e.  The chain starts from the
+    complementary means, B_0 = (b/a)**(2/m) (b/a or its square root), so it
+    never forms 1 - b^2/a^2 and takes any b/a whose square the exponent range
+    holds, however far below the working precision.
     It runs at the context of :func:`run_borwein` plus :func:`_eccentric_steps`
     steps (``RunResult.ctx``).  A (b/a)**2 below the exponent range raises
     :class:`DomainError`.
@@ -546,7 +540,7 @@ def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
             raise DomainError("b/a is out of range: (b/a)^2 is below the exponent range")
         b0 = ratio if kind.order == 2 else nth_root(ratio, 2, fine)
         start = b0, quotient(Decimal(2), square), Decimal(1)
-    return _run(kind, kind.root_free_w, start, ctx, budget, Fraction(0))
+    return _run(kind, Fraction(0), start, ctx, budget)
 
 
 def _eccentric_steps(semi_major: Real, semi_minor: Real) -> int:

@@ -38,6 +38,7 @@ from replica import algorithms
 from replica.algorithms import _eccentric_steps, _sized, error_table
 from replica import cli
 from replica.cli import main
+from replica import precision
 from replica.precision import (
     MIN_GUARD_DIGITS,
     matching_digits,
@@ -353,23 +354,17 @@ class TestReplicationInvariant:
     @pytest.mark.parametrize("semi_major, semi_minor", [("2", "1"), ("1", "0.2")])
     @pytest.mark.parametrize("kind", [QUADRATIC, QUARTIC])
     def test_ellipse_run_conserves_the_ellipse_factor(self, kind, semi_major, semi_minor):
-        # A perimeter run iterates at w = 1: A at run.w is conserved on every
-        # state and is the trace's limit, value * K.  The value is F(a, b), A at
-        # w = 0 of the start state.
+        # A perimeter run iterates at the paper's w = 0: A at w = 0 is conserved
+        # on every state, and it is F(a, b), the run's value.
         ctx = make_context(60, kind.order)
         run = run_ellipse(kind, ctx.real(semi_major), ctx.real(semi_minor), ctx)
-        assert run.w == kind.root_free_w == ONE
+        assert run.w == 0
         working = run.ctx.working_digits
-        values = [replication_invariant(kind, run.w, state, run.ctx) for state in run.trace]
-        for v in values[1:]:
-            assert matching_digits(values[0], v) >= working - 10
-        with run.ctx.local():
-            assert matching_digits(run.value * run.k, run.trace[-1].a) >= working - 10
-        assert matching_digits(values[0], run.trace[-1].a) >= working - 10
         oracle = ellipse_factor(run.ctx.real(semi_major), run.ctx.real(semi_minor), run.ctx)
+        for state in run.trace:
+            value = replication_invariant(kind, Fraction(0), state, run.ctx)
+            assert matching_digits(value, oracle) >= working - 10, state.n
         assert matching_digits(run.value, oracle) >= working - 10
-        start = replication_invariant(kind, Fraction(0), run.trace[0], run.ctx)
-        assert matching_digits(start, oracle) >= working - 10
 
     def test_degenerate_state_collapses_to_a(self):
         ctx = make_context(80, 2)
@@ -401,12 +396,13 @@ class TestRunEllipse:
     @pytest.mark.parametrize("semi_major, semi_minor", [("2", "1"), ("1", "1e-30"), ("3", "0.01")])
     @pytest.mark.parametrize("kind", [QUADRATIC, QUARTIC], ids=["quadratic", "quartic"])
     def test_limit_at_its_own_w_is_the_last_row(self, kind, semi_major, semi_minor):
-        # the only run whose value is not its limit at its own w: the value is
-        # the limit at w = 0, and the rows are at w = 1
+        # the rows and the value are at the paper's w = 0, and the limit at
+        # w1 = 1 is K times the value
         ctx = make_context(300, kind.order)
         run = run_ellipse(kind, Decimal(semi_major), Decimal(semi_minor), ctx)
-        assert run.limit(run.w) == run.trace[-1].a
-        assert matching_digits(run.limit(Fraction(0)), run.value) >= run.ctx.working_digits - 10
+        assert run.limit(run.w) == run.limit(Fraction(0)) == run.trace[-1].a
+        with run.ctx.local():
+            assert run.limit(ONE) == run.k * run.value
 
     def test_scale_invariance(self):
         ctx = make_context(150, 4)
@@ -456,7 +452,7 @@ class TestRunEllipse:
         ctx = make_context(100, 4)
         run = run_ellipse(QUARTIC, ctx.real(2), ctx.real(1), ctx)
         assert run.ctx == ctx
-        assert (run.kind, run.w) == (QUARTIC, QUARTIC.root_free_w)
+        assert (run.kind, run.w) == (QUARTIC, 0)
 
     def test_eccentric_budget_extends_steps_and_guard(self):
         # (b/a)^2 = 1e-6: 2 + bit_length(6) = 5 steps more, 8 guard digits each
@@ -620,6 +616,22 @@ class TestRootFreeRuns:
             paper = run_borwein(kind, w, make_context(digits, kind.order))
             assert matching_digits(run.limit(w), paper.value) >= digits, w
         assert run.limit(run.w) is run.value
+
+    @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC],
+                             ids=["quadratic", "cubic", "quartic"])
+    def test_limit_refuses_what_run_borwein_refuses(self, kind):
+        ctx = make_context(100, kind.order)
+        run = run_borwein(kind, kind.root_free_w, ctx)
+        for source in (run, run_borwein(kind, Fraction(1, 3), ctx)):
+            for w in (Fraction(10**17), Fraction(-(10**17)), Fraction(1, 5), "1e17"):
+                with pytest.raises(UnsupportedParameterError):
+                    run_borwein(kind, w, ctx)
+                with pytest.raises(UnsupportedParameterError):
+                    source.limit(w)
+        for w in (Fraction(10**16), Fraction(-(10**16))):
+            paper = run_borwein(kind, w, ctx)
+            with run.ctx.local():  # the limits leave the default context's exponents
+                assert matching_digits(run.limit(w), paper.value) >= run.ctx.target_digits, w
 
 
 class TestPostprocessConstant:
@@ -809,6 +821,45 @@ class TestRowsMatchReplicate:
             formed = [sorted(set(vars(row)) & {"d", "c", "a"}) for row in runs[-1].trace]
             assert formed == [["a"]] * (runs[-1].iterations + 1), argv
 
+    # precision._power calls (every root and power) of each text request: the
+    # same as when perimeter rows ran at w1 = 1 and their value was formed apart
+    @pytest.mark.parametrize("command, powers", [
+        ("constant pi --algorithm quad --digits 100", 10),
+        ("constant gamma23 --digits 100", 8),
+        ("constant gamma14 --digits 100", 9),
+        ("constant custom --w 1/3 --algorithm quartic --digits 100", 5),
+        ("constant custom --w 1/2 --algorithm cubic --digits 100", 6),
+        ("ellipse 2 1 --algorithm quad --digits 100", 14),
+        ("ellipse 1 1e-30 --algorithm quartic --digits 100", 14),
+        ("ellipse 2 1 --normalized --algorithm quad --digits 100", 8),
+        ("ellipse 2 1 --normalized --algorithm quartic --digits 100", 5),
+    ])
+    def test_every_value_is_its_last_row(self, capsys, monkeypatch, command, powers):
+        runs, calls = [], []
+
+        def kept(run):
+            def call(*args):
+                runs.append(run(*args))
+                return runs[-1]
+            return call
+
+        def counted(*args):
+            calls.append(args)
+            return power(*args)
+
+        power = precision._power
+        monkeypatch.setattr(precision, "_power", counted)
+        monkeypatch.setattr(cli, "run_borwein", kept(run_borwein))
+        monkeypatch.setattr(cli, "run_ellipse", kept(run_ellipse))
+        assert main(command.split()) == 0
+        assert capsys.readouterr().err == ""
+        assert len(calls) == powers
+        for run in runs:
+            assert run.value == run.trace[-1].a
+            assert run.limit(run.w) is run.value
+            if run.start[2]:  # a perimeter (a_0 = 1) runs at the paper's w = 0
+                assert run.w == 0
+
 
 class TestLateSteps:
     """Late steps skip the root once (C'/A')**m is below the chain's precision,
@@ -870,7 +921,7 @@ class TestLateSteps:
         assert matching_digits(run.value, oracle) >= run.ctx.target_digits
 
     def test_quartic_ellipse_matches_the_series_oracle(self):
-        # The quartic a-update at w = 1 from ellipse initial values, and F = L(1) / K.
+        # The quartic chain from ellipse initial values, read at the paper's w = 0.
         run = run_ellipse(QUARTIC, Decimal(2), Decimal(1), make_context(3_000, 4))
         oracle = ellipse_factor(run.ctx.real(2), run.ctx.real(1), run.ctx)
         assert matching_digits(run.value, oracle) >= run.ctx.target_digits

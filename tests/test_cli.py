@@ -748,9 +748,9 @@ GOLDEN = [
     ("constant gamma13 --digits 60 --plain", 0,
      "55e7641e92511b0a6b96922ab89a8f6b783984ed2ab2c6106b8e44551dcccf2e"),
     ("ellipse 2 1 --digits 60 --json", 0,
-     "4853595fa65d0307c01d98962aa1f76c1d8e1a2c504cdf9d094c7ab375d59c73"),
+     "caed759e7f6612f239f7cd9175b35104a26bf595313fe8db818a4e53dea6b979"),
     ("ellipse 1 1e-30 --digits 60 --trace", 0,
-     "485eafb7137bcf52cdd8e5f44f31a4a24118669a780e6b086e5443c96fcbd882"),
+     "9b24074691f4a98ed35b74277920bb731ca00ad988bd373b58af65e21bc3d35f"),
     ("verify pi --digits 80 --json", 0,
      "ea5ee07fa20f490b81609c5739fe3e38f0c4a0a2017d09d6c4077c89cdc0b8a9"),
     ("verify gamma13 --digits 80 --trace", 0,
@@ -767,10 +767,10 @@ GOLDEN = [
     ("ellipse 2 1 --digits 60 --plain", 0,
      "f386174861bc066c70753575b3b7db80cb7d87bb2c1d96448fd34ee30f8f8102"),
     ("verify ellipse 2 1 --digits 60 --trace", 0,
-     "a3bbdbcdd0d39e4ef75d318057086cb5b0fde77a4d5e4a62bbff56e171f930d8"),
+     "4c0a06c3b4c599180679d1d16bed660f52976057cd15b15852938248b67ab07d"),
     # the fallback oracle in trace form
     ("verify ellipse 1 0.005 --digits 100 --trace", 0,
-     "5fddbbc6746cf87528ddeabae2ee0238bda074609003729c09de4bed0937d560"),
+     "a0cc131c4c3001bc0d60cc92e38fb98e26b6110305a5587f5f487385ad9d4ec9"),
 ]
 
 
