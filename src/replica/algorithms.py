@@ -31,18 +31,21 @@ square roots of the means).  The paper's row n at weight w is then
     a_n = (a_0 + c_0 h_n) A_n**(-e (w + 1)),
 
 so a step takes one root and, for the cubic family only, one quotient, and
-each f is A_{n-1} / A_n: K = prod f(d_n)**e = A_N**(-e), and the limits of
-one chain satisfy L(w) = K**(w - w1) * L(w1).  The named constants run at
-w1 and take their own w from K (:meth:`RunResult.limit`); the perimeter
-factor F(a, b) is the paper's iteration at w = 0 from ellipse initial values.
+each f is A_{n-1} / A_n: K = prod f(d_n)**e = A_N**(-e) (:attr:`RunResult.k`).
+A named constant is the limit at its recipe's own w (:data:`CONSTANT_RECIPES`):
+pi and gamma23 at w1, gamma34, gamma14 and gamma13 at 3, 1/3 and 1/2.  The
+perimeter factor F(a, b) is the paper's iteration at w = 0 from ellipse
+initial values.
 
 No step takes a power: every run takes the chain's steps and stops on the
 rises of a at w1, read off the chain (:func:`_rise_at_w1`), so runs at any
-two w from one start and context build the same chain.  The weight enters
-only when something is read.  A row, an :class:`IterationState` of the
-run's trace, forms its d, c, a and, off w1, delta_exp each when first read
-(:attr:`RunResult.trace`), and every run's value is its last row's a at the
-run's own w: one power, formed when the run is built.  The chain runs at
+two w from one start and context build the same chain; w1 is read nowhere
+else.  The weight enters only when something is read.  A row, an
+:class:`IterationState` of the run's trace, forms its d, c, a and delta_exp
+each when first read (:attr:`RunResult.trace`), and every run's value is
+its last row's a at the run's own w: one power, formed when the run is
+built.  The limit at another w is the value of the same chain read there
+(:meth:`RunResult.limit`), one power too.  The chain runs at
 W' = W + ``_CHAIN_DIGITS`` digits, which covers the digits its differences
 of means lose, and every value is rounded once to W.  Once (C'/A')**m falls
 below 10**(2 - W') the root is skipped and B' = A', so the chain stops
@@ -55,8 +58,8 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation, localcontext
+from dataclasses import dataclass, field, replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -68,9 +71,9 @@ from .errors import (
 )
 from .precision import (
     GUARD_DIGITS_PER_STEP,
-    SUPPORTED_DENOMINATORS,
     PrecisionContext,
     Real,
+    as_weight,
     make_context,
     nth_root,
     pow_rational,
@@ -78,12 +81,6 @@ from .precision import (
     step_budget,
 )
 from .series import check_axes, evaluate_series
-
-#: Largest |w| a run takes: the limit of a run at 2e16 leaves decimal's exponent range.
-MAX_ABS_W = 10**16
-
-_W_OUT_OF_RANGE = "w is out of range: |w| must be at most 1e16"
-_W_DENOMINATOR = "w must have a denominator dividing 12"
 
 #: Digits the chain carries beyond the working digits: more than the N log10(m) + 2
 #: its differences of means lose (see :func:`_advance`).
@@ -136,20 +133,19 @@ QUARTIC = AlgorithmKind(4)
 
 
 class _Link(NamedTuple):
-    """One state of a run's chain: the mean A_n, the sum h_n and the exponent
-    of the step's rise in a at w1 (None on the first state and where a did not move)."""
+    """One state of a run's chain: the mean A_n and the sum h_n."""
 
     mean: Real
     total: Real
-    delta_exp: int | None
 
 
 @dataclass
 class RunResult:
     """Outcome of a run: the family, the w its trace rows belong to, the
-    context it ran at, its start (B_0, c_0, a_0), its chain and its value,
-    the last trace row's a: the chain's a_N at ``w``, formed at the chain's
-    W' digits when the run is built and rounded once to W.
+    context it ran at, its start (B_0, c_0, a_0), its chain of (A_n, h_n),
+    which no w enters, and its value, the last trace row's a: the chain's a_N
+    at ``w``, formed at the chain's W' digits when the run is built and
+    rounded once to W.
 
     The trace rows, errors and orders (:attr:`trace`, :attr:`error_table`,
     :attr:`orders`) are formed only when first read, at ``ctx``, whatever the
@@ -226,18 +222,14 @@ class RunResult:
 
     def limit(self, w) -> Real:
         """The limit of this family's iteration at weight ``w`` from this run's
-        start: K**(w - self.w) times the value, at ``ctx``.  A ``w`` that
+        start, at ``ctx``: the value itself at ``self.w``, else the value of the
+        same chain read at ``w``, one power of its last link.  That is the
+        value of the run at ``w`` from the same start and context, which builds
+        the same chain, with the same error bound.  A ``w`` that
         :func:`as_weight` refuses raises :class:`UnsupportedParameterError`.
-
-        Only a ``w`` other than ``self.w`` computes :attr:`k`; the power adds
-        a relative |w - self.w| * r_K + (|p| + 3) * 10**(1 - W) for the
-        numerator p of w - self.w, and the product half a unit.
         """
         w = as_weight(w)
-        if w == self.w:
-            return self.value
-        with self.ctx.local():
-            return pow_rational(self.k, w - self.w, self.ctx) * self.value
+        return self.value if w == self.w else replace(self, w=w).value
 
 
 class IterationState:
@@ -253,9 +245,9 @@ class IterationState:
     0's a is a_0 (A_0 = 1) and takes no power.  Each a_n at W' is formed
     once per run (:meth:`RunResult._fine_a`), so the last row's a is the
     run's value and takes no power of its own.
-    delta_exp is the chain's own at w1, the rise the stopping rule read
-    (:func:`_rise_at_w1`); off w1 it is e(|a_n - a_{n-1}|) of the two rows'
-    a at W', None on row 0 and where a did not move.
+    delta_exp is e(|a_n - a_{n-1}|) of the two rows' a at W' at every w
+    (the stopping rule reads its own rises at w1, :func:`_rise_at_w1`), None
+    on row 0 and where a did not move.
 
     With u' = 10**(1 - W'): C_n is good to 3u' of A_n absolutely
     (:func:`_advance`), so d_n is within half a unit in its last place plus
@@ -305,8 +297,8 @@ class IterationState:
     @cached_property
     def delta_exp(self) -> int | None:
         run = self._run
-        if not self.n or run.w == run.kind.root_free_w:
-            return run.chain[self.n].delta_exp
+        if not self.n:
+            return None
         with run._fine.local():
             delta = abs(run._fine_a(self.n) - run._fine_a(self.n - 1))
         return delta.adjusted() if delta else None
@@ -407,6 +399,7 @@ def _iterate(kind: AlgorithmKind, start: tuple[Real, Real, Real], ctx: Precision
              budget: int) -> tuple[list[_Link], bool]:
     """The chain from ``start`` = (B_0, c_0, a_0), run until two consecutive
     rises of a at w1 are small, and whether that happened within ``budget`` steps.
+    This rule is the one place a run reads w1.
 
     A rise |a_n - a_{n-1}| (:func:`_rise_at_w1`) is small when its exponent
     is at most e(a_n) - target_digits - 8 (e(x) = x.adjusted()): below
@@ -415,15 +408,15 @@ def _iterate(kind: AlgorithmKind, start: tuple[Real, Real, Real], ctx: Precision
     of pi and gamma23, stops where the absolute bound 10**(-target_digits - 8)
     stopped it.
 
-    The rule reads no w, so runs at every w from one start and context build
-    the same chain, and it certifies a at each of them.  a at w is
+    The rule reads no run's w, so runs at every w from one start and context
+    build the same chain, and it certifies a at each of them.  a at w is
     hat * A**(-e (w + 1)) with hat = a_0 + c_0 h, and both terms of the rise
     at w1 are nonnegative, so each bounds on its own the relative moves of
     hat and of A**(-e (w1 + 1)) by r.  A step then moves a at w by at most
     (1 + e |w + 1| / (e (w1 + 1))) r = (1 + |w + 1| / (w1 + 1)) r relatively,
-    a factor below 10**16 for |w| <= :data:`MAX_ABS_W`.  The rises fall with
-    the family's order m, so after two small ones what a at w still moves is
-    about 10**16 * 10**(-m (target_digits + 7)), below
+    a factor below 10**16 for |w| <= :data:`~replica.precision.MAX_ABS_W`.
+    The rises fall with the family's order m, so after two small ones what a
+    at w still moves is about 10**16 * 10**(-m (target_digits + 7)), below
     10**-(target_digits + 24) for m >= 2 and the 32-digit floor of
     :func:`_sized`; once the chain stands still (B' = A'), it is below
     e |w + 1| 10**(2 - W') / m.
@@ -431,13 +424,13 @@ def _iterate(kind: AlgorithmKind, start: tuple[Real, Real, Real], ctx: Precision
     low = start[0]
     fine = _chain_context(ctx)
     with fine.local():
-        link = _Link(Decimal(1), Decimal(0), None)
+        link = _Link(Decimal(1), Decimal(0))
         chain = [link]
         consecutive = 0
         for n in range(1, budget + 1):
             mean, low, rise = _advance(kind.order, link.mean, low, kind.order ** (n - 1), fine)
             delta, a = _rise_at_w1(kind, start, link.total, rise, link.mean, mean)
-            link = _Link(mean, link.total + rise, delta.adjusted() if delta else None)
+            link = _Link(mean, link.total + rise)
             chain.append(link)
             small = not delta or delta.adjusted() <= a.adjusted() - ctx.target_digits - 8
             consecutive = consecutive + 1 if small else 0
@@ -457,41 +450,6 @@ def _run(kind: AlgorithmKind, w: Fraction, start: tuple[Real, Real, Real],
         raise NonConvergenceError(
             f"{kind.name} run did not converge within {budget} iterations", trace=run.trace)
     return run
-
-
-def as_weight(w) -> Fraction:
-    """``Fraction(w)`` for a free parameter given as a Fraction, an int, a
-    Decimal or a text (p/q or a decimal).
-
-    A w with a denominator not dividing 12, a zero denominator or
-    |w| > :data:`MAX_ABS_W` raises :class:`UnsupportedParameterError`.
-    Fraction builds the integer 10**k of a decimal exponent form, which takes
-    seconds for 1e4000000, so a decimal with |w| >= 1e17 or nonzero |w| < 0.1
-    (a finite decimal with a denominator dividing 12 is a multiple of 1/4)
-    raises first.  A text that is neither p/q nor a finite decimal raises
-    ValueError.
-    """
-    if isinstance(w, Decimal) or (isinstance(w, str) and "/" not in w):
-        try:
-            value = Decimal(w)
-        except InvalidOperation:  # not a decimal, or an exponent beyond decimal's range
-            value = Decimal("NaN")
-        if not value.is_finite():
-            raise ValueError(f"w must be a number p/q or a decimal, got {w!r}")
-        if value.adjusted() > 16:
-            raise UnsupportedParameterError(_W_OUT_OF_RANGE)
-        if value and value.adjusted() < -1:
-            raise UnsupportedParameterError(_W_DENOMINATOR)
-        w = value
-    try:
-        w = Fraction(w)
-    except ZeroDivisionError:
-        raise UnsupportedParameterError(_W_OUT_OF_RANGE) from None
-    if w.denominator not in SUPPORTED_DENOMINATORS:
-        raise UnsupportedParameterError(_W_DENOMINATOR)
-    if abs(w) > MAX_ABS_W:
-        raise UnsupportedParameterError(_W_OUT_OF_RANGE)
-    return w
 
 
 def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunResult:
@@ -625,20 +583,16 @@ def postprocess_constant(name: str, run: RunResult) -> Real:
     L = 2**alpha * C**(-1/e) at its recipe's w, at ``run.ctx``.
 
     ``run`` is a :func:`run_borwein` run of one of the recipe's orders at any
-    w; L is ``run.limit(w)`` = K**(w - run.w) * run.value, so a run at the
-    recipe's own w (the root-free w1 of pi and gamma23) needs no K.
+    w; L is ``run.limit(w)``: the run's value at the recipe's own w, as the
+    CLI runs it, and otherwise the value of the same chain read at w.
 
     Error bound, with W working digits: each :func:`pow_rational` adds a
     relative (|p| + 3) * 10**(1 - W) for its numerator p, and each product
-    half a unit in its last place.  With a relative error r of the run's
-    value and r_K of K (see :attr:`RunResult.k`), L is within a relative
-    r + |w - run.w| * r_K plus the rounding of ``RunResult.limit``.  A
-    relative error of L (and of the product) becomes |e| times as large in
-    C, to first order, and |e| <= 1 in every recipe, so the inversion never
-    amplifies it.  So C is within a relative
-    |e| * (r + |w - run.w| * r_K) + 15 * 10**(1 - W): the largest rounding
-    term, gamma14's from a run at w1 = 1, is (3/4) * (5.5 + 5 + 1/2) + 6 = 14.25
-    units of 10**(1 - W).
+    half a unit in its last place.  A relative error r of L, the value of the
+    run at w (and of the product), becomes |e| r in C, to first order, and
+    |e| <= 1 in every recipe, so the inversion never amplifies it.  So C is
+    within a relative |e| * r + 11 * 10**(1 - W): the largest rounding term,
+    gamma14's, is (3/4) * (5 + 1/2) + 6 = 10.125 units of 10**(1 - W).
 
     Raises :class:`UnsupportedParameterError` for an unknown name, and for a
     run that is not a :func:`run_borwein` run (a_0 = 0) of an order of the

@@ -47,7 +47,6 @@ from .algorithms import (
     QUARTIC,
     AlgorithmKind,
     RunResult,
-    as_weight,
     postprocess_constant,
     run_borwein,
     run_ellipse,
@@ -61,6 +60,7 @@ from .precision import (
     MIN_GUARD_DIGITS,
     PrecisionContext,
     Real,
+    as_weight,
     matching_digits,
     nth_root,
     pow_rational,
@@ -258,16 +258,10 @@ def _resolve_constant(args, name: str) -> tuple[AlgorithmKind, Fraction]:
     return AlgorithmKind(order), w
 
 
-def _run_constant(name: str, kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext):
-    """A named constant runs at its family's root-free w1 and takes its w from
-    K (``RunResult.limit``); ``custom`` reads the same chain at w itself."""
-    return run_borwein(kind, w if name == "custom" else kind.root_free_w, ctx)
-
-
 def _cmd_constant(args, ctx: PrecisionContext) -> _Report:
     name = args.constant_id
     kind, w = _resolve_constant(args, name)
-    run = _run_constant(name, kind, w, ctx)
+    run = run_borwein(kind, w, ctx)
     value = run.value if name == "custom" else postprocess_constant(name, run)
     return _Report(run, value, {"constant": name, "w": str(w)})
 
@@ -332,7 +326,6 @@ def _cmd_verify(args, ctx: PrecisionContext) -> _Report:
         if len(args.axes) != 2:
             raise ValueError("verify ellipse needs two axes")
         a, b, run = _run_perimeter(args, ctx, *args.axes)
-        value = run.value
         lines = [f"verify ellipse {a} {b}: algorithm={run.kind.name} digits={args.digits}"]
         fields.update(semi_major=str(a), semi_minor=str(b))
         try:
@@ -346,12 +339,11 @@ def _cmd_verify(args, ctx: PrecisionContext) -> _Report:
             fields["warning"] = "slow-oracle"
     else:
         kind, w = constant
-        run = _run_constant(args.target, kind, w, ctx)
-        value = run.limit(w)
+        run = run_borwein(kind, w, ctx)
         oracle = couple_product(kind.couple_parameter, w, run.ctx)
         lines = [f"verify {args.target}: algorithm={kind.name} w={w} digits={args.digits}"]
         fields["w"] = str(w)
-    agree = min(matching_digits(value, oracle), run.ctx.working_digits)
+    agree = min(matching_digits(run.value, oracle), run.ctx.working_digits)
     ok = agree >= args.digits
     lines.append(f"agree: >={agree} digits{suffix}")
     fields.update(agree_digits=agree, ok=ok)
@@ -364,7 +356,7 @@ def _cmd_verify(args, ctx: PrecisionContext) -> _Report:
         ]
         fields.update(paper_example_ratio=ratio, expected_ratio=expected, oracle_supports=support)
     lines.append("PASS" if ok else "FAIL: oracle disagreement")
-    return _Report(run, value, fields, lines, code=0 if ok else 4)
+    return _Report(run, run.value, fields, lines, code=0 if ok else 4)
 
 
 def _paper_example_probe(run: RunResult, oracle: Real):
@@ -373,8 +365,8 @@ def _paper_example_probe(run: RunResult, oracle: Real):
     By the reflection identity Gamma(1/3) Gamma(2/3) = 2 pi / sqrt(3) that
     example value is (Gamma(2/3)/pi)**(3/2), formed from the iterations, not
     from the series oracle it is measured against: Gamma(2/3) from the limit
-    at w = 2 of ``run``, the cubic w=1/2 run, whose chain is that of the
-    w1 = 2 run (:meth:`RunResult.limit`), and pi from the quartic w=1 run.
+    at w = 2 of the chain of ``run``, the cubic w=1/2 run
+    (:meth:`RunResult.limit`), and pi from the quartic w=1 run.
     Returns both ratios to 30 digits and the formula the oracle supports.
     """
     ctx = run.ctx

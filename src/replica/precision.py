@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import decimal
 from dataclasses import dataclass, replace
-from decimal import Decimal, localcontext
+from decimal import Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from functools import cached_property
 
@@ -41,6 +41,13 @@ _EMAX = 10**15
 #: Denominators q of the exponents p/q that :func:`pow_rational` takes, and of w.
 SUPPORTED_DENOMINATORS = (1, 2, 3, 4, 6, 12)
 
+#: Largest |w| that a run, a limit or a series takes: the limit of a run at 2e16
+#: leaves decimal's exponent range.
+MAX_ABS_W = 10**16
+
+_W_OUT_OF_RANGE = "w is out of range: |w| must be at most 1e16"
+_W_DENOMINATOR = "w must have a denominator dividing 12"
+
 MIN_GUARD_DIGITS = 32
 #: Guard digits per step of the budget: each step loses a bounded number of digits to rounding.
 GUARD_DIGITS_PER_STEP = 8
@@ -51,6 +58,41 @@ _ROOT_EXTRA_DIGITS = 10
 # Correct digits the float seed of a root is trusted to: a double carries
 # 15.9, less the rounding of the float conversion and of ``**``.
 _SEED_DIGITS = 14
+
+
+def as_weight(w) -> Fraction:
+    """``Fraction(w)`` for a free parameter given as a Fraction, an int, a
+    Decimal or a text (p/q or a decimal).
+
+    A w with a denominator not dividing 12, a zero denominator or
+    |w| > :data:`MAX_ABS_W` raises :class:`UnsupportedParameterError`.
+    Fraction builds the integer 10**k of a decimal exponent form, which takes
+    seconds for 1e4000000, so a decimal with |w| >= 1e17 or nonzero |w| < 0.1
+    (a finite decimal with a denominator dividing 12 is a multiple of 1/4)
+    raises first.  A text that is neither p/q nor a finite decimal raises
+    ValueError.
+    """
+    if isinstance(w, Decimal) or (isinstance(w, str) and "/" not in w):
+        try:
+            value = Decimal(w)
+        except InvalidOperation:  # not a decimal, or an exponent beyond decimal's range
+            value = Decimal("NaN")
+        if not value.is_finite():
+            raise ValueError(f"w must be a number p/q or a decimal, got {w!r}")
+        if value.adjusted() > 16:
+            raise UnsupportedParameterError(_W_OUT_OF_RANGE)
+        if value and value.adjusted() < -1:
+            raise UnsupportedParameterError(_W_DENOMINATOR)
+        w = value
+    try:
+        w = Fraction(w)
+    except ZeroDivisionError:
+        raise UnsupportedParameterError(_W_OUT_OF_RANGE) from None
+    if w.denominator not in SUPPORTED_DENOMINATORS:
+        raise UnsupportedParameterError(_W_DENOMINATOR)
+    if abs(w) > MAX_ABS_W:
+        raise UnsupportedParameterError(_W_OUT_OF_RANGE)
+    return w
 
 
 def step_budget(target_digits: int, order: int) -> int:

@@ -28,7 +28,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, Context, Decima
 from fractions import Fraction
 
 from .errors import DomainError, SlowConvergenceError, UnsupportedParameterError
-from .precision import PrecisionContext, Real, pow_rational
+from .precision import PrecisionContext, Real, as_weight, pow_rational
 
 #: Couples are wired only for the parameters that have a matching transform.
 SUPPORTED_COUPLE_PARAMETERS = (Fraction(1, 2), Fraction(1, 3))
@@ -235,13 +235,16 @@ def evaluate_series(s: Fraction, w: Fraction, a: Real, b: Real, z: Real | Fracti
     """A = S(1, 0; z)**w * S(a, b; z) with Pochhammer pair (s, 1 - s), s in {1/2, 1/3}.
 
     Each sum is off by at most its truncation, floor and rounding errors, which
-    :func:`_sums` bounds: about 10**(2 - working_digits) in all, plus half an ulp."""
+    :func:`_sums` bounds: about 10**(2 - working_digits) in all, plus half an ulp.
+    A ``w`` that :func:`~replica.precision.as_weight` refuses raises
+    :class:`UnsupportedParameterError` before any term is summed, as it does for
+    a run."""
     if s not in SUPPORTED_COUPLE_PARAMETERS:
         raise UnsupportedParameterError(
             f"couple parameter must be one of {SUPPORTED_COUPLE_PARAMETERS}, got {s}"
         )
+    w = as_weight(w)
     s0, weighted = _sums(s, 1 - s, a, b, z, ctx)
-    w = Fraction(w)
     if w == 0:
         return weighted
     with ctx.local():

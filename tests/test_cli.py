@@ -405,12 +405,17 @@ class TestVerifyCommand:
         assert "FAIL" in out
 
     @pytest.mark.parametrize("target", ["gamma34", "gamma14", "gamma13"])
-    def test_a_wrong_k_fails_verify(self, capsys, monkeypatch, target):
-        # verify derives the limit at the recipe's w from the root-free run's K
+    def test_a_wrong_k_moves_no_byte(self, capsys, monkeypatch, target):
+        # constant and verify run the recipe's own w, so no printed number reads K
+        requests = [("constant", target, "--digits", "100", *form)
+                    for form in ((), ("--plain",), ("--json",), ("--trace",))]
+        requests += [("verify", target, "--digits", "100", *form)
+                     for form in ((), ("--json",), ("--trace",))]
+        right = [run_cli(capsys, *argv) for argv in requests]
         k = RunResult.k.fget
         monkeypatch.setattr(RunResult, "k", property(lambda run: k(run) * Decimal("1.0000000001")))
-        code, out, _ = run_cli(capsys, "verify", target, "--digits", "100")
-        assert code == 4 and out.endswith("FAIL: oracle disagreement")
+        assert [run_cli(capsys, *argv) for argv in requests] == right
+        assert all(code == 0 for code, _, _ in right)
 
     def test_unknown_target(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "tau", "--digits", "100")
@@ -725,7 +730,7 @@ GOLDEN = [
     ("constant pi --digits 1000", 0,
      "c849b645c5973dfc4e19525a2f7941239084a7ba382edfcc56d7cd26369ad6f0"),
     ("constant gamma14 --digits 500 --json", 0,
-     "412da6baca7ad5292ddd4d8264ba97169ee1a139a09c6de1d951ae36fb7d0751"),
+     "185039bf249795c6907c902bc2f602163b6e9cf3d068b7a3c34f1aef04ec1535"),
     ("constant custom --w 3 --algorithm quad --digits 100", 0,
      "ae35303cde031c2ea434d9036b47937632ecbf1b815d52d833fcb83aef7b0967"),
     ("ellipse 2 1 --digits 500", 0,
@@ -754,7 +759,7 @@ GOLDEN = [
     ("verify pi --digits 80 --json", 0,
      "ea5ee07fa20f490b81609c5739fe3e38f0c4a0a2017d09d6c4077c89cdc0b8a9"),
     ("verify gamma13 --digits 80 --trace", 0,
-     "8d1642ce18c4f43db50be0fd2f56583b64c64c5d5a7818491ec1598241601ae9"),
+     "783ba5f26b32ae837ed6097e4faf576f8e0306a46cb2fca74aa18c635501ba7a"),
     # z > 0.99: the other perimeter family is the oracle
     ("verify ellipse 1 0.005 --digits 100", 0,
      "9e4e26d6d98afc2e671d40ba322241da8733919ca05d9651bfba896773484393"),

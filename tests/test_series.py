@@ -188,6 +188,20 @@ class TestCoupleProduct:
             rhs = couple_product(HALF, Fraction(1), ctx) ** 4
         assert matching_digits(lhs, rhs) >= ctx.working_digits - 10
 
+    @pytest.mark.parametrize("s", [HALF, THIRD], ids=["half", "third"])
+    def test_refuses_the_w_a_run_refuses(self, s):
+        # the w rule of run_borwein, before any term is summed
+        ctx = make_context(50, 2)
+        for w in (Fraction(10**17), Fraction(-(10**17)), Fraction(1, 5), "1e17"):
+            with pytest.raises(UnsupportedParameterError):
+                couple_product(s, w, ctx)
+            with pytest.raises(UnsupportedParameterError):
+                evaluate_series(s, w, ctx.real(1), ctx.real(2), HALF, ctx)
+        # s0**w s1 * s0**(-w) s1 = s1**2 at the edge of the range
+        up, down = (couple_product(s, Fraction(w), ctx) for w in (10**16, -(10**16)))
+        with ctx.local():
+            assert matching_digits(up * down, couple(s, ctx)[1] ** 2) >= ctx.target_digits
+
     def test_third_product_value(self):
         # s0 * s1 at s = 1/3 equals sqrt(3)/(2 pi)
         ctx = make_context(200, 3)
