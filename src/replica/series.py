@@ -19,7 +19,9 @@ stated on :func:`_sums`.  Its one public entry, :func:`evaluate_series`, takes
 (p, q) = (s, 1 - s) with s in {1/2, 1/3}, the pairs its stopping rule is proved
 for, and forms A = S(1, 0; z)**w * S(a, b; z), the quantity every state of a
 run conserves.  The pi and Gamma limits are A at z = 1/2
-(:func:`couple_product`); the ellipse factor is A at w = 0 (:func:`ellipse_factor`).
+(:func:`couple_product`); the ellipse factor is A at w = 0 and z = 1 - b^2/a^2,
+which :func:`ellipse_factor` sums after one Landen step, as A at w = 0 with
+weights (c, 4 c) at h = ((a - b)/(a + b))^2.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ def _sums(p: Fraction, q: Fraction, a: Real, b: Real, z: Real | Fraction,
     if zn and (low.log10(low.divide(zn * pn * qn, (zd - zn) * pd * qd * _MAX_TERMS))
                + _MAX_TERMS * low.log10(z20) > 1 - ctx.working_digits):
         raise SlowConvergenceError(f"series cannot certify in {_MAX_TERMS} terms (z = {z20})")
-    abs_a, abs_b = abs(a), abs(b)
+    abs_a, abs_b = a.copy_abs(), b.copy_abs()
     big_a, big_b = (int(x.to_integral_value(ROUND_CEILING)) for x in (abs_a, abs_b))
     shift = _TERM_GUARD_DIGITS + max(1, abs_a.adjusted() + 1, abs_b.adjusted() + 1)
     limit = 10**shift * (zd - zn)
@@ -275,22 +277,44 @@ def ellipse_factor(semi_major: Real, semi_minor: Real, ctx: PrecisionContext) ->
 
     The perimeter is P(a, b) = 2 pi b ((b/a) F(a, b)); (b/a) F stays of order
     a/b, where b^2 underflows for axes near 1e-500000000000060.  Depends only on
-    b/a, hence scale-invariant: z = 1 - b^2/a^2 is formed exactly from the axes,
-    as a Fraction.  Arguments z above 0.99 are rejected: the caller should
+    b/a, hence scale-invariant: r = b/a is formed exactly from the axes, as a
+    Fraction.  Arguments z = 1 - r^2 above 0.99 are rejected: the caller should
     switch to the iterative algorithms there.
+
+    The sum is not taken at z but after one Landen step, at
+    h = ((1 - r)/(1 + r))^2, which is 1/9 for r = 1/2 where z is 3/4:
+
+        F(a, b) = c S(1, 4; h),    c = 2/(r (1 + r)),
+
+    with the same Pochhammer pair (1/2, 1/2).  Since 1 - h = 4 r/(1 + r)^2, this
+    is the Gauss-Kummer series of the perimeter,
+
+        P = 2 pi b r F = pi (a + b) (1 - h) S(1, 4; h) = pi (a + b) sum_k C(1/2, k)^2 h^k
+
+    (Almkvist & Berndt, *Amer. Math. Monthly* 95 (1988) 585-608; DLMF 19.8(ii)),
+    whose coefficients are the differences t_k (1 + 4k) - t_{k-1} (4k - 3) of
+    the weighted terms here.  h and c are exact rationals; the weights c and
+    4 c are rounded once each, at 10 digits above the term guard of
+    :func:`_sums` (W + 40 digits), so they add at most 10**(-W-39) of F to the
+    truncation, floor and rounding errors :func:`_sums` bounds, and its final
+    rounding to W digits stays the only one.
     """
     check_axes(semi_major, semi_minor)
     # Both axes shifted by a's exponent, so the Fractions carry no power of ten
     # beyond their digits.  b/a < 1/10 (z > 0.99) once b's leading digit sits two
     # places below a's; the exact ratio is not formed then.
     shift = -semi_major.adjusted()
-    z = Fraction(1)
+    ratio = Fraction(0)
     if semi_minor.adjusted() + shift >= -1:
         ratio = (Fraction(semi_minor.scaleb(shift, _EXACT))
                  / Fraction(semi_major.scaleb(shift, _EXACT)))
-        z = 1 - ratio * ratio
-    if z > Fraction(99, 100):
+    if 1 - ratio * ratio > Fraction(99, 100):
         raise SlowConvergenceError(
             "1 - b^2/a^2 exceeds 0.99; use the iterative perimeter algorithms"
         )
-    return evaluate_series(Fraction(1, 2), Fraction(0), ctx.real(1), ctx.real(2), z, ctx)
+    h = ((1 - ratio) / (1 + ratio)) ** 2
+    c = 2 / (ratio * (1 + ratio))
+    with ctx.elevated(_TERM_GUARD_DIGITS + 10):
+        weight = Decimal(c.numerator) / c.denominator
+        weights = weight, 4 * weight
+    return evaluate_series(Fraction(1, 2), Fraction(0), *weights, h, ctx)

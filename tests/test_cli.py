@@ -340,7 +340,8 @@ class TestVerifyCommand:
         assert "warning" in out and "series oracle skipped" in out
 
     def test_ellipse_warning_names_the_refusal_it_caught(self, capsys, monkeypatch):
-        # z = 3/4 is far below 0.99, but a 100-term cap refuses the series up front
+        # z = 3/4 is far below 0.99, and the series sums at h = 1/9, but a
+        # 100-term cap still refuses it up front
         monkeypatch.setattr(series, "_MAX_TERMS", 100)
         code, out, _ = run_cli(capsys, "verify", "ellipse", "2", "1", "--digits", "50")
         assert code == 0

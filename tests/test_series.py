@@ -1,6 +1,6 @@
 import random
 import time
-from decimal import Decimal
+from decimal import Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 
 import pytest
@@ -109,6 +109,20 @@ class TestEvaluateSeries:
             with ctx.local():
                 defect = abs(got - want)
             assert defect <= ctx.epsilon(4)
+
+    def test_weights_are_not_rounded_to_the_callers_context(self):
+        # |a| and |b| are taken exactly: rounded to a 1-digit context, |3.01|
+        # would be 3, below the bound A = ceil(|a|) the stopping rule needs, and
+        # a weight of W + 40 digits would trap Inexact
+        ctx = make_context(60, 2)
+        with ctx.elevated(40):
+            long_weight = Decimal(2) / 3
+        args = HALF, Fraction(0), Decimal("3.01"), long_weight, Fraction(3, 4), ctx
+        with localcontext(Context()):
+            want = evaluate_series(*args)
+        for context in (Context(prec=1), Context(traps=[Inexact])):
+            with localcontext(context):
+                assert evaluate_series(*args) == want
 
     def test_truncation_bound_certified(self):
         # replay the stopping rule in exact rational arithmetic: the tail cut
@@ -262,8 +276,18 @@ class TestTermCap:
         ctx = make_context(9000, 4)
         start = time.perf_counter()
         with pytest.raises(SlowConvergenceError, match="cannot certify in"):
-            ellipse_factor(ctx.real(1), ctx.real("0.1"), ctx)
+            series_at(ctx, HALF, 1, 2, Fraction(99, 100))
         assert time.perf_counter() - start < 1
+
+    def test_ellipse_factor_at_the_z_limit_sums_in_few_terms(self, monkeypatch):
+        # z = 0.99 at 8 612 working digits takes 1 974 910 terms at z, but the
+        # factor sums at h = (9/11)^2 in 49 446, inside a 60 000-term cap
+        monkeypatch.setattr(series, "_MAX_TERMS", 60_000)
+        ctx = make_context(8500, 4)
+        factor = ellipse_factor(ctx.real(1), ctx.real("0.1"), ctx)
+        low = make_context(100, 4)
+        want = ellipse_factor(low.real(1), low.real("0.1"), low)
+        assert matching_digits(factor, want) >= low.working_digits - 1
 
     def test_up_front_refusal_only_where_the_loop_would_hit_the_cap(self, monkeypatch):
         # with a cap of 300 terms, replay the stopping rule exactly: every sum
@@ -489,6 +513,22 @@ class TestEllipseFactor:
         assert matching_digits(factor, want) >= ctx.working_digits - 1
         for semi_major, semi_minor in (("0.3", "0.2"), ("3e50", "2e50")):
             assert ellipse_factor(ctx.real(semi_major), ctx.real(semi_minor), ctx) == factor
+
+    @pytest.mark.parametrize("semi_major, semi_minor", [
+        ("2", "1"), ("3", "2"), ("1", "0.1"), ("7", "5"), ("1", "0.999"),
+    ])
+    @pytest.mark.parametrize("digits", [1, 500])
+    def test_factor_is_the_landen_series(self, semi_major, semi_minor, digits):
+        # F(a, b) = c S(1, 4; h) with r = b/a, h = ((1 - r)/(1 + r))^2 and
+        # c = 2/(r (1 + r)), each exact, against the reference loop at 40 digits more
+        ctx = make_context(digits, 4)
+        ref = reference_context(ctx)
+        r = Fraction(semi_minor) / Fraction(semi_major)
+        h, c = ((1 - r) / (1 + r)) ** 2, 2 / (r * (1 + r))
+        c, c4, h = (fraction_to_decimal(x, ref.working_digits) for x in (c, 4 * c, h))
+        want = series_sum_decimal(HALF, HALF, c, c4, h, ref)
+        factor = ellipse_factor(ctx.real(semi_major), ctx.real(semi_minor), ctx)
+        assert matching_digits(factor, want) >= ctx.working_digits - 1
 
     def test_slow_convergence_guard(self):
         ctx = make_context(80, 2)
