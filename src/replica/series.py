@@ -15,19 +15,23 @@ Python ints with z an exact rational.  Long terms over short term ratios are
 taken a block at a time: the block's term ratios are combined into small exact
 ints, so one division of the big term serves the whole block, not one term
 (Brent & Zimmermann, *Modern Computer Arithmetic* §4.9.1); the error bound is
-stated on :func:`_sums`.  Its one public entry, :func:`evaluate_series`, takes
-(p, q) = (s, 1 - s) with s in {1/2, 1/3}, the pairs its stopping rule is proved
-for, and forms A = S(1, 0; z)**w * S(a, b; z), the quantity every state of a
-run conserves.  The pi and Gamma limits are A at z = 1/2
-(:func:`couple_product`); the ellipse factor is A at w = 0 and z = 1 - b^2/a^2,
-which :func:`ellipse_factor` sums after one Landen step, as A at w = 0 with
-weights (c, 4 c) at h = ((a - b)/(a + b))^2.
+stated on :func:`_sums`.  Its public entry for any z, :func:`evaluate_series`,
+takes (p, q) = (s, 1 - s) with s in {1/2, 1/3} and forms
+A = S(1, 0; z)**w * S(a, b; z), the quantity every state of a run conserves.
+The pi and Gamma limits are A at z = 1/2 with weight (0, 1), which
+:func:`couple_product` sums after a classical transformation of Gauss's
+function, at u = 1/9 for s = 1/2 and at u = 4/125 for s = 1/3; the ellipse
+factor is A at w = 0 and z = 1 - b^2/a^2, which :func:`ellipse_factor` sums
+after one Landen step, as A at w = 0 with weights (c, 4 c) at
+h = ((a - b)/(a + b))^2.  Each of the three is one pass of :func:`_sums`.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, Context, Decimal
 from fractions import Fraction
+from functools import cache
 
 from .errors import DomainError, SlowConvergenceError, UnsupportedParameterError
 from .precision import PrecisionContext, Real, as_weight, pow_rational
@@ -51,6 +55,18 @@ _BLOCK_MIN_BITS = 2_000
 
 # A context that never rounds: scaleb under it only moves the exponent.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+#: Ints of at most this many bits go to Decimal in one conversion (see :func:`_to_decimal`).
+_SPLIT_BITS = 2_000
+
+#: s -> (p, q, u, k, d, x, e): :func:`couple_product` sums S(1, 0; u) and S(1, k; u)
+#: for the pair (p, q) and scales them by c = x**e, the second also by 1/d.
+_COUPLE_TRANSFORMS = {
+    Fraction(1, 2): (Fraction(1, 4), Fraction(3, 4), Fraction(1, 9), 16, 6,
+                     Decimal("0.75"), Fraction(-1, 2)),
+    Fraction(1, 3): (Fraction(1, 12), Fraction(5, 12), Fraction(4, 125), 22, 5,
+                     Decimal("1.8"), Fraction(1, 4)),
+}
 
 
 def _block_length(term: int, zpq: int) -> int:
@@ -79,6 +95,43 @@ def _block_length(term: int, zpq: int) -> int:
     """
     bits = term.bit_length()
     return _BLOCK_TERMS if bits >= max(_BLOCK_MIN_BITS, 2 * zpq.bit_length() ** 2) else 1
+
+
+@cache
+def _power_of_two(bits: int) -> Decimal:
+    """2**bits, exact, for bits = ``_SPLIT_BITS`` 2**j: the square of the one before."""
+    if bits == _SPLIT_BITS:
+        return Decimal(1 << bits)
+    root = _power_of_two(bits // 2)
+    return _EXACT.multiply(root, root)
+
+
+def _to_decimal(n: int) -> Decimal:
+    """Decimal(n), exactly, for n >= 0.
+
+    ``Decimal(int)`` takes time quadratic in the length of the int on CPython
+    3.11 (0.20 s at 100 000 digits).  A longer int than ``_SPLIT_BITS`` is split
+    as n = hi 2**m + lo at the largest m = ``_SPLIT_BITS`` 2**j below its
+    length, and the halves, converted in turn, are joined in the exact context
+    ``_EXACT``; the powers 2**m are kept from call to call, one per doubling of
+    the longest int converted.  Per conversion of a random int, best of 1 to 5
+    runs with the powers cached (2 vCPU, Python 3.11.7, shared machine):
+
+        digits       Decimal(int)   split
+        5 000        0.52 ms        0.39 ms
+        10 000       2.13 ms        1.74 ms
+        40 000       34.0 ms        11.1 ms
+        100 000      0.20 s         0.032 s
+        1 000 000    20.8 s         0.39 s
+    """
+    bits = n.bit_length()
+    if bits <= _SPLIT_BITS:
+        return Decimal(n)
+    m = _SPLIT_BITS
+    while 2 * m < bits:
+        m *= 2
+    hi = n >> m
+    return _EXACT.fma(_to_decimal(hi), _power_of_two(m), _to_decimal(n - (hi << m)))
 
 
 def _sums(p: Fraction, q: Fraction, a: Real, b: Real, z: Real | Fraction,
@@ -117,9 +170,12 @@ def _sums(p: Fraction, q: Fraction, a: Real, b: Real, z: Real | Fraction,
 
     The rule may first hold inside a block; it still holds at the next block
     start.  From k >= 1 on, a term multiplies the rule's left side by at most
-    z (k+2)/k, which is below 1 for k > 2z/(1-z).  And for p q >= 2/9 (every
-    couple here) and W >= 2 the rule cannot hold at any k in [1, 2z/(1-z)]:
-    there t_k >= p q z^k/k^2 keeps the left side above p q/(2e^2) > 10**(-W).
+    z (k+2)/k, which is below 1 for k > 2z/(1-z).  For z < 1/3, as at the
+    u = 1/9 and 4/125 of :func:`couple_product`, the interval [1, 2z/(1-z)] is
+    empty, so any p and q in (0, 1] qualify.  For a larger z, p q >= 2/9 (every
+    pair (s, 1 - s) of :func:`evaluate_series`) and W >= 2, the rule cannot hold
+    at any k in [1, 2z/(1-z)]: there t_k >= p q z^k/k^2 keeps the left side
+    above p q/(2e^2) > 10**(-W).
     The rule the loop checks keeps this up to its slack: with T_k <= t_k 10**G
     its left side is at most 10**G times the exact one, which falls over the
     block, plus (k+1)^2 max(1, A + B k) z/(1-z), which stays far below
@@ -175,10 +231,12 @@ def _sums(p: Fraction, q: Fraction, a: Real, b: Real, z: Real | Fraction,
     # (p)_k (q)_k/(k!)^2 >= p q/k^2, so at every k <= K = _MAX_TERMS the rule's
     # left side is >= p q zfac z^K/K; where that is >= 10 tol, the cap is certain.
     low = Context(prec=20)
-    z20 = low.divide(zn, zd)  # also names z in the messages, however long zn and zd are
+    # z20 also names the series argument in the messages, however long zn and zd are.
+    z20 = low.divide(zn, zd)
     if zn and (low.log10(low.divide(zn * pn * qn, (zd - zn) * pd * qd * _MAX_TERMS))
                + _MAX_TERMS * low.log10(z20) > 1 - ctx.working_digits):
-        raise SlowConvergenceError(f"series cannot certify in {_MAX_TERMS} terms (z = {z20})")
+        raise SlowConvergenceError(
+            f"series cannot certify in {_MAX_TERMS} terms (series argument {z20})")
     abs_a, abs_b = a.copy_abs(), b.copy_abs()
     big_a, big_b = (int(x.to_integral_value(ROUND_CEILING)) for x in (abs_a, abs_b))
     shift = _TERM_GUARD_DIGITS + max(1, abs_a.adjusted() + 1, abs_b.adjusted() + 1)
@@ -196,7 +254,7 @@ def _sums(p: Fraction, q: Fraction, a: Real, b: Real, z: Real | Fraction,
             break
         if k >= _MAX_TERMS:
             raise SlowConvergenceError(
-                f"series did not certify after {_MAX_TERMS} terms (z = {z20})"
+                f"series did not certify after {_MAX_TERMS} terms (series argument {z20})"
             )
         # The block takes the terms after k up to the next block start, which the
         # cap ends.  prod / den starts as the ratio of the block's last term update.
@@ -226,10 +284,29 @@ def _sums(p: Fraction, q: Fraction, a: Real, b: Real, z: Real | Fraction,
             term = quot * prod >> bits
         k = end
     with ctx.elevated(_TERM_GUARD_DIGITS):
-        scaled_s0 = Decimal(s0).scaleb(-ctx.working_digits - shift)
-        total = a * scaled_s0 + b * Decimal(s1).scaleb(-ctx.working_digits - shift)
+        scaled_s0 = _to_decimal(s0).scaleb(-ctx.working_digits - shift)
+        total = a * scaled_s0 + b * _to_decimal(s1).scaleb(-ctx.working_digits - shift)
     with ctx.local():
         return +scaled_s0, +total
+
+
+def _couple_weight(s: Fraction, w: Fraction) -> Fraction:
+    """``w`` read by :func:`~replica.precision.as_weight`, for a couple parameter s
+    in ``SUPPORTED_COUPLE_PARAMETERS``; either refusal raises
+    :class:`UnsupportedParameterError`."""
+    if s not in SUPPORTED_COUPLE_PARAMETERS:
+        raise UnsupportedParameterError(
+            f"couple parameter must be one of {SUPPORTED_COUPLE_PARAMETERS}, got {s}"
+        )
+    return as_weight(w)
+
+
+def _product(s0: Real, w: Fraction, weighted: Real, ctx: PrecisionContext) -> Real:
+    """s0**w * weighted at the working digits of ``ctx``."""
+    if w == 0:
+        return weighted
+    with ctx.local():
+        return pow_rational(s0, w, ctx) * weighted
 
 
 def evaluate_series(s: Fraction, w: Fraction, a: Real, b: Real, z: Real | Fraction,
@@ -241,24 +318,53 @@ def evaluate_series(s: Fraction, w: Fraction, a: Real, b: Real, z: Real | Fracti
     A ``w`` that :func:`~replica.precision.as_weight` refuses raises
     :class:`UnsupportedParameterError` before any term is summed, as it does for
     a run."""
-    if s not in SUPPORTED_COUPLE_PARAMETERS:
-        raise UnsupportedParameterError(
-            f"couple parameter must be one of {SUPPORTED_COUPLE_PARAMETERS}, got {s}"
-        )
-    w = as_weight(w)
+    w = _couple_weight(s, w)
     s0, weighted = _sums(s, 1 - s, a, b, z, ctx)
-    if w == 0:
-        return weighted
-    with ctx.local():
-        return pow_rational(s0, w, ctx) * weighted
+    return _product(s0, w, weighted, ctx)
 
 
 def couple_product(s: Fraction, w: Fraction, ctx: PrecisionContext) -> Real:
     """s0**w * s1, A at z = 1/2 with weight (0, 1): the limit of the (s, w) algorithm.
 
-    s0 = S(1, 0; 1/2) and s1 = S(0, 1; 1/2) are the couple that seeds the algorithms.
+    s0 = S(1, 0; 1/2) and s1 = S(0, 1; 1/2) are the couple that seeds the
+    algorithms.  They are summed not at z = 1/2 but after a classical
+    transformation of F(z) = F(s, 1 - s; 1; z) = S(1, 0; z) to a small exact u,
+
+        F(1/2, 1/2; 1; z) = (1 - z/2)**(-1/2) F(1/4, 3/4; 1; (z/(2 - z))**2),
+        F(1/3, 2/3; 1; z) = (1 - 8z/9)**(-1/4) F(1/12, 5/12; 1; 64 z**3 (1 - z)/(9 - 8z)**3),
+
+    a quadratic transformation and one of Goursat's cubic ones (DLMF 15.8;
+    Goursat, *Ann. Sci. ENS* 10 (1881)).  Either reads F(z) = c(z) G(u(z)) with
+    G(u) = S(1, 0; u) for the new pair (p, q), and since S(0, 1; z) = z F'(z),
+
+        s0 = c G(u),    s1 = c (z c'/c G(u) + z u'/u S(0, 1; u)) = c S(1, k; u)/d.
+
+    At z = 1/2: for s = 1/2, u = 1/9, c = (4/3)**(1/2), z c'/c = 1/6 and
+    z u'/u = 8/3, so (k, d) = (16, 6); for s = 1/3, u = 4/125, c = (9/5)**(1/4),
+    z c'/c = 1/5 and z u'/u = 22/5, so (k, d) = (22, 5).  At 5 112 working
+    digits the loop stops at block start 5 376 (s = 1/2) and 3 424 (s = 1/3),
+    where z = 1/2 takes 17 024.
+
+    One pass of :func:`_sums` gives G0 = S(1, 0; u) and G = S(1, k; u) at
+    W' = W + 10 working digits.  Still at W', c is one :func:`pow_rational`,
+    0.75**(-1/2) or 1.8**(1/4), and s0 = c G0 and s1 = c G/d; each is then
+    rounded once to W digits, and s0**w * s1 is formed as in
+    :func:`evaluate_series`.  Before that rounding each is off, relatively, by at
+    most the bound of :func:`_sums` at W' (about 10**(-W-8)), c's
+    (|p| + 3) 10**(1 - W') = 4 10**(-W-9) and the half ulps at W' of the
+    products: below 2 10**(-W-8) in all, under the one final rounding to W.
+    A ``w`` that :func:`~replica.precision.as_weight` refuses raises
+    :class:`UnsupportedParameterError` before any term is summed.
     """
-    return evaluate_series(s, w, ctx.real(0), ctx.real(1), Fraction(1, 2), ctx)
+    w = _couple_weight(s, w)
+    p, q, u, k, d, x, e = _COUPLE_TRANSFORMS[s]
+    wide = replace(ctx, guard_digits=ctx.guard_digits + 10)
+    g0, g = _sums(p, q, Decimal(1), Decimal(k), u, wide)
+    with wide.local():
+        c = pow_rational(x, e, wide)
+        s0, s1 = c * g0, c * g / d
+    with ctx.local():
+        return _product(+s0, w, +s1, ctx)
 
 
 def check_axes(semi_major: Real, semi_minor: Real) -> None:
@@ -297,7 +403,8 @@ def ellipse_factor(semi_major: Real, semi_minor: Real, ctx: PrecisionContext) ->
     4 c are rounded once each, at 10 digits above the term guard of
     :func:`_sums` (W + 40 digits), so they add at most 10**(-W-39) of F to the
     truncation, floor and rounding errors :func:`_sums` bounds, and its final
-    rounding to W digits stays the only one.
+    rounding to W digits stays the only one.  Where :func:`_sums` refuses the
+    sum at h, the :class:`SlowConvergenceError` names both h and z.
     """
     check_axes(semi_major, semi_minor)
     # Both axes shifted by a's exponent, so the Fractions carry no power of ten
@@ -308,7 +415,8 @@ def ellipse_factor(semi_major: Real, semi_minor: Real, ctx: PrecisionContext) ->
     if semi_minor.adjusted() + shift >= -1:
         ratio = (Fraction(semi_minor.scaleb(shift, _EXACT))
                  / Fraction(semi_major.scaleb(shift, _EXACT)))
-    if 1 - ratio * ratio > Fraction(99, 100):
+    z = 1 - ratio * ratio
+    if z > Fraction(99, 100):
         raise SlowConvergenceError(
             "1 - b^2/a^2 exceeds 0.99; use the iterative perimeter algorithms"
         )
@@ -317,4 +425,10 @@ def ellipse_factor(semi_major: Real, semi_minor: Real, ctx: PrecisionContext) ->
     with ctx.elevated(_TERM_GUARD_DIGITS + 10):
         weight = Decimal(c.numerator) / c.denominator
         weights = weight, 4 * weight
-    return evaluate_series(Fraction(1, 2), Fraction(0), *weights, h, ctx)
+    try:
+        return evaluate_series(Fraction(1, 2), Fraction(0), *weights, h, ctx)
+    except SlowConvergenceError as exc:
+        raise SlowConvergenceError(
+            f"{exc} at h = ((a - b)/(a + b))^2, for the ellipse's"
+            f" z = 1 - b^2/a^2 = {Context(prec=20).divide(z.numerator, z.denominator)}"
+        ) from exc

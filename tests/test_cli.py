@@ -563,17 +563,17 @@ def test_a_run_measures_its_orders_only_when_they_are_printed(capsys, monkeypatc
     ("verify custom --w 1/2 --algorithm cubic --digits 50 --paper-example", 1),
     ("verify ellipse 1 0.005 --digits 50", 0),  # refused before any sum
 ])
-def test_each_oracle_sums_through_evaluate_series(capsys, monkeypatch, command, sums):
-    """``couple_product`` and ``ellipse_factor`` reach the term loop only through
-    ``series.evaluate_series``, the function the benchmark's series rows time."""
+def test_each_oracle_is_one_pass_of_the_term_loop(capsys, monkeypatch, command, sums):
+    """``couple_product`` and ``ellipse_factor`` each sum in exactly one pass of
+    ``series._sums``, the term loop, and a refused oracle in none."""
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return evaluate_series(*args)
+        return term_loop(*args)
 
-    evaluate_series = series.evaluate_series
-    monkeypatch.setattr(series, "evaluate_series", counted)
+    term_loop = series._sums
+    monkeypatch.setattr(series, "_sums", counted)
     assert run_cli(capsys, *command.split())[0] == 0
     assert len(calls) == sums
 

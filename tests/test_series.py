@@ -232,13 +232,17 @@ class TestOnePass:
     series summed alone: to W - 1 digits, or within the power's bound for w != 0."""
 
     def test_term_loop_matches_the_reference_loop(self):
+        # the pairs of couple_product's transformed sums take z up to 1/3, where the
+        # stopping rule is proved for any p and q in (0, 1]
         ctx = make_context(80, 2)
         rng = random.Random(707)
         params = [HALF, THIRD, Fraction(2, 3), Fraction(1)]
-        for _ in range(20):
-            p, q = rng.choice(params), rng.choice(params)
+        transformed = [Fraction(1, 4), Fraction(3, 4), Fraction(1, 12), Fraction(5, 12)]
+        for _ in range(40):
+            p, q = rng.choice(params + transformed), rng.choice(params + transformed)
             a, b = ctx.real(Fraction(rng.randint(-400, 400), 100)), ctx.real(rng.randint(-40, 40))
-            z = ctx.real(Fraction(rng.randint(0, 95), 100))
+            top = Fraction(1, 3) if {p, q} & set(transformed) else Fraction(95, 100)
+            z = ctx.real(top * Fraction(rng.randint(0, 100), 100))
             got = series._sums(p, q, a, b, z, ctx)[1]
             want = series_sum_decimal(p, q, a, b, z, reference_context(ctx))
             assert matching_digits(got, want) >= ctx.working_digits - 1, (p, q, a, b, z)
@@ -253,6 +257,18 @@ class TestOnePass:
         want = invariant_decimal(s, w, Decimal(0), Decimal(1), Decimal("0.5"),
                                  reference_context(ctx))
         assert_invariant_accurate(got, want, w, ctx)
+
+    @pytest.mark.parametrize("digits", [1, 50, 500, 5000])
+    @pytest.mark.parametrize("w", ["0", "1", "-1/2", "1/3", "3", "10000000000000000",
+                                   "-10000000000000000"])
+    @pytest.mark.parametrize("s", [HALF, THIRD])
+    def test_couple_product_matches_the_direct_sum(self, s, w, digits):
+        # the transformed sum at u = 1/9 or 4/125 against evaluate_series's sum of
+        # the same couple at z = 1/2, a second summation with no transformation
+        ctx = make_context(digits, 3 if s == THIRD else 2)
+        w = Fraction(w)
+        direct = evaluate_series(s, w, ctx.real(0), ctx.real(1), HALF, ctx)
+        assert matching_digits(couple_product(s, w, ctx), direct) >= ctx.working_digits - 1
 
     @pytest.mark.parametrize("semi_major, semi_minor", [
         ("2", "1"), ("1", "0.2"), ("1", "0.1"), ("7", "5"), ("0.7", "0.35"),
@@ -278,6 +294,30 @@ class TestTermCap:
         with pytest.raises(SlowConvergenceError, match="cannot certify in"):
             series_at(ctx, HALF, 1, 2, Fraction(99, 100))
         assert time.perf_counter() - start < 1
+
+    def test_couples_certify_in_few_terms(self, monkeypatch):
+        # at 5 160 working digits z = 1/2 takes 17 184 terms, but the couples sum
+        # at u = 1/9 and u = 4/125 (and 5 170 digits) in 5 440 and 3 488, inside
+        # a 6 000-term cap that refuses the direct sum up front
+        ctx = make_context(5000, 2)
+        want = {s: couple_product(s, Fraction(1), ctx) for s in (HALF, THIRD)}
+        monkeypatch.setattr(series, "_MAX_TERMS", 6_000)
+        for s in (HALF, THIRD):
+            assert couple_product(s, Fraction(1), ctx) == want[s]
+            with pytest.raises(SlowConvergenceError, match="cannot certify in 6000 terms"):
+                evaluate_series(s, Fraction(1), ctx.real(0), ctx.real(1), HALF, ctx)
+
+    def test_ellipse_refusal_names_z_and_h(self):
+        # at 400 000 digits even h = (9/11)^2 needs more than 2 000 000 terms; the
+        # refusal comes before any term, and names the ellipse's z and the h summed
+        ctx = make_context(400_000, 4)
+        start = time.perf_counter()
+        with pytest.raises(SlowConvergenceError) as refusal:
+            ellipse_factor(ctx.real(1), ctx.real("0.1"), ctx)
+        assert time.perf_counter() - start < 1
+        message = str(refusal.value)
+        assert "series argument 0.669421487603305785" in message
+        assert "h = ((a - b)/(a + b))^2" in message and "z = 1 - b^2/a^2 = 0.99" in message
 
     def test_ellipse_factor_at_the_z_limit_sums_in_few_terms(self, monkeypatch):
         # z = 0.99 at 8 612 working digits takes 1 974 910 terms at z, but the
@@ -486,6 +526,29 @@ class TestBlocks:
                     if "did not certify after" in str(exc):
                         outcomes.add("capped")
         assert {cap - 1, cap, "capped"} <= outcomes
+
+
+class TestToDecimal:
+    """_sums converts its two fixed-point ints to Decimal by halves split at powers
+    of two; each value and its exponent are those of Decimal(int)."""
+
+    SPLIT = series._SPLIT_BITS
+
+    @pytest.mark.parametrize("bits", [1, SPLIT - 1, SPLIT, SPLIT + 1, 2 * SPLIT,
+                                      2 * SPLIT + 1, 4 * SPLIT + 1, 13 * SPLIT + 7])
+    def test_equals_decimal_of_the_int(self, bits):
+        rng = random.Random(bits)
+        for n in (1 << (bits - 1), (1 << bits) - 1, rng.getrandbits(bits) | 1 << (bits - 1),
+                  (1 << bits) - (1 << (bits // 2))):
+            assert n.bit_length() == bits
+            assert series._to_decimal(n).as_tuple() == Decimal(n).as_tuple()
+
+    def test_zero(self):
+        assert series._to_decimal(0).as_tuple() == Decimal(0).as_tuple()
+
+    def test_100_000_digits(self):
+        n = random.Random(100_000).randrange(10**99_999, 10**100_000)
+        assert series._to_decimal(n).as_tuple() == Decimal(n).as_tuple()
 
 
 class TestEllipseFactor:
