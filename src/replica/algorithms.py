@@ -9,7 +9,7 @@ with b_n = c_n (1 - d_n^m), is invariant along the run, so a_n converges to
 A_0, the couple product evaluated independently by the series module.
 
 The chain d_n does not depend on w, and a step at w is the step at the
-root-free weight w1 (:attr:`AlgorithmKind.root_free_w`) times the power
+root-free weight w1 (2 for order 3 and 1 otherwise) times the power
 f(d_{n+1})**(e (w - w1)), with f = 1 + d for orders 2 and 4 and 1 + 2d for
 order 3, and e = 2 for order 4 and 1 otherwise (:attr:`AlgorithmKind.e`).
 At w1 the iteration is its family's AGM (Borwein & Borwein, *Pi and the
@@ -113,12 +113,6 @@ class AlgorithmKind:
     def couple_parameter(self) -> Fraction:
         """The s of the series couple this family starts from and tends to."""
         return Fraction(1, 3) if self.order == 3 else Fraction(1, 2)
-
-    @property
-    def root_free_w(self) -> Fraction:
-        """w1, the w at which a step takes no power of f: 2 for order 3 and 1
-        otherwise."""
-        return Fraction(2) if self.order == 3 else Fraction(1)
 
     @property
     def e(self) -> int:

@@ -2,12 +2,12 @@
 
 The generic sum is
 
-    S(a, b; z) = sum_k  (p)_k (q)_k / ((1)_k)^2 * (a + b*k) * z^k,      0 <= z < 1,
+    S(a, b; z) = sum_k  (p)_k (q)_k / ((1)_k)^2 * (a + b*k) * z^k,      -1 < z < 1,
 
 with Pochhammer parameters p, q in (0, 1].  Because the coefficient ratio
 (p+k)(q+k)/(1+k)^2 is below 1 and increases toward 1, successive terms decay
-at least geometrically with ratio z, which yields the cheap certified tail
-bound used by the stopping rule.
+in size at least geometrically with ratio |z|, which yields the cheap certified
+tail bound used by the stopping rule.
 
 This module is the package's independent oracle.  Its one term loop,
 :func:`_sums`, sums S(1, 0; z) and S(a, b; z) in a single pass, in fixed-point
@@ -15,12 +15,13 @@ Python ints with z an exact rational.  Long terms over short term ratios are
 taken a block at a time: the block's term ratios are combined into small exact
 ints, so one division of the big term serves the whole block, not one term
 (Brent & Zimmermann, *Modern Computer Arithmetic* §4.9.1); the error bound is
-stated on :func:`_sums`.  Its public entry for any z, :func:`evaluate_series`,
-takes (p, q) = (s, 1 - s) with s in {1/2, 1/3} and forms
+stated on :func:`_sums`.  Its public entry, :func:`evaluate_series`, takes
+(p, q) = (s, 1 - s) with s in {1/2, 1/3} and 0 <= z < 1, and forms
 A = S(1, 0; z)**w * S(a, b; z), the quantity every state of a run conserves.
 The pi and Gamma limits are A at z = 1/2 with weight (0, 1), which
-:func:`couple_product` sums after a classical transformation of Gauss's
-function, at u = 1/9 for s = 1/2 and at u = 4/125 for s = 1/3; the ellipse
+:func:`couple_product` sums for both couples over the pair (1/12, 5/12) of
+Ramanujan's signature-6 theory, at u = 8/1331 for s = 1/2 and at
+u = -9/64000 for s = 1/3, the second with terms of alternating sign; the ellipse
 factor is A at w = 0 and z = 1 - b^2/a^2, which :func:`ellipse_factor` sums
 after one Landen step, as A at w = 0 with weights (c, 4 c) at
 h = ((a - b)/(a + b))^2.  Each of the three is one pass of :func:`_sums`.
@@ -59,13 +60,15 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 #: Ints of at most this many bits go to Decimal in one conversion (see :func:`_to_decimal`).
 _SPLIT_BITS = 2_000
 
-#: s -> (p, q, u, k, d, x, e): :func:`couple_product` sums S(1, 0; u) and S(1, k; u)
-#: for the pair (p, q) and scales them by c = x**e, the second also by 1/d.
+#: The Pochhammer pair both couples sum over (see :func:`couple_product`).
+_COUPLE_PAIR = (Fraction(1, 12), Fraction(5, 12))
+
+#: s -> (u, a, b, d, x, t): :func:`couple_product` sums S(1, 0; u) and S(a, b; u)
+#: over ``_COUPLE_PAIR`` and scales them by c = (x r)**(-1/4) with r = 2**t, the
+#: second also by r**2/d.
 _COUPLE_TRANSFORMS = {
-    Fraction(1, 2): (Fraction(1, 4), Fraction(3, 4), Fraction(1, 9), 16, 6,
-                     Decimal("0.75"), Fraction(-1, 2)),
-    Fraction(1, 3): (Fraction(1, 12), Fraction(5, 12), Fraction(4, 125), 22, 5,
-                     Decimal("1.8"), Fraction(1, 4)),
+    Fraction(1, 2): (Fraction(8, 1331), 5, 126, 22, Fraction(33, 64), Fraction(0)),
+    Fraction(1, 3): (Fraction(-9, 64000), 31, 1012, 240, Fraction(320, 729), Fraction(1, 3)),
 }
 
 
@@ -107,14 +110,15 @@ def _power_of_two(bits: int) -> Decimal:
 
 
 def _to_decimal(n: int) -> Decimal:
-    """Decimal(n), exactly, for n >= 0.
+    """Decimal(n), exactly, for any int n.
 
     ``Decimal(int)`` takes time quadratic in the length of the int on CPython
     3.11 (0.20 s at 100 000 digits).  A longer int than ``_SPLIT_BITS`` is split
     as n = hi 2**m + lo at the largest m = ``_SPLIT_BITS`` 2**j below its
-    length, and the halves, converted in turn, are joined in the exact context
-    ``_EXACT``; the powers 2**m are kept from call to call, one per doubling of
-    the longest int converted.  Per conversion of a random int, best of 1 to 5
+    length, with 0 <= lo < 2**m (so a negative n has a negative hi), and the
+    halves, converted in turn, are joined in the exact context ``_EXACT``; the
+    powers 2**m are kept from call to call, one per doubling of the longest int
+    converted.  Per conversion of a random int, best of 1 to 5
     runs with the powers cached (2 vCPU, Python 3.11.7, shared machine):
 
         digits       Decimal(int)   split
@@ -138,12 +142,15 @@ def _sums(p: Fraction, q: Fraction, a: Real, b: Real, z: Real | Fraction,
           ctx: PrecisionContext) -> tuple[Real, Real]:
     """S(1, 0; z) and S(a, b; z), summed in one pass of fixed-point integer terms.
 
-    z = zn/zd is taken exactly from its Decimal or Fraction value.  The term
+    z = zn/zd, -1 < z < 1, is taken exactly from its Decimal or Fraction value;
+    a z < 0 makes the terms, their ratios and the two sums signed ints.  The term
     t_k = (p)_k (q)_k/((1)_k)^2 z^k is the int T_k, scaled by 10**G with
     G = W + E + D: W working digits, E = ``_TERM_GUARD_DIGITS`` and D >= 1 the
     smallest count with |a|, |b| < 10**D.  T_0 = 10**G, and the term ratio is
 
-        t_{k+1} / t_k = n_k / d_k = zn (pn + k pd)(qn + k qd) / (zd pd qd (1 + k)^2) < 1.
+        t_{k+1} / t_k = n_k / d_k = zn (pn + k pd)(qn + k qd) / (zd pd qd (1 + k)^2),
+
+    with |n_k| < d_k.
 
     The loop adds T_k and k T_k to the two sums at each block start k, checks the
     stopping rule there, and then takes the block of terms up to the next start
@@ -156,36 +163,39 @@ def _sums(p: Fraction, q: Fraction, a: Real, b: Real, z: Real | Fraction,
     floor(R N0 / 2**h) and floor(R N1 / 2**h) go to the sums, and
     T_{k+n} = floor(R P / 2**h).
 
-    Every floor only lowers a value.  A block of n > 1 raises the deficit
-    t_k 10**G - T_k by less than 1 + P / 2**h < 1 + 2**-8 < n, and a block of 1
-    by less than 1, so T_k <= t_k 10**G <= T_k + k at every block start.  The loop
-    stops at the first block start k with
+    Every floor lowers a value by less than 1, and a signed ratio carries the
+    error e_k = t_k 10**G - T_k forward with its sign flipped, so the error is
+    two-sided: a block of n > 1 raises |e_k| by less than 1 + |P| / 2**h
+    < 1 + 2**-8 < n, and a block of 1 by less than 1, so |t_k 10**G - T_k| <= k
+    at every block start (for z >= 0, T_k <= t_k 10**G).  The loop stops at the
+    first block start k with
 
-        (T_k + k + 1) max(1, A + B k) z/(1-z) (1 + k)  <  10**(G - W),
+        (|T_k| + k + 1) max(1, A + B k) |z|/(1-|z|) (1 + k)  <  10**(G - W),
 
     for integer upper bounds A >= |a| and B >= |b|.  That certifies the exact rule
-    t_k max(1, |a| + |b| k) z/(1-z) (1+k) < 10**(-W), a geometric majorant of the
-    remaining tail including its linear weight; the rule of S(1, 0; z) has 1 in
-    place of the max, so it holds by then too.
+    |t_k| max(1, |a| + |b| k) |z|/(1-|z|) (1+k) < 10**(-W), a geometric majorant
+    of the remaining tail including its linear weight; the rule of S(1, 0; z) has
+    1 in place of the max, so it holds by then too.
 
     The rule may first hold inside a block; it still holds at the next block
     start.  From k >= 1 on, a term multiplies the rule's left side by at most
-    z (k+2)/k, which is below 1 for k > 2z/(1-z).  For z < 1/3, as at the
-    u = 1/9 and 4/125 of :func:`couple_product`, the interval [1, 2z/(1-z)] is
-    empty, so any p and q in (0, 1] qualify.  For a larger z, p q >= 2/9 (every
-    pair (s, 1 - s) of :func:`evaluate_series`) and W >= 2, the rule cannot hold
-    at any k in [1, 2z/(1-z)]: there t_k >= p q z^k/k^2 keeps the left side
-    above p q/(2e^2) > 10**(-W).
-    The rule the loop checks keeps this up to its slack: with T_k <= t_k 10**G
-    its left side is at most 10**G times the exact one, which falls over the
-    block, plus (k+1)^2 max(1, A + B k) z/(1-z), which stays far below
-    10**(G - W) up to the cap (see below).  So a sum stops at most n - 1 terms
-    past the first index where the exact rule holds with that much to spare, and
-    since every block ends at the cap, it raises only when that index passes the
-    cap.  After K terms each sum is off by at most the sum of
+    |z| (k+2)/k, which is below 1 for k > 2|z|/(1-|z|).  For |z| < 1/3, as at the
+    u = 8/1331 and -9/64000 of :func:`couple_product`, the interval
+    [1, 2|z|/(1-|z|)] is empty, so any p and q in (0, 1] qualify.  For a larger
+    |z|, p q >= 2/9 (every pair (s, 1 - s) of :func:`evaluate_series`) and
+    W >= 2, the rule cannot hold at any k in [1, 2|z|/(1-|z|)]: there
+    |t_k| >= p q |z|^k/k^2 keeps the left side above p q/(2e^2) > 10**(-W).
+    The rule the loop checks keeps this up to its slack: with
+    |T_k| <= |t_k| 10**G + k its left side is at most 10**G times the exact one,
+    which falls over the block, plus (2k+1)(k+1) max(1, A + B k) |z|/(1-|z|),
+    which stays far below 10**(G - W) up to the cap (see below).  So a sum stops
+    at most n - 1 terms past the first index where the exact rule holds with that
+    much to spare, and since every block ends at the cap, it raises only when
+    that index passes the cap.  After K terms each sum is off by at most the sum
+    of
 
     - truncation: 10**(2 - W);
-    - floor: the deficits of the terms, weighted by |a| + |b| k, and the floors
+    - floor: the errors of the terms, weighted by |a| + |b| k, and the floors
       of a block's two sums, less than 1 + (n-1) 2**-8 and 1 + (n-1)(k+n) 2**-8
       units: below K(K+3)/2 units of 10**(-G) for S(1, 0) and below
       (K(K+1)(K+2)/3 + K(K+1)) 10**(-W-E) for S(a, b);
@@ -193,10 +203,10 @@ def _sums(p: Fraction, q: Fraction, a: Real, b: Real, z: Real | Fraction,
       half an ulp, plus 10**(1 - W - E) of |a| S(1, 0) + |b| S(0, 1) from forming it.
 
     E = 30 is sized by the ``_MAX_TERMS`` cap of 2 000 000.  Up to it the floor
-    error stays under 10**(-W-11), and the rule's k + 1 units of slack stay far
-    below its threshold while 2 (k+1)^3 z/(1-z) < 10**E, that is for every
-    z/(1-z) < 6e10; a larger one needs more terms than the cap, which the up-front
-    refusal sees.
+    error stays under 10**(-W-11), and the rule's 2k + 1 units of slack stay far
+    below its threshold while 2 (k+1)^3 |z|/(1-|z|) < 10**E, that is for every
+    |z|/(1-|z|) < 6e10; a larger one needs more terms than the cap, which the
+    up-front refusal sees.
 
     Dividing a 17 000-bit term by a two-word d_k takes 9.1 us, multiplying it by
     a small int 1.6 us, and a block divides once for 32 terms.  On shorter terms,
@@ -218,8 +228,8 @@ def _sums(p: Fraction, q: Fraction, a: Real, b: Real, z: Real | Fraction,
         20 000   3/4    4.05 s         1.51 s      0.37
         40 000   1/2    6.72 s         1.95 s      0.29
     """
-    if z < 0:
-        raise DomainError("series argument z must be >= 0")
+    if z <= -1:
+        raise DomainError("series argument z must be > -1")
     if z >= 1:
         raise DomainError("series argument z must be < 1")
     if not (a.is_finite() and b.is_finite()):
@@ -228,19 +238,20 @@ def _sums(p: Fraction, q: Fraction, a: Real, b: Real, z: Real | Fraction,
     qn, qd = q.numerator, q.denominator
     exact_z = Fraction(z)
     zn, zd = exact_z.numerator, exact_z.denominator
+    abs_zn = abs(zn)
     # (p)_k (q)_k/(k!)^2 >= p q/k^2, so at every k <= K = _MAX_TERMS the rule's
-    # left side is >= p q zfac z^K/K; where that is >= 10 tol, the cap is certain.
+    # left side is >= p q zfac |z|^K/K; where that is >= 10 tol, the cap is certain.
     low = Context(prec=20)
     # z20 also names the series argument in the messages, however long zn and zd are.
     z20 = low.divide(zn, zd)
-    if zn and (low.log10(low.divide(zn * pn * qn, (zd - zn) * pd * qd * _MAX_TERMS))
-               + _MAX_TERMS * low.log10(z20) > 1 - ctx.working_digits):
+    if zn and (low.log10(low.divide(abs_zn * pn * qn, (zd - abs_zn) * pd * qd * _MAX_TERMS))
+               + _MAX_TERMS * low.log10(z20.copy_abs()) > 1 - ctx.working_digits):
         raise SlowConvergenceError(
             f"series cannot certify in {_MAX_TERMS} terms (series argument {z20})")
     abs_a, abs_b = a.copy_abs(), b.copy_abs()
     big_a, big_b = (int(x.to_integral_value(ROUND_CEILING)) for x in (abs_a, abs_b))
     shift = _TERM_GUARD_DIGITS + max(1, abs_a.adjusted() + 1, abs_b.adjusted() + 1)
-    limit = 10**shift * (zd - zn)
+    limit = 10**shift * (zd - abs_zn)
     term = 10 ** (ctx.working_digits + shift)
     zpq = zd * pd * qd
     block = _block_length(term, zpq)
@@ -250,7 +261,9 @@ def _sums(p: Fraction, q: Fraction, a: Real, b: Real, z: Real | Fraction,
         s0 += term
         s1 += k * term
         # The first comparison, of sizes alone, skips the product while terms are large.
-        if term < limit and (term + k + 1) * (max(1, big_a + big_b * k) * zn * (1 + k)) < limit:
+        size = abs(term)
+        if (size < limit
+                and (size + k + 1) * (max(1, big_a + big_b * k) * abs_zn * (1 + k)) < limit):
             break
         if k >= _MAX_TERMS:
             raise SlowConvergenceError(
@@ -315,10 +328,13 @@ def evaluate_series(s: Fraction, w: Fraction, a: Real, b: Real, z: Real | Fracti
 
     Each sum is off by at most its truncation, floor and rounding errors, which
     :func:`_sums` bounds: about 10**(2 - working_digits) in all, plus half an ulp.
+    A z < 0, which no state of a run has, raises :class:`DomainError`.
     A ``w`` that :func:`~replica.precision.as_weight` refuses raises
     :class:`UnsupportedParameterError` before any term is summed, as it does for
     a run."""
     w = _couple_weight(s, w)
+    if z < 0:
+        raise DomainError("series argument z must be >= 0")
     s0, weighted = _sums(s, 1 - s, a, b, z, ctx)
     return _product(s0, w, weighted, ctx)
 
@@ -327,42 +343,52 @@ def couple_product(s: Fraction, w: Fraction, ctx: PrecisionContext) -> Real:
     """s0**w * s1, A at z = 1/2 with weight (0, 1): the limit of the (s, w) algorithm.
 
     s0 = S(1, 0; 1/2) and s1 = S(0, 1; 1/2) are the couple that seeds the
-    algorithms.  They are summed not at z = 1/2 but after a classical
-    transformation of F(z) = F(s, 1 - s; 1; z) = S(1, 0; z) to a small exact u,
+    algorithms: F(z) = F(s, 1 - s; 1; z) = S(1, 0; z) and z F'(z) = S(0, 1; z)
+    at z = 1/2.  Both couples are summed instead over the one pair (1/12, 5/12)
+    of Ramanujan's signature-6 theory, G(u) = F(1/12, 5/12; 1; u), with
+    G(1728/j(tau)) = E4(tau)**(1/4) (Berndt, Bhargava & Garvan, *Trans. AMS* 347
+    (1995)), at the CM points j(2i) = 66**3 and j((1 + 3 sqrt(-3))/2) = -3 * 160**3,
+    that is at u = 8/1331 (s = 1/2) and u = -9/64000 (s = 1/3).  Either reads
+    F(z) = c(z) G(u(z)) near z = 1/2, and since S(0, 1; z) = z F'(z),
 
-        F(1/2, 1/2; 1; z) = (1 - z/2)**(-1/2) F(1/4, 3/4; 1; (z/(2 - z))**2),
-        F(1/3, 2/3; 1; z) = (1 - 8z/9)**(-1/4) F(1/12, 5/12; 1; 64 z**3 (1 - z)/(9 - 8z)**3),
+        s0 = c G(u),    s1 = c (z c'/c G(u) + z u'/u S(0, 1; u)) = c r**2 S(a, b; u)/d.
 
-    a quadratic transformation and one of Goursat's cubic ones (DLMF 15.8;
-    Goursat, *Ann. Sci. ENS* 10 (1881)).  Either reads F(z) = c(z) G(u(z)) with
-    G(u) = S(1, 0; u) for the new pair (p, q), and since S(0, 1; z) = z F'(z),
+    For s = 1/2, F(1/2, 1/2; 1; z)**4 (1 + 14 y**2 + y**4) = 16 G(u)**4 with
+    y = sqrt(1 - z), h = ((1 - y)/(1 + y))**2 and
+    u = 27 h**2 (1 - h)**2/(4 (1 - h + h**2)**3); at z = 1/2, 1 - h + h**2 = 33 h,
+    u = 8/1331, c = (33/64)**(-1/4), z c'/c = 5/22 and z u'/u = 63/11, so
+    (a, b, d) = (5, 126, 22) and r = 1.  For s = 1/3, c = (320 r/729)**(-1/4)
+    with r = 2**(1/3), and (a, b, d) = (31, 1012, 240): these constants were
+    found by an integer-relation search at 100 digits and hold to 250 digits;
+    the tests check both couples against the direct sum at z = 1/2.  At 5 112
+    working digits the loop stops at block start 2 304 (s = 1/2) and 1 344
+    (s = 1/3), where z = 1/2 takes 17 024 terms.  Both |u| are below 1/3, where
+    the stopping rule of :func:`_sums` is proved for any pair in (0, 1].
 
-        s0 = c G(u),    s1 = c (z c'/c G(u) + z u'/u S(0, 1; u)) = c S(1, k; u)/d.
-
-    At z = 1/2: for s = 1/2, u = 1/9, c = (4/3)**(1/2), z c'/c = 1/6 and
-    z u'/u = 8/3, so (k, d) = (16, 6); for s = 1/3, u = 4/125, c = (9/5)**(1/4),
-    z c'/c = 1/5 and z u'/u = 22/5, so (k, d) = (22, 5).  At 5 112 working
-    digits the loop stops at block start 5 376 (s = 1/2) and 3 424 (s = 1/3),
-    where z = 1/2 takes 17 024.
-
-    One pass of :func:`_sums` gives G0 = S(1, 0; u) and G = S(1, k; u) at
-    W' = W + 10 working digits.  Still at W', c is one :func:`pow_rational`,
-    0.75**(-1/2) or 1.8**(1/4), and s0 = c G0 and s1 = c G/d; each is then
+    One pass of :func:`_sums` gives G0 = S(1, 0; u) and G = S(a, b; u) at
+    W' = W + 10 working digits.  Still at W', r and c are one
+    :func:`pow_rational` each (one cube root and one inverse 4th root, cheaper
+    than the one 12th root of c = (3**18/(2**19 5**3))**(1/12) and the cube
+    root s1 would still need), and s0 = c G0 and s1 = c r r G/d; each is then
     rounded once to W digits, and s0**w * s1 is formed as in
     :func:`evaluate_series`.  Before that rounding each is off, relatively, by at
-    most the bound of :func:`_sums` at W' (about 10**(-W-8)), c's
-    (|p| + 3) 10**(1 - W') = 4 10**(-W-9) and the half ulps at W' of the
-    products: below 2 10**(-W-8) in all, under the one final rounding to W.
+    most the bound of :func:`_sums` at W' (about 10**(-W-8)) and the prefactor's
+    error: each :func:`pow_rational` is within 4 10**(1 - W'), and each rounding
+    at W' within half of 10**(1 - W'), so c is off by at most 6 10**(1 - W')
+    (the input x r carries r's error and two roundings, a 4th of which reaches
+    c) and c r r/d, with its four roundings, by at most 16 10**(1 - W'): below
+    3 10**(-W-8) in all, under the one final rounding to W.
     A ``w`` that :func:`~replica.precision.as_weight` refuses raises
     :class:`UnsupportedParameterError` before any term is summed.
     """
     w = _couple_weight(s, w)
-    p, q, u, k, d, x, e = _COUPLE_TRANSFORMS[s]
+    u, a, b, d, x, t = _COUPLE_TRANSFORMS[s]
     wide = replace(ctx, guard_digits=ctx.guard_digits + 10)
-    g0, g = _sums(p, q, Decimal(1), Decimal(k), u, wide)
+    g0, g = _sums(*_COUPLE_PAIR, Decimal(a), Decimal(b), u, wide)
     with wide.local():
-        c = pow_rational(x, e, wide)
-        s0, s1 = c * g0, c * g / d
+        r = pow_rational(Decimal(2), t, wide)
+        c = pow_rational(x.numerator * r / x.denominator, Fraction(-1, 4), wide)
+        s0, s1 = c * g0, c * r * r * g / d
     with ctx.local():
         return _product(+s0, w, +s1, ctx)
 

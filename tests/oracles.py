@@ -48,20 +48,20 @@ def series_sum_decimal(p: Fraction, q: Fraction, a: Decimal, b: Decimal, z: Deci
 
     Each term is the previous one times z (p+k)(q+k)/(1+k)^2, every operation
     rounded to working precision, until
-    term_k max(1, |a|+|b|k) z/(1-z) (1+k) < 10**-working.  The roundings cost
-    the last two or three of the working digits, so tests run it at 40 digits
-    above the context they check.
+    |term_k| max(1, |a|+|b|k) |z|/(1-|z|) (1+k) < 10**-working, for -1 < z < 1.
+    The roundings cost the last two or three of the working digits, so tests run
+    it at 40 digits above the context they check.
     """
     pn, pd = p.numerator, p.denominator
     qn, qd = q.numerator, q.denominator
     with ctx.local():
         tol = ctx.epsilon()
-        zfac = z / (1 - z)
+        zfac = abs(z) / (1 - abs(z))
         abs_a, abs_b = abs(a), abs(b)
         term, total, k = Decimal(1), Decimal(0), 0
         while True:
             total += term * (a + b * k)
-            if term * max(1, abs_a + abs_b * k) * zfac * (1 + k) < tol:
+            if abs(term) * max(1, abs_a + abs_b * k) * zfac * (1 + k) < tol:
                 return +total
             term = term * z * ((pn + k * pd) * (qn + k * qd)) / (pd * qd * (1 + k) ** 2)
             k += 1

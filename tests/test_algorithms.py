@@ -54,6 +54,12 @@ ONE = Fraction(1)
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
 
+def root_free_w(kind):
+    """w1, the w at which the paper's step takes no power of f: 2 for the cubic
+    family and 1 otherwise; pi and gamma23 run there."""
+    return Fraction(2) if kind.order == 3 else ONE
+
+
 def synthetic_trace(errors, final):
     with localcontext() as c:
         c.prec = 300
@@ -561,7 +567,7 @@ class TestRootFreeRuns:
 
         monkeypatch.setattr(algorithms, "pow_rational", counted)
         d0_power = Fraction(-1, kind.order)  # d_0 = 2**(-1/m)
-        w1 = kind.root_free_w
+        w1 = root_free_w(kind)
         for w in (w1, w1 + 1, w1 + Fraction(1, 3), Fraction(-1000)):
             # the steps take no power at any w: d_0 takes one and the value
             # a_N = hat_N * A_N**(-e (w + 1)) one, once the chain has stopped
@@ -577,7 +583,7 @@ class TestRootFreeRuns:
     @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC])
     def test_every_w_builds_the_chain_of_w1(self, kind):
         # the means, the sums and the rise exponents the stopping rule read
-        w1 = kind.root_free_w
+        w1 = root_free_w(kind)
         weights = [w1 + Fraction(1, 12), w1 - Fraction(1, 12), Fraction(1, 3), Fraction(3),
                    Fraction(-1000), Fraction(2 * 10**7), Fraction(-2 * 10**7),
                    Fraction(10**16), Fraction(-(10**16))]
@@ -606,14 +612,14 @@ class TestRootFreeRuns:
 
     @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC])
     def test_k_is_the_series_s0_at_one_half(self, kind):
-        run = run_borwein(kind, kind.root_free_w, make_context(500, kind.order))
+        run = run_borwein(kind, root_free_w(kind), make_context(500, kind.order))
         s0 = frozen.S0_THIRD if kind.order == 3 else frozen.S0_HALF
         assert matching_digits(run.k, Decimal(s0)) >= 500
 
     @pytest.mark.parametrize("digits", [300, 3000])
     @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC])
     def test_limit_is_the_paper_iteration_at_every_w(self, kind, digits):
-        run = run_borwein(kind, kind.root_free_w, make_context(digits, kind.order))
+        run = run_borwein(kind, root_free_w(kind), make_context(digits, kind.order))
         for w in (Fraction(0), Fraction(1, 6), Fraction(1, 3), HALF, Fraction(3)):
             paper = run_borwein(kind, w, make_context(digits, kind.order))
             assert run.limit(w) == paper.value, w
@@ -623,7 +629,7 @@ class TestRootFreeRuns:
                              ids=["quadratic", "cubic", "quartic"])
     def test_limit_refuses_what_run_borwein_refuses(self, kind):
         ctx = make_context(100, kind.order)
-        sources = run_borwein(kind, kind.root_free_w, ctx), run_borwein(kind, Fraction(1, 3), ctx)
+        sources = run_borwein(kind, root_free_w(kind), ctx), run_borwein(kind, Fraction(1, 3), ctx)
         for source in sources:
             for w in (Fraction(10**17), Fraction(-(10**17)), Fraction(1, 5), "1e17"):
                 with pytest.raises(UnsupportedParameterError):
@@ -674,7 +680,7 @@ class TestPostprocessConstant:
         # run's chain read at that w
         exponent, digits = json.loads(REFERENCE.read_text())[name]
         kind = AlgorithmKind(order)
-        for w in {algorithms.CONSTANT_RECIPES[name][1], kind.root_free_w}:
+        for w in {algorithms.CONSTANT_RECIPES[name][1], root_free_w(kind)}:
             value = postprocess_constant(name, run_borwein(kind, w, make_context(5000, order)))
             assert value.adjusted() == exponent
             assert to_sig_digits(value, 5000).replace(".", "") == digits[:5000]
@@ -746,7 +752,7 @@ class TestRowsMatchReplicate:
                              ids=["quadratic", "cubic", "quartic"])
     def test_every_row_is_the_map_of_the_row_before(self, kind):
         m = kind.order
-        w1 = kind.root_free_w
+        w1 = root_free_w(kind)
         # w1, the ws next to it, and ws far from it, where each row takes a power
         weights = [w1, w1 + Fraction(1, 12), w1 - Fraction(1, 12), w1 - 1,
                    Fraction(1, 3), Fraction(3), Fraction(-1000)]
@@ -787,7 +793,7 @@ class TestRowsMatchReplicate:
         # K = A_N**-e, read off the chain; the factors f(d_n)**e of the rows
         # telescope to the same value, within 2 N units of 10**(1 - W)
         for run in (run_borwein(kind, w, make_context(400, kind.order)),
-                    run_borwein(kind, kind.root_free_w, make_context(400, kind.order))):
+                    run_borwein(kind, root_free_w(kind), make_context(400, kind.order))):
             with run.ctx.local():
                 product = Decimal(1)
                 for state in run.trace[1:]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from decimal import Context, Decimal, Inexact, localcontext
@@ -232,8 +233,8 @@ class TestOnePass:
     series summed alone: to W - 1 digits, or within the power's bound for w != 0."""
 
     def test_term_loop_matches_the_reference_loop(self):
-        # the pairs of couple_product's transformed sums take z up to 1/3, where the
-        # stopping rule is proved for any p and q in (0, 1]
+        # pairs other than (s, 1 - s), such as couple_product's (1/12, 5/12), take z
+        # up to 1/3, where the stopping rule is proved for any p and q in (0, 1]
         ctx = make_context(80, 2)
         rng = random.Random(707)
         params = [HALF, THIRD, Fraction(2, 3), Fraction(1)]
@@ -263,8 +264,9 @@ class TestOnePass:
                                    "-10000000000000000"])
     @pytest.mark.parametrize("s", [HALF, THIRD])
     def test_couple_product_matches_the_direct_sum(self, s, w, digits):
-        # the transformed sum at u = 1/9 or 4/125 against evaluate_series's sum of
-        # the same couple at z = 1/2, a second summation with no transformation
+        # the sum over (1/12, 5/12) at u = 8/1331 or -9/64000 against
+        # evaluate_series's sum of the same couple at z = 1/2, a second summation
+        # with no transformation
         ctx = make_context(digits, 3 if s == THIRD else 2)
         w = Fraction(w)
         direct = evaluate_series(s, w, ctx.real(0), ctx.real(1), HALF, ctx)
@@ -297,14 +299,14 @@ class TestTermCap:
 
     def test_couples_certify_in_few_terms(self, monkeypatch):
         # at 5 160 working digits z = 1/2 takes 17 184 terms, but the couples sum
-        # at u = 1/9 and u = 4/125 (and 5 170 digits) in 5 440 and 3 488, inside
-        # a 6 000-term cap that refuses the direct sum up front
+        # at u = 8/1331 and u = -9/64000 (and 5 170 digits) in 2 336 and 1 344,
+        # inside a 2 500-term cap that refuses the direct sum up front
         ctx = make_context(5000, 2)
         want = {s: couple_product(s, Fraction(1), ctx) for s in (HALF, THIRD)}
-        monkeypatch.setattr(series, "_MAX_TERMS", 6_000)
+        monkeypatch.setattr(series, "_MAX_TERMS", 2_500)
         for s in (HALF, THIRD):
             assert couple_product(s, Fraction(1), ctx) == want[s]
-            with pytest.raises(SlowConvergenceError, match="cannot certify in 6000 terms"):
+            with pytest.raises(SlowConvergenceError, match="cannot certify in 2500 terms"):
                 evaluate_series(s, Fraction(1), ctx.real(0), ctx.real(1), HALF, ctx)
 
     def test_ellipse_refusal_names_z_and_h(self):
@@ -354,29 +356,26 @@ class TestTermCap:
         assert outcomes == {"summed", "refused", "capped"}
 
     def test_floors_never_stop_a_sum_early(self, monkeypatch):
-        # with 3 guard digits the floored terms sit as far below the true ones as
-        # the rule's margin; the rule must still never stop before the exact one,
-        # so with the cap one term short of the exact stopping index every sum raises
+        # with 3 guard digits the floored terms sit as far from the true ones as
+        # the rule's margin (on either side, for z < 0); the rule must still never
+        # stop before the exact one, so with the cap one term short of the exact
+        # stopping index every sum raises
         monkeypatch.setattr(series, "_TERM_GUARD_DIGITS", 3)
         p = q = HALF
-        a, b, z = Fraction(1), Fraction(2), Fraction(1, 2)
-        for guard in range(40, 80):
+        a, b = Fraction(1), Fraction(2)
+        for z, guard in itertools.product((HALF, -HALF, Fraction(-3, 4)), range(40, 80)):
             ctx = PrecisionContext(20, guard)
-            tol = Fraction(1, 10**ctx.working_digits)
-            term, k = Fraction(1), 0
-            while term * max(1, abs(a) + abs(b) * k) * z / (1 - z) * (1 + k) >= tol:
-                term *= (p + k) * (q + k) * z / (1 + k) ** 2
-                k += 1
+            k = replay_stop(p, q, a, b, z, ctx.working_digits, 1)[0]
             monkeypatch.setattr(series, "_MAX_TERMS", k - 1)
             with pytest.raises(SlowConvergenceError):
-                series_at(ctx, p, a, b, z)
+                series._sums(p, q, ctx.real(a), ctx.real(b), z, ctx)
 
 
 def replay_stop(p, q, a, b, z, working_digits, block):
-    """Replay the stopping rule t_k max(1, |a| + |b| k) z/(1-z) (1+k) < 10**-W in
-    exact integers: the first k at which it holds, the first block start
-    (k = 0, block, 2 block, ...) at which it holds, and the exact partial sums of
-    t_j and of j t_j for j up to that start, both to 10**-(W + 60).
+    """Replay the stopping rule |t_k| max(1, |a| + |b| k) |z|/(1-|z|) (1+k) < 10**-W
+    in exact integers, for -1 < z < 1: the first k at which it holds, the first
+    block start (k = 0, block, 2 block, ...) at which it holds, and the exact
+    partial sums of t_j and of j t_j for j up to that start, both to 10**-(W + 60).
 
     t_k 10**W = num/den, and the sums are over the same den."""
     zn, zd = z.numerator, z.denominator
@@ -387,11 +386,11 @@ def replay_stop(p, q, a, b, z, working_digits, block):
     k = 0
     while True:
         weight = max(Fraction(1), abs(a) + abs(b) * k)
-        left = weight.numerator * zn * (1 + k)
-        right = weight.denominator * (zd - zn)
+        left = weight.numerator * abs(zn) * (1 + k)
+        right = weight.denominator * (zd - abs(zn))
         # the bit lengths alone settle the comparison while terms are large
         if (num.bit_length() + left.bit_length() <= den.bit_length() + right.bit_length() + 1
-                and num * left < den * right):
+                and abs(num) * left < den * right):
             first = k if first is None else first
             if k % block == 0:
                 scale = 10 ** (working_digits + 60)
@@ -474,35 +473,37 @@ class TestBlocks:
     def test_block_sums_match_the_exact_partial_sums(self, stop):
         # replay the rule in exact rationals: where it first holds (stop), and the
         # first block start where it holds, through which the sums must be exact to
-        # within the floor and rounding bounds stated on series._sums
+        # within the floor and rounding bounds stated on series._sums, which hold on
+        # either side for z < 0
         ctx, block = self.CTX, self.BLOCK
         working = ctx.working_digits
         p = q = HALF
         a, b = Fraction(1), Fraction(2)
         if stop is None:
-            z = Fraction(3, 4)
+            size = Fraction(3, 4)
         else:
             # z = 10**-e stops at about W/e - 1 terms; find the e that stops at `stop`
-            z = next(Fraction(1, 10**e) for e in range(40, 80)
-                     if replay_stop(p, q, a, b, Fraction(1, 10**e), working, 1)[0] == stop)
-        first, last, exact0, exact1 = replay_stop(p, q, a, b, z, working, block)
-        if stop is None:
-            assert first > 10_000
-        else:
-            assert last == -(-stop // block) * block
-        assert 0 <= last - first < block
-        got0, got = series._sums(p, q, ctx.real(a), ctx.real(b), z, ctx)
-        exact = a * exact0 + b * exact1
-        guard = series._TERM_GUARD_DIGITS
-        k = last
-        replay = Fraction(1 + abs(a) + abs(b), 10 ** (working + 60))
-        floor0 = Fraction(k * (k + 3), 2 * 10 ** (working + guard + 1))
-        floor = Fraction(k * (k + 1) * (k + 2) // 3 + k * (k + 1), 10 ** (working + guard))
-        forming = Fraction(10, 10 ** (working + guard)) * (abs(a) * exact0 + abs(b) * exact1)
-        for value, want, bound in ((got0, exact0, floor0),
-                                   (got, exact, floor + forming)):
-            half_ulp = Fraction(5, 10 ** (working - value.adjusted()))
-            assert abs(Fraction(value) - want) <= bound + half_ulp + replay
+            size = next(Fraction(1, 10**e) for e in range(40, 80)
+                        if replay_stop(p, q, a, b, Fraction(1, 10**e), working, 1)[0] == stop)
+        for z in (size, -size):
+            first, last, exact0, exact1 = replay_stop(p, q, a, b, z, working, block)
+            if stop is None:
+                assert first > 10_000
+            else:
+                assert last == -(-stop // block) * block
+            assert 0 <= last - first < block
+            got0, got = series._sums(p, q, ctx.real(a), ctx.real(b), z, ctx)
+            exact = a * exact0 + b * exact1
+            guard = series._TERM_GUARD_DIGITS
+            k = last
+            replay = Fraction(1 + abs(a) + abs(b), 10 ** (working + 60))
+            floor0 = Fraction(k * (k + 3), 2 * 10 ** (working + guard + 1))
+            floor = Fraction(k * (k + 1) * (k + 2) // 3 + k * (k + 1), 10 ** (working + guard))
+            forming = Fraction(10, 10 ** (working + guard)) * (abs(a) * exact0 + abs(b) * exact1)
+            for value, want, bound in ((got0, exact0, floor0),
+                                       (got, exact, floor + forming)):
+                half_ulp = Fraction(5, 10 ** (working - value.adjusted()))
+                assert abs(Fraction(value) - want) <= bound + half_ulp + replay, z
 
     def test_the_cap_ends_a_block(self, monkeypatch):
         # with the cap one term past the first block, a sum raises exactly when the
@@ -528,6 +529,54 @@ class TestBlocks:
         assert {cap - 1, cap, "capped"} <= outcomes
 
 
+class TestSignedSums:
+    """_sums takes -1 < z < 1: at z < 0 the terms, their block ratios and both sums
+    are signed ints, and each sum matches the Decimal reference loop run 40 digits
+    above it, in blocks and one term per division alike."""
+
+    @pytest.mark.parametrize("n", [1, series._BLOCK_TERMS])
+    @pytest.mark.parametrize("digits", [60, 600, 3000])
+    @pytest.mark.parametrize("p, q, a, b, z", [
+        (Fraction(1, 12), Fraction(5, 12), 31, 1012, Fraction(-9, 64000)),
+        (Fraction(1, 12), Fraction(5, 12), "-2.5", 7, Fraction(-1, 5)),
+        (HALF, HALF, 1, 2, Fraction(-3, 4)),
+        (THIRD, Fraction(2, 3), 0, 1, Fraction(-1, 2)),
+    ], ids=["u", "third", "half", "couple"])
+    def test_sums_match_the_reference_loop(self, p, q, a, b, z, digits, n, monkeypatch):
+        monkeypatch.setattr(series, "_block_length", lambda term, zpq: n)
+        ctx = make_context(digits, 2)
+        ref = reference_context(ctx)
+        exact_z = fraction_to_decimal(z, ref.working_digits)
+        got0, got = series._sums(p, q, ctx.real(a), ctx.real(b), z, ctx)
+        for value, weights in ((got0, (1, 0)), (got, (a, b))):
+            want = series_sum_decimal(p, q, *map(Decimal, weights), exact_z, ref)
+            assert matching_digits(value, want) >= ctx.working_digits - 1, weights
+
+    @pytest.mark.parametrize("z", [Fraction(-3, 4), Fraction(-1, 2), Fraction(-1, 100)])
+    def test_stops_where_the_exact_rule_first_holds(self, z, monkeypatch):
+        # one term per division, a sum stops at the first k where the exact rule
+        # |t_k| max(1, |a| + |b| k) |z|/(1-|z|) (1+k) < 10**-W holds: with the cap
+        # one term short of it every sum raises, and with the cap there it sums
+        monkeypatch.setattr(series, "_block_length", lambda term, zpq: 1)
+        p = q = HALF
+        a, b = Fraction(1), Fraction(2)
+        for guard in range(40, 60):
+            ctx = PrecisionContext(20, guard)
+            k = replay_stop(p, q, a, b, z, ctx.working_digits, 1)[0]
+            monkeypatch.setattr(series, "_MAX_TERMS", k - 1)
+            with pytest.raises(SlowConvergenceError):
+                series._sums(p, q, ctx.real(a), ctx.real(b), z, ctx)
+            monkeypatch.setattr(series, "_MAX_TERMS", k)
+            series._sums(p, q, ctx.real(a), ctx.real(b), z, ctx)
+
+    def test_z_must_exceed_minus_one(self):
+        ctx = make_context(60, 2)
+        one = ctx.real(1)
+        with pytest.raises(DomainError, match="series argument z must be > -1"):
+            series._sums(HALF, HALF, one, one, Fraction(-1), ctx)
+        assert series._sums(HALF, HALF, one, one, Fraction(-99, 100), ctx)[0] > 0
+
+
 class TestToDecimal:
     """_sums converts its two fixed-point ints to Decimal by halves split at powers
     of two; each value and its exponent are those of Decimal(int)."""
@@ -541,7 +590,9 @@ class TestToDecimal:
         for n in (1 << (bits - 1), (1 << bits) - 1, rng.getrandbits(bits) | 1 << (bits - 1),
                   (1 << bits) - (1 << (bits // 2))):
             assert n.bit_length() == bits
-            assert series._to_decimal(n).as_tuple() == Decimal(n).as_tuple()
+            # a sum at z < 0 can be negative: its hi = n >> m is then negative
+            for signed in (n, -n):
+                assert series._to_decimal(signed).as_tuple() == Decimal(signed).as_tuple()
 
     def test_zero(self):
         assert series._to_decimal(0).as_tuple() == Decimal(0).as_tuple()
