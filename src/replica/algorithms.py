@@ -44,12 +44,15 @@ else.  The weight enters only when something is read.  A row, an
 :class:`IterationState` of the run's trace, forms its d, c, a and delta_exp
 each when first read (:attr:`RunResult.trace`), and every run's value is
 its last row's a at the run's own w: one power, formed when the run is
-built.  The limit at another w is the value of the same chain read there
-(:meth:`RunResult.limit`), one power too.  The chain runs at
-W' = W + ``_CHAIN_DIGITS`` digits, which covers the digits its differences
-of means lose, and every value is rounded once to W.  Once (C'/A')**m falls
-below 10**(2 - W') the root is skipped and B' = A', so the chain stops
-moving and the confirming steps of the stopping rule cost nothing.  The
+built.  A row's a is formed once per chain state, so the rows after the
+chain stood still share the value's.  The limit at another w is the value
+of the same chain read there (:meth:`RunResult.limit`), one power too.  The
+chain and its start run at W' = W + ``_CHAIN_DIGITS`` digits, which covers
+the digits its differences of means lose, in one context per run
+(:attr:`RunResult.chain_ctx`, from :func:`_sized`), and every value is
+rounded once to W.  Once (C'/A')**m falls below 10**(2 - W') the root is
+skipped and B' = A', so the chain stops moving and the confirming steps of
+the stopping rule cost nothing.  The
 error bounds are stated on :func:`_advance` (the chain), :attr:`RunResult.k`
 (K) and :class:`IterationState` (a row formed when read).
 """
@@ -136,9 +139,10 @@ class _Link(NamedTuple):
 @dataclass
 class RunResult:
     """Outcome of a run: the family, the w its trace rows belong to, the
-    context it ran at, its start (B_0, c_0, a_0), its chain of (A_n, h_n),
-    which no w enters, and its value, the last trace row's a: the chain's a_N
-    at ``w``, formed at the chain's W' digits when the run is built and
+    context it ran at, the context its chain ran at (``chain_ctx``, of
+    W' = W + ``_CHAIN_DIGITS`` digits), its start (B_0, c_0, a_0), its chain
+    of (A_n, h_n), which no w enters, and its value, the last trace row's a:
+    the chain's a_N at ``w``, formed at W' digits when the run is built and
     rounded once to W.
 
     The trace rows, errors and orders (:attr:`trace`, :attr:`error_table`,
@@ -149,6 +153,7 @@ class RunResult:
     kind: AlgorithmKind
     w: Fraction
     ctx: PrecisionContext
+    chain_ctx: PrecisionContext
     start: tuple[Real, Real, Real]
     chain: list[_Link]
     value: Real = field(init=False)
@@ -156,23 +161,20 @@ class RunResult:
     def __post_init__(self):
         # the run keeps its rows' a at W', not a row: a row refers to its run,
         # and the cycle would hold the chain until the cyclic collector ran
-        self._fine_as = {0: self.start[2]}
+        self._fine_as = {self.chain[0]: self.start[2]}
         self.value = self.ctx.real(self._fine_a(self.iterations))
-
-    @cached_property
-    def _fine(self) -> PrecisionContext:
-        return _chain_context(self.ctx)
 
     def _fine_a(self, n: int) -> Real:
         """a_n at ``w`` at the chain's W' digits, (a_0 + c_0 h_n) A_n**(-e (w + 1)),
-        formed once: row 0's a_0 takes no power, and every other row one."""
-        if n not in self._fine_as:
+        formed once per chain state (:class:`_Link`): row 0's a_0 takes no power,
+        rows whose link equals another's share its a, and every other row takes one."""
+        link = self.chain[n]
+        if link not in self._fine_as:
             _, c0, a0 = self.start
-            link = self.chain[n]
-            with self._fine.local():
-                self._fine_as[n] = (a0 + c0 * link.total) * pow_rational(
-                    link.mean, -self.kind.e * (self.w + 1), self._fine)
-        return self._fine_as[n]
+            with self.chain_ctx.local():
+                self._fine_as[link] = (a0 + c0 * link.total) * pow_rational(
+                    link.mean, -self.kind.e * (self.w + 1), self.chain_ctx)
+        return self._fine_as[link]
 
     @property
     def iterations(self) -> int:
@@ -237,8 +239,9 @@ class IterationState:
     C_0 = (1 - B_0**m)**(1/m) and, from n = 1 on, C_n = A_{n-1} - A_n (half
     that for the cubic family): a difference of means, as in the step.  Row
     0's a is a_0 (A_0 = 1) and takes no power.  Each a_n at W' is formed
-    once per run (:meth:`RunResult._fine_a`), so the last row's a is the
-    run's value and takes no power of its own.
+    once per chain state (:meth:`RunResult._fine_a`), so the last row's a is
+    the run's value and takes no power of its own, and neither do the rows
+    after the chain stood still, whose link is the last one.
     delta_exp is e(|a_n - a_{n-1}|) of the two rows' a at W' at every w
     (the stopping rule reads its own rises at w1, :func:`_rise_at_w1`), None
     on row 0 and where a did not move.
@@ -264,7 +267,7 @@ class IterationState:
     @cached_property
     def d(self) -> Real:
         run, link = self._run, self._run.chain[self.n]
-        m, fine = run.kind.order, run._fine
+        m, fine = run.kind.order, run.chain_ctx
         with fine.local():
             if not self.n:
                 gap = nth_root(1 - run.start[0] ** m, m, fine)
@@ -279,7 +282,7 @@ class IterationState:
     @cached_property
     def c(self) -> Real:
         run, link = self._run, self._run.chain[self.n]
-        exponent, fine = -run.kind.e * (run.w - 1), run._fine
+        exponent, fine = -run.kind.e * (run.w - 1), run.chain_ctx
         with fine.local():
             c = run.start[1] * run.kind.order**self.n * pow_rational(link.mean, exponent, fine)
             return run.ctx.real(c)
@@ -293,7 +296,7 @@ class IterationState:
         run = self._run
         if not self.n:
             return None
-        with run._fine.local():
+        with run.chain_ctx.local():
             delta = abs(run._fine_a(self.n) - run._fine_a(self.n - 1))
         return delta.adjusted() if delta else None
 
@@ -302,7 +305,7 @@ def _advance(order: int, mean: Real, low: Real, weight: int,
              ctx: PrecisionContext) -> tuple[Real, Real, Real]:
     """One step of the family's AGM from the means (A_n, B_n), with
     ``weight`` = m**n: (A_{n+1}, B_{n+1}, h_{n+1} - h_n), at ``ctx``,
-    the chain's context of W' digits (:func:`_chain_context`).
+    the chain's context of W' digits (:func:`_sized`).
 
     The root is skipped (B_{n+1} = A_{n+1}) once (C_{n+1}/A_{n+1})**m is below
     10**(2 - W'), and a step from A_n = B_n returns at once, so the steps after
@@ -369,8 +372,9 @@ def _rise_at_w1(kind: AlgorithmKind, start, total: Real, rise: Real, mean: Real,
 
 
 def _sized(ctx: PrecisionContext, order: int,
-           extra_steps: int = 0) -> tuple[PrecisionContext, int]:
-    """The context a run of the given order computes at, and its step budget.
+           extra_steps: int = 0) -> tuple[PrecisionContext, PrecisionContext, int]:
+    """The context a run of the given order computes at, the context its chain
+    and start compute at (``_CHAIN_DIGITS`` more guard), and its step budget.
 
     The target is at least 32 digits (below that the budget is too tight for two
     consecutive small deltas) and the guard at least that of make_context; each
@@ -381,19 +385,18 @@ def _sized(ctx: PrecisionContext, order: int,
     guard = max(ctx.guard_digits, floor.guard_digits) + GUARD_DIGITS_PER_STEP * extra_steps
     if (target, guard) != (ctx.target_digits, ctx.guard_digits):
         ctx = PrecisionContext(target, guard)
-    return ctx, step_budget(target, order) + extra_steps
+    chain_ctx = PrecisionContext(target, guard + _CHAIN_DIGITS)
+    return ctx, chain_ctx, step_budget(target, order) + extra_steps
 
 
-def _chain_context(ctx: PrecisionContext) -> PrecisionContext:
-    """The context a chain and its start compute at: ``_CHAIN_DIGITS`` more guard."""
-    return PrecisionContext(ctx.target_digits, ctx.guard_digits + _CHAIN_DIGITS)
-
-
-def _iterate(kind: AlgorithmKind, start: tuple[Real, Real, Real], ctx: PrecisionContext,
-             budget: int) -> tuple[list[_Link], bool]:
-    """The chain from ``start`` = (B_0, c_0, a_0), run until two consecutive
-    rises of a at w1 are small, and whether that happened within ``budget`` steps.
-    This rule is the one place a run reads w1.
+def _run(kind: AlgorithmKind, w: Fraction, start: tuple[Real, Real, Real],
+         ctx: PrecisionContext, fine: PrecisionContext, budget: int) -> RunResult:
+    """The run at ``w`` of the chain from ``start`` = (B_0, c_0, a_0), built
+    at ``fine``, the chain's context from :func:`_sized`, until two
+    consecutive rises of a at w1 are small; its value is the last row's a:
+    one power.  A chain that meets no stop within ``budget`` steps raises
+    :class:`NonConvergenceError` with the rows of that same run.  The
+    stopping rule is the one place a run reads w1.
 
     A rise |a_n - a_{n-1}| (:func:`_rise_at_w1`) is small when its exponent
     is at most e(a_n) - target_digits - 8 (e(x) = x.adjusted()): below
@@ -416,7 +419,6 @@ def _iterate(kind: AlgorithmKind, start: tuple[Real, Real, Real], ctx: Precision
     e |w + 1| 10**(2 - W') / m.
     """
     low = start[0]
-    fine = _chain_context(ctx)
     with fine.local():
         link = _Link(Decimal(1), Decimal(0))
         chain = [link]
@@ -429,21 +431,9 @@ def _iterate(kind: AlgorithmKind, start: tuple[Real, Real, Real], ctx: Precision
             small = not delta or delta.adjusted() <= a.adjusted() - ctx.target_digits - 8
             consecutive = consecutive + 1 if small else 0
             if consecutive == 2:
-                break
-    return chain, consecutive == 2
-
-
-def _run(kind: AlgorithmKind, w: Fraction, start: tuple[Real, Real, Real],
-         ctx: PrecisionContext, budget: int) -> RunResult:
-    """The run of :func:`_iterate`'s chain from ``start`` at ``w``, its value
-    the last row's a: one power.  A chain that meets no stop within ``budget``
-    steps raises :class:`NonConvergenceError` with the rows of that same run."""
-    chain, converged = _iterate(kind, start, ctx, budget)
-    run = RunResult(kind, w, ctx, start, chain)
-    if not converged:
-        raise NonConvergenceError(
-            f"{kind.name} run did not converge within {budget} iterations", trace=run.trace)
-    return run
+                return RunResult(kind, w, ctx, fine, start, chain)
+    raise NonConvergenceError(f"{kind.name} run did not converge within {budget} iterations",
+                              trace=RunResult(kind, w, ctx, fine, start, chain).trace)
 
 
 def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunResult:
@@ -458,9 +448,9 @@ def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunR
     """
     w = as_weight(w)
     m = kind.order
-    ctx, budget = _sized(ctx, m)
-    start = pow_rational(Decimal(2), Fraction(-1, m), _chain_context(ctx)), Decimal(2), Decimal(0)
-    return _run(kind, w, start, ctx, budget)
+    ctx, fine, budget = _sized(ctx, m)
+    start = pow_rational(Decimal(2), Fraction(-1, m), fine), Decimal(2), Decimal(0)
+    return _run(kind, w, start, ctx, fine, budget)
 
 
 def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
@@ -483,8 +473,7 @@ def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
     check_axes(semi_major, semi_minor)
     if kind.order not in (2, 4):
         raise UnsupportedParameterError("perimeter algorithms exist for quad and quartic only")
-    ctx, budget = _sized(ctx, kind.order, _eccentric_steps(semi_major, semi_minor))
-    fine = _chain_context(ctx)
+    ctx, fine, budget = _sized(ctx, kind.order, _eccentric_steps(semi_major, semi_minor))
     with fine.local() as local:
         ratio = fine.real(semi_minor) / fine.real(semi_major)
         square = ratio * ratio
@@ -492,7 +481,7 @@ def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
             raise DomainError("b/a is out of range: (b/a)^2 is below the exponent range")
         b0 = ratio if kind.order == 2 else nth_root(ratio, 2, fine)
         start = b0, quotient(Decimal(2), square), Decimal(1)
-    return _run(kind, Fraction(0), start, ctx, budget)
+    return _run(kind, Fraction(0), start, ctx, fine, budget)
 
 
 def _eccentric_steps(semi_major: Real, semi_minor: Real) -> int:
@@ -513,7 +502,7 @@ def error_table(trace: list[IterationState], limit: Real,
     err_exp is e(|a_n - limit|) (e(x) = x.adjusted()), None when a_n = limit.
     The order of row n is log(err_{n+1}) / log(err_n) of the scaled errors
     err_n = |a_n - limit| / 10**(e(limit) + 1), on the scale of the stopping
-    rule of :func:`_iterate`: the power of ten just above |limit|, which is 1
+    rule of :func:`_run`: the power of ten just above |limit|, which is 1
     for a limit in [0.1, 1).  An error is usable when its scaled value lies in
     (0, 1) and |a_n - limit| lies above the rounding noise floor
     10**(10 - working_digits) * |limit| of ``ctx``; below that floor the trace

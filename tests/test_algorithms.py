@@ -466,14 +466,15 @@ class TestRunEllipse:
         a, b = Decimal(1), Decimal("0.001")
         assert _eccentric_steps(a, b) == 5
         ctx = make_context(1000, 4)
-        sized, budget = _sized(ctx, 4, 5)
+        sized, fine, budget = _sized(ctx, 4, 5)
         assert budget == step_budget(1000, 4) + 5 == 13
         run = run_ellipse(QUARTIC, a, b, ctx)
-        assert run.ctx == sized
+        assert (run.ctx, run.chain_ctx) == (sized, fine)
+        assert fine.guard_digits == sized.guard_digits + algorithms._CHAIN_DIGITS
         assert run.ctx.guard_digits == MIN_GUARD_DIGITS + 8 * 13 == 136
         assert run.ctx.working_digits == 1136
         doubled = ctx.doubled_guard()
-        sized, budget = _sized(doubled, 4, 5)
+        sized, _, budget = _sized(doubled, 4, 5)
         assert budget == 13
         run = run_ellipse(QUARTIC, a, b, doubled)
         assert run.ctx == sized
@@ -575,10 +576,12 @@ class TestRootFreeRuns:
             run = run_borwein(kind, w, make_context(300, kind.order))
             value_power = -kind.e * (w + 1)
             assert run.iterations > 4 and calls == [d0_power, value_power], w
-            # rows read later take one power each, except row 0 (a_0) and the
-            # last row (the run's own a_N)
+            # rows read later take one power per distinct chain state, except
+            # row 0's (a_0) and the last one's (the run's own a_N), which the
+            # rows after the chain stood still share
             assert run.orders
-            assert calls == [d0_power] + [value_power] * run.iterations, w
+            assert len(set(run.chain)) < len(run.chain), w
+            assert calls == [d0_power] + [value_power] * (len(set(run.chain)) - 1), w
 
     @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC])
     def test_every_w_builds_the_chain_of_w1(self, kind):
