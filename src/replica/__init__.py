@@ -28,7 +28,7 @@ from .errors import (
     SlowConvergenceError,
     UnsupportedParameterError,
 )
-from .precision import PrecisionContext, make_context
+from .precision import PrecisionContext
 from .series import couple_product, ellipse_factor
 
 __version__ = "0.1.0"
@@ -39,7 +39,6 @@ __all__ = [
     "CUBIC",
     "QUARTIC",
     "PrecisionContext",
-    "make_context",
     "RunResult",
     "run_borwein",
     "run_ellipse",

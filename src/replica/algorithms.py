@@ -47,9 +47,8 @@ its last row's a at the run's own w: one power, formed when the run is
 built.  A row's a is formed once per chain state, so the rows after the
 chain stood still share the value's.  The limit at another w is the value
 of the same chain read there (:meth:`RunResult.limit`), one power too.  The
-chain and its start run at W' = W + ``_CHAIN_DIGITS`` digits, which covers
-the digits its differences of means lose, in one context per run
-(:attr:`RunResult.chain_ctx`, from :func:`_sized`), and every value is
+chain and its start run at the W' = W + 10 digits of the run's ``ctx.wide``,
+which covers the digits its differences of means lose, and every value is
 rounded once to W.  Once (C'/A')**m falls below 10**(2 - W') the root is
 skipped and B' = A', so the chain stops moving and the confirming steps of
 the stopping rule cost nothing.  The
@@ -84,10 +83,6 @@ from .precision import (
     step_budget,
 )
 from .series import check_axes, evaluate_series
-
-#: Digits the chain carries beyond the working digits: more than the N log10(m) + 2
-#: its differences of means lose (see :func:`_advance`).
-_CHAIN_DIGITS = 10
 
 #: order -> L of the descend map's leading term t ~ d**m / L near d = 0
 #: (:mod:`replica.transforms`), which continues the rows once the chain stops moving.
@@ -139,11 +134,10 @@ class _Link(NamedTuple):
 @dataclass
 class RunResult:
     """Outcome of a run: the family, the w its trace rows belong to, the
-    context it ran at, the context its chain ran at (``chain_ctx``, of
-    W' = W + ``_CHAIN_DIGITS`` digits), its start (B_0, c_0, a_0), its chain
-    of (A_n, h_n), which no w enters, and its value, the last trace row's a:
-    the chain's a_N at ``w``, formed at W' digits when the run is built and
-    rounded once to W.
+    context it ran at, its start (B_0, c_0, a_0) and its chain of (A_n, h_n),
+    which no w enters, both formed at the W' = W + 10 digits of ``ctx.wide``,
+    and its value, the last trace row's a: the chain's a_N at ``w``, formed at
+    W' digits when the run is built and rounded once to W.
 
     The trace rows, errors and orders (:attr:`trace`, :attr:`error_table`,
     :attr:`orders`) are formed only when first read, at ``ctx``, whatever the
@@ -153,7 +147,6 @@ class RunResult:
     kind: AlgorithmKind
     w: Fraction
     ctx: PrecisionContext
-    chain_ctx: PrecisionContext
     start: tuple[Real, Real, Real]
     chain: list[_Link]
     value: Real = field(init=False)
@@ -171,9 +164,9 @@ class RunResult:
         link = self.chain[n]
         if link not in self._fine_as:
             _, c0, a0 = self.start
-            with self.chain_ctx.local():
+            with self.ctx.wide.local():
                 self._fine_as[link] = (a0 + c0 * link.total) * pow_rational(
-                    link.mean, -self.kind.e * (self.w + 1), self.chain_ctx)
+                    link.mean, -self.kind.e * (self.w + 1), self.ctx.wide)
         return self._fine_as[link]
 
     @property
@@ -235,7 +228,7 @@ class IterationState:
 
     d_n = C_n / A_n, c_n = c_0 m**n A_n**(-e (w - 1)) and
     a_n = (a_0 + c_0 h_n) A_n**(-e (w + 1)) are taken at the chain's
-    W' = W + ``_CHAIN_DIGITS`` digits and rounded once to the run's W, with
+    W' = W + 10 digits (``ctx.wide``) and rounded once to the run's W, with
     C_0 = (1 - B_0**m)**(1/m) and, from n = 1 on, C_n = A_{n-1} - A_n (half
     that for the cubic family): a difference of means, as in the step.  Row
     0's a is a_0 (A_0 = 1) and takes no power.  Each a_n at W' is formed
@@ -267,7 +260,7 @@ class IterationState:
     @cached_property
     def d(self) -> Real:
         run, link = self._run, self._run.chain[self.n]
-        m, fine = run.kind.order, run.chain_ctx
+        m, fine = run.kind.order, run.ctx.wide
         with fine.local():
             if not self.n:
                 gap = nth_root(1 - run.start[0] ** m, m, fine)
@@ -282,7 +275,7 @@ class IterationState:
     @cached_property
     def c(self) -> Real:
         run, link = self._run, self._run.chain[self.n]
-        exponent, fine = -run.kind.e * (run.w - 1), run.chain_ctx
+        exponent, fine = -run.kind.e * (run.w - 1), run.ctx.wide
         with fine.local():
             c = run.start[1] * run.kind.order**self.n * pow_rational(link.mean, exponent, fine)
             return run.ctx.real(c)
@@ -296,7 +289,7 @@ class IterationState:
         run = self._run
         if not self.n:
             return None
-        with run.chain_ctx.local():
+        with run.ctx.wide.local():
             delta = abs(run._fine_a(self.n) - run._fine_a(self.n - 1))
         return delta.adjusted() if delta else None
 
@@ -305,7 +298,7 @@ def _advance(order: int, mean: Real, low: Real, weight: int,
              ctx: PrecisionContext) -> tuple[Real, Real, Real]:
     """One step of the family's AGM from the means (A_n, B_n), with
     ``weight`` = m**n: (A_{n+1}, B_{n+1}, h_{n+1} - h_n), at ``ctx``,
-    the chain's context of W' digits (:func:`_sized`).
+    the chain's context of W' digits (the run's ``ctx.wide``).
 
     The root is skipped (B_{n+1} = A_{n+1}) once (C_{n+1}/A_{n+1})**m is below
     10**(2 - W'), and a step from A_n = B_n returns at once, so the steps after
@@ -323,9 +316,9 @@ def _advance(order: int, mean: Real, low: Real, weight: int,
     within a relative 5u' sum_n |c_n| / |a_N| <= 10u' |c_N| / |a_N|, with
     c_N = c_0 m**N.  For the constants c_0 = 2 and |a_N| > 1/4, a loss of
     about N log10(m) + 2 digits: up to 8 at 20 000 digits (quadratic, N = 18),
-    inside the ``_CHAIN_DIGITS`` = 10 the chain carries beyond the working
-    precision, so the value rounded to W digits keeps the accuracy of the
-    paper's normalized recurrence.
+    inside the 10 digits the chain carries beyond the working precision, so
+    the value rounded to W digits keeps the accuracy of the paper's
+    normalized recurrence.
     """
     if mean == low:
         return mean, mean, Decimal(0)
@@ -372,9 +365,9 @@ def _rise_at_w1(kind: AlgorithmKind, start, total: Real, rise: Real, mean: Real,
 
 
 def _sized(ctx: PrecisionContext, order: int,
-           extra_steps: int = 0) -> tuple[PrecisionContext, PrecisionContext, int]:
-    """The context a run of the given order computes at, the context its chain
-    and start compute at (``_CHAIN_DIGITS`` more guard), and its step budget.
+           extra_steps: int = 0) -> tuple[PrecisionContext, int]:
+    """The context a run of the given order computes at, whose ``wide`` its
+    chain and start compute at, and its step budget.
 
     The target is at least 32 digits (below that the budget is too tight for two
     consecutive small deltas) and the guard at least that of make_context; each
@@ -385,18 +378,16 @@ def _sized(ctx: PrecisionContext, order: int,
     guard = max(ctx.guard_digits, floor.guard_digits) + GUARD_DIGITS_PER_STEP * extra_steps
     if (target, guard) != (ctx.target_digits, ctx.guard_digits):
         ctx = PrecisionContext(target, guard)
-    chain_ctx = PrecisionContext(target, guard + _CHAIN_DIGITS)
-    return ctx, chain_ctx, step_budget(target, order) + extra_steps
+    return ctx, step_budget(target, order) + extra_steps
 
 
 def _run(kind: AlgorithmKind, w: Fraction, start: tuple[Real, Real, Real],
-         ctx: PrecisionContext, fine: PrecisionContext, budget: int) -> RunResult:
+         ctx: PrecisionContext, budget: int) -> RunResult:
     """The run at ``w`` of the chain from ``start`` = (B_0, c_0, a_0), built
-    at ``fine``, the chain's context from :func:`_sized`, until two
-    consecutive rises of a at w1 are small; its value is the last row's a:
-    one power.  A chain that meets no stop within ``budget`` steps raises
-    :class:`NonConvergenceError` with the rows of that same run.  The
-    stopping rule is the one place a run reads w1.
+    at ``ctx.wide`` until two consecutive rises of a at w1 are small; its
+    value is the last row's a: one power.  A chain that meets no stop within
+    ``budget`` steps raises :class:`NonConvergenceError` with the rows of
+    that same run.  The stopping rule is the one place a run reads w1.
 
     A rise |a_n - a_{n-1}| (:func:`_rise_at_w1`) is small when its exponent
     is at most e(a_n) - target_digits - 8 (e(x) = x.adjusted()): below
@@ -418,7 +409,7 @@ def _run(kind: AlgorithmKind, w: Fraction, start: tuple[Real, Real, Real],
     :func:`_sized`; once the chain stands still (B' = A'), it is below
     e |w + 1| 10**(2 - W') / m.
     """
-    low = start[0]
+    low, fine = start[0], ctx.wide
     with fine.local():
         link = _Link(Decimal(1), Decimal(0))
         chain = [link]
@@ -431,9 +422,9 @@ def _run(kind: AlgorithmKind, w: Fraction, start: tuple[Real, Real, Real],
             small = not delta or delta.adjusted() <= a.adjusted() - ctx.target_digits - 8
             consecutive = consecutive + 1 if small else 0
             if consecutive == 2:
-                return RunResult(kind, w, ctx, fine, start, chain)
+                return RunResult(kind, w, ctx, start, chain)
     raise NonConvergenceError(f"{kind.name} run did not converge within {budget} iterations",
-                              trace=RunResult(kind, w, ctx, fine, start, chain).trace)
+                              trace=RunResult(kind, w, ctx, start, chain).trace)
 
 
 def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunResult:
@@ -448,9 +439,9 @@ def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunR
     """
     w = as_weight(w)
     m = kind.order
-    ctx, fine, budget = _sized(ctx, m)
-    start = pow_rational(Decimal(2), Fraction(-1, m), fine), Decimal(2), Decimal(0)
-    return _run(kind, w, start, ctx, fine, budget)
+    ctx, budget = _sized(ctx, m)
+    start = pow_rational(Decimal(2), Fraction(-1, m), ctx.wide), Decimal(2), Decimal(0)
+    return _run(kind, w, start, ctx, budget)
 
 
 def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
@@ -473,7 +464,8 @@ def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
     check_axes(semi_major, semi_minor)
     if kind.order not in (2, 4):
         raise UnsupportedParameterError("perimeter algorithms exist for quad and quartic only")
-    ctx, fine, budget = _sized(ctx, kind.order, _eccentric_steps(semi_major, semi_minor))
+    ctx, budget = _sized(ctx, kind.order, _eccentric_steps(semi_major, semi_minor))
+    fine = ctx.wide
     with fine.local() as local:
         ratio = fine.real(semi_minor) / fine.real(semi_major)
         square = ratio * ratio
@@ -481,7 +473,7 @@ def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
             raise DomainError("b/a is out of range: (b/a)^2 is below the exponent range")
         b0 = ratio if kind.order == 2 else nth_root(ratio, 2, fine)
         start = b0, quotient(Decimal(2), square), Decimal(1)
-    return _run(kind, Fraction(0), start, ctx, fine, budget)
+    return _run(kind, Fraction(0), start, ctx, budget)
 
 
 def _eccentric_steps(semi_major: Real, semi_minor: Real) -> int:

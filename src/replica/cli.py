@@ -15,9 +15,9 @@ Digit output is truncated, never rounded; the default text format groups
 digits in tens, 50 per line, and ends with a ``...`` truncation marker
 (``--plain`` prints the bare digits).
 
-A request has one context, ``PrecisionContext(digits, MIN_GUARD_DIGITS)``,
-which ``main`` passes to the handler.  Each run sizes its own guard and step
-budget from it (``RunResult.ctx``), so the CLI keeps no precision policy.
+A request has one context, ``PrecisionContext(digits)``, which ``main``
+passes to the handler.  Each run sizes its own guard and step budget from
+it (``RunResult.ctx``), so the CLI keeps no precision policy.
 A handler prints nothing: it returns a ``_Report``, and ``_write`` prints
 that report as a digit block, text lines, JSON or a run trace.  Every value,
 agreement count and order is computed at a run's context, so the output does
@@ -57,7 +57,6 @@ from .errors import (
     SlowConvergenceError,
 )
 from .precision import (
-    MIN_GUARD_DIGITS,
     PrecisionContext,
     Real,
     as_weight,
@@ -154,7 +153,7 @@ def _serve(argv) -> int:
         return int(exc.code or 0)
     try:
         _check_digits(args.digits)
-        return _write(args, args.handler(args, PrecisionContext(args.digits, MIN_GUARD_DIGITS)))
+        return _write(args, args.handler(args, PrecisionContext(args.digits)))
     except (ReplicaError, ValueError, decimal.InvalidOperation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, NonConvergenceError) else 2

@@ -8,10 +8,11 @@ q > 1 each is one call to a single Newton kernel (Brent & Zimmermann, *Modern
 Computer Arithmetic* §4.2), the division-free inverse-root step
 y += y*(1 - X*y**q)/q from a float seed y ~ X**(-1/q) of X = x**|p|, at
 precisions that about double per step.  For p < 0 the power is y, taken up to
-the elevated working precision P.  For p > 0, every root among them, y and
-r = X*y**(q-1) are taken at about P/2 digits and one correction at P digits,
-r += y**(q-1)*(X - r**q)/q, finishes r (Karp & Markstein, ACM TOMS 23, 1997):
-the full-precision work is then r**q and products of half-length operands.
+the working precision P of :attr:`PrecisionContext.wide`.  For p > 0, every
+root among them, y and r = X*y**(q-1) are taken at about P/2 digits and one
+correction at P digits, r += y**(q-1)*(X - r**q)/q, finishes r (Karp &
+Markstein, ACM TOMS 23, 1997): the full-precision work is then r**q and
+products of half-length operands.
 The error bounds are stated on :func:`nth_root` and :func:`pow_rational`.
 Quotients at full precision (the one of a cubic step, a run's value and a
 trace row's d_n and a_n, 1/X for q = 1 and p < 0, and a perimeter run's
@@ -52,8 +53,9 @@ MIN_GUARD_DIGITS = 32
 #: Guard digits per step of the budget: each step loses a bounded number of digits to rounding.
 GUARD_DIGITS_PER_STEP = 8
 
-# Digits above working precision at which roots and rational powers are taken.
-_ROOT_EXTRA_DIGITS = 10
+# Guard digits :attr:`PrecisionContext.wide` adds: every root and power, a
+# run's chain, start and rows and the series couple are formed there.
+_WIDE_DIGITS = 10
 
 # Correct digits the float seed of a root is trusted to: a double carries
 # 15.9, less the rounding of the float conversion and of ``**``.
@@ -113,11 +115,12 @@ class PrecisionContext:
 
     ``working_digits = target_digits + guard_digits``; the guard absorbs the
     rounding loss of the whole downstream computation so that the first
-    ``target_digits`` digits of any result are exact.
+    ``target_digits`` digits of any result are exact.  A request is
+    ``PrecisionContext(digits)``, at the least guard; a run sizes its own.
     """
 
     target_digits: int
-    guard_digits: int
+    guard_digits: int = MIN_GUARD_DIGITS
 
     def __post_init__(self):
         if self.target_digits < 1:
@@ -137,6 +140,12 @@ class PrecisionContext:
             Emin=-_EMAX,
             Emax=_EMAX,
         )
+
+    @cached_property
+    def wide(self) -> "PrecisionContext":
+        """The same target with ``_WIDE_DIGITS`` = 10 more guard digits, built once
+        per context: where a value rounded once to this precision is formed."""
+        return PrecisionContext(self.target_digits, self.guard_digits + _WIDE_DIGITS)
 
     def local(self):
         """Context manager installing this precision as the thread's decimal context."""
@@ -205,7 +214,7 @@ def _newton_schedule(prec: int) -> list[int]:
 
 def _inverse_root(x: Real, n: int) -> Real:
     """x**(-1/n) for x > 0 (any x != 0 when n = 1) at the ambient (already
-    elevated) decimal context.
+    widened) decimal context.
 
     Each step y += y*(1 - x*y**n)/n at most squares the relative error (times
     (n+1)/2), so the steps run at the precisions of :func:`_newton_schedule`,
@@ -269,9 +278,9 @@ def quotient(num: Real, den: Real) -> Real:
 
 
 def _power(x: Real, p: int, q: int, ctx: PrecisionContext) -> Real:
-    """x**(p/q) for x > 0 and p != 0, from X = x**|p| at P = working precision
-    + ``_ROOT_EXTRA_DIGITS`` digits: X or :func:`quotient` (1, X) for q = 1,
-    else one inverse root y = X**(-1/q).
+    """x**(p/q) for x > 0 and p != 0, from X = x**|p| at the P working digits
+    of ``ctx.wide``: X or :func:`quotient` (1, X) for q = 1, else one inverse
+    root y = X**(-1/q).
 
     For p < 0 the power is y, taken at P digits.  For p > 0, y and
     r = X*y**(q-1) are taken at H = P // 2 + 2 digits, whose Newton schedule
@@ -287,7 +296,7 @@ def _power(x: Real, p: int, q: int, ctx: PrecisionContext) -> Real:
     correction costs r**q from an H-digit r and products of H-digit by
     (P - H)-digit operands, where the last step cost several P-digit products.
     """
-    with ctx.elevated(_ROOT_EXTRA_DIGITS) as full:
+    with ctx.wide.local() as full:
         big = x ** abs(p)
         if q == 1:
             r = big if p > 0 else quotient(Decimal(1), big)

@@ -29,7 +29,6 @@ h = ((a - b)/(a + b))^2.  Each of the three is one pass of :func:`_sums`.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 from functools import cache
@@ -366,8 +365,8 @@ def couple_product(s: Fraction, w: Fraction, ctx: PrecisionContext) -> Real:
     the stopping rule of :func:`_sums` is proved for any pair in (0, 1].
 
     One pass of :func:`_sums` gives G0 = S(1, 0; u) and G = S(a, b; u) at
-    W' = W + 10 working digits.  Still at W', r and c are one
-    :func:`pow_rational` each (one cube root and one inverse 4th root, cheaper
+    the W' = W + 10 working digits of ``ctx.wide``.  Still at W', r and c are
+    one :func:`pow_rational` each (one cube root and one inverse 4th root, cheaper
     than the one 12th root of c = (3**18/(2**19 5**3))**(1/12) and the cube
     root s1 would still need), and s0 = c G0 and s1 = c r r G/d; each is then
     rounded once to W digits, and s0**w * s1 is formed as in
@@ -383,7 +382,7 @@ def couple_product(s: Fraction, w: Fraction, ctx: PrecisionContext) -> Real:
     """
     w = _couple_weight(s, w)
     u, a, b, d, x, t = _COUPLE_TRANSFORMS[s]
-    wide = replace(ctx, guard_digits=ctx.guard_digits + 10)
+    wide = ctx.wide
     g0, g = _sums(*_COUPLE_PAIR, Decimal(a), Decimal(b), u, wide)
     with wide.local():
         r = pow_rational(Decimal(2), t, wide)

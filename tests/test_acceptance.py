@@ -20,7 +20,6 @@ from replica import (
     PrecisionContext,
     couple_product,
     ellipse_factor,
-    make_context,
     postprocess_constant,
     replication_invariant,
     run_borwein,
@@ -28,7 +27,7 @@ from replica import (
 )
 from replica.algorithms import error_table
 from replica.cli import main
-from replica.precision import matching_digits, nth_root, to_sig_digits
+from replica.precision import make_context, matching_digits, nth_root, to_sig_digits
 from replica.series import evaluate_series
 from replica.transforms import DESCEND
 

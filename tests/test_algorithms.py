@@ -28,7 +28,6 @@ from replica import (
     UnsupportedParameterError,
     couple_product,
     ellipse_factor,
-    make_context,
     postprocess_constant,
     replication_invariant,
     run_borwein,
@@ -41,6 +40,7 @@ from replica.cli import main
 from replica import precision
 from replica.precision import (
     MIN_GUARD_DIGITS,
+    make_context,
     matching_digits,
     nth_root,
     pow_rational,
@@ -466,15 +466,15 @@ class TestRunEllipse:
         a, b = Decimal(1), Decimal("0.001")
         assert _eccentric_steps(a, b) == 5
         ctx = make_context(1000, 4)
-        sized, fine, budget = _sized(ctx, 4, 5)
+        sized, budget = _sized(ctx, 4, 5)
         assert budget == step_budget(1000, 4) + 5 == 13
         run = run_ellipse(QUARTIC, a, b, ctx)
-        assert (run.ctx, run.chain_ctx) == (sized, fine)
-        assert fine.guard_digits == sized.guard_digits + algorithms._CHAIN_DIGITS
+        assert run.ctx == sized
+        assert run.ctx.wide.guard_digits == run.ctx.guard_digits + 10
         assert run.ctx.guard_digits == MIN_GUARD_DIGITS + 8 * 13 == 136
         assert run.ctx.working_digits == 1136
         doubled = ctx.doubled_guard()
-        sized, _, budget = _sized(doubled, 4, 5)
+        sized, budget = _sized(doubled, 4, 5)
         assert budget == 13
         run = run_ellipse(QUARTIC, a, b, doubled)
         assert run.ctx == sized
@@ -552,6 +552,37 @@ class TestRunsSizeTheirBudget:
         run = run_borwein(QUARTIC, ONE, wide)
         assert run.iterations == own.iterations
         assert run.ctx.guard_digits == wide.guard_digits > own.ctx.guard_digits
+
+    @pytest.mark.parametrize("target", [1, 31, 50, 1000])
+    @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC],
+                             ids=["quadratic", "cubic", "quartic"])
+    def test_a_request_context_gives_the_run_of_make_context(self, kind, target):
+        # the CLI's PrecisionContext(digits), at the least guard, sizes to
+        # the guard rule of make_context
+        w = root_free_w(kind)
+        run = run_borwein(kind, w, PrecisionContext(target))
+        ruled = run_borwein(kind, w, make_context(target, kind.order))
+        assert (run.ctx, run.chain, run.value) == (ruled.ctx, ruled.chain, ruled.value)
+
+    @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC],
+                             ids=["quadratic", "cubic", "quartic"])
+    def test_start_chain_rows_value_and_limit_read_one_wide_context(self, kind, monkeypatch):
+        contexts = []
+
+        def recorded(function):
+            def call(x, exponent, ctx):
+                contexts.append(ctx)
+                return function(x, exponent, ctx)
+            return call
+
+        monkeypatch.setattr(algorithms, "pow_rational", recorded(pow_rational))
+        monkeypatch.setattr(algorithms, "nth_root", recorded(nth_root))
+        run = run_borwein(kind, Fraction(1, 3), PrecisionContext(100))
+        rows = [(row.d, row.c, row.a, row.delta_exp) for row in run.trace]
+        limit = run.limit(3)
+        assert rows and limit > 0
+        assert contexts and all(ctx is run.ctx.wide for ctx in contexts)
+        assert run.ctx.wide.guard_digits == run.ctx.guard_digits + 10
 
 
 class TestRootFreeRuns:

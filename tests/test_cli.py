@@ -19,13 +19,12 @@ from replica import (
     ReplicaError,
     RunResult,
     couple_product,
-    make_context,
     run_borwein,
     run_ellipse,
 )
 from replica import algorithms, series
 from replica.cli import main
-from replica.precision import matching_digits, to_sig_digits
+from replica.precision import make_context, matching_digits, to_sig_digits
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"

@@ -12,15 +12,15 @@ from replica import (
     DomainError,
     PrecisionContext,
     UnsupportedParameterError,
-    make_context,
 )
 from replica import precision
 from replica.precision import (
     MIN_GUARD_DIGITS,
     SUPPORTED_DENOMINATORS,
     _QUOTIENT_CROSSOVER,
-    _ROOT_EXTRA_DIGITS,
+    _WIDE_DIGITS,
     _newton_schedule,
+    make_context,
     matching_digits,
     nth_root,
     pow_rational,
@@ -66,6 +66,12 @@ class TestMakeContext:
         with pytest.raises(DomainError):
             PrecisionContext(0, 40)  # no target digits
         assert PrecisionContext(100, 40).working_digits == 140
+
+    def test_a_request_takes_the_least_guard_and_one_wide_context(self):
+        ctx = PrecisionContext(100)
+        assert ctx == PrecisionContext(100, MIN_GUARD_DIGITS)
+        assert ctx.wide is ctx.wide
+        assert ctx.wide == PrecisionContext(100, MIN_GUARD_DIGITS + _WIDE_DIGITS)
 
     def test_real_rejects_floats(self):
         ctx = make_context(50, 2)
@@ -298,7 +304,7 @@ class TestTwoPrecisionStability:
 
 def _schedule_boundaries(limit):
     """Working precisions w at which the root kernel takes one step more than at w - 1."""
-    steps = [len(_newton_schedule(w + _ROOT_EXTRA_DIGITS)) for w in range(limit)]
+    steps = [len(_newton_schedule(w + _WIDE_DIGITS)) for w in range(limit)]
     return [w for w in range(MIN_GUARD_DIGITS + 2, limit) if steps[w] != steps[w - 1]]
 
 

@@ -22,10 +22,9 @@ from replica import (
     UnsupportedParameterError,
     couple_product,
     ellipse_factor,
-    make_context,
 )
 from replica import series
-from replica.precision import matching_digits
+from replica.precision import make_context, matching_digits
 from replica.series import evaluate_series
 
 HALF = Fraction(1, 2)

@@ -12,8 +12,8 @@ from oracles import (
     quad_replicate,
     quartic_replicate,
 )
-from replica import DomainError, make_context
-from replica.precision import matching_digits, nth_root
+from replica import DomainError
+from replica.precision import make_context, matching_digits, nth_root
 from replica.series import evaluate_series
 from replica.transforms import DESCEND, cubic_descend, quad_descend, quartic_descend
 
