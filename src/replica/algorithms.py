@@ -63,7 +63,6 @@ import math
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (
@@ -76,6 +75,7 @@ from .precision import (
     PrecisionContext,
     Real,
     as_weight,
+    lazy,
     make_context,
     nth_root,
     pow_rational,
@@ -155,6 +155,7 @@ class RunResult:
         # the run keeps its rows' a at W', not a row: a row refers to its run,
         # and the cycle would hold the chain until the cyclic collector ran
         self._fine_as = {self.chain[0]: self.start[2]}
+        self._exponent = -self.kind.e * (self.w + 1)
         self.value = self.ctx.real(self._fine_a(self.iterations))
 
     def _fine_a(self, n: int) -> Real:
@@ -166,21 +167,21 @@ class RunResult:
             _, c0, a0 = self.start
             with self.ctx.wide.local():
                 self._fine_as[link] = (a0 + c0 * link.total) * pow_rational(
-                    link.mean, -self.kind.e * (self.w + 1), self.ctx.wide)
+                    link.mean, self._exponent, self.ctx.wide)
         return self._fine_as[link]
 
     @property
     def iterations(self) -> int:
         return len(self.chain) - 1
 
-    @cached_property
+    @lazy
     def trace(self) -> list[IterationState]:
         """The paper's rows (n, d_n, c_n, a_n, delta_exp) of the chain at ``w``, one
         :class:`IterationState` per link, each forming its d, c, a and delta_exp
         when first read."""
         return [IterationState(self, n) for n in range(len(self.chain))]
 
-    @cached_property
+    @lazy
     def error_table(self) -> list[tuple[int | None, float | None]]:
         """:func:`error_table` of the trace against its own limit, the value,
         at ``ctx``: (err_exp, order or None) per trace row."""
@@ -257,7 +258,7 @@ class IterationState:
         self.n = n
         self._run = run
 
-    @cached_property
+    @lazy
     def d(self) -> Real:
         run, link = self._run, self._run.chain[self.n]
         m, fine = run.kind.order, run.ctx.wide
@@ -272,7 +273,7 @@ class IterationState:
                     return run.trace[self.n - 1].d ** m / _DESCEND_LEADING[m]
             return run.ctx.real(quotient(gap, link.mean))
 
-    @cached_property
+    @lazy
     def c(self) -> Real:
         run, link = self._run, self._run.chain[self.n]
         exponent, fine = -run.kind.e * (run.w - 1), run.ctx.wide
@@ -280,11 +281,11 @@ class IterationState:
             c = run.start[1] * run.kind.order**self.n * pow_rational(link.mean, exponent, fine)
             return run.ctx.real(c)
 
-    @cached_property
+    @lazy
     def a(self) -> Real:
         return self._run.ctx.real(self._run._fine_a(self.n))
 
-    @cached_property
+    @lazy
     def delta_exp(self) -> int | None:
         run = self._run
         if not self.n:
@@ -295,14 +296,15 @@ class IterationState:
 
 
 def _advance(order: int, mean: Real, low: Real, weight: int,
-             ctx: PrecisionContext) -> tuple[Real, Real, Real]:
+             ctx: PrecisionContext, floor: Real) -> tuple[Real, Real, Real]:
     """One step of the family's AGM from the means (A_n, B_n), with
     ``weight`` = m**n: (A_{n+1}, B_{n+1}, h_{n+1} - h_n), at ``ctx``,
     the chain's context of W' digits (the run's ``ctx.wide``).
 
-    The root is skipped (B_{n+1} = A_{n+1}) once (C_{n+1}/A_{n+1})**m is below
-    10**(2 - W'), and a step from A_n = B_n returns at once, so the steps after
-    that move nothing.
+    The root is skipped (B_{n+1} = A_{n+1}) once (C_{n+1}/A_{n+1})**m, taken in
+    the 30-digit context, is below ``floor`` = 10**(2 - W'), and its radicand
+    is then not formed (the cubic family's rise reads it, so forms it anyway);
+    a step from A_n = B_n returns at once, so the steps after that move nothing.
 
     Error bound, with u' = 10**(1 - W').  A' and C' are rounded to half a unit
     of a sum or difference of means, the radicand of B' to about two units,
@@ -328,14 +330,13 @@ def _advance(order: int, mean: Real, low: Real, weight: int,
         rise = quotient(2 * weight * gap * radicand, mean * mean1)
     else:
         mean1, gap = (mean + low) / 2, (mean - low) / 2
-        if order == 2:
-            radicand, rise = mean * low, weight * gap * low
-        else:
-            tail = low * (mean * mean + low * low)
-            radicand, rise = mean * tail / 2, weight * gap * tail
-    with localcontext(_LOW):
-        negligible = (+gap / +mean1) ** order < ctx.epsilon(2)
-    return mean1, mean1 if negligible else nth_root(radicand, order, ctx), rise
+        tail = low if order == 2 else low * (mean * mean + low * low)
+        rise = weight * gap * tail
+    if _LOW.power(_LOW.divide(_LOW.plus(gap), _LOW.plus(mean1)), order) < floor:
+        return mean1, mean1, rise
+    if order != 3:
+        radicand = mean * tail if order == 2 else mean * tail / 2
+    return mean1, nth_root(radicand, order, ctx), rise
 
 
 def _rise_at_w1(kind: AlgorithmKind, start, total: Real, rise: Real, mean: Real,
@@ -349,7 +350,8 @@ def _rise_at_w1(kind: AlgorithmKind, start, total: Real, rise: Real, mean: Real,
     and A_n**E - A_{n+1}**E = (A_n - A_{n+1}) sum_j A_n**j A_{n+1}**(E-1-j).
     Both terms are nonnegative at w1 (a_0 >= 0, A_{n+1} <= A_n, every gap
     positive), so no digit cancels: the rise is good to a relative 1e-27,
-    and is exactly 0 when the chain did not move.
+    and is exactly 0 when the chain did not move, so :func:`_run` takes it
+    only on steps where the chain moved.
     """
     _, c0, a0 = start
     m = kind.order
@@ -409,20 +411,24 @@ def _run(kind: AlgorithmKind, w: Fraction, start: tuple[Real, Real, Real],
     :func:`_sized`; once the chain stands still (B' = A'), it is below
     e |w + 1| 10**(2 - W') / m.
     """
-    low, fine = start[0], ctx.wide
+    low, fine, m, weight = start[0], ctx.wide, kind.order, 1
     with fine.local():
+        floor = fine.epsilon(2)
         link = _Link(Decimal(1), Decimal(0))
         chain = [link]
         consecutive = 0
-        for n in range(1, budget + 1):
-            mean, low, rise = _advance(kind.order, link.mean, low, kind.order ** (n - 1), fine)
-            delta, a = _rise_at_w1(kind, start, link.total, rise, link.mean, mean)
+        for _ in range(budget):
+            mean, low, rise = _advance(m, link.mean, low, weight, fine, floor)
+            still = mean == link.mean and not rise
+            if not still:
+                delta, a = _rise_at_w1(kind, start, link.total, rise, link.mean, mean)
             link = _Link(mean, link.total + rise)
             chain.append(link)
-            small = not delta or delta.adjusted() <= a.adjusted() - ctx.target_digits - 8
+            small = still or not delta or delta.adjusted() <= a.adjusted() - ctx.target_digits - 8
             consecutive = consecutive + 1 if small else 0
             if consecutive == 2:
                 return RunResult(kind, w, ctx, start, chain)
+            weight *= m
     raise NonConvergenceError(f"{kind.name} run did not converge within {budget} iterations",
                               trace=RunResult(kind, w, ctx, start, chain).trace)
 

@@ -20,6 +20,12 @@ c_0) take :func:`quotient`:
 below ``_QUOTIENT_CROSSOVER`` digits decimal's long division, from there up
 the same kernel at q = 1, a reciprocal at about P/2 digits and one
 correction at P digits.
+
+At 50 to 200 digits a root costs more in Python calls than in digits, so the
+kernel keeps them few: a power copies the decimal context once, on entering
+``ctx.wide``, and every precision it then takes (each Newton step's, the half
+precision of p > 0, and W for the result) is set on that one copy; the Newton
+schedule of a precision is built once (:func:`_newton_schedule`).
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import decimal
 from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation, localcontext
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 
 from .errors import DomainError, UnsupportedParameterError
 
@@ -60,6 +66,24 @@ _WIDE_DIGITS = 10
 # Correct digits the float seed of a root is trusted to: a double carries
 # 15.9, less the rounding of the float conversion and of ``**``.
 _SEED_DIGITS = 14
+
+
+class lazy:
+    """A field formed on its first read and kept in the instance's ``__dict__``
+    under its own name, as by ``functools.cached_property``, but without the
+    lock that one takes on every first read before Python 3.12."""
+
+    def __init__(self, form):
+        self.form, self.__doc__ = form, form.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.form(instance)
+        return value
 
 
 def as_weight(w) -> Fraction:
@@ -132,7 +156,7 @@ class PrecisionContext:
     def working_digits(self) -> int:
         return self.target_digits + self.guard_digits
 
-    @cached_property
+    @lazy
     def _decimal_context(self) -> decimal.Context:
         return decimal.Context(
             prec=self.working_digits,
@@ -141,7 +165,7 @@ class PrecisionContext:
             Emax=_EMAX,
         )
 
-    @cached_property
+    @lazy
     def wide(self) -> "PrecisionContext":
         """The same target with ``_WIDE_DIGITS`` = 10 more guard digits, built once
         per context: where a value rounded once to this precision is formed."""
@@ -199,17 +223,19 @@ def _float_seed(x: Real, n: int) -> Real:
     return Decimal(repr(mantissa ** (-1.0 / n))).scaleb(-q)
 
 
-def _newton_schedule(prec: int) -> list[int]:
-    """Precisions of the Newton steps of a root at ``prec`` digits, last step first.
+@lru_cache(maxsize=1024)
+def _newton_schedule(prec: int) -> tuple[int, ...]:
+    """Precisions of the Newton steps of a root at ``prec`` digits, in the order
+    they run, the last at ``prec``; built once per precision and kept for the
+    last 1 024 precisions asked for.
 
     Each step roughly doubles the correct digits, so a step at ``p`` digits
     needs an input good to ``p // 2 + 2``; the halving stops once the float
     seed's digits cover a step (``p <= 2 * _SEED_DIGITS``).
     """
-    schedule = [prec]
-    while schedule[-1] > 2 * _SEED_DIGITS:
-        schedule.append(schedule[-1] // 2 + 2)
-    return schedule
+    if prec <= 2 * _SEED_DIGITS:
+        return (prec,)
+    return _newton_schedule(prec // 2 + 2) + (prec,)
 
 
 def _inverse_root(x: Real, n: int) -> Real:
@@ -218,13 +244,16 @@ def _inverse_root(x: Real, n: int) -> Real:
 
     Each step y += y*(1 - x*y**n)/n at most squares the relative error (times
     (n+1)/2), so the steps run at the precisions of :func:`_newton_schedule`,
-    with ``x`` rounded to each, and only the last one at full precision.
+    with ``x`` rounded to each, and only the last one at full precision.  The
+    steps set the precision of the ambient context itself, which the caller
+    has copied, and the last one leaves it where it was: a root makes no copy
+    of its own.
     """
     y = _float_seed(x, n)
-    with localcontext() as step:
-        for prec in reversed(_newton_schedule(step.prec)):
-            step.prec = prec
-            y += y * (1 - +x * y**n) / n
+    step = decimal.getcontext()
+    for prec in _newton_schedule(step.prec):
+        step.prec = prec
+        y += y * (1 - +x * y**n) / n
     return y
 
 
@@ -295,20 +324,24 @@ def _power(x: Real, p: int, q: int, ctx: PrecisionContext) -> Real:
     a fraction of a unit in the P-th digit, as after a last Newton step.  The
     correction costs r**q from an H-digit r and products of H-digit by
     (P - H)-digit operands, where the last step cost several P-digit products.
+
+    The power copies the decimal context once, on entering ``ctx.wide``: the
+    Newton steps, the half precision and the rounding of r to the W working
+    digits of ``ctx`` each set the precision of that copy.
     """
-    with ctx.wide.local() as full:
+    with ctx.wide.local() as c:
         big = x ** abs(p)
         if q == 1:
             r = big if p > 0 else quotient(Decimal(1), big)
         elif p < 0:
             r = _inverse_root(big, q)
         else:
-            with localcontext() as half:
-                half.prec = full.prec // 2 + 2
-                z = _inverse_root(big, q) ** (q - 1)  # y**(q-1)
-                r = +big * z
+            full, c.prec = c.prec, c.prec // 2 + 2
+            z = _inverse_root(big, q) ** (q - 1)  # y**(q-1)
+            r = +big * z
+            c.prec = full
             r += z * (big - r**q) / q
-    with ctx.local():
+        c.prec = ctx.working_digits
         return +r
 
 

@@ -904,6 +904,25 @@ class TestRowsMatchReplicate:
                 assert run.w == 0
 
 
+def chain_results(label):
+    """The chain (A_n, h_n per link) and the value of the run that a key of
+    ``frozen.CHAIN_BITS`` names."""
+    function, family, *args, digits = label.split()
+    kind = AlgorithmKind({"quadratic": 2, "cubic": 3, "quartic": 4}[family])
+    ctx = PrecisionContext(int(digits))
+    if function == "run_borwein":
+        run = run_borwein(kind, Fraction(args[0]), ctx)
+    else:
+        run = run_ellipse(kind, Decimal(args[0]), Decimal(args[1]), ctx)
+    return [*(part for link in run.chain for part in link), run.value]
+
+
+@pytest.mark.parametrize("label", list(frozen.CHAIN_BITS))
+def test_chain_and_value_keep_their_bits(label):
+    text = "\n".join(map(str, chain_results(label)))
+    assert hashlib.sha256(text.encode()).hexdigest() == frozen.CHAIN_BITS[label]
+
+
 class TestLateSteps:
     """Late steps skip the root once (C'/A')**m is below the chain's precision,
     and the steps after them move nothing; neither changes a traced number or
@@ -931,6 +950,22 @@ class TestLateSteps:
         assert (got["w"], got["iterations"], got["orders"]) == (
             want["w"], want["iterations"], want["orders"])
         assert hashlib.sha256(got["result"].encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC])
+    def test_the_rise_is_read_only_where_the_chain_moved(self, kind, monkeypatch):
+        rises = []
+
+        def counted(*args):
+            rises.append(args)
+            return rise_at_w1(*args)
+
+        rise_at_w1 = algorithms._rise_at_w1
+        monkeypatch.setattr(algorithms, "_rise_at_w1", counted)
+        runs = [run_borwein(kind, root_free_w(kind), PrecisionContext(150))]
+        if kind.order != 3:
+            runs.append(run_ellipse(kind, Decimal(2), Decimal(1), PrecisionContext(150)))
+        moved = sum(before != after for run in runs for before, after in zip(run.chain, run.chain[1:]))
+        assert moved < sum(run.iterations for run in runs) and len(rises) == moved
 
     @pytest.mark.parametrize("kind, w", [(QUADRATIC, ONE), (CUBIC, HALF), (QUARTIC, ONE)],
                              ids=["quadratic", "cubic", "quartic"])

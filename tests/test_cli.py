@@ -22,7 +22,7 @@ from replica import (
     run_borwein,
     run_ellipse,
 )
-from replica import algorithms, series
+from replica import algorithms, precision, series
 from replica.cli import main
 from replica.precision import make_context, matching_digits, to_sig_digits
 
@@ -784,6 +784,39 @@ def test_golden_output_bytes(capsys, command, code, digest):
     assert main(command.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+#: every command and output form at 50 to 200 digits, and the README's examples
+REENTRANT_REQUESTS = [
+    "constant pi --digits 50", "constant gamma34 --algorithm quartic --digits 120 --plain",
+    "constant gamma14 --algorithm quad --digits 200 --json", "constant gamma23 --digits 80 --trace",
+    "constant gamma13 --digits 150", "constant custom --w=-7/2 --algorithm quad --digits 60 --json",
+    "constant custom --w 1/3 --algorithm quartic --digits 100 --trace",
+    "constant custom --w 2 --algorithm cubic --digits 90 --plain",
+    "constant custom --w 1e7 --algorithm quartic --digits 50",
+    "ellipse 2 1 --algorithm quad --digits 70 --json", "ellipse 1 1e-30 --algorithm quartic --digits 110 --trace",
+    "ellipse 3 2 --normalized --digits 130 --plain", "ellipse 1 0.005 --algorithm quartic --digits 200",
+    "verify pi --digits 60 --json", "verify gamma14 --digits 100 --trace", "verify gamma23 --digits 50",
+    "verify gamma34 --algorithm quartic --digits 140", "verify gamma13 --digits 90 --json",
+    "verify ellipse 2 1 --digits 120 --trace", "verify ellipse 1 0.005 --digits 70 --json",
+    "verify custom --w 1/2 --algorithm cubic --digits 100 --paper-example",
+    "verify custom --w 3 --algorithm quad --digits 60", "orders --digits 100",
+    "orders --w 1/3 --algorithm quartic --digits 150 --json",
+    "orders --w=-1000 --algorithm cubic --digits 120", "constant tau", "ellipse x 1",
+    "constant custom --w abc", "constant pi --digits 0",
+    *(command for command, _, _ in GOLDEN[:10]),
+]
+
+
+def test_requests_print_the_same_bytes_twice_in_one_process(capsys):
+    """Per-precision memos and per-object caches carry nothing from one request
+    to another: the requests print the same bytes run forwards from empty
+    Newton schedules and then backwards."""
+    precision._newton_schedule.cache_clear()
+    forwards = {argv: run_cli(capsys, *argv.split()) for argv in REENTRANT_REQUESTS}
+    backwards = {argv: run_cli(capsys, *argv.split()) for argv in reversed(REENTRANT_REQUESTS)}
+    assert backwards == forwards
+    assert sum(code == 0 for code, _, _ in forwards.values()) == len(REENTRANT_REQUESTS) - 4
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -538,3 +539,74 @@ class TestQuotient:
             with localcontext(_wide_context(prec + 30)):
                 exact = xm / den
                 assert abs(t - exact) <= _QUOTIENT_BOUND * Decimal(10) ** (1 - prec) * exact, x
+
+
+def kernel_results(name):
+    """Every result of the kernel function ``name`` on seeded operands at 1, 50,
+    200 and 1 000 target digits, plus, for ``quotient``, two at 12 000 digits,
+    on the Newton reciprocal's path.  Each operand carries 25 digits more than
+    the working precision, so every Newton step rounds it.
+
+    A root or power takes its last Newton step or its correction on operands
+    already rounded to that step's precision, and the steps before it move its
+    result only to second order, so ``_inverse_root`` is also pinned on its
+    own, at the ambient context, and ``_newton_schedule`` at every precision
+    up to 20 000."""
+    if name == "_newton_schedule":
+        return [sorted(_newton_schedule(prec)) for prec in range(1, 20001)]
+    rng = random.Random(name)
+    results = []
+    for digits in (1, 50, 200, 1000, 12000):
+        ctx = PrecisionContext(digits)
+        operands = [_operand(rng, ctx.working_digits + 25, exponent)
+                    for exponent in ((-301, 0) if digits == 12000 else (-301, -1, 0, 2, 77))]
+        if name == "quotient":
+            with ctx.wide.local():
+                results += [quotient(x, _operand(rng, ctx.working_digits + 25, rng.randrange(-50, 51)))
+                            for x in operands]
+        elif digits == 12000:
+            continue
+        elif name == "_inverse_root":
+            with ctx.wide.local():
+                results += [precision._inverse_root(x, n) for x in operands for n in (1, 2, 3, 4, 6, 12)]
+        elif name == "nth_root":
+            results += [nth_root(x, n, ctx) for x in operands for n in (2, 3, 4)]
+        else:
+            results += [pow_rational(x, Fraction(p, q), ctx) for x in operands
+                        for q in SUPPORTED_DENOMINATORS for p in (1, -1, 5, -8)]
+    return results
+
+
+class TestKernelBits:
+    """Every bit of the root kernel's results is frozen: a change to the kernel
+    that keeps every Decimal operation, operand and precision keeps them."""
+
+    @pytest.mark.parametrize("name", sorted(frozen.KERNEL_BITS))
+    def test_results_keep_their_bits(self, name):
+        text = "\n".join(map(str, kernel_results(name)))
+        assert hashlib.sha256(text.encode()).hexdigest() == frozen.KERNEL_BITS[name]
+
+
+class TestKernelOverhead:
+    """A root or power copies the decimal context once, and builds each Newton
+    schedule once per precision."""
+
+    @pytest.mark.parametrize("exponent", [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(-1, 4),
+                                          Fraction(-8, 3), Fraction(5, 12), Fraction(3), Fraction(-1)])
+    def test_a_power_at_150_digits_copies_the_context_once(self, monkeypatch, exponent):
+        ctx = PrecisionContext(150)
+        copies = []
+        monkeypatch.setattr(precision, "localcontext",
+                            lambda *args: copies.append(args) or localcontext(*args))
+        x = Decimal(7) / 3
+        power = (nth_root(x, exponent.denominator, ctx) if exponent.numerator == 1
+                 else pow_rational(x, exponent, ctx))
+        assert power > 0 and len(copies) == 1
+
+    def test_a_schedule_is_built_once_per_precision(self):
+        _newton_schedule.cache_clear()
+        ctx = PrecisionContext(150)
+        first = nth_root(Decimal(7), 3, ctx)
+        built = _newton_schedule.cache_info().misses
+        assert nth_root(Decimal(7), 3, ctx) == first and built
+        assert _newton_schedule.cache_info().misses == built
