@@ -16,6 +16,7 @@ from .algorithms import (
     QUARTIC,
     AlgorithmKind,
     RunResult,
+    perimeter,
     postprocess_constant,
     replication_invariant,
     run_borwein,
@@ -42,6 +43,7 @@ __all__ = [
     "RunResult",
     "run_borwein",
     "run_ellipse",
+    "perimeter",
     "postprocess_constant",
     "replication_invariant",
     "couple_product",

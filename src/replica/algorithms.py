@@ -35,7 +35,7 @@ each f is A_{n-1} / A_n: K = prod f(d_n)**e = A_N**(-e) (:attr:`RunResult.k`).
 A named constant is the limit at its recipe's own w (:data:`CONSTANT_RECIPES`):
 pi and gamma23 at w1, gamma34, gamma14 and gamma13 at 3, 1/3 and 1/2.  The
 perimeter factor F(a, b) is the paper's iteration at w = 0 from ellipse
-initial values.
+initial values, and :func:`perimeter` forms the perimeter from it.
 
 No step takes a power: every run takes the chain's steps and stops on the
 rises of a at w1, read off the chain (:func:`_rise_at_w1`), so runs at any
@@ -452,9 +452,8 @@ def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunR
 
 def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
                 ctx: PrecisionContext) -> RunResult:
-    """Perimeter iteration (order 2 or 4): the value is F(a, b) with
-    P(a, b) = 2 pi b ((b/a) F(a, b)), the form whose products stay in the
-    exponent range (b^2 underflows for axes near 1e-500000000000060).
+    """Perimeter iteration (order 2 or 4): the value is the factor F(a, b) of
+    the perimeter that :func:`perimeter` forms from the run.
 
     F is the limit at w = 0 of the recurrences of :func:`run_borwein` started
     from d_0 = (1 - b^2/a^2)**(1/m), c_0 = 2 a^2/b^2, a_0 = 1, and the run's
@@ -480,6 +479,41 @@ def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
         b0 = ratio if kind.order == 2 else nth_root(ratio, 2, fine)
         start = b0, quotient(Decimal(2), square), Decimal(1)
     return _run(kind, Fraction(0), start, ctx, budget)
+
+
+def perimeter(run: RunResult, semi_major: Real, semi_minor: Real) -> Real:
+    """The perimeter P(a, b) = 2 pi b ((b/a) F(a, b)) of the ellipse whose
+    :func:`run_ellipse` run ``run`` is, at ``run.ctx``: F is the run's value and
+    pi is :func:`postprocess_constant` of a quartic w = 1 :func:`run_borwein` run
+    at ``run.ctx``.  (b/a) F stays of order a/b, so no product leaves the
+    exponent range, as b^2 would for axes near 1e-500000000000060.
+
+    Error bound, with W working digits and u = 10**(1 - W): with r_F and r_pi
+    the relative errors of the two runs' values, P is within a relative
+    r_F + r_pi + 15u of the perimeter of the given axes: pi adds 11u of its
+    own (:func:`postprocess_constant`), the quotient b/a and the four
+    products 5u/2, and the axes, rounded to W digits, 3u/2 (b enters twice).
+
+    P > 4a for every b > 0, but once (b/a)^2 ln(a/b) is below the working
+    precision P rounds to about 4a, where its truncation would read ...999
+    whenever the rounding fell below: so P is kept above 4a, at the next
+    value up from 4a at W + 1 digits, which keeps the bound, as the exact P
+    lies above 4a.  Axes that :func:`~replica.series.check_axes` refuses raise
+    :class:`DomainError`, and a run that is not a :func:`run_ellipse` run
+    (a_0 = 1), whose value is no F, raises :class:`UnsupportedParameterError`.
+    The axes must be those the run was made from: the run does not keep them.
+    """
+    check_axes(semi_major, semi_minor)
+    if run.start[2] != 1:
+        raise UnsupportedParameterError(f"a perimeter needs a run_ellipse run (a_0 = 1), "
+                                        f"not a {run.kind.name} run from a_0 = {run.start[2]}")
+    ctx = run.ctx
+    a, b = ctx.real(semi_major), ctx.real(semi_minor)
+    with ctx.local():
+        pi = postprocess_constant("pi", run_borwein(QUARTIC, Fraction(1), ctx))
+        value = 2 * pi * b * (b / a * run.value)
+        with ctx.elevated(1):
+            return max(value, (4 * a).next_plus())
 
 
 def _eccentric_steps(semi_major: Real, semi_minor: Real) -> int:

@@ -19,9 +19,11 @@ A request has one context, ``PrecisionContext(digits)``, which ``main``
 passes to the handler.  Each run sizes its own guard and step budget from
 it (``RunResult.ctx``), so the CLI keeps no precision policy.
 A handler prints nothing: it returns a ``_Report``, and ``_write`` prints
-that report as a digit block, text lines, JSON or a run trace.  Every value,
-agreement count and order is computed at a run's context, so the output does
-not depend on the calling thread's decimal context.
+that report as a digit block, text lines, JSON or a run trace.  A value it
+prints is one library result: a run's value, a constant of
+``postprocess_constant`` or, for ``ellipse``, the ``perimeter`` of its run.
+Every value, agreement count and order is computed at a run's context, so
+the output does not depend on the calling thread's decimal context.
 
 ``main(argv)`` is re-entrant: the argument parser is built on the first call
 and reused for every later call in the process.  Handlers look up the
@@ -47,6 +49,7 @@ from .algorithms import (
     QUARTIC,
     AlgorithmKind,
     RunResult,
+    perimeter,
     postprocess_constant,
     run_borwein,
     run_ellipse,
@@ -278,30 +281,20 @@ def _run_perimeter(args, ctx: PrecisionContext, major: str, minor: str):
 
 def _cmd_ellipse(args, ctx: PrecisionContext) -> _Report:
     a, b, run = _run_perimeter(args, ctx, args.semi_major, args.semi_minor)
-    ctx = run.ctx
-    axis_major, axis_minor = ctx.real(a), ctx.real(b)
+    value = run.value if args.normalized else perimeter(run, a, b)
     fields = {
         "command": "ellipse",
         "semi_major": str(a),
         "semi_minor": str(b),
         "normalized": bool(args.normalized),
     }
-    with ctx.local():
-        value = run.value
-        if not args.normalized:
-            pi = postprocess_constant("pi", run_borwein(QUARTIC, Fraction(1), ctx))
-            # (b/a)*F stays of order a/b, so no product leaves the exponent range
-            value = 2 * pi * axis_minor * (axis_minor / axis_major * value)
-            # P > 4a for every b > 0, but once (b/a)^2 ln(a/b) is below the working
-            # precision P rounds to about 4a, where its truncation would read ...999
-            # whenever the rounding fell below: keep the value above 4a
-            with ctx.elevated(1):
-                value = max(value, (4 * axis_major).next_plus())
-        if args.output == "json":  # the only form that prints the eccentricity
+    if args.output == "json":  # the only form that prints the eccentricity
+        ctx = run.ctx
+        with ctx.local():
             # below 1 for every b > 0, though 1 - (b/a)^2 rounds to 1 once b/a
             # is below the working precision: the truncation must read 0.99...9
-            eccentricity = min(nth_root(1 - (axis_minor / axis_major) ** 2, 2, ctx),
-                               Decimal(1).next_minus())
+            ratio = ctx.real(b) / ctx.real(a)
+            eccentricity = min(nth_root(1 - ratio**2, 2, ctx), Decimal(1).next_minus())
             fields["eccentricity"] = to_sig_digits(eccentricity, min(args.digits, 30))
     return _Report(run, value, fields)
 

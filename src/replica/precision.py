@@ -198,8 +198,9 @@ class PrecisionContext:
             return result
 
     def epsilon(self, shift: int = 0) -> Real:
-        """10**(-working_digits + shift) as an exact Decimal."""
-        return Decimal(1).scaleb(shift - self.working_digits)
+        """10**(-working_digits + shift) as an exact Decimal, built from its digit
+        tuple: ``scaleb`` would round and clamp it under the caller's context."""
+        return Decimal((0, (1,), shift - self.working_digits))
 
     def doubled_guard(self) -> "PrecisionContext":
         """Same target, twice the guard (for stability reruns)."""

@@ -406,11 +406,10 @@ def check_axes(semi_major: Real, semi_minor: Real) -> None:
 def ellipse_factor(semi_major: Real, semi_minor: Real, ctx: PrecisionContext) -> Real:
     """F(a, b) = sum_k ((1/2)_k)^2/((1)_k)^2 (1+2k) (1 - b^2/a^2)^k.
 
-    The perimeter is P(a, b) = 2 pi b ((b/a) F(a, b)); (b/a) F stays of order
-    a/b, where b^2 underflows for axes near 1e-500000000000060.  Depends only on
-    b/a, hence scale-invariant: r = b/a is formed exactly from the axes, as a
-    Fraction.  Arguments z = 1 - r^2 above 0.99 are rejected: the caller should
-    switch to the iterative algorithms there.
+    :func:`replica.algorithms.perimeter` forms the perimeter from F.  F depends
+    only on b/a, hence is scale-invariant: r = b/a is formed exactly from the
+    axes, as a Fraction.  Arguments z = 1 - r^2 above 0.99 are rejected: the
+    caller should switch to the iterative algorithms there.
 
     The sum is not taken at z but after one Landen step, at
     h = ((1 - r)/(1 + r))^2, which is 1/9 for r = 1/2 where z is 3/4:

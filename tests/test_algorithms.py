@@ -28,6 +28,7 @@ from replica import (
     UnsupportedParameterError,
     couple_product,
     ellipse_factor,
+    perimeter,
     postprocess_constant,
     replication_invariant,
     run_borwein,
@@ -522,6 +523,78 @@ class TestRunEllipse:
                 run_ellipse(kind, Decimal(semi_major), Decimal(semi_minor), make_context(30, 4))
 
 
+#: the ellipse axes of the benchmark's interactive workload, from circle to
+#: near-degenerate, then a ratio far below the working precision and axes near
+#: the bottom of the exponent range, whose b^2 would underflow
+PERIMETER_AXES = (
+    ("1", "1"), ("2", "1"), ("3", "2"), ("5", "4"), ("10", "9"), ("0.5", "0.25"),
+    ("1.5", "0.3"), ("7", "6.99"), ("10", "0.1"), ("1", "0.001"), ("1", "1e-6"),
+    ("1", "1e-12"), ("1", "1e-30"), ("1e6", "1"),
+    ("1", "1e-400"), ("3e-500000000000060", "1e-500000000000060"),
+)
+
+#: a 6-digit context with a narrow exponent range, under which the library
+#: must give the results it gives under Python's default context
+HOSTILE = Context(prec=6, Emin=-60, Emax=60)
+
+
+class TestPerimeter:
+    @pytest.mark.parametrize("digits", [1, 7, 50, 200])
+    @pytest.mark.parametrize("algorithm", ["quad", "quartic"])
+    def test_is_what_ellipse_prints(self, capsys, algorithm, digits):
+        kind = AlgorithmKind({"quad": 2, "quartic": 4}[algorithm])
+        for a, b in PERIMETER_AXES:
+            run = run_ellipse(kind, Decimal(a), Decimal(b), PrecisionContext(digits))
+            value = to_sig_digits(perimeter(run, Decimal(a), Decimal(b)), digits)
+            argv = ["ellipse", a, b, "--digits", str(digits), "--algorithm", algorithm, "--plain"]
+            assert main(argv) == 0
+            assert capsys.readouterr().out == value + "\n", (a, b)
+
+    def test_a_ratio_far_below_the_working_precision_stays_above_4a(self):
+        # P = 4 (1 + 4.6e-797) rounds to 4 at 50 digits; its truncation must not read 3.999...
+        for kind in (QUADRATIC, QUARTIC):
+            run = run_ellipse(kind, Decimal(1), Decimal("1e-400"), PrecisionContext(50))
+            assert perimeter(run, Decimal(1), Decimal("1e-400")) > 4
+
+    def test_refuses_what_is_no_ellipse_run(self):
+        ctx = PrecisionContext(30)
+        run = run_ellipse(QUARTIC, Decimal(2), Decimal(1), ctx)
+        with pytest.raises(DomainError, match="semi_minor <= semi_major"):
+            perimeter(run, Decimal(1), Decimal(2))
+        with pytest.raises(DomainError, match="semi-minor axis must be > 0"):
+            perimeter(run, Decimal(2), Decimal(0))
+        with pytest.raises(UnsupportedParameterError, match="run_ellipse run"):
+            perimeter(run_borwein(QUARTIC, Fraction(1), ctx), Decimal(2), Decimal(1))
+
+
+def library_results() -> list:
+    """Values, K, limits, deltas, orders, rows' d and c, an invariant, both
+    perimeters, a Gamma value, the series oracles and an epsilon, each formed
+    at its run's context."""
+    ctx = PrecisionContext(70)
+    results = [ctx.wide.epsilon(2)]
+    for kind, w in ((QUADRATIC, Fraction(10**16)), (CUBIC, Fraction(1, 2)), (QUARTIC, ONE)):
+        run = run_borwein(kind, w, ctx)
+        results += [run.value, run.k, run.limit(3), run.orders,
+                    [(row.d, row.c, row.delta_exp) for row in run.trace]]
+    results.append(replication_invariant(QUARTIC, ONE, run.trace[2], run.ctx))
+    results.append(postprocess_constant("gamma14", run_borwein(QUARTIC, Fraction(1, 3), ctx)))
+    for kind in (QUADRATIC, QUARTIC):
+        run = run_ellipse(kind, Decimal(1), Decimal("1e-400"), ctx)
+        results += [run.value, perimeter(run, Decimal(1), Decimal("1e-400"))]
+    results += [couple_product(Fraction(1, 2), ONE, ctx), couple_product(Fraction(1, 3), ONE, ctx),
+                ellipse_factor(Decimal(3), Decimal(2), ctx)]
+    return results
+
+
+def test_library_results_do_not_depend_on_the_callers_decimal_context():
+    outcomes = []
+    for context in (Context(), HOSTILE):
+        with localcontext(context):
+            outcomes.append(repr(library_results()))  # Decimal's repr keeps every digit
+    assert outcomes[1] == outcomes[0]
+
+
 class TestRunsSizeTheirBudget:
     """A run takes its step budget from its own order, not from the context's."""
 
@@ -894,6 +967,8 @@ class TestRowsMatchReplicate:
         monkeypatch.setattr(precision, "_power", counted)
         monkeypatch.setattr(cli, "run_borwein", kept(run_borwein))
         monkeypatch.setattr(cli, "run_ellipse", kept(run_ellipse))
+        # the pi run of a perimeter is started by algorithms.perimeter
+        monkeypatch.setattr(algorithms, "run_borwein", kept(run_borwein))
         assert main(command.split()) == 0
         assert capsys.readouterr().err == ""
         assert len(calls) == powers

@@ -74,6 +74,16 @@ class TestMakeContext:
         assert ctx.wide is ctx.wide
         assert ctx.wide == PrecisionContext(100, MIN_GUARD_DIGITS + _WIDE_DIGITS)
 
+    @pytest.mark.parametrize("context", [Context(), Context(prec=6, Emin=-60, Emax=60),
+                                         Context(traps=[Inexact])])
+    def test_epsilon_is_exact_whatever_the_callers_context(self, context):
+        # a 6-digit context with Emin = -60 once clamped 1e-110 to 0E-65
+        with localcontext(context):
+            wide = PrecisionContext(70).wide
+            for shift in (0, 2, 10, -8):
+                assert wide.epsilon(shift).as_tuple() == (0, (1,), shift - 112)
+            assert PrecisionContext(10**5, 200).epsilon().as_tuple() == (0, (1,), -100200)
+
     def test_real_rejects_floats(self):
         ctx = make_context(50, 2)
         with pytest.raises(TypeError):

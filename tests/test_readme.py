@@ -32,7 +32,7 @@ def test_root_exports_exactly_all():
     public = {name for name, value in vars(replica).items()
               if not name.startswith("_") and not isinstance(value, ModuleType)}
     assert public == set(replica.__all__)
-    assert len(replica.__all__) == len(set(replica.__all__)) == 17
+    assert len(replica.__all__) == len(set(replica.__all__)) == 18
 
 
 def test_every_root_name_is_documented_in_library_section():
