@@ -54,6 +54,15 @@ skipped and B' = A', so the chain stops moving and the confirming steps of
 the stopping rule cost nothing.  The
 error bounds are stated on :func:`_advance` (the chain), :attr:`RunResult.k`
 (K) and :class:`IterationState` (a row formed when read).
+
+From W' = 1 300 up to 15 000 the chain is carried in binary fixed point,
+as Python ints scaled by 2**F (:class:`~replica.precision.Fixed`,
+:func:`_fixed_bits`), whose products cost less than libmpdec's there.  The
+step is the same code over either number type: only its root, the cubic
+quotient and the 30-digit reads of the stopping rule and the late-step test
+tell them apart.  A link is converted to W' digits when something reads it
+(:meth:`RunResult._link`), so a run's value converts its last link alone,
+and its rows the others when first read.
 """
 
 from __future__ import annotations
@@ -72,6 +81,7 @@ from .errors import (
 )
 from .precision import (
     GUARD_DIGITS_PER_STEP,
+    Fixed,
     PrecisionContext,
     Real,
     as_weight,
@@ -125,19 +135,26 @@ QUARTIC = AlgorithmKind(4)
 
 
 class _Link(NamedTuple):
-    """One state of a run's chain: the mean A_n and the sum h_n."""
+    """One state of a run's chain: the mean A_n and the sum h_n, both Decimals
+    or both :class:`~replica.precision.Fixed`."""
 
-    mean: Real
-    total: Real
+    mean: Real | Fixed
+    total: Real | Fixed
 
 
 @dataclass
 class RunResult:
     """Outcome of a run: the family, the w its trace rows belong to, the
     context it ran at, its start (B_0, c_0, a_0) and its chain of (A_n, h_n),
-    which no w enters, both formed at the W' = W + 10 digits of ``ctx.wide``,
-    and its value, the last trace row's a: the chain's a_N at ``w``, formed at
+    which no w enters, both at the W' = W + 10 digits of ``ctx.wide``, and
+    its value, the last trace row's a: the chain's a_N at ``w``, formed at
     W' digits when the run is built and rounded once to W.
+
+    ``links`` is the chain as the run carried it: Decimals at W' digits, or
+    :class:`~replica.precision.Fixed` values of F bits (:func:`_fixed_bits`).
+    :attr:`chain` is the chain in Decimals at W' digits, and a fixed-point
+    link is converted only when something reads it (:meth:`_link`): the
+    value, :attr:`k` and :meth:`limit` read the last link alone.
 
     The trace rows, errors and orders (:attr:`trace`, :attr:`error_table`,
     :attr:`orders`) are formed only when first read, at ``ctx``, whatever the
@@ -148,31 +165,49 @@ class RunResult:
     w: Fraction
     ctx: PrecisionContext
     start: tuple[Real, Real, Real]
-    chain: list[_Link]
+    links: list[_Link]
     value: Real = field(init=False)
 
     def __post_init__(self):
         # the run keeps its rows' a at W', not a row: a row refers to its run,
         # and the cycle would hold the chain until the cyclic collector ran
-        self._fine_as = {self.chain[0]: self.start[2]}
+        self._fine_as = {self.links[0]: self.start[2]}
+        self._decimal_links = {}
         self._exponent = -self.kind.e * (self.w + 1)
         self.value = self.ctx.real(self._fine_a(self.iterations))
+
+    def _link(self, n: int) -> _Link:
+        """Link n of the chain in Decimals at W' digits: a fixed-point link is
+        converted on its first read (:meth:`Fixed.rounded`), once per chain state."""
+        link = self.links[n]
+        if not isinstance(link.mean, Fixed):
+            return link
+        if link not in self._decimal_links:
+            fine = self.ctx.wide
+            self._decimal_links[link] = _Link(link.mean.rounded(fine), link.total.rounded(fine))
+        return self._decimal_links[link]
+
+    @lazy
+    def chain(self) -> list[_Link]:
+        """The chain of (A_n, h_n) in Decimals at W' digits, one :class:`_Link` per row."""
+        return [self._link(n) for n in range(len(self.links))]
 
     def _fine_a(self, n: int) -> Real:
         """a_n at ``w`` at the chain's W' digits, (a_0 + c_0 h_n) A_n**(-e (w + 1)),
         formed once per chain state (:class:`_Link`): row 0's a_0 takes no power,
         rows whose link equals another's share its a, and every other row takes one."""
-        link = self.chain[n]
+        link = self.links[n]
         if link not in self._fine_as:
             _, c0, a0 = self.start
+            mean, total = self._link(n)
             with self.ctx.wide.local():
-                self._fine_as[link] = (a0 + c0 * link.total) * pow_rational(
-                    link.mean, self._exponent, self.ctx.wide)
+                self._fine_as[link] = (a0 + c0 * total) * pow_rational(
+                    mean, self._exponent, self.ctx.wide)
         return self._fine_as[link]
 
     @property
     def iterations(self) -> int:
-        return len(self.chain) - 1
+        return len(self.links) - 1
 
     @lazy
     def trace(self) -> list[IterationState]:
@@ -208,7 +243,7 @@ class RunResult:
         the product of f(d_n)**e over the rows of :attr:`trace`, which
         telescopes to the same A_N**-e, K is within 2 N * 10**(1 - W).
         """
-        return pow_rational(self.chain[-1].mean, -self.kind.e, self.ctx)
+        return pow_rational(self._link(self.iterations).mean, -self.kind.e, self.ctx)
 
     def limit(self, w) -> Real:
         """The limit of this family's iteration at weight ``w`` from this run's
@@ -260,26 +295,26 @@ class IterationState:
 
     @lazy
     def d(self) -> Real:
-        run, link = self._run, self._run.chain[self.n]
-        m, fine = run.kind.order, run.ctx.wide
+        run, n = self._run, self.n
+        m, fine, mean = run.kind.order, run.ctx.wide, run._link(n).mean
         with fine.local():
-            if not self.n:
+            if not n:
                 gap = nth_root(1 - run.start[0] ** m, m, fine)
-            elif link.mean != run.chain[self.n - 1].mean:
-                gap = run.chain[self.n - 1].mean - link.mean
+            elif run.links[n].mean != run.links[n - 1].mean:
+                gap = run._link(n - 1).mean - mean
                 gap = gap / 2 if m == 3 else gap
             else:
                 with run.ctx.local():
-                    return run.trace[self.n - 1].d ** m / _DESCEND_LEADING[m]
-            return run.ctx.real(quotient(gap, link.mean))
+                    return run.trace[n - 1].d ** m / _DESCEND_LEADING[m]
+            return run.ctx.real(quotient(gap, mean))
 
     @lazy
     def c(self) -> Real:
-        run, link = self._run, self._run.chain[self.n]
+        run = self._run
         exponent, fine = -run.kind.e * (run.w - 1), run.ctx.wide
         with fine.local():
-            c = run.start[1] * run.kind.order**self.n * pow_rational(link.mean, exponent, fine)
-            return run.ctx.real(c)
+            power = pow_rational(run._link(self.n).mean, exponent, fine)
+            return run.ctx.real(run.start[1] * run.kind.order**self.n * power)
 
     @lazy
     def a(self) -> Real:
@@ -297,14 +332,31 @@ class IterationState:
 
 def _advance(order: int, mean: Real, low: Real, weight: int,
              ctx: PrecisionContext, floor: Real) -> tuple[Real, Real, Real]:
-    """One step of the family's AGM from the means (A_n, B_n), with
+    """One step of the family's AGM from the means A_n > B_n, with
     ``weight`` = m**n: (A_{n+1}, B_{n+1}, h_{n+1} - h_n), at ``ctx``,
-    the chain's context of W' digits (the run's ``ctx.wide``).
+    the chain's context of W' digits (the run's ``ctx.wide``).  The means are
+    Decimals at W' digits or :class:`~replica.precision.Fixed` values of F
+    bits, and the step is the same code over both: its operators are those of
+    the number type, and only the root, the cubic quotient and the 30-digit
+    reads of the late-step test take one branch per type.
 
     The root is skipped (B_{n+1} = A_{n+1}) once (C_{n+1}/A_{n+1})**m, taken in
     the 30-digit context, is below ``floor`` = 10**(2 - W'), and its radicand
     is then not formed (the cubic family's rise reads it, so forms it anyway);
-    a step from A_n = B_n returns at once, so the steps after that move nothing.
+    :func:`_run` takes no step from A_n = B_n, so the steps after that move nothing.
+
+    Error bound in fixed point, with units of 2**-F: each product, quotient
+    and halving rounds down by at most one unit, sums and differences are
+    exact, and :meth:`Fixed.root` is within two units relatively, so B' is
+    within about four units of the exact root of the carried means.  The
+    means are at least B_0 >= b/a (:func:`run_ellipse`; above 0.7 for the
+    constants), and F has log2(a/b) bits for that beyond
+    W' log2(10) + 16 (:func:`_fixed_bits`): each relative error a step adds
+    is below 4 * 2**-16 * 10**-W', under a thousandth of the u' below, and
+    the Decimal chain's argument holds as it stands.  c_0 scales the units
+    of h in a_n = (a_0 + c_0 h_n) A_n**(-e (w + 1)), but only against
+    c_0 h_n <= a_0 + c_0 h_n: the relative error c_0 delta_h / (a_0 + c_0 h_n)
+    of a_n is at most delta_h / h_n, whatever c_0, so c_0 adds no bits to F.
 
     Error bound, with u' = 10**(1 - W').  A' and C' are rounded to half a unit
     of a sum or difference of means, the radicand of B' to about two units,
@@ -322,21 +374,23 @@ def _advance(order: int, mean: Real, low: Real, weight: int,
     the value rounded to W digits keeps the accuracy of the paper's
     normalized recurrence.
     """
-    if mean == low:
-        return mean, mean, Decimal(0)
+    fixed = isinstance(mean, Fixed)
     if order == 3:
         mean1, gap = (mean + 2 * low) / 3, (mean - low) / 3
         radicand = low * ((mean + low) ** 2 - mean * low) / 3
-        rise = quotient(2 * weight * gap * radicand, mean * mean1)
+        num, den = 2 * weight * gap * radicand, mean * mean1
+        rise = num / den if fixed else quotient(num, den)
     else:
         mean1, gap = (mean + low) / 2, (mean - low) / 2
         tail = low if order == 2 else low * (mean * mean + low * low)
         rise = weight * gap * tail
-    if _LOW.power(_LOW.divide(_LOW.plus(gap), _LOW.plus(mean1)), order) < floor:
+    ratio = (_LOW.divide(gap.head(), mean1.head()) if fixed
+             else _LOW.divide(_LOW.plus(gap), _LOW.plus(mean1)))
+    if _LOW.power(ratio, order) < floor:
         return mean1, mean1, rise
     if order != 3:
         radicand = mean * tail if order == 2 else mean * tail / 2
-    return mean1, nth_root(radicand, order, ctx), rise
+    return mean1, radicand.root(order) if fixed else nth_root(radicand, order, ctx), rise
 
 
 def _rise_at_w1(kind: AlgorithmKind, start, total: Real, rise: Real, mean: Real,
@@ -357,6 +411,8 @@ def _rise_at_w1(kind: AlgorithmKind, start, total: Real, rise: Real, mean: Real,
     m = kind.order
     with localcontext(_LOW):
         drop = mean - mean1
+        if isinstance(drop, Fixed):  # a fixed-point chain's values, read to 30 digits
+            drop, mean, mean1, total, rise = (x.head() for x in (drop, mean, mean1, total, rise))
         mean, mean1, c0 = +mean, +mean1, +c0
         hat, gain = a0 + c0 * total, c0 * rise
         span = mean + mean1  # sum_j A_n**j A_{n+1}**(m-1-j), by Horner's rule
@@ -383,13 +439,78 @@ def _sized(ctx: PrecisionContext, order: int,
     return ctx, step_budget(target, order) + extra_steps
 
 
+#: Working digits W' of a chain from which, and below which, it is carried
+#: in binary fixed point (:func:`_fixed_bits`).
+_FIXED_FROM = 1_300
+_FIXED_BELOW = 15_000
+
+#: Bits a fixed-point chain carries beyond W' log2(10).
+_FIXED_GUARD_BITS = 16
+
+#: Most bits an ellipse start may add: past them (b/a below 1e-14) the chain
+#: is carried in Decimals.
+_FIXED_START_BITS = 48
+
+
+def _fixed_bits(fine: PrecisionContext, ratio: Real = Decimal(1)) -> int | None:
+    """F, the fraction bits of the :class:`~replica.precision.Fixed` values a
+    chain at ``fine`` (W' working digits) carries, from an ellipse start of
+    b/a = ``ratio`` or a constant's (no ratio), or None where the chain is
+    carried in Decimals: below W' = ``_FIXED_FROM``, from ``_FIXED_BELOW`` up,
+    and for b/a below 1e-14.
+
+    A product of CPython ints beats one of libmpdec, which multiplies operands
+    of up to 256 words (4 864 digits) by its quadratic base case, from a few
+    hundred digits up; from about 15 000 digits the two cost about the same,
+    and the cubic step's long division costs more in ints.  A run_borwein run
+    at w = 1, time with the fixed-point chain over time with the Decimal
+    chain, the range of two best-of-2-to-7 pairs (2 vCPU, Python 3.11.7,
+    libmpdec 2.5.1, shared machine):
+
+        W'        quadratic   cubic       quartic
+        438       1.19-1.23   1.01-1.15   0.96-1.08
+        746       0.91-0.99   0.86-0.89   0.83-0.88
+        1 046     0.80-0.81   0.71-0.76   0.75-0.81
+        1 454     0.70-0.72   0.62-0.64   0.61-0.65
+        2 154     0.63-0.64   0.54-0.56   0.42-0.58
+        5 170     0.73        0.76-0.79   0.79-0.82
+        8 170     0.67-0.68   0.72        0.70-0.72
+        9 978     0.60-0.74   0.71-0.73   0.79-0.82
+        12 678    0.87        0.85        0.92-0.93
+        15 178    0.97-0.98   0.90-0.91   0.93-0.98
+        17 686    0.75-1.01   0.83-1.23   1.13-1.14
+        20 186    0.80-1.10   1.10-1.11   0.82-1.09
+
+    The chain is carried in Decimals below W' = 1 300 though it would win from
+    about 750: every request of 1 000 digits or fewer, and the runs the
+    frozen bits of the tests pin, keep the Decimal chain.
+
+    F is ceil(W' log2(10)) plus ``_FIXED_GUARD_BITS``, plus the bits by which
+    the units of b/a, and of the means near B_0 = (b/a)**(2/m), weigh more
+    relatively: log2(a/b) <= -e(b/a) log2(10) (e(x) = x.adjusted()), so that
+    B_0 and the means keep the W' digits the Decimal chain gives them.
+    c_0 = 2 (a/b)**2 adds none: it scales the units of h in
+    a_n = (a_0 + c_0 h_n) A_n**(-e (w + 1)) and the c_0 h_n beside them alike
+    (:func:`_advance`).
+    """
+    digits = fine.working_digits
+    if not _FIXED_FROM <= digits < _FIXED_BELOW:
+        return None
+    extra = math.ceil(-ratio.adjusted() * math.log2(10))
+    if extra > _FIXED_START_BITS:
+        return None
+    return math.ceil(digits * math.log2(10)) + _FIXED_GUARD_BITS + extra
+
+
 def _run(kind: AlgorithmKind, w: Fraction, start: tuple[Real, Real, Real],
          ctx: PrecisionContext, budget: int) -> RunResult:
     """The run at ``w`` of the chain from ``start`` = (B_0, c_0, a_0), built
     at ``ctx.wide`` until two consecutive rises of a at w1 are small; its
     value is the last row's a: one power.  A chain that meets no stop within
     ``budget`` steps raises :class:`NonConvergenceError` with the rows of
-    that same run.  The stopping rule is the one place a run reads w1.
+    that same run.  The stopping rule is the one place a run reads w1.  A
+    B_0 that is a :class:`~replica.precision.Fixed` carries the chain in
+    fixed point of its bits, and the run's start keeps it rounded to W'.
 
     A rise |a_n - a_{n-1}| (:func:`_rise_at_w1`) is small when its exponent
     is at most e(a_n) - target_digits - 8 (e(x) = x.adjusted()): below
@@ -412,19 +533,23 @@ def _run(kind: AlgorithmKind, w: Fraction, start: tuple[Real, Real, Real],
     e |w + 1| 10**(2 - W') / m.
     """
     low, fine, m, weight = start[0], ctx.wide, kind.order, 1
+    if isinstance(low, Fixed):
+        link = _Link(Fixed(1 << low.f, low.f), Fixed(0, low.f))
+        start = low.rounded(fine), *start[1:]
+    else:
+        link = _Link(Decimal(1), Decimal(0))
     with fine.local():
         floor = fine.epsilon(2)
-        link = _Link(Decimal(1), Decimal(0))
         chain = [link]
         consecutive = 0
         for _ in range(budget):
-            mean, low, rise = _advance(m, link.mean, low, weight, fine, floor)
-            still = mean == link.mean and not rise
-            if not still:
+            small = True  # a step from A_n = B_n: the chain stands still from here on
+            if link.mean != low:
+                mean, low, rise = _advance(m, link.mean, low, weight, fine, floor)
                 delta, a = _rise_at_w1(kind, start, link.total, rise, link.mean, mean)
-            link = _Link(mean, link.total + rise)
+                link = _Link(mean, link.total + rise)
+                small = not delta or delta.adjusted() <= a.adjusted() - ctx.target_digits - 8
             chain.append(link)
-            small = still or not delta or delta.adjusted() <= a.adjusted() - ctx.target_digits - 8
             consecutive = consecutive + 1 if small else 0
             if consecutive == 2:
                 return RunResult(kind, w, ctx, start, chain)
@@ -446,8 +571,11 @@ def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunR
     w = as_weight(w)
     m = kind.order
     ctx, budget = _sized(ctx, m)
-    start = pow_rational(Decimal(2), Fraction(-1, m), ctx.wide), Decimal(2), Decimal(0)
-    return _run(kind, w, start, ctx, budget)
+    two = Decimal(2)
+    bits = _fixed_bits(ctx.wide)
+    low = (pow_rational(two, Fraction(-1, m), ctx.wide) if bits is None
+           else Fixed.inverse_root(2, m, bits))
+    return _run(kind, w, (low, two, Decimal(0)), ctx, budget)
 
 
 def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
@@ -472,13 +600,17 @@ def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
     ctx, budget = _sized(ctx, kind.order, _eccentric_steps(semi_major, semi_minor))
     fine = ctx.wide
     with fine.local() as local:
-        ratio = fine.real(semi_minor) / fine.real(semi_major)
+        b, a = fine.real(semi_minor), fine.real(semi_major)
+        ratio = b / a
         square = ratio * ratio
         if local.flags[decimal.Subnormal]:
             raise DomainError("b/a is out of range: (b/a)^2 is below the exponent range")
-        b0 = ratio if kind.order == 2 else nth_root(ratio, 2, fine)
-        start = b0, quotient(Decimal(2), square), Decimal(1)
-    return _run(kind, Fraction(0), start, ctx, budget)
+        c0 = quotient(Decimal(2), square)
+        bits = _fixed_bits(fine, ratio)
+        low = ratio if bits is None else Fixed.ratio(b, a, bits)
+        if kind.order == 4:
+            low = nth_root(low, 2, fine) if bits is None else low.root(2)
+    return _run(kind, Fraction(0), (low, c0, Decimal(1)), ctx, budget)
 
 
 def perimeter(run: RunResult, semi_major: Real, semi_minor: Real) -> Real:
@@ -501,12 +633,26 @@ def perimeter(run: RunResult, semi_major: Real, semi_minor: Real) -> Real:
     lies above 4a.  Axes that :func:`~replica.series.check_axes` refuses raise
     :class:`DomainError`, and a run that is not a :func:`run_ellipse` run
     (a_0 = 1), whose value is no F, raises :class:`UnsupportedParameterError`.
-    The axes must be those the run was made from: the run does not keep them.
+
+    F depends on b/a alone, so the axes may be those the run was made from or
+    any multiple of them.  Axes of another ratio raise
+    :class:`UnsupportedParameterError`: c_0 = 2/(b/a)**2, re-formed from them
+    with the operations of :func:`run_ellipse` at ``run.ctx.wide``, must be
+    the run's own c_0.  The check costs one quotient at W' digits: at 20 000
+    digits 0.08 ms for the axes 2 1 and 3.7 ms for 3 2, against 0.2 s for the
+    two runs (2 vCPU, Python 3.11.7).
     """
     check_axes(semi_major, semi_minor)
     if run.start[2] != 1:
         raise UnsupportedParameterError(f"a perimeter needs a run_ellipse run (a_0 = 1), "
                                         f"not a {run.kind.name} run from a_0 = {run.start[2]}")
+    fine = run.ctx.wide
+    with fine.local() as local:
+        ratio = fine.real(semi_minor) / fine.real(semi_major)
+        square = ratio * ratio  # a square run_ellipse would refuse is no run's
+        if local.flags[decimal.Subnormal] or quotient(Decimal(2), square) != run.start[1]:
+            raise UnsupportedParameterError(f"the axes {semi_major} {semi_minor} are not those "
+                                            f"of the run, nor a multiple of them: b/a differs")
     ctx = run.ctx
     a, b = ctx.real(semi_major), ctx.real(semi_minor)
     with ctx.local():

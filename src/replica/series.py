@@ -29,12 +29,11 @@ h = ((a - b)/(a + b))^2.  Each of the three is one pass of :func:`_sums`.
 
 from __future__ import annotations
 
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, Context, Decimal
+from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
-from functools import cache
 
 from .errors import DomainError, SlowConvergenceError, UnsupportedParameterError
-from .precision import PrecisionContext, Real, as_weight, pow_rational
+from .precision import _EXACT, PrecisionContext, Real, _to_decimal, as_weight, pow_rational
 
 #: Couples are wired only for the parameters that have a matching transform.
 SUPPORTED_COUPLE_PARAMETERS = (Fraction(1, 2), Fraction(1, 3))
@@ -52,12 +51,6 @@ _BLOCK_TERMS = 32
 #: Terms shorter than this many bits are taken one per division (see
 #: :func:`_block_length`).
 _BLOCK_MIN_BITS = 2_000
-
-# A context that never rounds: scaleb under it only moves the exponent.
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
-
-#: Ints of at most this many bits go to Decimal in one conversion (see :func:`_to_decimal`).
-_SPLIT_BITS = 2_000
 
 #: The Pochhammer pair both couples sum over (see :func:`couple_product`).
 _COUPLE_PAIR = (Fraction(1, 12), Fraction(5, 12))
@@ -97,44 +90,6 @@ def _block_length(term: int, zpq: int) -> int:
     """
     bits = term.bit_length()
     return _BLOCK_TERMS if bits >= max(_BLOCK_MIN_BITS, 2 * zpq.bit_length() ** 2) else 1
-
-
-@cache
-def _power_of_two(bits: int) -> Decimal:
-    """2**bits, exact, for bits = ``_SPLIT_BITS`` 2**j: the square of the one before."""
-    if bits == _SPLIT_BITS:
-        return Decimal(1 << bits)
-    root = _power_of_two(bits // 2)
-    return _EXACT.multiply(root, root)
-
-
-def _to_decimal(n: int) -> Decimal:
-    """Decimal(n), exactly, for any int n.
-
-    ``Decimal(int)`` takes time quadratic in the length of the int on CPython
-    3.11 (0.20 s at 100 000 digits).  A longer int than ``_SPLIT_BITS`` is split
-    as n = hi 2**m + lo at the largest m = ``_SPLIT_BITS`` 2**j below its
-    length, with 0 <= lo < 2**m (so a negative n has a negative hi), and the
-    halves, converted in turn, are joined in the exact context ``_EXACT``; the
-    powers 2**m are kept from call to call, one per doubling of the longest int
-    converted.  Per conversion of a random int, best of 1 to 5
-    runs with the powers cached (2 vCPU, Python 3.11.7, shared machine):
-
-        digits       Decimal(int)   split
-        5 000        0.52 ms        0.39 ms
-        10 000       2.13 ms        1.74 ms
-        40 000       34.0 ms        11.1 ms
-        100 000      0.20 s         0.032 s
-        1 000 000    20.8 s         0.39 s
-    """
-    bits = n.bit_length()
-    if bits <= _SPLIT_BITS:
-        return Decimal(n)
-    m = _SPLIT_BITS
-    while 2 * m < bits:
-        m *= 2
-    hi = n >> m
-    return _EXACT.fma(_to_decimal(hi), _power_of_two(m), _to_decimal(n - (hi << m)))
 
 
 def _sums(p: Fraction, q: Fraction, a: Real, b: Real, z: Real | Fraction,

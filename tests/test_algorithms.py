@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -566,11 +567,27 @@ class TestPerimeter:
         with pytest.raises(UnsupportedParameterError, match="run_ellipse run"):
             perimeter(run_borwein(QUARTIC, Fraction(1), ctx), Decimal(2), Decimal(1))
 
+    @pytest.mark.parametrize("digits", [20, 2000])
+    def test_refuses_axes_of_another_ratio(self, digits):
+        run = run_ellipse(QUARTIC, Decimal(2), Decimal(1), PrecisionContext(digits))
+        for a, b in (("3", "1"), ("2", "1.0000000000000000000000000000001"), ("1", "1e-400")):
+            with pytest.raises(UnsupportedParameterError, match="b/a differs"):
+                perimeter(run, Decimal(a), Decimal(b))
+
+    @pytest.mark.parametrize("digits", [20, 2000])
+    def test_takes_any_multiple_of_the_runs_axes(self, digits):
+        # F depends on b/a alone: 4 2 on a 2 1 run is the perimeter of 4 2
+        for kind in (QUADRATIC, QUARTIC):
+            run = run_ellipse(kind, Decimal(2), Decimal(1), PrecisionContext(digits))
+            own = run_ellipse(kind, Decimal(4), Decimal(2), PrecisionContext(digits))
+            assert perimeter(run, Decimal(4), Decimal(2)) == perimeter(own, Decimal(4), Decimal(2))
+
 
 def library_results() -> list:
     """Values, K, limits, deltas, orders, rows' d and c, an invariant, both
     perimeters, a Gamma value, the series oracles and an epsilon, each formed
-    at its run's context."""
+    at its run's context, and the starts, values, K, orders and rows of four
+    runs whose chains are carried in fixed point."""
     ctx = PrecisionContext(70)
     results = [ctx.wide.epsilon(2)]
     for kind, w in ((QUADRATIC, Fraction(10**16)), (CUBIC, Fraction(1, 2)), (QUARTIC, ONE)):
@@ -584,6 +601,15 @@ def library_results() -> list:
         results += [run.value, perimeter(run, Decimal(1), Decimal("1e-400"))]
     results += [couple_product(Fraction(1, 2), ONE, ctx), couple_product(Fraction(1, 3), ONE, ctx),
                 ellipse_factor(Decimal(3), Decimal(2), ctx)]
+    # chains carried in binary fixed point: their start, roots, 30-digit reads
+    # and conversions of every link to Decimal
+    ctx = PrecisionContext(2000)
+    runs = [run_borwein(kind, Fraction(1, 3), ctx) for kind in (QUADRATIC, CUBIC, QUARTIC)]
+    runs.append(run_ellipse(QUARTIC, Decimal(2), Decimal(1), ctx))
+    for run in runs:
+        assert isinstance(run.links[0].mean, precision.Fixed)
+        results += [run.start, run.value, run.k, run.orders,
+                    [(row.d, row.c, row.delta_exp) for row in run.trace]]
     return results
 
 
@@ -1051,7 +1077,13 @@ class TestLateSteps:
             roots.append(n)
             return nth_root(x, n, ctx)
 
+        def counted_fixed(x, n):  # the chain's roots where it is carried in fixed point
+            roots.append(n)
+            return fixed_root(x, n)
+
+        fixed_root = precision.Fixed.root
         monkeypatch.setattr(algorithms, "nth_root", counted)
+        monkeypatch.setattr(precision.Fixed, "root", counted_fixed)
         run = run_borwein(kind, w, make_context(10_000, kind.order))
         oracle = couple_product(kind.couple_parameter, w, run.ctx)
         assert matching_digits(run.value, oracle) >= run.ctx.target_digits
@@ -1078,3 +1110,106 @@ class TestLateSteps:
         run = run_ellipse(QUARTIC, Decimal(2), Decimal(1), make_context(3_000, 4))
         oracle = ellipse_factor(run.ctx.real(2), run.ctx.real(1), run.ctx)
         assert matching_digits(run.value, oracle) >= run.ctx.target_digits
+
+
+def at_wide(digits: int, target: int) -> PrecisionContext:
+    """A context whose runs' chains compute at ``digits`` working digits (W')."""
+    return PrecisionContext(target, digits - 10 - target)
+
+
+def decimal_chain(monkeypatch):
+    """Carry every chain in Decimals from here on, whatever its W'."""
+    monkeypatch.setattr(algorithms, "_fixed_bits", lambda *args: None)
+
+
+W_GRID = [Fraction(-7, 2), Fraction(1, 3), HALF, ONE, Fraction(2), Fraction(3)]
+LOW, HIGH = algorithms._FIXED_FROM, algorithms._FIXED_BELOW
+
+
+class TestFixedPointChain:
+    """Between the crossovers a run's chain is carried in binary fixed point
+    and its links converted to Decimal when read: every number a run reports
+    is the one of the Decimal chain."""
+
+    @staticmethod
+    def reported(run):
+        rows = [(row.delta_exp, row.a) for row in run.trace]
+        return run.iterations, run.value, run.k, rows, run.orders
+
+    @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC])
+    @pytest.mark.parametrize("digits, target", [
+        (LOW - 1, 1000), (LOW, 1000), (LOW + 1, 1000), (5210, 5000),
+        (HIGH - 1, HIGH - 300), (HIGH, HIGH - 300), (HIGH + 1, HIGH - 300),
+    ])
+    def test_a_constant_run_reports_what_the_decimal_chain_reports(self, kind, digits, target,
+                                                                   monkeypatch):
+        ctx = at_wide(digits, target)
+        run = run_borwein(kind, ONE, ctx)
+        assert run.ctx.wide.working_digits == digits
+        assert isinstance(run.links[0].mean, precision.Fixed) == (LOW <= digits < HIGH)
+        decimal_chain(monkeypatch)
+        own = run_borwein(kind, ONE, ctx)
+        assert run.start[1:] == own.start[1:]
+        # runs at every w share the chain, so each w reads the same two chains
+        for w in W_GRID:
+            assert self.reported(replace(run, w=w)) == self.reported(replace(own, w=w)), w
+
+    @pytest.mark.parametrize("kind", [QUADRATIC, QUARTIC])
+    @pytest.mark.parametrize("target", [1200, 5000, 14000])
+    @pytest.mark.parametrize("axes", [("2", "1"), ("1", "0.005"), ("1", "1e-6")])
+    def test_an_ellipse_run_reports_what_the_decimal_chain_reports(self, kind, target, axes,
+                                                                   monkeypatch):
+        a, b = map(Decimal, axes)
+        run = run_ellipse(kind, a, b, PrecisionContext(target))
+        assert isinstance(run.links[0].mean, precision.Fixed)
+        decimal_chain(monkeypatch)
+        own = run_ellipse(kind, a, b, PrecisionContext(target))
+        assert self.reported(run) == self.reported(own)
+        if kind == QUADRATIC or b == Decimal("1e-6"):
+            # B_0, b/a or its square root, is exact: the fixed-point start carries
+            # it to W' digits only with the bits F adds for a small b/a
+            assert run.start == own.start
+
+    def test_a_start_of_a_tiny_ratio_keeps_the_decimal_chain(self):
+        for b in ("1e-14", "1e-15", "1e-30"):
+            run = run_ellipse(QUADRATIC, Decimal(1), Decimal(b), PrecisionContext(2000))
+            assert isinstance(run.links[0].mean, precision.Fixed) == (b == "1e-14")
+
+    def test_a_5000_digit_run_takes_the_fixed_point_path_and_a_1000_digit_run_does_not(
+            self, monkeypatch):
+        roots = {"decimal": 0, "fixed": 0}
+
+        def counted(x, n, ctx):
+            roots["decimal"] += 1
+            return nth_root(x, n, ctx)
+
+        def counted_fixed(x, n):
+            roots["fixed"] += 1
+            return fixed_root(x, n)
+
+        fixed_root = precision.Fixed.root
+        monkeypatch.setattr(algorithms, "nth_root", counted)
+        monkeypatch.setattr(precision.Fixed, "root", counted_fixed)
+        run_borwein(QUARTIC, ONE, PrecisionContext(5000))
+        assert roots["fixed"] > 0 and roots["decimal"] == 0
+        roots["fixed"] = 0
+        run_borwein(QUARTIC, ONE, PrecisionContext(1000))
+        assert roots["decimal"] > 0 and roots["fixed"] == 0
+
+    def test_the_value_converts_the_last_link_alone(self, monkeypatch):
+        converted = []
+
+        def counted(x, ctx):
+            converted.append(x)
+            return rounded(x, ctx)
+
+        rounded = precision.Fixed.rounded
+        monkeypatch.setattr(precision.Fixed, "rounded", counted)
+        run = run_borwein(QUADRATIC, ONE, PrecisionContext(3000))
+        # B_0 for the run's start, then the last link's mean and sum
+        assert len(converted) == 3
+        run.k, run.limit(3)
+        assert len(converted) == 3 + 2  # limit reads a copy of the run at another w
+        assert run.chain == [run._link(n) for n in range(len(run.links))]
+        assert len(converted) == 3 + 2 + 2 * (len(set(run.links)) - 1)
+

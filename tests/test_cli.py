@@ -776,6 +776,18 @@ GOLDEN = [
     # the fallback oracle in trace form
     ("verify ellipse 1 0.005 --digits 100 --trace", 0,
      "a0cc131c4c3001bc0d60cc92e38fb98e26b6110305a5587f5f487385ad9d4ec9"),
+    # Chains carried in binary fixed point: every family, an eccentric start
+    # (c0 = 80 000), a negative w, rows in --trace and orders.
+    ("verify gamma13 --digits 2000 --json", 0,
+     "d25d482f028330ce3cd1edd69f0a16532d986e48265d8fd9f8d2a463b728d2aa"),
+    ("verify ellipse 1 0.005 --digits 3000", 0,
+     "8f989778bf441fb7fb6bc5bd0d94b50214b2674663216820fb6a26819ef1ad26"),
+    ("constant pi --algorithm quad --digits 5000 --plain", 0,
+     "f48eb40dd3af22dd5595638ae201bf52cbb0557f128bd01c36941104cbb8ca74"),
+    ("constant custom --w=-7/2 --algorithm quartic --digits 3000 --trace", 0,
+     "da571ddc8b203d41d8e8e35feabd7fc06f6cc2d03bedec6e479f4cfc3ae872b8"),
+    ("orders --w 1/3 --algorithm cubic --digits 2000", 0,
+     "b024f5339e88a2e468846ad128368cee63bd7e481261f139472a3238ac5df4d3"),
 ]
 
 

@@ -620,3 +620,72 @@ class TestKernelOverhead:
         built = _newton_schedule.cache_info().misses
         assert nth_root(Decimal(7), 3, ctx) == first and built
         assert _newton_schedule.cache_info().misses == built
+
+
+class TestFixed:
+    """Binary fixed point, the chain's number type between the crossovers:
+    its roots, quotients and conversions against exact Decimal arithmetic."""
+
+    BITS = 2_000
+    EXACT = Context(prec=1_000, Emin=-10**6, Emax=10**6)
+
+    def exact(self, x):
+        return self.EXACT.divide(Decimal(x.v), self.EXACT.power(2, x.f))
+
+    def units(self, got, want, x):
+        """|got - want| in units of 2**-f."""
+        return abs(self.EXACT.multiply(self.EXACT.subtract(got, want), self.EXACT.power(2, x.f)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_a_root_is_within_two_units_relatively(self, n):
+        rng = random.Random(n)
+        f = self.BITS
+        for value in ("0.7", "1", "1.3", "3.9", "0.005", "1e-6", "1e-12"):
+            v = int(Decimal(value).scaleb(30)) * (1 << f) // 10**30 + rng.getrandbits(f // 2)
+            x = precision.Fixed(v, f)
+            root = x.root(n)
+            want = self.EXACT.power(self.exact(x), self.EXACT.divide(1, n))
+            # two units of r 2**-f relatively: within two units of 2**-f near 1, fewer below
+            assert self.units(self.exact(root), want, x) <= 2 * max(want, 1), (n, value)
+
+    def test_two_to_the_minus_one_over_m(self):
+        for m in (2, 3, 4):
+            b0 = precision.Fixed.inverse_root(2, m, self.BITS)
+            want = self.EXACT.power(2, self.EXACT.divide(-1, m))
+            assert self.units(self.exact(b0), want, b0) <= 4, m
+
+    @pytest.mark.parametrize("num, den, want", [
+        ("1", "2", Fraction(1, 2)), ("2", "3", Fraction(2, 3)), ("1e-6", "1", Fraction(1, 10**6)),
+        ("3e-500000000000060", "9e-500000000000059", Fraction(1, 30)),
+        ("0.333", "1000e-3", Fraction(333, 1000)),
+    ])
+    def test_a_ratio_of_axes_rounds_down_once_whatever_their_exponents(self, num, den, want):
+        x = precision.Fixed.ratio(Decimal(num), Decimal(den), self.BITS)
+        assert x.v == want.numerator * 2**self.BITS // want.denominator
+
+    def test_arithmetic_rounds_toward_minus_infinity(self):
+        f = 64
+        a, b = precision.Fixed(3 << f - 1, f), precision.Fixed(7 << f - 3, f)  # 1.5, 0.875
+        assert (a + b).v == 19 << f - 3 and (a - b).v == 5 << f - 3
+        assert (a * b).v == 21 << f - 4 and (3 * b).v == 21 << f - 3
+        assert (a / b).v == (12 << f) // 7 and (a / 3).v == 1 << f - 1
+        assert (b ** 2).v == 49 << f - 6
+        assert a == precision.Fixed(3 << f - 1, f) and a != b and not precision.Fixed(0, f)
+
+    @pytest.mark.parametrize("value", ["1", "0.5", "0.7071067811865475244008443621", "1e-6",
+                                       "12345.678", "3e-40"])
+    def test_rounded_and_head_convert_under_their_own_contexts(self, value):
+        f = 20_000
+        x = precision.Fixed(int(Decimal(value).scaleb(60)) * (1 << f) // 10**60 + 12345, f)
+        ctx = PrecisionContext(5_000)
+        want = self.exact_at(x, ctx.working_digits + 60)
+        with localcontext(Context(prec=6, Emin=-60, Emax=60)):
+            rounded, head = x.rounded(ctx), x.head()
+        assert rounded == ctx.real(want)
+        assert abs(head - want) <= abs(want) * Decimal("1e-29")
+        assert len(head.as_tuple().digits) <= 30
+
+    @staticmethod
+    def exact_at(x, digits):
+        c = Context(prec=digits, Emin=-10**6, Emax=10**6)
+        return c.divide(Decimal(x.v), c.power(2, x.f))

@@ -23,7 +23,7 @@ from replica import (
     couple_product,
     ellipse_factor,
 )
-from replica import series
+from replica import precision, series
 from replica.precision import make_context, matching_digits
 from replica.series import evaluate_series
 
@@ -578,9 +578,10 @@ class TestSignedSums:
 
 class TestToDecimal:
     """_sums converts its two fixed-point ints to Decimal by halves split at powers
-    of two; each value and its exponent are those of Decimal(int)."""
+    of two (``precision._to_decimal``, which a run's fixed-point chain converts its
+    links with too); each value and its exponent are those of Decimal(int)."""
 
-    SPLIT = series._SPLIT_BITS
+    SPLIT = precision._SPLIT_BITS
 
     @pytest.mark.parametrize("bits", [1, SPLIT - 1, SPLIT, SPLIT + 1, 2 * SPLIT,
                                       2 * SPLIT + 1, 4 * SPLIT + 1, 13 * SPLIT + 7])
@@ -591,14 +592,14 @@ class TestToDecimal:
             assert n.bit_length() == bits
             # a sum at z < 0 can be negative: its hi = n >> m is then negative
             for signed in (n, -n):
-                assert series._to_decimal(signed).as_tuple() == Decimal(signed).as_tuple()
+                assert precision._to_decimal(signed).as_tuple() == Decimal(signed).as_tuple()
 
     def test_zero(self):
-        assert series._to_decimal(0).as_tuple() == Decimal(0).as_tuple()
+        assert precision._to_decimal(0).as_tuple() == Decimal(0).as_tuple()
 
     def test_100_000_digits(self):
         n = random.Random(100_000).randrange(10**99_999, 10**100_000)
-        assert series._to_decimal(n).as_tuple() == Decimal(n).as_tuple()
+        assert precision._to_decimal(n).as_tuple() == Decimal(n).as_tuple()
 
 
 class TestEllipseFactor:
