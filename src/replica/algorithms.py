@@ -33,7 +33,9 @@ square roots of the means).  The paper's row n at weight w is then
 so a step takes one root and, for the cubic family only, one quotient, and
 each f is A_{n-1} / A_n: K = prod f(d_n)**e = A_N**(-e) (:attr:`RunResult.k`).
 A named constant is the limit at its recipe's own w (:data:`CONSTANT_RECIPES`):
-pi and gamma23 at w1, gamma34, gamma14 and gamma13 at 3, 1/3 and 1/2.  The
+pi and gamma23 at w1, gamma34, gamma14 and gamma13 at 3, 1/3 and 1/2, and
+:func:`postprocess_constant` forms it off the chain's last link as one
+monomial, one inverse root (one quotient for pi).  The
 perimeter factor F(a, b) is the paper's iteration at w = 0 from ellipse
 initial values, and :func:`perimeter` forms the perimeter from it.
 
@@ -43,8 +45,8 @@ two w from one start and context build the same chain; w1 is read nowhere
 else.  The weight enters only when something is read.  A row, an
 :class:`IterationState` of the run's trace, forms its d, c, a and delta_exp
 each when first read (:attr:`RunResult.trace`), and every run's value is
-its last row's a at the run's own w: one power, formed when the run is
-built.  A row's a is formed once per chain state, so the rows after the
+its last row's a at the run's own w: one power, formed when first read.
+A row's a is formed once per chain state, so the rows after the
 chain stood still share the value's.  The limit at another w is the value
 of the same chain read there (:meth:`RunResult.limit`), one power too.  The
 chain and its start run at the W' = W + 10 digits of the run's ``ctx.wide``,
@@ -53,23 +55,25 @@ rounded once to W.  Once (C'/A')**m falls below 10**(2 - W') the root is
 skipped and B' = A', so the chain stops moving and the confirming steps of
 the stopping rule cost nothing.  The
 error bounds are stated on :func:`_advance` (the chain), :attr:`RunResult.k`
-(K) and :class:`IterationState` (a row formed when read).
+(K), :class:`IterationState` (a row formed when read) and
+:func:`postprocess_constant` (a constant).
 
-From W' = 1 300 up to 15 000 the chain is carried in binary fixed point,
+From W' = 1 300 up to 28 000 the chain is carried in binary fixed point,
 as Python ints scaled by 2**F (:class:`~replica.precision.Fixed`,
 :func:`_fixed_bits`), whose products cost less than libmpdec's there.  The
 step is the same code over either number type: only its root, the cubic
 quotient and the 30-digit reads of the stopping rule and the late-step test
 tell them apart.  A link is converted to W' digits when something reads it
 (:meth:`RunResult._link`), so a run's value converts its last link alone,
-and its rows the others when first read.
+its rows the others when first read, and a named constant none: it is
+formed in the chain's own number type and converted once, to W digits.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
@@ -84,6 +88,7 @@ from .precision import (
     Fixed,
     PrecisionContext,
     Real,
+    _inverse_root,
     as_weight,
     lazy,
     make_context,
@@ -148,13 +153,15 @@ class RunResult:
     context it ran at, its start (B_0, c_0, a_0) and its chain of (A_n, h_n),
     which no w enters, both at the W' = W + 10 digits of ``ctx.wide``, and
     its value, the last trace row's a: the chain's a_N at ``w``, formed at
-    W' digits when the run is built and rounded once to W.
+    W' digits on its first read and rounded once to W.
 
-    ``links`` is the chain as the run carried it: Decimals at W' digits, or
+    ``origin`` and ``links`` are the start and the chain as the run carried
+    them: Decimals at W' digits, or a B_0 and links of
     :class:`~replica.precision.Fixed` values of F bits (:func:`_fixed_bits`).
-    :attr:`chain` is the chain in Decimals at W' digits, and a fixed-point
-    link is converted only when something reads it (:meth:`_link`): the
-    value, :attr:`k` and :meth:`limit` read the last link alone.
+    :attr:`start` and :attr:`chain` are the same in Decimals at W' digits,
+    and a fixed-point B_0 or link is converted only when something reads it
+    (:meth:`_link`): the value, :attr:`k` and :meth:`limit` read the last
+    link alone, and only row 0's d reads B_0.
 
     The trace rows, errors and orders (:attr:`trace`, :attr:`error_table`,
     :attr:`orders`) are formed only when first read, at ``ctx``, whatever the
@@ -164,17 +171,28 @@ class RunResult:
     kind: AlgorithmKind
     w: Fraction
     ctx: PrecisionContext
-    start: tuple[Real, Real, Real]
+    origin: tuple[Real | Fixed, Real, Real]
     links: list[_Link]
-    value: Real = field(init=False)
 
     def __post_init__(self):
         # the run keeps its rows' a at W', not a row: a row refers to its run,
         # and the cycle would hold the chain until the cyclic collector ran
-        self._fine_as = {self.links[0]: self.start[2]}
+        self._fine_as = {self.links[0]: self.origin[2]}
         self._decimal_links = {}
         self._exponent = -self.kind.e * (self.w + 1)
-        self.value = self.ctx.real(self._fine_a(self.iterations))
+
+    @lazy
+    def value(self) -> Real:
+        """The last row's a, a_N at ``w``, rounded once to W: one power, formed
+        on the first read."""
+        return self.ctx.real(self._fine_a(self.iterations))
+
+    @lazy
+    def start(self) -> tuple[Real, Real, Real]:
+        """(B_0, c_0, a_0) in Decimals at W' digits: a fixed-point B_0 is
+        converted on the first read."""
+        low, c0, a0 = self.origin
+        return low.rounded(self.ctx.wide) if isinstance(low, Fixed) else low, c0, a0
 
     def _link(self, n: int) -> _Link:
         """Link n of the chain in Decimals at W' digits: a fixed-point link is
@@ -193,17 +211,21 @@ class RunResult:
         return [self._link(n) for n in range(len(self.links))]
 
     def _fine_a(self, n: int) -> Real:
-        """a_n at ``w`` at the chain's W' digits, (a_0 + c_0 h_n) A_n**(-e (w + 1)),
-        formed once per chain state (:class:`_Link`): row 0's a_0 takes no power,
-        rows whose link equals another's share its a, and every other row takes one."""
+        """a_n at ``w`` at the chain's W' digits (:meth:`_weighed`), formed once
+        per chain state (:class:`_Link`): row 0's a_0 takes no power, rows whose
+        link equals another's share its a, and every other row takes one."""
         link = self.links[n]
         if link not in self._fine_as:
-            _, c0, a0 = self.start
-            mean, total = self._link(n)
-            with self.ctx.wide.local():
-                self._fine_as[link] = (a0 + c0 * total) * pow_rational(
-                    mean, self._exponent, self.ctx.wide)
+            self._fine_as[link] = self._weighed(n, self._exponent)
         return self._fine_as[link]
+
+    def _weighed(self, n: int, exponent: Fraction) -> Real:
+        """(a_0 + c_0 h_n) A_n**exponent at the chain's W' digits: a_n at the w
+        of exponent = -e (w + 1)."""
+        _, c0, a0 = self.origin
+        mean, total = self._link(n)
+        with self.ctx.wide.local():
+            return (a0 + c0 * total) * pow_rational(mean, exponent, self.ctx.wide)
 
     @property
     def iterations(self) -> int:
@@ -248,13 +270,16 @@ class RunResult:
     def limit(self, w) -> Real:
         """The limit of this family's iteration at weight ``w`` from this run's
         start, at ``ctx``: the value itself at ``self.w``, else the value of the
-        same chain read at ``w``, one power of its last link.  That is the
-        value of the run at ``w`` from the same start and context, which builds
-        the same chain, with the same error bound.  A ``w`` that
-        :func:`as_weight` refuses raises :class:`UnsupportedParameterError`.
+        same chain read at ``w``, one power of its last link, which this run
+        converts once whatever the w.  That is the value of the run at ``w``
+        from the same start and context, which builds the same chain, with
+        the same error bound.  A ``w`` that :func:`as_weight` refuses raises
+        :class:`UnsupportedParameterError`.
         """
         w = as_weight(w)
-        return self.value if w == self.w else replace(self, w=w).value
+        if w == self.w:
+            return self.value
+        return self.ctx.real(self._weighed(self.iterations, -self.kind.e * (w + 1)))
 
 
 class IterationState:
@@ -442,7 +467,7 @@ def _sized(ctx: PrecisionContext, order: int,
 #: Working digits W' of a chain from which, and below which, it is carried
 #: in binary fixed point (:func:`_fixed_bits`).
 _FIXED_FROM = 1_300
-_FIXED_BELOW = 15_000
+_FIXED_BELOW = 28_000
 
 #: Bits a fixed-point chain carries beyond W' log2(10).
 _FIXED_GUARD_BITS = 16
@@ -456,16 +481,16 @@ def _fixed_bits(fine: PrecisionContext, ratio: Real = Decimal(1)) -> int | None:
     """F, the fraction bits of the :class:`~replica.precision.Fixed` values a
     chain at ``fine`` (W' working digits) carries, from an ellipse start of
     b/a = ``ratio`` or a constant's (no ratio), or None where the chain is
-    carried in Decimals: below W' = ``_FIXED_FROM``, from ``_FIXED_BELOW`` up,
-    and for b/a below 1e-14.
+    carried in Decimals: below W' = ``_FIXED_FROM`` (1 300), from
+    ``_FIXED_BELOW`` (28 000) up, and for b/a below 1e-14.
 
     A product of CPython ints beats one of libmpdec, which multiplies operands
     of up to 256 words (4 864 digits) by its quadratic base case, from a few
-    hundred digits up; from about 15 000 digits the two cost about the same,
-    and the cubic step's long division costs more in ints.  A run_borwein run
-    at w = 1, time with the fixed-point chain over time with the Decimal
-    chain, the range of two best-of-2-to-7 pairs (2 vCPU, Python 3.11.7,
-    libmpdec 2.5.1, shared machine):
+    hundred digits up, and whole requests cost less with the Decimal chain
+    from about 28 000 digits (the second table).  A run_borwein run at w = 1,
+    time with the fixed-point chain over time with the Decimal chain, the
+    range of two best-of-2-to-7 pairs (2 vCPU, Python 3.11.7, libmpdec
+    2.5.1, shared machine):
 
         W'        quadratic   cubic       quartic
         438       1.19-1.23   1.01-1.15   0.96-1.08
@@ -476,10 +501,21 @@ def _fixed_bits(fine: PrecisionContext, ratio: Real = Decimal(1)) -> int | None:
         5 170     0.73        0.76-0.79   0.79-0.82
         8 170     0.67-0.68   0.72        0.70-0.72
         9 978     0.60-0.74   0.71-0.73   0.79-0.82
-        12 678    0.87        0.85        0.92-0.93
-        15 178    0.97-0.98   0.90-0.91   0.93-0.98
-        17 686    0.75-1.01   0.83-1.23   1.13-1.14
-        20 186    0.80-1.10   1.10-1.11   0.82-1.09
+
+    From 12 000 digits, whole requests ``--digits D --plain``, the same ratio
+    summed over each family's constants (pi, gamma34 and gamma14 for orders
+    2 and 4, gamma23 and gamma13 for order 3) and for ``ellipse 2 1``, best
+    of 3 alternating runs, with W' from D + 122 to D + 186, and the cubic
+    quotient in ints by :func:`~replica.precision._quotient_bits`:
+
+        D         quadratic   cubic   quartic   ellipse   all
+        12 000    0.74        0.76    0.80      0.83      0.78
+        16 000    0.89        0.88    1.05      0.88      0.92
+        20 000    0.70        0.79    0.79      0.80      0.77
+        24 000    0.73        0.89    0.88      0.92      0.85
+        26 000    0.82        0.87    0.97      1.01      0.91
+        28 000    0.92        0.93    1.07      1.09      0.99
+        32 000    1.09        1.06    1.32      1.33      1.18
 
     The chain is carried in Decimals below W' = 1 300 though it would win from
     about 750: every request of 1 000 digits or fewer, and the runs the
@@ -510,7 +546,8 @@ def _run(kind: AlgorithmKind, w: Fraction, start: tuple[Real, Real, Real],
     ``budget`` steps raises :class:`NonConvergenceError` with the rows of
     that same run.  The stopping rule is the one place a run reads w1.  A
     B_0 that is a :class:`~replica.precision.Fixed` carries the chain in
-    fixed point of its bits, and the run's start keeps it rounded to W'.
+    fixed point of its bits, and the run keeps it as carried
+    (``RunResult.origin``) until its start is read.
 
     A rise |a_n - a_{n-1}| (:func:`_rise_at_w1`) is small when its exponent
     is at most e(a_n) - target_digits - 8 (e(x) = x.adjusted()): below
@@ -535,7 +572,6 @@ def _run(kind: AlgorithmKind, w: Fraction, start: tuple[Real, Real, Real],
     low, fine, m, weight = start[0], ctx.wide, kind.order, 1
     if isinstance(low, Fixed):
         link = _Link(Fixed(1 << low.f, low.f), Fixed(0, low.f))
-        start = low.rounded(fine), *start[1:]
     else:
         link = _Link(Decimal(1), Decimal(0))
     with fine.local():
@@ -574,7 +610,7 @@ def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunR
     two = Decimal(2)
     bits = _fixed_bits(ctx.wide)
     low = (pow_rational(two, Fraction(-1, m), ctx.wide) if bits is None
-           else Fixed.inverse_root(2, m, bits))
+           else Fixed(2 << bits, bits).inverse_root(m))
     return _run(kind, w, (low, two, Decimal(0)), ctx, budget)
 
 
@@ -643,14 +679,15 @@ def perimeter(run: RunResult, semi_major: Real, semi_minor: Real) -> Real:
     two runs (2 vCPU, Python 3.11.7).
     """
     check_axes(semi_major, semi_minor)
-    if run.start[2] != 1:
+    _, c0, a0 = run.origin
+    if a0 != 1:
         raise UnsupportedParameterError(f"a perimeter needs a run_ellipse run (a_0 = 1), "
-                                        f"not a {run.kind.name} run from a_0 = {run.start[2]}")
+                                        f"not a {run.kind.name} run from a_0 = {a0}")
     fine = run.ctx.wide
     with fine.local() as local:
         ratio = fine.real(semi_minor) / fine.real(semi_major)
         square = ratio * ratio  # a square run_ellipse would refuse is no run's
-        if local.flags[decimal.Subnormal] or quotient(Decimal(2), square) != run.start[1]:
+        if local.flags[decimal.Subnormal] or quotient(Decimal(2), square) != c0:
             raise UnsupportedParameterError(f"the axes {semi_major} {semi_minor} are not those "
                                             f"of the run, nor a multiple of them: b/a differs")
     ctx = run.ctx
@@ -739,21 +776,44 @@ CONSTANT_RECIPES: dict[str, tuple[tuple[int, ...], Fraction, Fraction, Fraction]
 }
 
 
+#: constant id -> (j, a, b, q), the constant as a monomial of a run_borwein
+#: run's last link (A_N, h_N): with hat = a_0 + c_0 h_N = 2 h_N, the limit
+#: at the recipe's w is L = hat A_N**(-e (w + 1)), so C = (L 2**(-alpha))**(-e')
+#: (e' the recipe's e) is A_N**(e j) (2**a hat**b)**(-1/q), with
+#: j = e' (w + 1), q the least common denominator of e' and alpha e',
+#: b = e' q and a = -alpha e' q.
+_MONOMIALS = {"pi": (2, 0, 1, 1), "gamma34": (1, 0, 1, 4), "gamma14": (1, -2, 3, 4),
+              "gamma23": (1, 1, 3, 9), "gamma13": (1, -1, 6, 9)}
+
+
 def postprocess_constant(name: str, run: RunResult) -> Real:
     """The named constant C = (L * 2**(-alpha))**(-e) from the limit
     L = 2**alpha * C**(-1/e) at its recipe's w, at ``run.ctx``.
 
     ``run`` is a :func:`run_borwein` run of one of the recipe's orders at any
-    w; L is ``run.limit(w)``: the run's value at the recipe's own w, as the
-    CLI runs it, and otherwise the value of the same chain read at w.
+    w, and C is formed from the run's last link alone, as the monomial
+    A_N**k X**(-1/q) of :data:`_MONOMIALS`, X = 2**a hat**b and
+    hat = a_0 + c_0 h_N (k = e j, with the family's e of :class:`AlgorithmKind`):
 
-    Error bound, with W working digits: each :func:`pow_rational` adds a
-    relative (|p| + 3) * 10**(1 - W) for its numerator p, and each product
-    half a unit in its last place.  A relative error r of L, the value of the
-    run at w (and of the product), becomes |e| r in C, to first order, and
-    |e| <= 1 in every recipe, so the inversion never amplifies it.  So C is
-    within a relative |e| * r + 11 * 10**(1 - W): the largest rounding term,
-    gamma14's, is (3/4) * (5 + 1/2) + 6 = 10.125 units of 10**(1 - W).
+        pi = A**(2e) / hat            gamma34 = A**e hat**(-1/4)
+        gamma14 = A**e (hat**3 / 4)**(-1/4)
+        gamma23 = A (2 hat**3)**(-1/9)    gamma13 = A (hat**6 / 2)**(-1/9)
+
+    so it takes one inverse root of order q (one quotient for pi), in the
+    chain's own number type, and rounds once to W.  It reads neither the
+    run's value nor :meth:`RunResult.limit`.
+
+    Error bound, with W working digits: C is the same function of (A_N, h_N)
+    as (L * 2**(-alpha))**(-e) with L the chain's a_N at the recipe's w,
+    so a relative error r of that a_N (:func:`_advance`) becomes |e| r in
+    C, to first order, and |e| <= 1 in every recipe.  The roundings on the
+    way cost less than 10**(-8) units of 10**(1 - W): in Decimals each
+    operation at W' = W + 10 digits adds a few units of 10**(1 - W'); in
+    fixed point each adds a unit of 2**-F <= 10**-W' / 65536 absolutely on
+    values above 3e-5 (the least, gamma13's X, is 3.7e-5), and the inverse
+    root two units relatively.  Rounding to W adds half a unit in the last
+    place (0.51 from fixed point, :meth:`~replica.precision.Fixed.rounded`),
+    so C is within a relative |e| r + 0.52 * 10**(1 - W).
 
     Raises :class:`UnsupportedParameterError` for an unknown name, and for a
     run that is not a :func:`run_borwein` run (a_0 = 0) of an order of the
@@ -761,13 +821,22 @@ def postprocess_constant(name: str, run: RunResult) -> Real:
     """
     if name not in CONSTANT_RECIPES:
         raise UnsupportedParameterError(f"unknown constant id {name!r}")
-    orders, w, alpha, e = CONSTANT_RECIPES[name]
-    start = run.start[2]
+    orders = CONSTANT_RECIPES[name][0]
+    start = run.origin[2]
     if run.kind.order not in orders or start != 0:
         raise UnsupportedParameterError(
             f"constant {name} is computed by a run_borwein run (a_0 = 0) of an order in "
             f"{orders}, not by a {run.kind.name} run from a_0 = {start}"
         )
-    ctx = run.ctx
-    with ctx.local():
-        return pow_rational(run.limit(w) * pow_rational(Decimal(2), -alpha, ctx), -e, ctx)
+    j, a, b, q = _MONOMIALS[name]
+    ctx, (mean, total) = run.ctx, run.links[-1]
+    fixed = isinstance(mean, Fixed)
+    with ctx.wide.local():
+        # a run_borwein run starts from c_0 = 2 and a_0 = 0
+        power, base = mean ** (run.kind.e * j), (2 * total) ** b
+        base = base * 2**a if a >= 0 else base / 2**-a
+        if q == 1:
+            value = power / base if fixed else quotient(power, base)
+        else:
+            value = power * (base.inverse_root(q) if fixed else _inverse_root(base, q))
+    return value.rounded(ctx) if fixed else ctx.real(value)

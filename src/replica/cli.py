@@ -356,9 +356,9 @@ def _paper_example_probe(run: RunResult, oracle: Real):
 
     By the reflection identity Gamma(1/3) Gamma(2/3) = 2 pi / sqrt(3) that
     example value is (Gamma(2/3)/pi)**(3/2), formed from the iterations, not
-    from the series oracle it is measured against: Gamma(2/3) from the limit
-    at w = 2 of the chain of ``run``, the cubic w=1/2 run
-    (:meth:`RunResult.limit`), and pi from the quartic w=1 run.
+    from the series oracle it is measured against: Gamma(2/3) off the last
+    link of the chain of ``run``, the cubic w=1/2 run (the chain's limit at
+    w = 2, :func:`postprocess_constant`), and pi from the quartic w=1 run.
     Returns both ratios to 30 digits and the formula the oracle supports.
     """
     ctx = run.ctx

@@ -583,17 +583,23 @@ class TestPerimeter:
             assert perimeter(run, Decimal(4), Decimal(2)) == perimeter(own, Decimal(4), Decimal(2))
 
 
+def constants(run) -> list:
+    """Every named constant that ``run``'s family computes, off its last link."""
+    return [postprocess_constant(name, run) for name, (orders, *_) in
+            algorithms.CONSTANT_RECIPES.items() if run.kind.order in orders]
+
+
 def library_results() -> list:
     """Values, K, limits, deltas, orders, rows' d and c, an invariant, both
-    perimeters, a Gamma value, the series oracles and an epsilon, each formed
-    at its run's context, and the starts, values, K, orders and rows of four
-    runs whose chains are carried in fixed point."""
+    perimeters, every named constant, the series oracles and an epsilon, each
+    formed at its run's context, and the starts, values, K, orders, rows and
+    constants of four runs whose chains are carried in fixed point."""
     ctx = PrecisionContext(70)
     results = [ctx.wide.epsilon(2)]
     for kind, w in ((QUADRATIC, Fraction(10**16)), (CUBIC, Fraction(1, 2)), (QUARTIC, ONE)):
         run = run_borwein(kind, w, ctx)
         results += [run.value, run.k, run.limit(3), run.orders,
-                    [(row.d, row.c, row.delta_exp) for row in run.trace]]
+                    [(row.d, row.c, row.delta_exp) for row in run.trace], constants(run)]
     results.append(replication_invariant(QUARTIC, ONE, run.trace[2], run.ctx))
     results.append(postprocess_constant("gamma14", run_borwein(QUARTIC, Fraction(1, 3), ctx)))
     for kind in (QUADRATIC, QUARTIC):
@@ -610,7 +616,7 @@ def library_results() -> list:
         assert isinstance(run.links[0].mean, precision.Fixed)
         results += [run.start, run.value, run.k, run.orders,
                     [(row.d, row.c, row.delta_exp) for row in run.trace]]
-    return results
+    return results + [constants(run) for run in runs[:3]]
 
 
 def test_library_results_do_not_depend_on_the_callers_decimal_context():
@@ -700,12 +706,13 @@ class TestRootFreeRuns:
         d0_power = Fraction(-1, kind.order)  # d_0 = 2**(-1/m)
         w1 = root_free_w(kind)
         for w in (w1, w1 + 1, w1 + Fraction(1, 3), Fraction(-1000)):
-            # the steps take no power at any w: d_0 takes one and the value
-            # a_N = hat_N * A_N**(-e (w + 1)) one, once the chain has stopped
+            # the steps take no power at any w: d_0 takes one, and the value
+            # a_N = hat_N * A_N**(-e (w + 1)) one on its first read
             calls.clear()
             run = run_borwein(kind, w, make_context(300, kind.order))
             value_power = -kind.e * (w + 1)
-            assert run.iterations > 4 and calls == [d0_power, value_power], w
+            assert run.iterations > 4 and calls == [d0_power], w
+            assert run.value and calls == [d0_power, value_power], w
             # rows read later take one power per distinct chain state, except
             # row 0's (a_0) and the last one's (the run's own a_N), which the
             # rows after the chain stood still share
@@ -966,13 +973,13 @@ class TestRowsMatchReplicate:
 
     # precision._power calls (every root and power) of each text request
     @pytest.mark.parametrize("command, powers", [
-        ("constant pi --algorithm quad --digits 100", 10),
-        ("constant gamma23 --digits 100", 8),
-        ("constant gamma14 --digits 100", 7),
+        ("constant pi --algorithm quad --digits 100", 8),
+        ("constant gamma23 --digits 100", 5),
+        ("constant gamma14 --digits 100", 4),
         ("constant custom --w 1/3 --algorithm quartic --digits 100", 5),
         ("constant custom --w 1/2 --algorithm cubic --digits 100", 6),
-        ("ellipse 2 1 --algorithm quad --digits 100", 14),
-        ("ellipse 1 1e-30 --algorithm quartic --digits 100", 14),
+        ("ellipse 2 1 --algorithm quad --digits 100", 12),
+        ("ellipse 1 1e-30 --algorithm quartic --digits 100", 12),
         ("ellipse 2 1 --normalized --algorithm quad --digits 100", 8),
         ("ellipse 2 1 --normalized --algorithm quartic --digits 100", 5),
     ])
@@ -1206,10 +1213,107 @@ class TestFixedPointChain:
         rounded = precision.Fixed.rounded
         monkeypatch.setattr(precision.Fixed, "rounded", counted)
         run = run_borwein(QUADRATIC, ONE, PrecisionContext(3000))
-        # B_0 for the run's start, then the last link's mean and sum
-        assert len(converted) == 3
-        run.k, run.limit(3)
-        assert len(converted) == 3 + 2  # limit reads a copy of the run at another w
+        # a run is built without a conversion: B_0 and the links stay as carried
+        assert converted == []
+        # a constant converts itself alone, once, off the last link as carried
+        postprocess_constant("gamma14", run)
+        assert len(converted) == 1
+        # the value converts the last link's mean and sum
+        run.value
+        assert len(converted) == 1 + 2
+        # K and a limit at another w read that same converted link
+        run.k, run.limit(3), run.limit(Fraction(-7, 2))
+        assert len(converted) == 1 + 2
+        # B_0 on the first read of the start
+        assert run.start[1:] == (2, 0) and len(converted) == 1 + 2 + 1
         assert run.chain == [run._link(n) for n in range(len(run.links))]
-        assert len(converted) == 3 + 2 + 2 * (len(set(run.links)) - 1)
+        assert len(converted) == 1 + 2 + 1 + 2 * (len(set(run.links)) - 1)
 
+
+def through_the_limit(name: str, run, ctx: PrecisionContext) -> Decimal:
+    """The recipe's own formula C = (L * 2**(-alpha))**(-e), at ``ctx``, with
+    L the limit at the recipe's w of the run's last link read at ``ctx.wide``
+    (a Decimal link as it is, a fixed-point one correctly rounded there)."""
+    _, w, alpha, e = algorithms.CONSTANT_RECIPES[name]
+    mean, total = (x.rounded(ctx.wide) if isinstance(x, precision.Fixed) else x
+                   for x in run.links[-1])
+    with ctx.wide.local():
+        limit = 2 * total * pow_rational(mean, -run.kind.e * (w + 1), ctx.wide)
+        return pow_rational(limit * pow_rational(Decimal(2), -alpha, ctx.wide), -e, ctx.wide)
+
+
+class TestConstantMonomial:
+    """A named constant is one monomial of its run's last link, within the
+    bound postprocess_constant states of the constant of that link."""
+
+    @pytest.mark.parametrize("digits", [50, 1000, 1400, 5000, 20000])
+    @pytest.mark.parametrize("kind", [QUADRATIC, CUBIC, QUARTIC])
+    def test_every_recipe_matches_its_limit(self, kind, digits):
+        run = run_borwein(kind, ONE, PrecisionContext(digits))
+        assert isinstance(run.links[0].mean, precision.Fixed) == (digits > 1000)
+        unit = run.ctx.epsilon(1)  # 10**(1 - W)
+        # the oracle 30 digits past the run's, whose own rounding is then negligible
+        fine = PrecisionContext(run.ctx.target_digits, run.ctx.guard_digits + 30)
+        names = [name for name, (orders, *_) in algorithms.CONSTANT_RECIPES.items()
+                 if kind.order in orders]
+        for name in names:
+            value = postprocess_constant(name, run)
+            exact = through_the_limit(name, run, fine)
+            _, w, alpha, e = algorithms.CONSTANT_RECIPES[name]
+            with run.ctx.local():  # (run.limit(w) * 2**(-alpha))**(-e), within 11 units
+                limit = pow_rational(run.limit(w) * pow_rational(Decimal(2), -alpha, run.ctx),
+                                     -e, run.ctx)
+            with fine.local():
+                assert abs(value - exact) <= (Decimal("0.52") + Decimal("1e-25")) * unit * exact, name
+                assert abs(value - limit) <= Decimal("11.52") * unit * exact, name
+
+    def test_the_monomials_are_the_recipes(self):
+        # A**(e j) (2**a hat**b)**(-1/q) = (hat A**(-e (w + 1)) 2**(-alpha))**(-e')
+        for name, (j, a, b, q) in algorithms._MONOMIALS.items():
+            _, w, alpha, e = algorithms.CONSTANT_RECIPES[name]
+            assert (j, Fraction(b, q), Fraction(-a, q)) == (e * (w + 1), e, alpha * e), name
+
+    def test_a_constant_takes_one_root_and_no_power(self, monkeypatch):
+        runs = {(digits, kind): run_borwein(kind, Fraction(1, 3), PrecisionContext(digits))
+                for digits in (60, 2000) for kind in (QUADRATIC, CUBIC, QUARTIC)}
+        calls = []
+        monkeypatch.setattr(algorithms, "_inverse_root",
+                            lambda x, n: calls.append(("root", n)) or precision._inverse_root(x, n))
+        monkeypatch.setattr(algorithms, "quotient",
+                            lambda x, y: calls.append("quotient") or precision.quotient(x, y))
+        monkeypatch.setattr(algorithms, "pow_rational", lambda *args: calls.append("power"))
+        fixed_root = precision.Fixed.inverse_root
+        monkeypatch.setattr(precision.Fixed, "inverse_root",
+                            lambda x, n: calls.append(("fixed root", n)) or fixed_root(x, n))
+        for digits, root in ((60, "root"), (2000, "fixed root")):
+            for name, (orders, *_) in algorithms.CONSTANT_RECIPES.items():
+                for order in orders:
+                    calls.clear()
+                    postprocess_constant(name, runs[digits, AlgorithmKind(order)])
+                    q = algorithms._MONOMIALS[name][3]
+                    if digits > 1000 or q > 1:
+                        assert calls == ([] if q == 1 else [(root, q)]), (name, digits)
+                    else:
+                        assert calls == ["quotient"], name
+
+    @pytest.mark.parametrize("form", [[], ["--plain"]])
+    def test_a_named_constant_as_text_forms_no_limit(self, monkeypatch, capsys, form):
+        runs = []
+
+        def kept(*args):
+            runs.append(run_borwein(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_borwein", kept)
+        for name, (orders, *_) in algorithms.CONSTANT_RECIPES.items():
+            for digits in ("70", "2000"):
+                for order in orders:
+                    algorithm = {2: "quad", 3: "cubic", 4: "quartic"}[order]
+                    argv = ["constant", name, "--algorithm", algorithm, "--digits", digits, *form]
+                    assert main(argv) == 0
+                    assert capsys.readouterr().out.startswith(
+                        to_sig_digits(postprocess_constant(name, runs[-1]), 10))
+                    # no value (the limit L) and no converted link
+                    assert "value" not in vars(runs[-1]) and not runs[-1]._decimal_links, argv
+        assert main(["constant", "pi", "--digits", "2000", "--json"]) == 0
+        assert "value" in vars(runs[-1])

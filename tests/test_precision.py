@@ -650,9 +650,54 @@ class TestFixed:
 
     def test_two_to_the_minus_one_over_m(self):
         for m in (2, 3, 4):
-            b0 = precision.Fixed.inverse_root(2, m, self.BITS)
+            b0 = precision.Fixed(2 << self.BITS, self.BITS).inverse_root(m)
             want = self.EXACT.power(2, self.EXACT.divide(-1, m))
             assert self.units(self.exact(b0), want, b0) <= 4, m
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
+    def test_an_inverse_root_keeps_its_relative_precision_at_any_size(self, n):
+        rng = random.Random(n)
+        f = self.BITS
+        for value in ("3.7e-5", "0.003", "0.2", "0.7", "1", "1.9", "500", "1e-12"):
+            v = int(Decimal(value).scaleb(30)) * (1 << f) // 10**30 + rng.getrandbits(f // 2)
+            x = precision.Fixed(v, f)
+            y = x.inverse_root(n)
+            want = self.EXACT.power(self.exact(x), self.EXACT.divide(-1, n))
+            # two units of y 2**-f relatively, whatever the size of x
+            assert self.units(self.exact(y), want, x) <= 2 * max(want, 1), (n, value)
+
+    @pytest.mark.parametrize("bits", [precision._QUOTIENT_BITS // 2, precision._QUOTIENT_BITS - 1,
+                                      precision._QUOTIENT_BITS, precision._QUOTIENT_BITS + 1,
+                                      3 * precision._QUOTIENT_BITS, 10 * precision._QUOTIENT_BITS])
+    def test_a_quotient_is_within_two_units_of_the_floor_division(self, bits):
+        # bits of quotient p = e(num) + f - e(den) + 1: operands of order 1 at f
+        # fraction bits, as a chain's, and ones whose quotient is far below 1
+        rng = random.Random(bits)
+        for _ in range(40):
+            f = bits + rng.randrange(-3, 4)
+            num = rng.getrandbits(f + rng.randrange(-2, 3)) | 1
+            den = rng.getrandbits(f + rng.randrange(-2, 3)) | 1 << f - 3
+            if rng.random() < 0.3:  # a quotient of about 2**-40 of fewer bits, at more fraction bits
+                num >>= 40
+            if rng.random() < 0.3:  # operands at powers of two, where the seeds round
+                den = (1 << f + rng.randrange(-2, 3)) - rng.randrange(0, 2)
+            floor = (num << f) // den
+            newton = num.bit_length() + f - den.bit_length() + 1 >= precision._QUOTIENT_BITS
+            got = precision._quotient_bits(num, den, f)
+            assert abs(got - floor) <= (2 if newton else 0), (bits, f)
+
+    def test_the_newton_quotient_starts_at_its_crossover(self, monkeypatch):
+        reciprocals = []
+        original = precision._inverse_root_bits
+        monkeypatch.setattr(precision, "_inverse_root_bits",
+                            lambda x, f, n, p: reciprocals.append(n) or original(x, f, n, p))
+        f = precision._QUOTIENT_BITS
+        for num in (1 << f - 2, 1 << f - 1):  # quotients of f - 1 and f bits, by 1
+            precision._quotient_bits(num, 1 << f, f)
+        assert reciprocals[:1] == [1] and len(set(reciprocals)) == 1
+        reciprocals.clear()
+        precision._quotient_bits(1 << f - 2, 1 << f, f)
+        assert reciprocals == []
 
     @pytest.mark.parametrize("num, den, want", [
         ("1", "2", Fraction(1, 2)), ("2", "3", Fraction(2, 3)), ("1e-6", "1", Fraction(1, 10**6)),
