@@ -37,12 +37,14 @@ pi and gamma23 at w1, gamma34, gamma14 and gamma13 at 3, 1/3 and 1/2, and
 :func:`postprocess_constant` forms it off the chain's last link as one
 monomial, one inverse root (one quotient for pi).  The
 perimeter factor F(a, b) is the paper's iteration at w = 0 from ellipse
-initial values, and :func:`perimeter` forms the perimeter from it.
+initial values, and :func:`perimeter` forms the perimeter from it and the
+run's c_0 = 2/(b/a)**2.
 
 No step takes a power: every run takes the chain's steps and stops on the
-rises of a at w1, read off the chain (:func:`_rise_at_w1`), so runs at any
-two w from one start and context build the same chain; w1 is read nowhere
-else.  The weight enters only when something is read.  A row, an
+rises of a at w1, which each step reads off the chain with the 30-digit
+reads of its late-step test (:func:`_advance`), so runs at any two w from
+one start and context build the same chain; w1 is read nowhere else.  The
+weight enters only when something is read.  A row, an
 :class:`IterationState` of the run's trace, forms its d, c, a and delta_exp
 each when first read (:attr:`RunResult.trace`), and every run's value is
 its last row's a at the run's own w: one power, formed when first read.
@@ -62,9 +64,9 @@ From W' = 1 300 up to 28 000 the chain is carried in binary fixed point,
 as Python ints scaled by 2**F (:class:`~replica.precision.Fixed`,
 :func:`_fixed_bits`), whose products cost less than libmpdec's there.  The
 step is the same code over either number type: only its root, the cubic
-quotient and the 30-digit reads of the stopping rule and the late-step test
-tell them apart.  A link is converted to W' digits when something reads it
-(:meth:`RunResult._link`), so a run's value converts its last link alone,
+quotient and its 30-digit reads, taken once per step for the late-step test
+and the stopping rule, tell them apart.  A link is converted to W' digits
+when something reads it (:meth:`RunResult._link`), so a run's value converts its last link alone,
 its rows the others when first read, and a named constant none: it is
 formed in the chain's own number type and converted once, to W digits.
 """
@@ -84,6 +86,7 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .precision import (
+    _HEAD,
     GUARD_DIGITS_PER_STEP,
     Fixed,
     PrecisionContext,
@@ -102,11 +105,6 @@ from .series import check_axes, evaluate_series
 #: order -> L of the descend map's leading term t ~ d**m / L near d = 0
 #: (:mod:`replica.transforms`), which continues the rows once the chain stops moving.
 _DESCEND_LEADING = {2: 4, 3: 9, 4: 8}
-
-#: The context of a step's rise in a at w1 and of the late-step test: every
-#: operand is positive there, so 30 digits give each to a relative 1e-28.
-_LOW = decimal.Context(prec=30, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
-
 
 @dataclass(frozen=True)
 class AlgorithmKind:
@@ -236,7 +234,7 @@ class RunResult:
         """The paper's rows (n, d_n, c_n, a_n, delta_exp) of the chain at ``w``, one
         :class:`IterationState` per link, each forming its d, c, a and delta_exp
         when first read."""
-        return [IterationState(self, n) for n in range(len(self.chain))]
+        return [IterationState(self, n) for n in range(len(self.links))]
 
     @lazy
     def error_table(self) -> list[tuple[int | None, float | None]]:
@@ -297,7 +295,7 @@ class IterationState:
     the run's value and takes no power of its own, and neither do the rows
     after the chain stood still, whose link is the last one.
     delta_exp is e(|a_n - a_{n-1}|) of the two rows' a at W' at every w
-    (the stopping rule reads its own rises at w1, :func:`_rise_at_w1`), None
+    (the stopping rule reads its own rises at w1, :func:`_advance`), None
     on row 0 and where a did not move.
 
     With u' = 10**(1 - W'): C_n is good to 3u' of A_n absolutely
@@ -339,7 +337,7 @@ class IterationState:
         exponent, fine = -run.kind.e * (run.w - 1), run.ctx.wide
         with fine.local():
             power = pow_rational(run._link(self.n).mean, exponent, fine)
-            return run.ctx.real(run.start[1] * run.kind.order**self.n * power)
+            return run.ctx.real(run.origin[1] * run.kind.order**self.n * power)
 
     @lazy
     def a(self) -> Real:
@@ -355,19 +353,35 @@ class IterationState:
         return delta.adjusted() if delta else None
 
 
-def _advance(order: int, mean: Real, low: Real, weight: int,
-             ctx: PrecisionContext, floor: Real) -> tuple[Real, Real, Real]:
-    """One step of the family's AGM from the means A_n > B_n, with
-    ``weight`` = m**n: (A_{n+1}, B_{n+1}, h_{n+1} - h_n), at ``ctx``,
-    the chain's context of W' digits (the run's ``ctx.wide``).  The means are
-    Decimals at W' digits or :class:`~replica.precision.Fixed` values of F
-    bits, and the step is the same code over both: its operators are those of
-    the number type, and only the root, the cubic quotient and the 30-digit
-    reads of the late-step test take one branch per type.
+def _advance(order: int, link: _Link, low: Real, weight: int, origin, ctx: PrecisionContext,
+             floor: Real) -> tuple[_Link, Real, Real, Real]:
+    """One step of the family's AGM from the link (A_n, h_n) = ``link`` and
+    B_n = ``low``, A_n > B_n, with ``weight`` = m**n, at ``ctx``, the chain's
+    context of W' digits (the run's ``ctx.wide``): the link (A_{n+1}, h_{n+1}),
+    B_{n+1}, and the rise a_{n+1} - a_n and a_{n+1} at w1 from the start
+    ``origin`` = (B_0, c_0, a_0), both to 30 digits, which the stopping rule of
+    :func:`_run` reads.  The means are Decimals at W' digits or
+    :class:`~replica.precision.Fixed` values of F bits, and the step is the
+    same code over both: its operators are those of the number type, and only
+    the root, the cubic quotient and the 30-digit reads take one branch per type.
+
+    The step's 30-digit reads are taken once, in the context
+    ``precision._HEAD``, and serve both the late-step test and the rise: a
+    Decimal is rounded to 30 digits there, a fixed-point value is read by
+    :meth:`~replica.precision.Fixed.head`, and A_n - A_{n+1} is formed in the
+    chain's type and rounded once there.  With a_n = hat / A_n**E
+    (E = e (w1 + 1) = m), hat = a_0 + c_0 h_n and gain = c_0 (h_{n+1} - h_n),
+
+        a_{n+1} - a_n = (hat (A_n - A_{n+1}) span / A_n**E + gain) / A_{n+1}**E,
+
+    with span = sum_j A_n**j A_{n+1}**(E-1-j), so that
+    A_n**E - A_{n+1}**E = (A_n - A_{n+1}) span.  Both terms are nonnegative
+    at w1 (a_0 >= 0, A_{n+1} <= A_n, every gap positive), so no digit
+    cancels: the rise is good to a relative 1e-27.
 
     The root is skipped (B_{n+1} = A_{n+1}) once (C_{n+1}/A_{n+1})**m, taken in
     the 30-digit context, is below ``floor`` = 10**(2 - W'), and its radicand
-    is then not formed (the cubic family's rise reads it, so forms it anyway);
+    is then not formed (the cubic family's h reads it, so forms it anyway);
     :func:`_run` takes no step from A_n = B_n, so the steps after that move nothing.
 
     Error bound in fixed point, with units of 2**-F: each product, quotient
@@ -399,6 +413,8 @@ def _advance(order: int, mean: Real, low: Real, weight: int,
     the value rounded to W digits keeps the accuracy of the paper's
     normalized recurrence.
     """
+    mean, total = link
+    _, c0, a0 = origin
     fixed = isinstance(mean, Fixed)
     if order == 3:
         mean1, gap = (mean + 2 * low) / 3, (mean - low) / 3
@@ -409,42 +425,26 @@ def _advance(order: int, mean: Real, low: Real, weight: int,
         mean1, gap = (mean + low) / 2, (mean - low) / 2
         tail = low if order == 2 else low * (mean * mean + low * low)
         rise = weight * gap * tail
-    ratio = (_LOW.divide(gap.head(), mean1.head()) if fixed
-             else _LOW.divide(_LOW.plus(gap), _LOW.plus(mean1)))
-    if _LOW.power(ratio, order) < floor:
-        return mean1, mean1, rise
+    link = _Link(mean1, total + rise)
+    with localcontext(_HEAD):
+        if fixed:
+            reads = (x.head() for x in (mean - mean1, mean, mean1, gap, total, rise))
+        else:
+            reads = (mean - mean1, +mean, +mean1, +gap, total, rise)
+        drop, head, head1, gap, total, rise = reads
+        c0 = +c0
+        hat, gain = a0 + c0 * total, c0 * rise
+        span = head + head1  # sum_j A_n**j A_{n+1}**(m-1-j), by Horner's rule
+        for k in range(2, order):
+            span = span * head + head1**k
+        top = head1**order
+        delta, a = (hat * drop * span / head**order + gain) / top, (hat + gain) / top
+        late = (gap / head1) ** order < floor
+    if late:
+        return link, mean1, delta, a
     if order != 3:
         radicand = mean * tail if order == 2 else mean * tail / 2
-    return mean1, radicand.root(order) if fixed else nth_root(radicand, order, ctx), rise
-
-
-def _rise_at_w1(kind: AlgorithmKind, start, total: Real, rise: Real, mean: Real,
-                mean1: Real) -> tuple[Real, Real]:
-    """(a_{n+1} - a_n, a_{n+1}) at w1 of the step from (A_n, h_n) = (``mean``,
-    ``total``) to A_{n+1} = ``mean1``, h_{n+1} = h_n + ``rise``, in the 30-digit context.
-
-    With a_n = hat / A_n**E (E = e (w1 + 1) = m), hat = a_0 + c_0 h_n and
-    gain = c_0 ``rise``,
-    a_{n+1} - a_n = hat (A_n**E - A_{n+1}**E) / (A_n A_{n+1})**E + gain / A_{n+1}**E,
-    and A_n**E - A_{n+1}**E = (A_n - A_{n+1}) sum_j A_n**j A_{n+1}**(E-1-j).
-    Both terms are nonnegative at w1 (a_0 >= 0, A_{n+1} <= A_n, every gap
-    positive), so no digit cancels: the rise is good to a relative 1e-27,
-    and is exactly 0 when the chain did not move, so :func:`_run` takes it
-    only on steps where the chain moved.
-    """
-    _, c0, a0 = start
-    m = kind.order
-    with localcontext(_LOW):
-        drop = mean - mean1
-        if isinstance(drop, Fixed):  # a fixed-point chain's values, read to 30 digits
-            drop, mean, mean1, total, rise = (x.head() for x in (drop, mean, mean1, total, rise))
-        mean, mean1, c0 = +mean, +mean1, +c0
-        hat, gain = a0 + c0 * total, c0 * rise
-        span = mean + mean1  # sum_j A_n**j A_{n+1}**(m-1-j), by Horner's rule
-        for k in range(2, m):
-            span = span * mean + mean1**k
-        top = mean1**m
-        return (hat * drop * span / mean**m + gain) / top, (hat + gain) / top
+    return link, radicand.root(order) if fixed else nth_root(radicand, order, ctx), delta, a
 
 
 def _sized(ctx: PrecisionContext, order: int,
@@ -549,7 +549,7 @@ def _run(kind: AlgorithmKind, w: Fraction, start: tuple[Real, Real, Real],
     fixed point of its bits, and the run keeps it as carried
     (``RunResult.origin``) until its start is read.
 
-    A rise |a_n - a_{n-1}| (:func:`_rise_at_w1`) is small when its exponent
+    A rise |a_n - a_{n-1}| at w1 (:func:`_advance`) is small when its exponent
     is at most e(a_n) - target_digits - 8 (e(x) = x.adjusted()): below
     10**(-target_digits - 8) times the power of ten just above |a_n|, so a
     relative rise r below 10**-(target_digits + 7).  A limit in [0.1, 1), as
@@ -581,9 +581,7 @@ def _run(kind: AlgorithmKind, w: Fraction, start: tuple[Real, Real, Real],
         for _ in range(budget):
             small = True  # a step from A_n = B_n: the chain stands still from here on
             if link.mean != low:
-                mean, low, rise = _advance(m, link.mean, low, weight, fine, floor)
-                delta, a = _rise_at_w1(kind, start, link.total, rise, link.mean, mean)
-                link = _Link(mean, link.total + rise)
+                link, low, delta, a = _advance(m, link, low, weight, start, fine, floor)
                 small = not delta or delta.adjusted() <= a.adjusted() - ctx.target_digits - 8
             chain.append(link)
             consecutive = consecutive + 1 if small else 0
@@ -649,52 +647,44 @@ def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
     return _run(kind, Fraction(0), (low, c0, Decimal(1)), ctx, budget)
 
 
-def perimeter(run: RunResult, semi_major: Real, semi_minor: Real) -> Real:
-    """The perimeter P(a, b) = 2 pi b ((b/a) F(a, b)) of the ellipse whose
-    :func:`run_ellipse` run ``run`` is, at ``run.ctx``: F is the run's value and
-    pi is :func:`postprocess_constant` of a quartic w = 1 :func:`run_borwein` run
-    at ``run.ctx``.  (b/a) F stays of order a/b, so no product leaves the
-    exponent range, as b^2 would for axes near 1e-500000000000060.
+def perimeter(run: RunResult, semi_major: Real) -> Real:
+    """The perimeter P = 4 pi a (F / c_0) of the ellipse of semi-major axis
+    a = ``semi_major`` and the axis ratio b/a of the :func:`run_ellipse` run
+    ``run``, at ``run.ctx``: F is the run's value, c_0 = 2/(b/a)**2 its start
+    (so P = 2 pi b (b/a) F), and pi is :func:`postprocess_constant` of a
+    quartic w = 1 :func:`run_borwein` run at ``run.ctx``.  The run holds b/a,
+    so no semi-minor axis is asked for, and F / c_0 = P / (4 pi a) lies in
+    [1/pi, 1/2], so no product leaves the exponent range, as b**2 would for
+    axes near 1e-500000000000060.
 
     Error bound, with W working digits and u = 10**(1 - W): with r_F and r_pi
     the relative errors of the two runs' values, P is within a relative
-    r_F + r_pi + 15u of the perimeter of the given axes: pi adds 11u of its
-    own (:func:`postprocess_constant`), the quotient b/a and the four
-    products 5u/2, and the axes, rounded to W digits, 3u/2 (b enters twice).
+    r_F + r_pi + 3.1u of the perimeter of the ellipse of semi-major axis a
+    and the run's b/a: pi adds 0.52u of its own (:func:`postprocess_constant`),
+    the quotient F / c_0 and the three products 2u, and a, rounded to W
+    digits, u/2.  c_0, rounded at the W' = W + 10 digits of the run's chain,
+    adds a few units of 10**(1 - W'), a ten-billionth of u each.
 
     P > 4a for every b > 0, but once (b/a)^2 ln(a/b) is below the working
     precision P rounds to about 4a, where its truncation would read ...999
     whenever the rounding fell below: so P is kept above 4a, at the next
     value up from 4a at W + 1 digits, which keeps the bound, as the exact P
-    lies above 4a.  Axes that :func:`~replica.series.check_axes` refuses raise
-    :class:`DomainError`, and a run that is not a :func:`run_ellipse` run
-    (a_0 = 1), whose value is no F, raises :class:`UnsupportedParameterError`.
-
-    F depends on b/a alone, so the axes may be those the run was made from or
-    any multiple of them.  Axes of another ratio raise
-    :class:`UnsupportedParameterError`: c_0 = 2/(b/a)**2, re-formed from them
-    with the operations of :func:`run_ellipse` at ``run.ctx.wide``, must be
-    the run's own c_0.  The check costs one quotient at W' digits: at 20 000
-    digits 0.08 ms for the axes 2 1 and 3.7 ms for 3 2, against 0.2 s for the
-    two runs (2 vCPU, Python 3.11.7).
+    lies above 4a.  A semi-major axis that is not finite or not positive
+    raises :class:`DomainError`, and a run that is not a :func:`run_ellipse`
+    run (a_0 = 1), whose value is no F, raises
+    :class:`UnsupportedParameterError`.
     """
-    check_axes(semi_major, semi_minor)
+    if not semi_major.is_finite() or semi_major <= 0:
+        raise DomainError(f"the semi-major axis must be a finite decimal > 0, not {semi_major}")
     _, c0, a0 = run.origin
     if a0 != 1:
         raise UnsupportedParameterError(f"a perimeter needs a run_ellipse run (a_0 = 1), "
                                         f"not a {run.kind.name} run from a_0 = {a0}")
-    fine = run.ctx.wide
-    with fine.local() as local:
-        ratio = fine.real(semi_minor) / fine.real(semi_major)
-        square = ratio * ratio  # a square run_ellipse would refuse is no run's
-        if local.flags[decimal.Subnormal] or quotient(Decimal(2), square) != c0:
-            raise UnsupportedParameterError(f"the axes {semi_major} {semi_minor} are not those "
-                                            f"of the run, nor a multiple of them: b/a differs")
     ctx = run.ctx
-    a, b = ctx.real(semi_major), ctx.real(semi_minor)
+    a = ctx.real(semi_major)
     with ctx.local():
         pi = postprocess_constant("pi", run_borwein(QUARTIC, Fraction(1), ctx))
-        value = 2 * pi * b * (b / a * run.value)
+        value = 4 * pi * a * (run.value / c0)
         with ctx.elevated(1):
             return max(value, (4 * a).next_plus())
 

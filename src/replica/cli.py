@@ -281,7 +281,7 @@ def _run_perimeter(args, ctx: PrecisionContext, major: str, minor: str):
 
 def _cmd_ellipse(args, ctx: PrecisionContext) -> _Report:
     a, b, run = _run_perimeter(args, ctx, args.semi_major, args.semi_minor)
-    value = run.value if args.normalized else perimeter(run, a, b)
+    value = run.value if args.normalized else perimeter(run, a)
     fields = {
         "command": "ellipse",
         "semi_major": str(a),
@@ -354,18 +354,16 @@ def _cmd_verify(args, ctx: PrecisionContext) -> _Report:
 def _paper_example_probe(run: RunResult, oracle: Real):
     """Measure the cubic w=1/2 limit against (2/(sqrt(3) Gamma(1/3)))**(3/2).
 
-    By the reflection identity Gamma(1/3) Gamma(2/3) = 2 pi / sqrt(3) that
-    example value is (Gamma(2/3)/pi)**(3/2), formed from the iterations, not
-    from the series oracle it is measured against: Gamma(2/3) off the last
-    link of the chain of ``run``, the cubic w=1/2 run (the chain's limit at
-    w = 2, :func:`postprocess_constant`), and pi from the quartic w=1 run.
-    Returns both ratios to 30 digits and the formula the oracle supports.
+    The example value is formed from the iteration, not from the series
+    oracle it is measured against: Gamma(1/3) off the last link of the chain
+    of ``run``, the cubic w=1/2 run (:func:`postprocess_constant`), so the
+    probe runs no chain of its own.  Returns both ratios to 30 digits and the
+    formula the oracle supports.
     """
     ctx = run.ctx
     with ctx.local():
-        pi = postprocess_constant("pi", run_borwein(QUARTIC, Fraction(1), ctx))
-        gamma23 = postprocess_constant("gamma23", run)
-        example = pow_rational(gamma23 / pi, Fraction(3, 2), ctx)
+        gamma13 = postprocess_constant("gamma13", run)
+        example = pow_rational(2 / (nth_root(Decimal(3), 2, ctx) * gamma13), Fraction(3, 2), ctx)
         ratio = oracle / example
         expected = (pow_rational(Decimal(3), Fraction(3, 4), ctx)
                     * pow_rational(Decimal(2), Fraction(-4, 3), ctx))

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -210,10 +210,6 @@ class PrecisionContext:
         """10**(-working_digits + shift) as an exact Decimal, built from its digit
         tuple: ``scaleb`` would round and clamp it under the caller's context."""
         return Decimal((0, (1,), shift - self.working_digits))
-
-    def doubled_guard(self) -> "PrecisionContext":
-        """Same target, twice the guard (for stability reruns)."""
-        return replace(self, guard_digits=2 * self.guard_digits)
 
 
 def make_context(target_digits: int, algorithm_order: int) -> PrecisionContext:
@@ -437,7 +433,9 @@ def _to_decimal(n: int) -> Decimal:
     return _EXACT.fma(_to_decimal(hi), _power_of_two(m), _to_decimal(n - (hi << m)))
 
 
-# The context of a :meth:`Fixed.head`: 30 digits at any exponent.
+# The context of a :meth:`Fixed.head` and of a chain step's 30-digit reads
+# (``algorithms._advance``): 30 digits at any exponent; every operand read
+# there is positive, so each is good to a relative 1e-28.
 _HEAD = decimal.Context(prec=30, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
 
 # Bits of a value :meth:`Fixed.head` reads: 33 digits, 3 beyond the 30 it keeps.

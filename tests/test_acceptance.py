@@ -314,29 +314,30 @@ def test_criterion_10_two_precision_stability():
 
     for kind in (QUADRATIC, CUBIC, QUARTIC):
         ctx, run, _, _ = thousand_digit_run(kind)
-        rerun = run_borwein(kind, ONE, ctx.doubled_guard())
+        rerun = run_borwein(kind, ONE, PrecisionContext(ctx.target_digits, 2 * ctx.guard_digits))
         check(f"{kind.name}-1000", 1000, run.value, rerun.value)
 
     for (order, w), (ctx, run, _) in sweep_runs().items():
-        rerun = run_borwein(AlgorithmKind(order), w, ctx.doubled_guard())
+        doubled = PrecisionContext(ctx.target_digits, 2 * ctx.guard_digits)
+        rerun = run_borwein(AlgorithmKind(order), w, doubled)
         check(f"sweep-{order}-w={w}", 500, run.value, rerun.value)
 
     recipes, extracted = gamma_values()
     for name, (ctx, kind, w) in recipes.items():
-        big = ctx.doubled_guard()
+        big = PrecisionContext(ctx.target_digits, 2 * ctx.guard_digits)
         redone = postprocess_constant(name, run_borwein(kind, w, big))
         check(name, 500, extracted[name], redone)
 
     runs = ellipse_runs()
     ctx4, quartic_run = runs[4]
-    big = ctx4.doubled_guard()
+    big = PrecisionContext(ctx4.target_digits, 2 * ctx4.guard_digits)
     check("ellipse-quartic", 500, quartic_run.value,
           run_ellipse(QUARTIC, big.real(2), big.real(1), big).value)
     check("ellipse-factor", 500, runs["factor"],
           ellipse_factor(big.real(2), big.real(1), big))
 
     inv_ctx = make_context(300, 2)
-    inv_big = inv_ctx.doubled_guard()
+    inv_big = PrecisionContext(inv_ctx.target_digits, 2 * inv_ctx.guard_digits)
     check(
         "invariant-A0", 300,
         replication_invariant(QUADRATIC, ONE, run_borwein(QUADRATIC, ONE, inv_ctx).trace[0], inv_ctx),

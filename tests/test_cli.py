@@ -358,8 +358,8 @@ class TestVerifyCommand:
         assert "supports the general limit formula" in out
 
     def test_paper_example_takes_gamma23_from_its_own_run(self, capsys, monkeypatch):
-        # the cubic w = 1/2 run has the chain of the w1 = 2 run, so the probe
-        # runs only the quartic pi run besides it
+        # the probe forms Gamma(1/3) off the cubic w = 1/2 run it probes, and
+        # runs no chain of its own
         import replica.cli as cli_mod
 
         runs = []
@@ -374,7 +374,7 @@ class TestVerifyCommand:
             code, _, _ = run_cli(capsys, "verify", "custom", "--w", "1/2", "--algorithm", "cubic",
                                  "--digits", "60", "--paper-example", *form)
             assert code == 0
-            assert runs == [(3, Fraction(1, 2)), (4, Fraction(1))]
+            assert runs == [(3, Fraction(1, 2))]
 
     def test_paper_example_needs_cubic_half(self, capsys):
         code, _, err = run_cli(

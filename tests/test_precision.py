@@ -303,7 +303,7 @@ class TestTwoPrecisionStability:
     def test_root_stable_under_doubled_guard(self):
         ctx = make_context(400, 2)
         first = nth_root(Decimal(7), 3, ctx)
-        second = nth_root(Decimal(7), 3, ctx.doubled_guard())
+        second = nth_root(Decimal(7), 3, PrecisionContext(ctx.target_digits, 2 * ctx.guard_digits))
         assert to_sig_digits(first, 400) == to_sig_digits(second, 400)
 
     def test_sqrt_matches_decimal_library(self):
@@ -390,7 +390,7 @@ class TestNewtonKernelAtScale:
 
     def test_input_with_more_digits_than_context(self):
         ctx = make_context(300, 2)
-        wide = ctx.doubled_guard()
+        wide = PrecisionContext(ctx.target_digits, 2 * ctx.guard_digits)
         x = wide.real(Fraction(10, 7))
         assert len(x.as_tuple().digits) > ctx.working_digits
         for n in (2, 3, 4):

@@ -145,7 +145,7 @@ class TestEvaluateSeries:
         # exact partial sum it is supposed to compute
         got = series_at(ctx, p, a, b, z)
         want = fraction_to_decimal(full, ctx.working_digits + 10)
-        with ctx.doubled_guard().local():
+        with PrecisionContext(ctx.target_digits, 2 * ctx.guard_digits).local():
             assert abs(got - want) <= ctx.epsilon(4)
 
 
