@@ -574,6 +574,20 @@ class TestPerimeter:
             own = run_ellipse(kind, Decimal(4), Decimal(2), PrecisionContext(digits))
             assert perimeter(run, Decimal(4)) == perimeter(own, Decimal(4))
 
+    @pytest.mark.parametrize("digits", [20, 2000])
+    def test_reads_the_axis_ratio_of_its_own_run(self, digits):
+        # b/a comes from each run's c_0 = 2/(b/a)^2: at a = 6 a circle run gives
+        # 12 pi, and runs of falling b/a give falling perimeters, down to 4a
+        ctx = PrecisionContext(digits)
+        values = [perimeter(run_ellipse(QUARTIC, Decimal(a), Decimal(b), ctx), Decimal(6))
+                  for a, b in (("1", "1"), ("2", "1"), ("3", "1"), ("1", "1e-400"))]
+        with localcontext() as c:
+            c.prec = len(frozen.PI)
+            circle = 12 * Decimal(frozen.PI)
+        assert matching_digits(values[0], circle) >= min(digits, len(frozen.PI) - 3)
+        assert values == sorted(values, reverse=True) and len(set(values)) == 4
+        assert values[-1] > 24
+
 
 def constants(run) -> list:
     """Every named constant that ``run``'s family computes, off its last link."""
