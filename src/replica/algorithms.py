@@ -15,23 +15,31 @@ order 3, and e = 2 for order 4 and 1 otherwise (:attr:`AlgorithmKind.e`).
 At w1 the iteration is its family's AGM (Borwein & Borwein, *Pi and the
 AGM*, 1987; Trans. AMS 323, 1991) written in ratios of the means, so a run
 carries the means themselves, as the Gauss-Legendre algorithm does (Brent,
-J. ACM 23, 1976): A_0 = 1, B_0 = (1 - d_0^m)**(1/m), h_0 = 0, and per step
+J. ACM 23, 1976).  Borwein's quartic AGM is two steps of the quadratic one
+on the squares of its means (Salamin, Math. Comp. 30, 1976), so a quartic
+run carries the quadratic chain: the chain's order is p = m / e, 2 for
+orders 2 and 4 and 3 for order 3, and its mean M_n is A_n**e, the paper's
+mean to the power e.  From M_0 = 1, B_0 = (1 - d_0**m)**(e/m), h_0 = 0 and
+the radicand R_{-1} = B_0**p (1/2 for the constants), a chain step is
 
-    quadratic  A' = (A + B)/2,  C' = (A - B)/2,  B' = (A B)**(1/2),
-               h' = h + 2**n C' B
-    cubic      A' = (A + 2B)/3, C' = (A - B)/3,  B'**3 = B (A^2 + A B + B^2)/3,
-               h' = h + 2 * 3**n C' B'**3 / (A A')
-    quartic    A' = (A + B)/2,  C' = (A - B)/2,  B'**4 = A B (A^2 + B^2)/2,
-               h' = h + 4**n C' B (A^2 + B^2)
+    quadratic  M' = (M + B)/2,  C' = (M - B)/2,  R = M B,  B' = R**(1/2),
+               h' = h + 2**(k-1) (R - R_prev)
+    cubic      M' = (M + 2B)/3, C' = (M - B)/3,
+               R = (M B (M + B) + R_prev)/3,  B' = R**(1/3),
+               h' = h + 2 * 3**k C' R / ((M**2 + 2 M B)/3)
+    quartic    two quadratic steps, k = 2n and 2n + 1
 
-(for the quartic, A, B and C are Borwein's alpha, beta and gamma on the
-square roots of the means).  The paper's row n at weight w is then
+with k the chain step and R_prev the radicand of B, so that 2**k C' B is
+2**(k-1) (M B - B**2) and M M' is (M**2 + 2 M B)/3: a quadratic step is one
+product and one square root, and a cubic one four products, one root and
+one quotient.  Quartic link n is quadratic link 2n, the quartic's own
+A_n**2 and h_n.  The paper's row n at weight w is then
 
-    d_n = C_n / A_n,   c_n = c_0 m**n A_n**(-e (w - 1)),
-    a_n = (a_0 + c_0 h_n) A_n**(-e (w + 1)),
+    d_n = C_n / A_n,   c_n = c_0 m**n M_n**(1 - w),
+    a_n = (a_0 + c_0 h_n) M_n**(-(w + 1)),
 
-so a step takes one root and, for the cubic family only, one quotient, and
-each f is A_{n-1} / A_n: K = prod f(d_n)**e = A_N**(-e) (:attr:`RunResult.k`).
+with C_n = A_{n-1} - A_n (half that for the cubic family), and each f
+is A_{n-1} / A_n: K = prod f(d_n)**e = M_N**-1 (:attr:`RunResult.k`).
 A named constant is the limit at its recipe's own w (:data:`CONSTANT_RECIPES`):
 pi and gamma23 at w1, gamma34, gamma14 and gamma13 at 3, 1/3 and 1/2, and
 :func:`postprocess_constant` forms it off the chain's last link as one
@@ -53,9 +61,10 @@ chain stood still share the value's.  The limit at another w is the value
 of the same chain read there (:meth:`RunResult.limit`), one power too.  The
 chain and its start run at the W' = W + 10 digits of the run's ``ctx.wide``,
 which covers the digits its differences of means lose, and every value is
-rounded once to W.  Once (C'/A')**m falls below 10**(2 - W') the root is
-skipped and B' = A', so the chain stops moving and the confirming steps of
-the stopping rule cost nothing.  The
+rounded once to W.  Once the last chain step's (C'/M')**p, the paper's
+(C'/A')**m, falls below 10**(2 - W') the root is skipped and B' = M', so
+the chain stops moving and the confirming steps of the stopping rule cost
+nothing.  The
 error bounds are stated on :func:`_advance` (the chain), :attr:`RunResult.k`
 (K), :class:`IterationState` (a row formed when read) and
 :func:`postprocess_constant` (a constant).
@@ -127,8 +136,10 @@ class AlgorithmKind:
 
     @property
     def e(self) -> int:
-        """The power of the chain's mean in K = A_N**-e and in a row's scale:
-        2 for order 4 (whose chain carries the square roots of the means), else 1."""
+        """The power of f in K = prod f(d_n)**e and in the step at w: 2 for
+        order 4, else 1.  A run's chain takes e steps of order m / e per step
+        and carries the means to the power e (the quartic's the quadratic
+        means), so K, a row's scale and a constant read that mean with power 1."""
         return 2 if self.order == 4 else 1
 
 
@@ -138,8 +149,8 @@ QUARTIC = AlgorithmKind(4)
 
 
 class _Link(NamedTuple):
-    """One state of a run's chain: the mean A_n and the sum h_n, both Decimals
-    or both :class:`~replica.precision.Fixed`."""
+    """One state of a run's chain: the mean M_n = A_n**e and the sum h_n, both
+    Decimals or both :class:`~replica.precision.Fixed`."""
 
     mean: Real | Fixed
     total: Real | Fixed
@@ -148,7 +159,7 @@ class _Link(NamedTuple):
 @dataclass
 class RunResult:
     """Outcome of a run: the family, the w its trace rows belong to, the
-    context it ran at, its start (B_0, c_0, a_0) and its chain of (A_n, h_n),
+    context it ran at, its start (B_0, c_0, a_0) and its chain of (M_n, h_n),
     which no w enters, both at the W' = W + 10 digits of ``ctx.wide``, and
     its value, the last trace row's a: the chain's a_N at ``w``, formed at
     W' digits on its first read and rounded once to W.
@@ -177,7 +188,7 @@ class RunResult:
         # and the cycle would hold the chain until the cyclic collector ran
         self._fine_as = {self.links[0]: self.origin[2]}
         self._decimal_links = {}
-        self._exponent = -self.kind.e * (self.w + 1)
+        self._exponent = -(self.w + 1)
 
     @lazy
     def value(self) -> Real:
@@ -205,7 +216,7 @@ class RunResult:
 
     @lazy
     def chain(self) -> list[_Link]:
-        """The chain of (A_n, h_n) in Decimals at W' digits, one :class:`_Link` per row."""
+        """The chain of (M_n, h_n) in Decimals at W' digits, one :class:`_Link` per row."""
         return [self._link(n) for n in range(len(self.links))]
 
     def _fine_a(self, n: int) -> Real:
@@ -218,8 +229,8 @@ class RunResult:
         return self._fine_as[link]
 
     def _weighed(self, n: int, exponent: Fraction) -> Real:
-        """(a_0 + c_0 h_n) A_n**exponent at the chain's W' digits: a_n at the w
-        of exponent = -e (w + 1)."""
+        """(a_0 + c_0 h_n) M_n**exponent at the chain's W' digits: a_n at the w
+        of exponent = -(w + 1)."""
         _, c0, a0 = self.origin
         mean, total = self._link(n)
         with self.ctx.wide.local():
@@ -249,21 +260,21 @@ class RunResult:
 
     @property
     def k(self) -> Real:
-        """K = A_N**-e, read off the chain at ``ctx``: the ratio of the limits at
+        """K = M_N**-1 = A_N**-e, read off the chain at ``ctx``: the ratio of the limits at
         w + 1 and at w from this run's start, 1/AGM = S(1, 0; z_0).
 
         With N = ``iterations`` and the chain's u' = 10**(1 - W') of
         :func:`_advance`: each family's AGM is homogeneous of degree 1 and
-        increasing in both means, so the relative errors a step leaves in A'
-        and B', at most 5u', move the limit by as much, and A_N is within
-        5 N u' plus A_N / M(A_N, B_N) - 1 (below d_N**m / m) of the exact AGM
-        of the start.  The power adds (e + 3) * 10**(1 - W), so
-        r_K <= (e + 3) * 10**(1 - W) + e (5 N u' + d_N**m / m), where the
+        increasing in both means, so the relative errors a chain step leaves in
+        M' and B', at most 5u', move the limit by as much, and M_N is within
+        5 e N u' plus M_N / M(M_N, B_N) - 1 (below e d_N**m / m) of the exact
+        AGM of the start.  The quotient adds 4 * 10**(1 - W), so
+        r_K <= 4 * 10**(1 - W) + 5 e N u' + e d_N**m / m, where the
         stopping rule has made d_N**m far smaller than 10**-target.  Against
         the product of f(d_n)**e over the rows of :attr:`trace`, which
         telescopes to the same A_N**-e, K is within 2 N * 10**(1 - W).
         """
-        return pow_rational(self._link(self.iterations).mean, -self.kind.e, self.ctx)
+        return pow_rational(self._link(self.iterations).mean, -1, self.ctx)
 
     def limit(self, w) -> Real:
         """The limit of this family's iteration at weight ``w`` from this run's
@@ -277,7 +288,7 @@ class RunResult:
         w = as_weight(w)
         if w == self.w:
             return self.value
-        return self.ctx.real(self._weighed(self.iterations, -self.kind.e * (w + 1)))
+        return self.ctx.real(self._weighed(self.iterations, -(w + 1)))
 
 
 class IterationState:
@@ -285,12 +296,14 @@ class IterationState:
     floor(log10 |a_n - a_{n-1}|), each formed from the chain when first read.
     Rows compare by identity.
 
-    d_n = C_n / A_n, c_n = c_0 m**n A_n**(-e (w - 1)) and
-    a_n = (a_0 + c_0 h_n) A_n**(-e (w + 1)) are taken at the chain's
+    d_n = C_n / A_n, c_n = c_0 m**n M_n**(1 - w) and
+    a_n = (a_0 + c_0 h_n) M_n**(-(w + 1)) are taken at the chain's
     W' = W + 10 digits (``ctx.wide``) and rounded once to the run's W, with
-    C_0 = (1 - B_0**m)**(1/m) and, from n = 1 on, C_n = A_{n-1} - A_n (half
-    that for the cubic family): a difference of means, as in the step.  Row
-    0's a is a_0 (A_0 = 1) and takes no power.  Each a_n at W' is formed
+    d_0 = (1 - B_0**p)**(1/m) and, from n = 1 on, C_n = A_{n-1} - A_n (half
+    that for the cubic family): a difference of means, as in the step.  The
+    quartic chain carries M_n = A_n**2, so its d_n = (M_{n-1} / M_n)**(1/2) - 1
+    takes a quotient and a square root, each only when d is read.  Row
+    0's a is a_0 (M_0 = 1) and takes no power.  Each a_n at W' is formed
     once per chain state (:meth:`RunResult._fine_a`), so the last row's a is
     the run's value and takes no power of its own, and neither do the rows
     after the chain stood still, whose link is the last one.
@@ -300,11 +313,13 @@ class IterationState:
 
     With u' = 10**(1 - W'): C_n is good to 3u' of A_n absolutely
     (:func:`_advance`), so d_n is within half a unit in its last place plus
-    4u' absolutely of the chain's exact ratio; a power with numerator p adds
-    (|p| + 3) u' to c_n and a_n relatively (:func:`pow_rational`), and each
-    product half a unit of u', on top of the chain's own error in a_n.
+    4u' absolutely of the chain's exact ratio, and a quartic d_n, whose
+    quotient and root add 2u' to 1 + d_n, within half a unit plus 3u'; a
+    power with numerator p adds (|p| + 3) u' to c_n and a_n relatively
+    (:func:`pow_rational`), and each product half a unit of u', on top of
+    the chain's own error in a_n.
 
-    On a row after the chain stopped moving (C_n = 0, B' = A' having been
+    On a row after the chain stopped moving (C_n = 0, B' = M' having been
     set by the late-step rule), d_n is the descend map's leading term
     d_{n-1}**m / L, L = 4, 9 and 8 for orders 2, 3 and 4, which the rule's
     d_{n-1}**m < 10**(2 - W') makes exact to a relative 10**(2 - W'): d_n
@@ -322,8 +337,11 @@ class IterationState:
         m, fine, mean = run.kind.order, run.ctx.wide, run._link(n).mean
         with fine.local():
             if not n:
-                gap = nth_root(1 - run.start[0] ** m, m, fine)
+                gap = nth_root(1 - run.start[0] ** (m // run.kind.e), m, fine)
             elif run.links[n].mean != run.links[n - 1].mean:
+                if m == 4:
+                    ratio = quotient(run._link(n - 1).mean, mean)
+                    return run.ctx.real(nth_root(ratio, 2, fine) - 1)
                 gap = run._link(n - 1).mean - mean
                 gap = gap / 2 if m == 3 else gap
             else:
@@ -334,7 +352,7 @@ class IterationState:
     @lazy
     def c(self) -> Real:
         run = self._run
-        exponent, fine = -run.kind.e * (run.w - 1), run.ctx.wide
+        exponent, fine = 1 - run.w, run.ctx.wide
         with fine.local():
             power = pow_rational(run._link(self.n).mean, exponent, fine)
             return run.ctx.real(run.origin[1] * run.kind.order**self.n * power)
@@ -353,98 +371,120 @@ class IterationState:
         return delta.adjusted() if delta else None
 
 
-def _advance(order: int, link: _Link, low: Real, weight: int, origin, ctx: PrecisionContext,
-             floor: Real) -> tuple[_Link, Real, Real, Real]:
-    """One step of the family's AGM from the link (A_n, h_n) = ``link`` and
-    B_n = ``low``, A_n > B_n, with ``weight`` = m**n, at ``ctx``, the chain's
-    context of W' digits (the run's ``ctx.wide``): the link (A_{n+1}, h_{n+1}),
-    B_{n+1}, and the rise a_{n+1} - a_n and a_{n+1} at w1 from the start
-    ``origin`` = (B_0, c_0, a_0), both to 30 digits, which the stopping rule of
-    :func:`_run` reads.  The means are Decimals at W' digits or
-    :class:`~replica.precision.Fixed` values of F bits, and the step is the
-    same code over both: its operators are those of the number type, and only
-    the root, the cubic quotient and the 30-digit reads take one branch per type.
+def _advance(kind: AlgorithmKind, link: _Link, low: Real | Fixed, radicand: Real | Fixed,
+             weight: int, origin, ctx: PrecisionContext,
+             floor: Real) -> tuple[_Link, Real | Fixed, Real | Fixed, Real, Real]:
+    """One step of the family from the link (M_n, h_n) = ``link``, B_n = ``low``
+    and its radicand R_{n-1} = ``radicand`` (B_n**p), M_n > B_n, with
+    ``weight`` = m**n, at ``ctx``, the chain's context of W' digits (the run's
+    ``ctx.wide``): the link (M_{n+1}, h_{n+1}), B_{n+1}, its radicand R_n, and
+    the rise a_{n+1} - a_n and a_{n+1} at w1 from the start ``origin`` =
+    (B_0, c_0, a_0), both to 30 digits, which the stopping rule of
+    :func:`_run` reads.  The step is e = ``kind.e`` chain steps of order
+    p = m / e (the module's table): one for orders 2 and 3, two quadratic
+    ones for the quartic family, whose first takes its root at once.  The
+    means are Decimals at W' digits or :class:`~replica.precision.Fixed`
+    values of F bits, and the step is the same code over both: its operators
+    are those of the number type, and only the root, the cubic quotient and
+    the 30-digit reads take one branch per type.
 
-    The step's 30-digit reads are taken once, in the context
-    ``precision._HEAD``, and serve both the late-step test and the rise: a
-    Decimal is rounded to 30 digits there, a fixed-point value is read by
-    :meth:`~replica.precision.Fixed.head`, and A_n - A_{n+1} is formed in the
-    chain's type and rounded once there.  With a_n = hat / A_n**E
-    (E = e (w1 + 1) = m), hat = a_0 + c_0 h_n and gain = c_0 (h_{n+1} - h_n),
+    The step's 30-digit reads are taken once, after its last chain step, in
+    the context ``precision._HEAD``, and serve both the late-step test and
+    the rise: a Decimal is rounded to 30 digits there, a fixed-point value is
+    read by :meth:`~replica.precision.Fixed.head`, and M_n - M_{n+1} and
+    h_{n+1} - h_n, the rise of the carried sum, are formed in the chain's
+    type and rounded once there.  With a_n = hat / M_n**p at w1, hat =
+    a_0 + c_0 h_n and gain = c_0 (h_{n+1} - h_n),
 
-        a_{n+1} - a_n = (hat (A_n - A_{n+1}) span / A_n**E + gain) / A_{n+1}**E,
+        a_{n+1} - a_n = (hat (M_n - M_{n+1}) span / M_n**p + gain) / M_{n+1}**p,
 
-    with span = sum_j A_n**j A_{n+1}**(E-1-j), so that
-    A_n**E - A_{n+1}**E = (A_n - A_{n+1}) span.  Both terms are nonnegative
-    at w1 (a_0 >= 0, A_{n+1} <= A_n, every gap positive), so no digit
+    with span = sum_j M_n**j M_{n+1}**(p-1-j), so that
+    M_n**p - M_{n+1}**p = (M_n - M_{n+1}) span.  Both terms are nonnegative
+    at w1 (a_0 >= 0, M_{n+1} <= M_n, every gap positive), so no digit
     cancels: the rise is good to a relative 1e-27.
 
-    The root is skipped (B_{n+1} = A_{n+1}) once (C_{n+1}/A_{n+1})**m, taken in
-    the 30-digit context, is below ``floor`` = 10**(2 - W'), and its radicand
-    is then not formed (the cubic family's h reads it, so forms it anyway);
-    :func:`_run` takes no step from A_n = B_n, so the steps after that move nothing.
+    The last root is skipped (B_{n+1} = M_{n+1}) once (C'/M')**p of the last
+    chain step, the paper's (C_{n+1}/A_{n+1})**m, taken in the 30-digit
+    context, is below ``floor`` = 10**(2 - W'); :func:`_run` takes no step
+    from M_n = B_n, so the steps after that move nothing.
 
     Error bound in fixed point, with units of 2**-F: each product, quotient
     and halving rounds down by at most one unit, sums and differences are
     exact, and :meth:`Fixed.root` is within two units relatively, so B' is
     within about four units of the exact root of the carried means.  The
-    means are at least B_0 >= b/a (:func:`run_ellipse`; above 0.7 for the
-    constants), and F has log2(a/b) bits for that beyond
-    W' log2(10) + 16 (:func:`_fixed_bits`): each relative error a step adds
-    is below 4 * 2**-16 * 10**-W', under a thousandth of the u' below, and
-    the Decimal chain's argument holds as it stands.  c_0 scales the units
-    of h in a_n = (a_0 + c_0 h_n) A_n**(-e (w + 1)), but only against
+    rise of chain step k, 2**(k-1) (R - R_prev), is exact in the carried
+    radicands, each a unit from M B and B**2 within four of R_prev, so it is
+    within 5 * 2**(k-1) units of 2**k C' B, and h_N within 2**(K+2) units
+    after K chain steps: F has K + 2 bits for that, K the budget of a run of
+    the chain's order at the run's target (a quartic run's chain moves for
+    a step or two more than the quadratic run's at most), beyond
+    W' log2(10) + 16 and log2(a/b) (:func:`_fixed_bits`), so that each
+    relative error a step adds is below 4 * 2**-16 * 10**-W', under a
+    thousandth of the u' below, and the Decimal chain's argument holds as
+    it stands.  The cubic rise, a product and a quotient, is within three
+    units.
+    The means are at least B_0 >= b/a (:func:`run_ellipse`; above 0.7 for
+    the constants), which the log2(a/b) bits cover.  c_0 scales the units
+    of h in a_n = (a_0 + c_0 h_n) M_n**(-(w + 1)), but only against
     c_0 h_n <= a_0 + c_0 h_n: the relative error c_0 delta_h / (a_0 + c_0 h_n)
     of a_n is at most delta_h / h_n, whatever c_0, so c_0 adds no bits to F.
 
-    Error bound, with u' = 10**(1 - W').  A' and C' are rounded to half a unit
+    Error bound, with u' = 10**(1 - W').  M' and C' are rounded to half a unit
     of a sum or difference of means, the radicand of B' to about two units,
-    and :func:`nth_root` adds 3/m units, so B' is within 2u' of the exact root
+    and :func:`nth_root` adds 3/p units, so B' is within 2u' of the exact root
     of the rounded means; a skipped root leaves B' above the exact one by at
-    most 10**(2 - W') / m <= 5u'.  The nth_root bound is smaller than
-    1 - B'/A' ~ (C'/A')**m / m wherever the root is taken, so B' < A' and
+    most 10**(2 - W') / p <= 5u'.  The nth_root bound is smaller than
+    1 - B'/M' ~ (C'/M')**p / p wherever the root is taken, so B' < M' and
     every gap C is positive.  A relative error delta in B_n moves the run's
     limit by about c_n delta / 2 (the invariant's derivative in z_n), and
     C_{n+1}, a difference, carries it absolutely: so the chain's a_N is
     within a relative 5u' sum_n |c_n| / |a_N| <= 10u' |c_N| / |a_N|, with
-    c_N = c_0 m**N.  For the constants c_0 = 2 and |a_N| > 1/4, a loss of
-    about N log10(m) + 2 digits: up to 8 at 20 000 digits (quadratic, N = 18),
+    c_N = c_0 m**N.  The quadratic rise of chain step k reads R and R_prev,
+    each rounded to a twentieth of u', and B**2 is within 3u' of R_prev, so
+    it is within 2**(k+1) u' of 2**k C' B, and h_N within 2**(K+1) u' after
+    K chain steps: a relative 2**(K+1) u' / h_N in a_N, at every w.  For the
+    constants c_0 = 2, |a_N| > 1/4 and h_N > 0.1, a loss of about
+    N log10(m) + 2 digits in all, with N at most the run's budget: up to 8
+    at 20 000 digits (quadratic, N = 18) and 9 at 10**6 digits (N = 23),
     inside the 10 digits the chain carries beyond the working precision, so
     the value rounded to W digits keeps the accuracy of the paper's
     normalized recurrence.
     """
-    mean, total = link
-    _, c0, a0 = origin
-    fixed = isinstance(mean, Fixed)
-    if order == 3:
-        mean1, gap = (mean + 2 * low) / 3, (mean - low) / 3
-        radicand = low * ((mean + low) ** 2 - mean * low) / 3
-        num, den = 2 * weight * gap * radicand, mean * mean1
-        rise = num / den if fixed else quotient(num, den)
-    else:
-        mean1, gap = (mean + low) / 2, (mean - low) / 2
-        tail = low if order == 2 else low * (mean * mean + low * low)
-        rise = weight * gap * tail
-    link = _Link(mean1, total + rise)
+    (mean, total), (_, c0, a0) = link, origin
+    fixed, p = isinstance(mean, Fixed), kind.order // kind.e
+    root = (lambda x: x.root(p)) if fixed else (lambda x: nth_root(x, p, ctx))
+    mean1, total1 = mean, total
+    for step in range(kind.e):
+        if step:  # the quartic's first quadratic step
+            low = root(radicand)
+        product = mean1 * low
+        if p == 3:
+            gap = (mean1 - low) / 3
+            radicand = (product * (mean1 + low) + radicand) / 3
+            num, den = 2 * weight * gap * radicand, (mean1 * mean1 + 2 * product) / 3
+            total1 += num / den if fixed else quotient(num, den)
+            mean1 = (mean1 + 2 * low) / 3
+        else:
+            gap = (mean1 - low) / 2
+            total1 += weight * (product - radicand) / 2
+            radicand, mean1 = product, (mean1 + low) / 2
+        weight *= p
+    link = _Link(mean1, total1)
     with localcontext(_HEAD):
         if fixed:
-            reads = (x.head() for x in (mean - mean1, mean, mean1, gap, total, rise))
+            reads = (x.head() for x in (mean - mean1, mean, mean1, gap, total, total1 - total))
         else:
-            reads = (mean - mean1, +mean, +mean1, +gap, total, rise)
+            reads = (mean - mean1, +mean, +mean1, +gap, total, total1 - total)
         drop, head, head1, gap, total, rise = reads
         c0 = +c0
         hat, gain = a0 + c0 * total, c0 * rise
-        span = head + head1  # sum_j A_n**j A_{n+1}**(m-1-j), by Horner's rule
-        for k in range(2, order):
+        span = head + head1  # sum_j M_n**j M_{n+1}**(p-1-j), by Horner's rule
+        for k in range(2, p):
             span = span * head + head1**k
-        top = head1**order
-        delta, a = (hat * drop * span / head**order + gain) / top, (hat + gain) / top
-        late = (gap / head1) ** order < floor
-    if late:
-        return link, mean1, delta, a
-    if order != 3:
-        radicand = mean * tail if order == 2 else mean * tail / 2
-    return link, radicand.root(order) if fixed else nth_root(radicand, order, ctx), delta, a
+        top = head1**p
+        delta, a = (hat * drop * span / head**p + gain) / top, (hat + gain) / top
+        late = (gap / head1) ** p < floor
+    return link, mean1 if late else root(radicand), radicand, delta, a
 
 
 def _sized(ctx: PrecisionContext, order: int,
@@ -477,9 +517,10 @@ _FIXED_GUARD_BITS = 16
 _FIXED_START_BITS = 48
 
 
-def _fixed_bits(fine: PrecisionContext, ratio: Real = Decimal(1)) -> int | None:
+def _fixed_bits(fine: PrecisionContext, steps: int, ratio: Real = Decimal(1)) -> int | None:
     """F, the fraction bits of the :class:`~replica.precision.Fixed` values a
-    chain at ``fine`` (W' working digits) carries, from an ellipse start of
+    chain at ``fine`` (W' working digits) carries, allowed ``steps`` chain
+    steps (the budget of a run of the chain's order), from an ellipse start of
     b/a = ``ratio`` or a constant's (no ratio), or None where the chain is
     carried in Decimals: below W' = ``_FIXED_FROM`` (1 300), from
     ``_FIXED_BELOW`` (28 000) up, and for b/a below 1e-14.
@@ -522,12 +563,18 @@ def _fixed_bits(fine: PrecisionContext, ratio: Real = Decimal(1)) -> int | None:
     frozen bits of the tests pin, keep the Decimal chain.
 
     F is ceil(W' log2(10)) plus ``_FIXED_GUARD_BITS``, plus the bits by which
-    the units of b/a, and of the means near B_0 = (b/a)**(2/m), weigh more
+    the units of b/a, and of the means near B_0 = b/a, weigh more
     relatively: log2(a/b) <= -e(b/a) log2(10) (e(x) = x.adjusted()), so that
-    B_0 and the means keep the W' digits the Decimal chain gives them.
+    B_0 and the means keep the W' digits the Decimal chain gives them, plus
+    ``steps`` + 2, the bits the quadratic rises, which chain step k reads
+    off radicands to 2**k units, take from h (:func:`_advance`).  A quartic
+    run counts the budget of a quadratic run of its target, whose chain it
+    carries, so the two carry the same F and the same links.
     c_0 = 2 (a/b)**2 adds none: it scales the units of h in
-    a_n = (a_0 + c_0 h_n) A_n**(-e (w + 1)) and the c_0 h_n beside them alike
-    (:func:`_advance`).
+    a_n = (a_0 + c_0 h_n) M_n**(-(w + 1)) and the c_0 h_n beside them alike.
+    The crossovers were measured before the quartic step became two
+    quadratic ones and the rises were read off the radicands, and are not
+    measured again here.
     """
     digits = fine.working_digits
     if not _FIXED_FROM <= digits < _FIXED_BELOW:
@@ -535,12 +582,13 @@ def _fixed_bits(fine: PrecisionContext, ratio: Real = Decimal(1)) -> int | None:
     extra = math.ceil(-ratio.adjusted() * math.log2(10))
     if extra > _FIXED_START_BITS:
         return None
-    return math.ceil(digits * math.log2(10)) + _FIXED_GUARD_BITS + extra
+    return math.ceil(digits * math.log2(10)) + _FIXED_GUARD_BITS + extra + steps + 2
 
 
-def _run(kind: AlgorithmKind, w: Fraction, start: tuple[Real, Real, Real],
-         ctx: PrecisionContext, budget: int) -> RunResult:
-    """The run at ``w`` of the chain from ``start`` = (B_0, c_0, a_0), built
+def _run(kind: AlgorithmKind, w: Fraction, start: tuple[Real | Fixed, Real, Real],
+         radicand: Real | Fixed, ctx: PrecisionContext, budget: int) -> RunResult:
+    """The run at ``w`` of the chain from ``start`` = (B_0, c_0, a_0) and
+    ``radicand`` = B_0**p (:func:`_advance`), in B_0's number type, built
     at ``ctx.wide`` until two consecutive rises of a at w1 are small; its
     value is the last row's a: one power.  A chain that meets no stop within
     ``budget`` steps raises :class:`NonConvergenceError` with the rows of
@@ -558,16 +606,16 @@ def _run(kind: AlgorithmKind, w: Fraction, start: tuple[Real, Real, Real],
 
     The rule reads no run's w, so runs at every w from one start and context
     build the same chain, and it certifies a at each of them.  a at w is
-    hat * A**(-e (w + 1)) with hat = a_0 + c_0 h, and both terms of the rise
+    hat * M**(-(w + 1)) with hat = a_0 + c_0 h, and both terms of the rise
     at w1 are nonnegative, so each bounds on its own the relative moves of
-    hat and of A**(-e (w1 + 1)) by r.  A step then moves a at w by at most
-    (1 + e |w + 1| / (e (w1 + 1))) r = (1 + |w + 1| / (w1 + 1)) r relatively,
+    hat and of M**(-(w1 + 1)) by r.  A step then moves a at w by at most
+    (1 + |w + 1| / (w1 + 1)) r relatively,
     a factor below 10**16 for |w| <= :data:`~replica.precision.MAX_ABS_W`.
     The rises fall with the family's order m, so after two small ones what a
     at w still moves is about 10**16 * 10**(-m (target_digits + 7)), below
     10**-(target_digits + 24) for m >= 2 and the 32-digit floor of
-    :func:`_sized`; once the chain stands still (B' = A'), it is below
-    e |w + 1| 10**(2 - W') / m.
+    :func:`_sized`; once the chain stands still (B' = M'), it is below
+    |w + 1| 10**(2 - W') / p.
     """
     low, fine, m, weight = start[0], ctx.wide, kind.order, 1
     if isinstance(low, Fixed):
@@ -579,9 +627,10 @@ def _run(kind: AlgorithmKind, w: Fraction, start: tuple[Real, Real, Real],
         chain = [link]
         consecutive = 0
         for _ in range(budget):
-            small = True  # a step from A_n = B_n: the chain stands still from here on
+            small = True  # a step from M_n = B_n: the chain stands still from here on
             if link.mean != low:
-                link, low, delta, a = _advance(m, link, low, weight, start, fine, floor)
+                link, low, radicand, delta, a = _advance(kind, link, low, radicand, weight,
+                                                         start, fine, floor)
                 small = not delta or delta.adjusted() <= a.adjusted() - ctx.target_digits - 8
             chain.append(link)
             consecutive = consecutive + 1 if small else 0
@@ -597,19 +646,21 @@ def run_borwein(kind: AlgorithmKind, w: Fraction, ctx: PrecisionContext) -> RunR
 
     The limit is couple_product(s, w) with s = 1/2 for the quadratic and
     quartic families and s = 1/3 for the cubic one.  The chain starts from
-    B_0 = d_0 = 2**(-1/m), since 1 - d_0**m = d_0**m.  The run allows
+    B_0 = 2**(-1/p), the paper's d_0 = 2**(-1/m) to the power e (since
+    1 - d_0**m = d_0**m), and its radicand B_0**p = 1/2, exact.  The run allows
     step_budget(target, m) steps at ``ctx`` raised to at least 32 target
     digits and the guard of make_context(target, m) (see ``RunResult.ctx``).
     A w that :func:`as_weight` refuses raises before any arithmetic.
     """
     w = as_weight(w)
-    m = kind.order
-    ctx, budget = _sized(ctx, m)
-    two = Decimal(2)
-    bits = _fixed_bits(ctx.wide)
-    low = (pow_rational(two, Fraction(-1, m), ctx.wide) if bits is None
-           else Fixed(2 << bits, bits).inverse_root(m))
-    return _run(kind, w, (low, two, Decimal(0)), ctx, budget)
+    ctx, budget = _sized(ctx, kind.order)
+    two, p = Decimal(2), kind.order // kind.e
+    bits = _fixed_bits(ctx.wide, step_budget(ctx.target_digits, p))
+    if bits is None:
+        low, half = pow_rational(two, Fraction(-1, p), ctx.wide), Decimal("0.5")
+    else:
+        low, half = Fixed(2 << bits, bits).inverse_root(p), Fixed(1 << bits - 1, bits)
+    return _run(kind, w, (low, two, Decimal(0)), half, ctx, budget)
 
 
 def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
@@ -620,10 +671,13 @@ def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
     F is the limit at w = 0 of the recurrences of :func:`run_borwein` started
     from d_0 = (1 - b^2/a^2)**(1/m), c_0 = 2 a^2/b^2, a_0 = 1, and the run's
     rows are those of that iteration: ``RunResult.w`` is 0, and the value is
-    the last row's a, (1 + c_0 h_N) A_N**-e.  The chain starts from the
-    complementary means, B_0 = (b/a)**(2/m) (b/a or its square root), so it
-    never forms 1 - b^2/a^2 and takes any b/a whose square the exponent range
-    holds, however far below the working precision.
+    the last row's a, (1 + c_0 h_N) M_N**-1.  The chain starts from the
+    complementary means, B_0 = (b/a)**(2e/m) = b/a in both families, and its
+    radicand B_0**2, rounded once, so it never forms 1 - b^2/a^2 and takes
+    any b/a whose square the exponent range holds, however far below the
+    working precision.  c_0 = 2 (a/b)**2 is kept normalized, so a dyadic
+    one, such as the 8 of b/a = 1/2, is an exact short Decimal however many
+    digits its quotient carried.
     It runs at the context of :func:`run_borwein` plus :func:`_eccentric_steps`
     steps (``RunResult.ctx``).  A (b/a)**2 below the exponent range raises
     :class:`DomainError`.
@@ -631,7 +685,8 @@ def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
     check_axes(semi_major, semi_minor)
     if kind.order not in (2, 4):
         raise UnsupportedParameterError("perimeter algorithms exist for quad and quartic only")
-    ctx, budget = _sized(ctx, kind.order, _eccentric_steps(semi_major, semi_minor))
+    extra = _eccentric_steps(semi_major, semi_minor)
+    ctx, budget = _sized(ctx, kind.order, extra)
     fine = ctx.wide
     with fine.local() as local:
         b, a = fine.real(semi_minor), fine.real(semi_major)
@@ -639,12 +694,10 @@ def run_ellipse(kind: AlgorithmKind, semi_major: Real, semi_minor: Real,
         square = ratio * ratio
         if local.flags[decimal.Subnormal]:
             raise DomainError("b/a is out of range: (b/a)^2 is below the exponent range")
-        c0 = quotient(Decimal(2), square)
-        bits = _fixed_bits(fine, ratio)
+        c0 = quotient(Decimal(2), square).normalize()
+        bits = _fixed_bits(fine, step_budget(ctx.target_digits, 2) + extra, ratio)
         low = ratio if bits is None else Fixed.ratio(b, a, bits)
-        if kind.order == 4:
-            low = nth_root(low, 2, fine) if bits is None else low.root(2)
-    return _run(kind, Fraction(0), (low, c0, Decimal(1)), ctx, budget)
+        return _run(kind, Fraction(0), (low, c0, Decimal(1)), low * low, ctx, budget)
 
 
 def perimeter(run: RunResult, semi_major: Real) -> Real:
@@ -767,9 +820,9 @@ CONSTANT_RECIPES: dict[str, tuple[tuple[int, ...], Fraction, Fraction, Fraction]
 
 
 #: constant id -> (j, a, b, q), the constant as a monomial of a run_borwein
-#: run's last link (A_N, h_N): with hat = a_0 + c_0 h_N = 2 h_N, the limit
-#: at the recipe's w is L = hat A_N**(-e (w + 1)), so C = (L 2**(-alpha))**(-e')
-#: (e' the recipe's e) is A_N**(e j) (2**a hat**b)**(-1/q), with
+#: run's last link (M_N, h_N): with hat = a_0 + c_0 h_N = 2 h_N, the limit
+#: at the recipe's w is L = hat M_N**(-(w + 1)), so C = (L 2**(-alpha))**(-e')
+#: (e' the recipe's e) is M_N**j (2**a hat**b)**(-1/q), with
 #: j = e' (w + 1), q the least common denominator of e' and alpha e',
 #: b = e' q and a = -alpha e' q.
 _MONOMIALS = {"pi": (2, 0, 1, 1), "gamma34": (1, 0, 1, 4), "gamma14": (1, -2, 3, 4),
@@ -782,18 +835,19 @@ def postprocess_constant(name: str, run: RunResult) -> Real:
 
     ``run`` is a :func:`run_borwein` run of one of the recipe's orders at any
     w, and C is formed from the run's last link alone, as the monomial
-    A_N**k X**(-1/q) of :data:`_MONOMIALS`, X = 2**a hat**b and
-    hat = a_0 + c_0 h_N (k = e j, with the family's e of :class:`AlgorithmKind`):
+    M_N**j X**(-1/q) of :data:`_MONOMIALS`, with M_N the carried mean
+    (the paper's A_N**e, :class:`AlgorithmKind`), X = 2**a hat**b and
+    hat = a_0 + c_0 h_N:
 
-        pi = A**(2e) / hat            gamma34 = A**e hat**(-1/4)
-        gamma14 = A**e (hat**3 / 4)**(-1/4)
-        gamma23 = A (2 hat**3)**(-1/9)    gamma13 = A (hat**6 / 2)**(-1/9)
+        pi = M**2 / hat               gamma34 = M hat**(-1/4)
+        gamma14 = M (hat**3 / 4)**(-1/4)
+        gamma23 = M (2 hat**3)**(-1/9)    gamma13 = M (hat**6 / 2)**(-1/9)
 
     so it takes one inverse root of order q (one quotient for pi), in the
     chain's own number type, and rounds once to W.  It reads neither the
     run's value nor :meth:`RunResult.limit`.
 
-    Error bound, with W working digits: C is the same function of (A_N, h_N)
+    Error bound, with W working digits: C is the same function of (M_N, h_N)
     as (L * 2**(-alpha))**(-e) with L the chain's a_N at the recipe's w,
     so a relative error r of that a_N (:func:`_advance`) becomes |e| r in
     C, to first order, and |e| <= 1 in every recipe.  The roundings on the
@@ -823,7 +877,7 @@ def postprocess_constant(name: str, run: RunResult) -> Real:
     fixed = isinstance(mean, Fixed)
     with ctx.wide.local():
         # a run_borwein run starts from c_0 = 2 and a_0 = 0
-        power, base = mean ** (run.kind.e * j), (2 * total) ** b
+        power, base = mean**j, (2 * total) ** b
         base = base * 2**a if a >= 0 else base / 2**-a
         if q == 1:
             value = power / base if fixed else quotient(power, base)

@@ -464,13 +464,20 @@ def _inverse_root_bits(x: int, f: int, n: int, p: int) -> int:
     at p bits, with x cut to p bits: a step at most squares the relative error
     (times (n + 1)/2), and 2h >= p + 7 leaves it a fraction of 2**-p.  x is
     of order 1, so its cut loses no more than that relatively.
+
+    y**n is exact for n <= 4, and for n > 4 (the ninth roots of
+    ``postprocess_constant``) squarings and products cut to p + 8 bits
+    (:meth:`Fixed.__pow__`): each cut is a unit of 2**-(p + 8) on factors
+    below 2, so y**n is within a unit of 2**-(p + 8) times about 2n, a tenth
+    of a unit of 2**-p at n = 9, where the exact y**9 would carry 9h bits.
     """
     if p <= _SEED_BITS:
         shift = x.bit_length() - 64
         return int(math.ldexp(math.ldexp(_bits(x, shift, 0), shift - f) ** (-1.0 / n), p))
     h = p // 2 + _HALF_GUARD_BITS
     y = _inverse_root_bits(x, f, n, h)
-    miss = (1 << p) - (_bits(x, f, p) * _bits(y**n, n * h, p) >> p)  # 1 - x y**n, to 2**-p
+    power = _bits(y**n, n * h, p) if n <= 4 else (Fixed(y << p + 8 - h, p + 8) ** n).v >> 8
+    miss = (1 << p) - (_bits(x, f, p) * power >> p)  # 1 - x y**n, to 2**-p
     return (y << p - h) + (y * miss >> h) // n
 
 

@@ -557,6 +557,15 @@ class TestPerimeter:
             run = run_ellipse(kind, Decimal(1), Decimal("1e-400"), PrecisionContext(50))
             assert perimeter(run, Decimal(1)) > 4
 
+    @pytest.mark.parametrize("digits", [50, 20000])
+    def test_a_dyadic_c0_is_an_exact_short_decimal(self, digits):
+        # above 10 000 working digits 2/(b/a)**2 is the Newton quotient, whose
+        # 8 carried thousands of trailing zeros into every F / c_0
+        for kind in (QUADRATIC, QUARTIC):
+            for a, b in ((2, 1), (1, "0.005")):  # c_0 = 8 and 80 000
+                run = run_ellipse(kind, Decimal(a), Decimal(b), PrecisionContext(digits))
+                assert run.origin[1].as_tuple().digits == (8,), (a, b)
+
     def test_refuses_what_is_no_ellipse_run(self):
         ctx = PrecisionContext(30)
         run = run_ellipse(QUARTIC, Decimal(2), Decimal(1), ctx)
@@ -709,14 +718,15 @@ class TestRootFreeRuns:
             return pow_rational(x, exponent, ctx)
 
         monkeypatch.setattr(algorithms, "pow_rational", counted)
-        d0_power = Fraction(-1, kind.order)  # d_0 = 2**(-1/m)
+        # B_0 = d_0**e = 2**(-e/m): the quartic chain carries the squares of the means
+        d0_power = Fraction(-kind.e, kind.order)
         w1 = root_free_w(kind)
         for w in (w1, w1 + 1, w1 + Fraction(1, 3), Fraction(-1000)):
-            # the steps take no power at any w: d_0 takes one, and the value
-            # a_N = hat_N * A_N**(-e (w + 1)) one on its first read
+            # the steps take no power at any w: B_0 takes one, and the value
+            # a_N = hat_N * M_N**(-(w + 1)) one on its first read
             calls.clear()
             run = run_borwein(kind, w, make_context(300, kind.order))
-            value_power = -kind.e * (w + 1)
+            value_power = -(w + 1)
             assert run.iterations > 4 and calls == [d0_power], w
             assert run.value and calls == [d0_power, value_power], w
             # rows read later take one power per distinct chain state, except
@@ -977,17 +987,19 @@ class TestRowsMatchReplicate:
             formed = [sorted(set(vars(row)) & {"d", "c", "a"}) for row in runs[-1].trace]
             assert formed == [["a"]] * (runs[-1].iterations + 1), argv
 
-    # precision._power calls (every root and power) of each text request
+    # precision._power calls (every root and power) of each text request: a
+    # quartic step takes two square roots (one on its late step), and a
+    # quartic perimeter run starts from b/a itself
     @pytest.mark.parametrize("command, powers", [
         ("constant pi --algorithm quad --digits 100", 8),
         ("constant gamma23 --digits 100", 5),
-        ("constant gamma14 --digits 100", 4),
-        ("constant custom --w 1/3 --algorithm quartic --digits 100", 5),
+        ("constant gamma14 --digits 100", 8),
+        ("constant custom --w 1/3 --algorithm quartic --digits 100", 9),
         ("constant custom --w 1/2 --algorithm cubic --digits 100", 6),
-        ("ellipse 2 1 --algorithm quad --digits 100", 12),
-        ("ellipse 1 1e-30 --algorithm quartic --digits 100", 12),
+        ("ellipse 2 1 --algorithm quad --digits 100", 16),
+        ("ellipse 1 1e-30 --algorithm quartic --digits 100", 22),
         ("ellipse 2 1 --normalized --algorithm quad --digits 100", 8),
-        ("ellipse 2 1 --normalized --algorithm quartic --digits 100", 5),
+        ("ellipse 2 1 --normalized --algorithm quartic --digits 100", 8),
     ])
     def test_every_value_is_its_last_row(self, capsys, monkeypatch, command, powers):
         runs, calls = [], []
@@ -1019,7 +1031,7 @@ class TestRowsMatchReplicate:
 
 
 def chain_results(label):
-    """The chain (A_n, h_n per link) and the value of the run that a key of
+    """The chain (M_n, h_n per link) and the value of the run that a key of
     ``frozen.CHAIN_BITS`` names."""
     function, family, *args, digits = label.split()
     kind = AlgorithmKind({"quadratic": 2, "cubic": 3, "quartic": 4}[family])
@@ -1100,10 +1112,12 @@ class TestLateSteps:
         run = run_borwein(kind, w, make_context(10_000, kind.order))
         oracle = couple_product(kind.couple_parameter, w, run.ctx)
         assert matching_digits(run.value, oracle) >= run.ctx.target_digits
-        # The last three steps take no root: the first meets the late-step rule,
-        # (C'/A')**m below 10**(2 - W), and the chain stops moving after it,
-        # while the rows' d keep falling.
-        assert roots == [kind.order] * (run.iterations - 3)
+        # The last three steps take no root of their last chain step: the
+        # first meets the late-step rule, (C'/A')**m below 10**(2 - W), and
+        # the chain stops moving after it, while the rows' d keep falling.
+        # A quartic step is two quadratic ones, whose first takes its root.
+        e = kind.e
+        assert roots == [kind.order // e] * (e * (run.iterations - 3) + e - 1)
         assert run.chain[-3].mean == run.chain[-2].mean == run.chain[-1].mean
         assert run.trace[-3].d > run.trace[-2].d > run.trace[-1].d > 0
 
@@ -1123,6 +1137,102 @@ class TestLateSteps:
         run = run_ellipse(QUARTIC, Decimal(2), Decimal(1), make_context(3_000, 4))
         oracle = ellipse_factor(run.ctx.real(2), run.ctx.real(1), run.ctx)
         assert matching_digits(run.value, oracle) >= run.ctx.target_digits
+
+
+def paper_quartic_d(beta0: Decimal, d0: Decimal, rows: int, digits: int) -> list[Decimal]:
+    """d_n = C_n / A_n of the paper's quartic iteration in its own means, from
+    A_0 = 1 and B_0 = ``beta0``, A' = (A + B)/2 and B'**4 = A B (A**2 + B**2)/2,
+    at ``digits`` digits: the reference the quartic rows are read against."""
+    c = Context(prec=digits)
+    mean, low, ds = Decimal(1), beta0, [d0]
+    for _ in range(rows - 1):
+        mean1 = c.divide(c.add(mean, low), 2)
+        squares = c.add(c.multiply(mean, mean), c.multiply(low, low))
+        low = c.sqrt(c.sqrt(c.divide(c.multiply(c.multiply(mean, low), squares), 2)))
+        ds.append(c.divide(c.subtract(mean, mean1), mean1))
+        mean = mean1
+    return ds
+
+
+class TestQuarticChain:
+    """A quartic run carries the quadratic chain, two quadratic steps per
+    quartic step, and each chain step reads its rise off the radicand of the
+    step before it."""
+
+    @staticmethod
+    def runs(start, ctx):
+        if start == "constant":
+            return [run_borwein(kind, ONE, ctx) for kind in (QUADRATIC, QUARTIC)]
+        a, b = map(Decimal, start)
+        return [run_ellipse(kind, a, b, ctx) for kind in (QUADRATIC, QUARTIC)]
+
+    @pytest.mark.parametrize("digits", [50, 1400, 20000])
+    @pytest.mark.parametrize("start", ["constant", ("2", "1"), ("1", "0.005")],
+                             ids=["constant", "2-1", "1-0.005"])
+    def test_links_are_the_quadratic_runs_even_links(self, digits, start):
+        # at one context, whose guard is the quadratic floor, the two runs carry
+        # the same start, F and steps: quartic link n is quadratic link 2n bit
+        # for bit while the quadratic chain moves.  Its late-step rule reads the
+        # even steps alone, so a quadratic chain that stood still after an odd
+        # link leaves the quartic's next link a root away, and the same value.
+        quadratic, quartic = self.runs(start, make_context(digits, 2))
+        assert quadratic.ctx == quartic.ctx
+        assert isinstance(quartic.links[0].mean, precision.Fixed) == (digits > 1000)
+        moved, last = (max(n for n in range(1, len(run.links)) if run.links[n] != run.links[n - 1])
+                       for run in (quadratic, quartic))
+        assert moved // 2 >= last - 1
+        for n in range(moved // 2 + 1):
+            assert quartic.links[n] == quadratic.links[2 * n], n
+        assert quartic.value == quadratic.value
+
+    @pytest.mark.parametrize("kind", [QUADRATIC, QUARTIC], ids=["quadratic", "quartic"])
+    def test_a_fixed_point_step_takes_one_product_and_one_root(self, kind, monkeypatch):
+        products, roots, quotients = [], [], []
+        fixed = precision.Fixed
+        multiply, divide, root = fixed.__mul__, fixed.__truediv__, fixed.root
+
+        def counted_product(x, y):
+            if isinstance(y, precision.Fixed):
+                products.append(x.f)
+            return multiply(x, y)
+
+        def counted_quotient(x, y):
+            if isinstance(y, precision.Fixed):
+                quotients.append(x.f)
+            return divide(x, y)
+
+        monkeypatch.setattr(precision.Fixed, "__mul__", counted_product)
+        monkeypatch.setattr(precision.Fixed, "__truediv__", counted_quotient)
+        monkeypatch.setattr(precision.Fixed, "root", lambda x, n: roots.append(n) or root(x, n))
+        run = run_borwein(kind, ONE, PrecisionContext(3000))
+        f = run.links[0].mean.f
+        moved = sum(before != after for before, after in zip(run.links, run.links[1:]))
+        # one F-bit product and one square root per quadratic step, but the
+        # late step's root, and no quotient
+        assert products == [f] * kind.e * moved
+        assert roots == [2] * (kind.e * moved - 1) and quotients == []
+
+    @pytest.mark.parametrize("digits, axes", [(50, None), (1400, None), (300, ("2", "1")),
+                                              (1400, ("1", "0.005")), (100, ("1", "1e-30"))])
+    def test_quartic_rows_d_match_the_papers_quartic_d(self, digits, axes):
+        if axes is None:
+            run = run_borwein(QUARTIC, ONE, PrecisionContext(digits))
+        else:
+            run = run_ellipse(QUARTIC, *map(Decimal, axes), PrecisionContext(digits))
+        working, wide = run.ctx.working_digits, run.ctx.wide.working_digits
+        c = Context(prec=wide + 30)
+        if axes is None:  # d_0 = B_0 = 2**(-1/4)
+            beta0 = d0 = c.power(2, Decimal("-0.25"))
+        else:  # B_0 = (b/a)**(1/2), d_0 = (1 - (b/a)**2)**(1/4)
+            ratio = c.divide(Decimal(axes[1]), Decimal(axes[0]))
+            beta0, d0 = c.sqrt(ratio), c.sqrt(c.sqrt(c.subtract(1, c.multiply(ratio, ratio))))
+        paper = paper_quartic_d(beta0, d0, len(run.links), wide + 30)
+        unit = run.ctx.wide.epsilon(1)
+        rows = [0] + [n for n in range(1, len(run.links)) if run.links[n] != run.links[n - 1]]
+        for n in rows:
+            d = run.trace[n].d
+            half = Decimal(5).scaleb(d.adjusted() - working)  # rounded once to W
+            assert abs(c.subtract(d, paper[n])) <= half + 3 * unit, n
 
 
 def at_wide(digits: int, target: int) -> PrecisionContext:
@@ -1251,7 +1361,7 @@ def through_the_limit(name: str, run, ctx: PrecisionContext) -> Decimal:
     mean, total = (x.rounded(ctx.wide) if isinstance(x, precision.Fixed) else x
                    for x in run.links[-1])
     with ctx.wide.local():
-        limit = 2 * total * pow_rational(mean, -run.kind.e * (w + 1), ctx.wide)
+        limit = 2 * total * pow_rational(mean, -(w + 1), ctx.wide)
         return pow_rational(limit * pow_rational(Decimal(2), -alpha, ctx.wide), -e, ctx.wide)
 
 

@@ -666,6 +666,30 @@ class TestFixed:
             # two units of y 2**-f relatively, whatever the size of x
             assert self.units(self.exact(y), want, x) <= 2 * max(want, 1), (n, value)
 
+    @staticmethod
+    def exact_power_inverse_root_bits(x, f, n, p):
+        """precision._inverse_root_bits with y**n exact at every Newton step."""
+        if p <= precision._SEED_BITS:
+            return precision._inverse_root_bits(x, f, n, p)
+        h = p // 2 + precision._HALF_GUARD_BITS
+        y = TestFixed.exact_power_inverse_root_bits(x, f, n, h)
+        miss = (1 << p) - (precision._bits(x, f, p) * precision._bits(y**n, n * h, p) >> p)
+        return (y << p - h) + (y * miss >> h) // n
+
+    @pytest.mark.parametrize("bits", [5_000, 30_000, 66_900])
+    def test_a_ninth_roots_power_is_cut_and_lower_roots_keep_their_bits(self, bits):
+        # y**n of n <= 4 stays exact, bit for bit; the ninth root's y**9, by
+        # squarings cut to p + 8 bits, moves the root by at most two units
+        rng = random.Random(bits)
+        for value in ("3.7e-5", "0.7", "1", "1.9", "500"):
+            v = int(Decimal(value).scaleb(30)) * (1 << bits) // 10**30 + rng.getrandbits(bits // 2)
+            for n in (2, 3, 4):
+                assert (precision._inverse_root_bits(v, bits, n, bits)
+                        == self.exact_power_inverse_root_bits(v, bits, n, bits)), (n, value)
+            k = (v.bit_length() - 1 - bits) // 9  # as Fixed.inverse_root cuts it
+            want = self.exact_power_inverse_root_bits(v, bits + 9 * k, 9, bits - k + 9) >> 9
+            assert abs(precision.Fixed(v, bits).inverse_root(9).v - want) <= 2, value
+
     @pytest.mark.parametrize("bits", [precision._QUOTIENT_BITS // 2, precision._QUOTIENT_BITS - 1,
                                       precision._QUOTIENT_BITS, precision._QUOTIENT_BITS + 1,
                                       3 * precision._QUOTIENT_BITS, 10 * precision._QUOTIENT_BITS])
