@@ -50,7 +50,7 @@ run's c_0 = 2/(b/a)**2.
 
 No step takes a power: every run takes the chain's steps and stops on the
 rises of a at w1, which each step reads off the chain with the 30-digit
-reads of its late-step test (:func:`_advance`), so runs at any two w from
+reads of its late-step test (:func:`_run`), so runs at any two w from
 one start and context build the same chain; w1 is read nowhere else.  The
 weight enters only when something is read.  A row, an
 :class:`IterationState` of the run's trace, forms its d, c, a and delta_exp
@@ -65,17 +65,18 @@ rounded once to W.  Once the last chain step's (C'/M')**p, the paper's
 (C'/A')**m, falls below 10**(2 - W') the root is skipped and B' = M', so
 the chain stops moving and the confirming steps of the stopping rule cost
 nothing.  The
-error bounds are stated on :func:`_advance` (the chain), :attr:`RunResult.k`
+error bounds are stated on :func:`_run` (the chain), :attr:`RunResult.k`
 (K), :class:`IterationState` (a row formed when read) and
 :func:`postprocess_constant` (a constant).
 
 From W' = 1 300 up to 28 000 the chain is carried in binary fixed point,
 as Python ints scaled by 2**F (:class:`~replica.precision.Fixed`,
 :func:`_fixed_bits`), whose products cost less than libmpdec's there.  The
-step is the same code over either number type: only its root, the cubic
-quotient and its 30-digit reads, taken once per step for the late-step test
-and the stopping rule, tell them apart.  A link is converted to W' digits
-when something reads it (:meth:`RunResult._link`), so a run's value converts its last link alone,
+step is the same code over either number type: a run picks its root and
+the cubic quotient once, and only its 30-digit reads, taken once per step
+for the late-step test and the stopping rule, take one branch per type.
+A link is converted to W' digits when something reads it
+(:meth:`RunResult._link`), so a run's value converts its last link alone,
 its rows the others when first read, and a named constant none: it is
 formed in the chain's own number type and converted once, to W digits.
 """
@@ -264,7 +265,7 @@ class RunResult:
         w + 1 and at w from this run's start, 1/AGM = S(1, 0; z_0).
 
         With N = ``iterations`` and the chain's u' = 10**(1 - W') of
-        :func:`_advance`: each family's AGM is homogeneous of degree 1 and
+        :func:`_run`: each family's AGM is homogeneous of degree 1 and
         increasing in both means, so the relative errors a chain step leaves in
         M' and B', at most 5u', move the limit by as much, and M_N is within
         5 e N u' plus M_N / M(M_N, B_N) - 1 (below e d_N**m / m) of the exact
@@ -308,11 +309,11 @@ class IterationState:
     the run's value and takes no power of its own, and neither do the rows
     after the chain stood still, whose link is the last one.
     delta_exp is e(|a_n - a_{n-1}|) of the two rows' a at W' at every w
-    (the stopping rule reads its own rises at w1, :func:`_advance`), None
+    (the stopping rule reads its own rises at w1, :func:`_run`), None
     on row 0 and where a did not move.
 
     With u' = 10**(1 - W'): C_n is good to 3u' of A_n absolutely
-    (:func:`_advance`), so d_n is within half a unit in its last place plus
+    (:func:`_run`), so d_n is within half a unit in its last place plus
     4u' absolutely of the chain's exact ratio, and a quartic d_n, whose
     quotient and root add 2u' to 1 + d_n, within half a unit plus 3u'; a
     power with numerator p adds (|p| + 3) u' to c_n and a_n relatively
@@ -371,30 +372,134 @@ class IterationState:
         return delta.adjusted() if delta else None
 
 
-def _advance(kind: AlgorithmKind, link: _Link, low: Real | Fixed, radicand: Real | Fixed,
-             weight: int, origin, ctx: PrecisionContext,
-             floor: Real) -> tuple[_Link, Real | Fixed, Real | Fixed, Real, Real]:
-    """One step of the family from the link (M_n, h_n) = ``link``, B_n = ``low``
-    and its radicand R_{n-1} = ``radicand`` (B_n**p), M_n > B_n, with
-    ``weight`` = m**n, at ``ctx``, the chain's context of W' digits (the run's
-    ``ctx.wide``): the link (M_{n+1}, h_{n+1}), B_{n+1}, its radicand R_n, and
-    the rise a_{n+1} - a_n and a_{n+1} at w1 from the start ``origin`` =
-    (B_0, c_0, a_0), both to 30 digits, which the stopping rule of
-    :func:`_run` reads.  The step is e = ``kind.e`` chain steps of order
-    p = m / e (the module's table): one for orders 2 and 3, two quadratic
-    ones for the quartic family, whose first takes its root at once.  The
-    means are Decimals at W' digits or :class:`~replica.precision.Fixed`
-    values of F bits, and the step is the same code over both: its operators
-    are those of the number type, and only the root, the cubic quotient and
-    the 30-digit reads take one branch per type.
+def _sized(ctx: PrecisionContext, order: int,
+           extra_steps: int = 0) -> tuple[PrecisionContext, int]:
+    """The context a run of the given order computes at, whose ``wide`` its
+    chain and start compute at, and its step budget.
 
-    The step's 30-digit reads are taken once, after its last chain step, in
+    The target is at least 32 digits (below that the budget is too tight for two
+    consecutive small deltas) and the guard at least that of make_context; each
+    extra step adds 8 guard digits.  ``ctx`` itself is returned when it meets the rule.
+    """
+    floor = make_context(max(ctx.target_digits, 32), order)
+    target = floor.target_digits
+    guard = max(ctx.guard_digits, floor.guard_digits) + GUARD_DIGITS_PER_STEP * extra_steps
+    if (target, guard) != (ctx.target_digits, ctx.guard_digits):
+        ctx = PrecisionContext(target, guard)
+    return ctx, step_budget(target, order) + extra_steps
+
+
+#: Working digits W' of a chain from which, and below which, it is carried
+#: in binary fixed point (:func:`_fixed_bits`).
+_FIXED_FROM = 1_300
+_FIXED_BELOW = 28_000
+
+#: Bits a fixed-point chain carries beyond W' log2(10).
+_FIXED_GUARD_BITS = 16
+
+#: Most bits an ellipse start may add: past them (b/a below 1e-14) the chain
+#: is carried in Decimals.
+_FIXED_START_BITS = 48
+
+
+def _fixed_bits(fine: PrecisionContext, steps: int, ratio: Real = Decimal(1)) -> int | None:
+    """F, the fraction bits of the :class:`~replica.precision.Fixed` values a
+    chain at ``fine`` (W' working digits) carries, allowed ``steps`` chain
+    steps (the budget of a run of the chain's order), from an ellipse start of
+    b/a = ``ratio`` or a constant's (no ratio), or None where the chain is
+    carried in Decimals: below W' = ``_FIXED_FROM`` (1 300), from
+    ``_FIXED_BELOW`` (28 000) up, and for b/a below 1e-14.
+
+    A product of CPython ints beats one of libmpdec, which multiplies operands
+    of up to 256 words (4 864 digits) by its quadratic base case, from a few
+    hundred digits up, and whole requests cost less with the Decimal chain
+    from about 32 000 digits (the second table).  A run_borwein run at w = 1
+    whose chain runs at W' working digits (target W'/2), CPU time with the
+    fixed-point chain over time with the Decimal chain, the range of two
+    best-of-5 alternating pairs (2 vCPU, Python 3.11.7, libmpdec 2.5.1,
+    shared machine):
+
+        W'        quadratic   cubic       quartic
+        300       1.04-1.18   1.07-1.08   0.98-1.00
+        450       1.01-1.03   0.86-0.87   0.83-0.87
+        750       0.81        0.66-0.67   0.70-0.71
+        1 050     0.63-0.64   0.55        0.53-0.57
+        1 450     0.54        0.43-0.48   0.45-0.46
+        2 150     0.40-0.41   0.39        0.37-0.38
+        5 170     0.35-0.36   0.40        0.31-0.49
+        8 170     0.29        0.33        0.29
+        10 000    0.53-0.54   0.51-0.53   0.52
+
+    From 12 000 digits, whole requests ``--digits D --plain``, the same ratio
+    summed over each family's constants (pi, gamma34 and gamma14 for orders
+    2 and 4, gamma23 and gamma13 for order 3) and for ``ellipse 2 1``, best
+    of 3 alternating runs, with W' from D + 122 to D + 186, and the cubic
+    quotient in ints by :func:`~replica.precision._quotient_bits`:
+
+        D         quadratic   cubic   quartic   ellipse   all
+        12 000    0.57        0.64    0.58      0.61      0.60
+        16 000    0.69        0.57    0.65      0.65      0.63
+        20 000    0.65        0.78    0.66      0.70      0.70
+        24 000    0.74        0.95    0.74      0.69      0.79
+        26 000    0.87        0.84    0.92      0.90      0.88
+        28 000    0.90        0.83    0.90      0.85      0.87
+        32 000    1.07        0.98    0.96      1.10      1.02
+
+    The chain is carried in Decimals below W' = 1 300 though it wins from a
+    W' between 300 and 450 (cubic and quartic) or 450 and 750 (quadratic),
+    and from 28 000 up though whole requests cross near 32 000: every
+    request of 1 000 digits or fewer, and the runs the frozen bits of the
+    tests pin, keep the Decimal chain.
+
+    F is ceil(W' log2(10)) plus ``_FIXED_GUARD_BITS``, plus the bits by which
+    the units of b/a, and of the means near B_0 = b/a, weigh more
+    relatively: log2(a/b) <= -e(b/a) log2(10) (e(x) = x.adjusted()), so that
+    B_0 and the means keep the W' digits the Decimal chain gives them, plus
+    ``steps`` + 2, the bits the quadratic rises, which chain step k reads
+    off radicands to 2**k units, take from h (:func:`_run`).  A quartic
+    run counts the budget of a quadratic run of its target, whose chain it
+    carries, so the two carry the same F and the same links.
+    c_0 = 2 (a/b)**2 adds none: it scales the units of h in
+    a_n = (a_0 + c_0 h_n) M_n**(-(w + 1)) and the c_0 h_n beside them alike.
+    """
+    digits = fine.working_digits
+    if not _FIXED_FROM <= digits < _FIXED_BELOW:
+        return None
+    extra = math.ceil(-ratio.adjusted() * math.log2(10))
+    if extra > _FIXED_START_BITS:
+        return None
+    return math.ceil(digits * math.log2(10)) + _FIXED_GUARD_BITS + extra + steps + 2
+
+
+def _run(kind: AlgorithmKind, w: Fraction, start: tuple[Real | Fixed, Real, Real],
+         radicand: Real | Fixed, ctx: PrecisionContext, budget: int) -> RunResult:
+    """The run at ``w`` of the chain from ``start`` = (B_0, c_0, a_0) and
+    ``radicand`` R_{-1} = B_0**p, in B_0's number type, built at the chain's
+    context of W' digits (``ctx.wide``) until two consecutive rises of a at
+    w1 are small; its value is the last row's a: one power.  A chain that
+    meets no stop within ``budget`` steps raises :class:`NonConvergenceError`
+    with the rows of that same run.  The stopping rule is the one place a
+    run reads w1.  A B_0 that is a :class:`~replica.precision.Fixed` carries
+    the chain in fixed point of its bits, and the run keeps it as carried
+    (``RunResult.origin``) until its start is read.
+
+    Step n takes the link (M_n, h_n), B_n and its radicand R_{n-1} = B_n**p,
+    M_n > B_n, to the link (M_{n+1}, h_{n+1}), B_{n+1} and R_n: e = ``kind.e``
+    chain steps of order p = m / e (the module's table), one for orders 2
+    and 3, two quadratic ones for the quartic family, whose first takes its
+    root at once, chain step k weighing its rise by p**k.  The means are
+    Decimals at W' digits or :class:`~replica.precision.Fixed` values of F
+    bits, and the step is the same code over both: its operators are those
+    of the number type, the root and the cubic quotient are picked once per
+    run, and only the 30-digit reads take one branch per type.
+
+    A step's 30-digit reads are taken once, after its last chain step, in
     the context ``precision._HEAD``, and serve both the late-step test and
     the rise: a Decimal is rounded to 30 digits there, a fixed-point value is
     read by :meth:`~replica.precision.Fixed.head`, and M_n - M_{n+1} and
     h_{n+1} - h_n, the rise of the carried sum, are formed in the chain's
-    type and rounded once there.  With a_n = hat / M_n**p at w1, hat =
-    a_0 + c_0 h_n and gain = c_0 (h_{n+1} - h_n),
+    type and rounded once there, c_0 once per run.  With a_n = hat / M_n**p
+    at w1, hat = a_0 + c_0 h_n and gain = c_0 (h_{n+1} - h_n),
 
         a_{n+1} - a_n = (hat (M_n - M_{n+1}) span / M_n**p + gain) / M_{n+1}**p,
 
@@ -403,10 +508,30 @@ def _advance(kind: AlgorithmKind, link: _Link, low: Real | Fixed, radicand: Real
     at w1 (a_0 >= 0, M_{n+1} <= M_n, every gap positive), so no digit
     cancels: the rise is good to a relative 1e-27.
 
-    The last root is skipped (B_{n+1} = M_{n+1}) once (C'/M')**p of the last
-    chain step, the paper's (C_{n+1}/A_{n+1})**m, taken in the 30-digit
-    context, is below ``floor`` = 10**(2 - W'); :func:`_run` takes no step
-    from M_n = B_n, so the steps after that move nothing.
+    The last root of a step is skipped (B_{n+1} = M_{n+1}) once (C'/M')**p
+    of its last chain step, the paper's (C_{n+1}/A_{n+1})**m, taken in the
+    30-digit context, is below 10**(2 - W'); no step is taken from
+    M_n = B_n, so the steps after that move nothing and take no reads.
+
+    A rise |a_n - a_{n-1}| at w1 is small when its exponent is at most
+    e(a_n) - target_digits - 8 (e(x) = x.adjusted()): below
+    10**(-target_digits - 8) times the power of ten just above |a_n|, so a
+    relative rise r below 10**-(target_digits + 7).  A limit in [0.1, 1), as
+    of pi and gamma23, stops where the absolute bound 10**(-target_digits - 8)
+    stopped it.  A step that moves nothing is small.
+
+    The rule reads no run's w, so runs at every w from one start and context
+    build the same chain, and it certifies a at each of them.  a at w is
+    hat * M**(-(w + 1)) with hat = a_0 + c_0 h, and both terms of the rise
+    at w1 are nonnegative, so each bounds on its own the relative moves of
+    hat and of M**(-(w1 + 1)) by r.  A step then moves a at w by at most
+    (1 + |w + 1| / (w1 + 1)) r relatively,
+    a factor below 10**16 for |w| <= :data:`~replica.precision.MAX_ABS_W`.
+    The rises fall with the family's order m, so after two small ones what a
+    at w still moves is about 10**16 * 10**(-m (target_digits + 7)), below
+    10**-(target_digits + 24) for m >= 2 and the 32-digit floor of
+    :func:`_sized`; once the chain stands still (B' = M'), it is below
+    |w + 1| 10**(2 - W') / p.
 
     Error bound in fixed point, with units of 2**-F: each product, quotient
     and halving rounds down by at most one unit, sums and differences are
@@ -450,193 +575,55 @@ def _advance(kind: AlgorithmKind, link: _Link, low: Real | Fixed, radicand: Real
     the value rounded to W digits keeps the accuracy of the paper's
     normalized recurrence.
     """
-    (mean, total), (_, c0, a0) = link, origin
-    fixed, p = isinstance(mean, Fixed), kind.order // kind.e
-    root = (lambda x: x.root(p)) if fixed else (lambda x: nth_root(x, p, ctx))
-    mean1, total1 = mean, total
-    for step in range(kind.e):
-        if step:  # the quartic's first quadratic step
-            low = root(radicand)
-        product = mean1 * low
-        if p == 3:
-            gap = (mean1 - low) / 3
-            radicand = (product * (mean1 + low) + radicand) / 3
-            num, den = 2 * weight * gap * radicand, (mean1 * mean1 + 2 * product) / 3
-            total1 += num / den if fixed else quotient(num, den)
-            mean1 = (mean1 + 2 * low) / 3
-        else:
-            gap = (mean1 - low) / 2
-            total1 += weight * (product - radicand) / 2
-            radicand, mean1 = product, (mean1 + low) / 2
-        weight *= p
-    link = _Link(mean1, total1)
-    with localcontext(_HEAD):
-        if fixed:
-            reads = (x.head() for x in (mean - mean1, mean, mean1, gap, total, total1 - total))
-        else:
-            reads = (mean - mean1, +mean, +mean1, +gap, total, total1 - total)
-        drop, head, head1, gap, total, rise = reads
-        c0 = +c0
-        hat, gain = a0 + c0 * total, c0 * rise
-        span = head + head1  # sum_j M_n**j M_{n+1}**(p-1-j), by Horner's rule
-        for k in range(2, p):
-            span = span * head + head1**k
-        top = head1**p
-        delta, a = (hat * drop * span / head**p + gain) / top, (hat + gain) / top
-        late = (gap / head1) ** p < floor
-    return link, mean1 if late else root(radicand), radicand, delta, a
-
-
-def _sized(ctx: PrecisionContext, order: int,
-           extra_steps: int = 0) -> tuple[PrecisionContext, int]:
-    """The context a run of the given order computes at, whose ``wide`` its
-    chain and start compute at, and its step budget.
-
-    The target is at least 32 digits (below that the budget is too tight for two
-    consecutive small deltas) and the guard at least that of make_context; each
-    extra step adds 8 guard digits.  ``ctx`` itself is returned when it meets the rule.
-    """
-    floor = make_context(max(ctx.target_digits, 32), order)
-    target = floor.target_digits
-    guard = max(ctx.guard_digits, floor.guard_digits) + GUARD_DIGITS_PER_STEP * extra_steps
-    if (target, guard) != (ctx.target_digits, ctx.guard_digits):
-        ctx = PrecisionContext(target, guard)
-    return ctx, step_budget(target, order) + extra_steps
-
-
-#: Working digits W' of a chain from which, and below which, it is carried
-#: in binary fixed point (:func:`_fixed_bits`).
-_FIXED_FROM = 1_300
-_FIXED_BELOW = 28_000
-
-#: Bits a fixed-point chain carries beyond W' log2(10).
-_FIXED_GUARD_BITS = 16
-
-#: Most bits an ellipse start may add: past them (b/a below 1e-14) the chain
-#: is carried in Decimals.
-_FIXED_START_BITS = 48
-
-
-def _fixed_bits(fine: PrecisionContext, steps: int, ratio: Real = Decimal(1)) -> int | None:
-    """F, the fraction bits of the :class:`~replica.precision.Fixed` values a
-    chain at ``fine`` (W' working digits) carries, allowed ``steps`` chain
-    steps (the budget of a run of the chain's order), from an ellipse start of
-    b/a = ``ratio`` or a constant's (no ratio), or None where the chain is
-    carried in Decimals: below W' = ``_FIXED_FROM`` (1 300), from
-    ``_FIXED_BELOW`` (28 000) up, and for b/a below 1e-14.
-
-    A product of CPython ints beats one of libmpdec, which multiplies operands
-    of up to 256 words (4 864 digits) by its quadratic base case, from a few
-    hundred digits up, and whole requests cost less with the Decimal chain
-    from about 28 000 digits (the second table).  A run_borwein run at w = 1,
-    time with the fixed-point chain over time with the Decimal chain, the
-    range of two best-of-2-to-7 pairs (2 vCPU, Python 3.11.7, libmpdec
-    2.5.1, shared machine):
-
-        W'        quadratic   cubic       quartic
-        438       1.19-1.23   1.01-1.15   0.96-1.08
-        746       0.91-0.99   0.86-0.89   0.83-0.88
-        1 046     0.80-0.81   0.71-0.76   0.75-0.81
-        1 454     0.70-0.72   0.62-0.64   0.61-0.65
-        2 154     0.63-0.64   0.54-0.56   0.42-0.58
-        5 170     0.73        0.76-0.79   0.79-0.82
-        8 170     0.67-0.68   0.72        0.70-0.72
-        9 978     0.60-0.74   0.71-0.73   0.79-0.82
-
-    From 12 000 digits, whole requests ``--digits D --plain``, the same ratio
-    summed over each family's constants (pi, gamma34 and gamma14 for orders
-    2 and 4, gamma23 and gamma13 for order 3) and for ``ellipse 2 1``, best
-    of 3 alternating runs, with W' from D + 122 to D + 186, and the cubic
-    quotient in ints by :func:`~replica.precision._quotient_bits`:
-
-        D         quadratic   cubic   quartic   ellipse   all
-        12 000    0.74        0.76    0.80      0.83      0.78
-        16 000    0.89        0.88    1.05      0.88      0.92
-        20 000    0.70        0.79    0.79      0.80      0.77
-        24 000    0.73        0.89    0.88      0.92      0.85
-        26 000    0.82        0.87    0.97      1.01      0.91
-        28 000    0.92        0.93    1.07      1.09      0.99
-        32 000    1.09        1.06    1.32      1.33      1.18
-
-    The chain is carried in Decimals below W' = 1 300 though it would win from
-    about 750: every request of 1 000 digits or fewer, and the runs the
-    frozen bits of the tests pin, keep the Decimal chain.
-
-    F is ceil(W' log2(10)) plus ``_FIXED_GUARD_BITS``, plus the bits by which
-    the units of b/a, and of the means near B_0 = b/a, weigh more
-    relatively: log2(a/b) <= -e(b/a) log2(10) (e(x) = x.adjusted()), so that
-    B_0 and the means keep the W' digits the Decimal chain gives them, plus
-    ``steps`` + 2, the bits the quadratic rises, which chain step k reads
-    off radicands to 2**k units, take from h (:func:`_advance`).  A quartic
-    run counts the budget of a quadratic run of its target, whose chain it
-    carries, so the two carry the same F and the same links.
-    c_0 = 2 (a/b)**2 adds none: it scales the units of h in
-    a_n = (a_0 + c_0 h_n) M_n**(-(w + 1)) and the c_0 h_n beside them alike.
-    The crossovers were measured before the quartic step became two
-    quadratic ones and the rises were read off the radicands, and are not
-    measured again here.
-    """
-    digits = fine.working_digits
-    if not _FIXED_FROM <= digits < _FIXED_BELOW:
-        return None
-    extra = math.ceil(-ratio.adjusted() * math.log2(10))
-    if extra > _FIXED_START_BITS:
-        return None
-    return math.ceil(digits * math.log2(10)) + _FIXED_GUARD_BITS + extra + steps + 2
-
-
-def _run(kind: AlgorithmKind, w: Fraction, start: tuple[Real | Fixed, Real, Real],
-         radicand: Real | Fixed, ctx: PrecisionContext, budget: int) -> RunResult:
-    """The run at ``w`` of the chain from ``start`` = (B_0, c_0, a_0) and
-    ``radicand`` = B_0**p (:func:`_advance`), in B_0's number type, built
-    at ``ctx.wide`` until two consecutive rises of a at w1 are small; its
-    value is the last row's a: one power.  A chain that meets no stop within
-    ``budget`` steps raises :class:`NonConvergenceError` with the rows of
-    that same run.  The stopping rule is the one place a run reads w1.  A
-    B_0 that is a :class:`~replica.precision.Fixed` carries the chain in
-    fixed point of its bits, and the run keeps it as carried
-    (``RunResult.origin``) until its start is read.
-
-    A rise |a_n - a_{n-1}| at w1 (:func:`_advance`) is small when its exponent
-    is at most e(a_n) - target_digits - 8 (e(x) = x.adjusted()): below
-    10**(-target_digits - 8) times the power of ten just above |a_n|, so a
-    relative rise r below 10**-(target_digits + 7).  A limit in [0.1, 1), as
-    of pi and gamma23, stops where the absolute bound 10**(-target_digits - 8)
-    stopped it.
-
-    The rule reads no run's w, so runs at every w from one start and context
-    build the same chain, and it certifies a at each of them.  a at w is
-    hat * M**(-(w + 1)) with hat = a_0 + c_0 h, and both terms of the rise
-    at w1 are nonnegative, so each bounds on its own the relative moves of
-    hat and of M**(-(w1 + 1)) by r.  A step then moves a at w by at most
-    (1 + |w + 1| / (w1 + 1)) r relatively,
-    a factor below 10**16 for |w| <= :data:`~replica.precision.MAX_ABS_W`.
-    The rises fall with the family's order m, so after two small ones what a
-    at w still moves is about 10**16 * 10**(-m (target_digits + 7)), below
-    10**-(target_digits + 24) for m >= 2 and the 32-digit floor of
-    :func:`_sized`; once the chain stands still (B' = M'), it is below
-    |w + 1| 10**(2 - W') / p.
-    """
-    low, fine, m, weight = start[0], ctx.wide, kind.order, 1
-    if isinstance(low, Fixed):
-        link = _Link(Fixed(1 << low.f, low.f), Fixed(0, low.f))
-    else:
-        link = _Link(Decimal(1), Decimal(0))
+    (low, c0, a0), fine, p = start, ctx.wide, kind.order // kind.e
+    fixed = isinstance(low, Fixed)
+    root = (lambda x: x.root(p)) if fixed else (lambda x: nth_root(x, p, fine))
+    divide = Fixed.__truediv__ if fixed else quotient
+    one, zero = (Fixed(1 << low.f, low.f), Fixed(0, low.f)) if fixed else (Decimal(1), Decimal(0))
+    link, c0, weight, consecutive = _Link(one, zero), _HEAD.plus(c0), 1, 0
+    chain = [link]
     with fine.local():
         floor = fine.epsilon(2)
-        chain = [link]
-        consecutive = 0
         for _ in range(budget):
             small = True  # a step from M_n = B_n: the chain stands still from here on
-            if link.mean != low:
-                link, low, radicand, delta, a = _advance(kind, link, low, radicand, weight,
-                                                         start, fine, floor)
+            mean, total = mean1, total1 = link
+            if mean != low:
+                for step in range(kind.e):
+                    if step:  # the quartic's first quadratic step
+                        low = root(radicand)
+                    product = mean1 * low
+                    if p == 3:
+                        gap = (mean1 - low) / 3
+                        radicand = (product * (mean1 + low) + radicand) / 3
+                        num, den = 2 * weight * gap * radicand, (mean1 * mean1 + 2 * product) / 3
+                        total1 += divide(num, den)
+                        mean1 = (mean1 + 2 * low) / 3
+                    else:
+                        gap = (mean1 - low) / 2
+                        total1 += weight * (product - radicand) / 2
+                        radicand, mean1 = product, (mean1 + low) / 2
+                    weight *= p
+                link = _Link(mean1, total1)
+                with localcontext(_HEAD):
+                    if fixed:
+                        reads = map(Fixed.head,
+                                    (mean - mean1, mean, mean1, gap, total, total1 - total))
+                    else:
+                        reads = (mean - mean1, +mean, +mean1, +gap, total, total1 - total)
+                    drop, head, head1, gap, total, rise = reads
+                    hat, gain = a0 + c0 * total, c0 * rise
+                    span = head + head1  # sum_j M_n**j M_{n+1}**(p-1-j), by Horner's rule
+                    for k in range(2, p):
+                        span = span * head + head1**k
+                    top = head1**p
+                    delta, a = (hat * drop * span / head**p + gain) / top, (hat + gain) / top
+                    late = (gap / head1) ** p < floor
+                low = mean1 if late else root(radicand)
                 small = not delta or delta.adjusted() <= a.adjusted() - ctx.target_digits - 8
             chain.append(link)
             consecutive = consecutive + 1 if small else 0
             if consecutive == 2:
                 return RunResult(kind, w, ctx, start, chain)
-            weight *= m
     raise NonConvergenceError(f"{kind.name} run did not converge within {budget} iterations",
                               trace=RunResult(kind, w, ctx, start, chain).trace)
 
@@ -849,7 +836,7 @@ def postprocess_constant(name: str, run: RunResult) -> Real:
 
     Error bound, with W working digits: C is the same function of (M_N, h_N)
     as (L * 2**(-alpha))**(-e) with L the chain's a_N at the recipe's w,
-    so a relative error r of that a_N (:func:`_advance`) becomes |e| r in
+    so a relative error r of that a_N (:func:`_run`) becomes |e| r in
     C, to first order, and |e| <= 1 in every recipe.  The roundings on the
     way cost less than 10**(-8) units of 10**(1 - W): in Decimals each
     operation at W' = W + 10 digits adds a few units of 10**(1 - W'); in

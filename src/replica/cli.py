@@ -301,7 +301,13 @@ def _cmd_ellipse(args, ctx: PrecisionContext) -> _Report:
 
 def _cmd_verify(args, ctx: PrecisionContext) -> _Report:
     """Run a constant or perimeter and measure it against its oracle: the
-    series, or where that is too slow the other perimeter family at its own budget."""
+    series, or where that is too slow the other perimeter family at its own budget.
+
+    That fallback is no independent oracle: both perimeter families carry the
+    same quadratic chain from b/a (:func:`~replica.algorithms.run_ellipse`),
+    so it compares the chain with itself at another guard, the quartic's
+    stopping rule reading every second link.  It catches digits lost to
+    rounding or to an early stop, not a wrong step."""
     ellipse = args.target == "ellipse"
     if ellipse and args.w is not None:
         raise ValueError("verify ellipse takes no --w")

@@ -434,7 +434,7 @@ def _to_decimal(n: int) -> Decimal:
 
 
 # The context of a :meth:`Fixed.head` and of a chain step's 30-digit reads
-# (``algorithms._advance``): 30 digits at any exponent; every operand read
+# (``algorithms._run``): 30 digits at any exponent; every operand read
 # there is positive, so each is good to a relative 1e-28.
 _HEAD = decimal.Context(prec=30, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
 

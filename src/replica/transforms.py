@@ -3,7 +3,7 @@
 Three self-replicating transformations define the iterations: a quadratic one
 (the classical Landen argument map), a cubic one and a quartic one.  Each
 ``*_descend`` contracts [0, 1) toward 0.  A run does not call them: it
-carries its family's AGM in homogeneous means (``algorithms._advance``),
+carries its family's AGM in homogeneous means (``algorithms._run``),
 whose rows d_n = C_n / A_n follow the same map.  They stay as the maps those
 rows are checked against, with the paper's replication maps of
 tests/oracles.py, which rewrite the weight (a + b*k) of the series into

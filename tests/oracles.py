@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 from replica.errors import DomainError
@@ -143,8 +143,7 @@ def assert_invariant_accurate(got: Decimal, want: Decimal, w: Fraction, ctx) -> 
     :func:`invariant_decimal` 40 digits higher: W - 1 matching significant digits at
     w = 0, else within pow_rational's relative bound (|p| + 3) 10**(1 - W) for
     w = p/q plus one ulp of ``got``."""
-    with localcontext() as c:
-        c.prec = ctx.working_digits + 40
+    with localcontext(Context(prec=ctx.working_digits + 40)):
         err = abs(got - want)
         if w == 0:
             matching = want.adjusted() - err.adjusted() if err else ctx.working_digits
@@ -156,23 +155,20 @@ def assert_invariant_accurate(got: Decimal, want: Decimal, w: Fraction, ctx) -> 
 
 
 def fraction_to_decimal(x: Fraction, digits: int) -> Decimal:
-    with localcontext() as c:
-        c.prec = digits
+    with localcontext(Context(prec=digits)):
         return Decimal(x.numerator) / Decimal(x.denominator)
 
 
 def decimal_sqrt(x: Decimal | int | str, digits: int) -> Decimal:
     """Square root through the stdlib decimal implementation (not ours)."""
-    with localcontext() as c:
-        c.prec = digits
+    with localcontext(Context(prec=digits)):
         return Decimal(x).sqrt()
 
 
 def isqrt_sqrt(n: int, digits: int) -> Decimal:
     """sqrt(n) for integer n via math.isqrt on a scaled integer."""
     scaled = math.isqrt(n * 10 ** (2 * digits))
-    with localcontext() as c:
-        c.prec = digits + 10
+    with localcontext(Context(prec=digits + 10)):
         return Decimal(scaled).scaleb(-digits)
 
 
@@ -211,8 +207,6 @@ def near_degenerate_perimeter(a: str, b: str, digits: int) -> Decimal:
     perimeter of an ellipse with semi-axes a >= b up to a remainder of order
     k^4 ln(1/k) relative (DLMF 19.12, the expansion of E about k' = 0), by
     ``Decimal.ln``."""
-    with localcontext() as c:
-        c.prec = digits
-        c.Emin, c.Emax = -(10**9), 10**9
+    with localcontext(Context(prec=digits, Emin=-(10**9), Emax=10**9)):
         a, k = Decimal(a), Decimal(b) / Decimal(a)
         return 4 * a * (1 + k * k / 2 * ((4 / k).ln() - Decimal("0.5")))

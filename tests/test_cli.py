@@ -5,7 +5,7 @@ import json
 import os
 import subprocess
 import sys
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
@@ -72,8 +72,7 @@ class TestConstantCommand:
             "--digits", "100", "--plain",
         )
         assert code == 0
-        with localcontext() as c:
-            c.prec = 150
+        with localcontext(Context(prec=150)):
             expected = str(1 / Decimal(frozen.GAMMA34) ** 4)
         assert expected.startswith(out[:100])
 
@@ -184,8 +183,7 @@ class TestEllipseCommand:
     def test_circle_perimeter(self, capsys):
         code, out, _ = run_cli(capsys, "ellipse", "1", "1", "--digits", "20")
         assert code == 0
-        with localcontext() as c:
-            c.prec = 40
+        with localcontext(Context(prec=40)):
             expected = str(2 * Decimal(frozen.PI))[:21]
         assert digits_only(out) == expected
         assert out == "6.2831853071 795864769 ..."
@@ -193,8 +191,7 @@ class TestEllipseCommand:
     def test_two_to_one(self, capsys):
         code, out, _ = run_cli(capsys, "ellipse", "2", "1", "--digits", "30", "--plain")
         assert code == 0
-        with localcontext() as c:
-            c.prec = 60
+        with localcontext(Context(prec=60)):
             expected = str(Decimal(frozen.PI) * Decimal(frozen.F21))
         assert expected.startswith(out)
         assert out.startswith("9.688448220547")

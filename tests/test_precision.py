@@ -120,7 +120,7 @@ class TestNthRoot:
         r = nth_root(Decimal(2), 2, ctx)
         with ctx.local():
             defect = abs(r * r - 2)
-        assert defect <= 2 * ctx.epsilon(1)
+            assert defect <= 2 * ctx.epsilon(1)
 
     def test_sqrt2_against_integer_sqrt(self):
         ctx = make_context(300, 2)
@@ -153,11 +153,11 @@ class TestNthRoot:
 
     def test_extreme_magnitudes(self):
         ctx = make_context(80, 2)
-        big = Decimal(1).scaleb(3001)  # 10**3001, odd exponent
+        big = Decimal("1e3001")  # odd exponent
         r = nth_root(big, 2, ctx)
         with ctx.local():
             assert matching_digits(r * r, big) >= ctx.working_digits - 2
-        tiny = Decimal(7).scaleb(-2999)
+        tiny = Decimal("7e-2999")
         r = nth_root(tiny, 3, ctx)
         with ctx.local():
             assert matching_digits(r * r * r, tiny) >= ctx.working_digits - 2
@@ -324,8 +324,7 @@ def _min_guard_context(working_digits):
 
 
 def _exact_power(r, n):
-    with localcontext() as c:
-        c.prec = n * len(r.as_tuple().digits) + 5
+    with localcontext(Context(prec=n * len(r.as_tuple().digits) + 5)):
         return r**n
 
 
@@ -359,8 +358,7 @@ class TestNewtonKernelAtScale:
             for n in (2, 3, 4):
                 x = Decimal(f"{rng.randrange(10**39, 10**40)}e{exponent - 39}")
                 r = nth_root(x, n, ctx)
-                with localcontext() as c:
-                    c.prec = 4 * ctx.working_digits + 50
+                with localcontext(Context(prec=4 * ctx.working_digits + 50)):
                     defect = abs(_exact_power(r, n) - x)
                     assert defect <= 3 * x * ctx.epsilon(1), (x, n)
 
@@ -382,9 +380,8 @@ class TestNewtonKernelAtScale:
         for p, x in zip((-1, -5, -7, -11, -13), ("7.3e-300", "0.37", "41.5", "2.9e300", "5.25")):
             x = Decimal(x)
             r = pow_rational(x, Fraction(p, q), ctx)
-            bound = (-p + 3) * ctx.epsilon(1)
-            with localcontext() as c:
-                c.prec = q * (len(r.as_tuple().digits) + 4) + 50
+            with localcontext(Context(prec=q * (len(r.as_tuple().digits) + 4) + 50)):
+                bound = (-p + 3) * ctx.epsilon(1)
                 residual = abs(_exact_power(r, q) * _exact_power(x, -p) - 1)
                 assert residual <= (1 + bound) ** q - 1, (p, q, x)
 
@@ -396,8 +393,7 @@ class TestNewtonKernelAtScale:
         for n in (2, 3, 4):
             r = nth_root(x, n, ctx)
             assert matching_digits(r, nth_root(x, n, wide)) >= ctx.working_digits - 2
-            with localcontext() as c:
-                c.prec = 4 * wide.working_digits + 50
+            with localcontext(Context(prec=4 * wide.working_digits + 50)):
                 assert abs(_exact_power(r, n) - x) <= 3 * x * ctx.epsilon(1)
         y = pow_rational(x, Fraction(-5, 12), ctx)
         assert matching_digits(y, pow_rational(x, Fraction(-5, 12), wide)) >= ctx.working_digits - 2
@@ -416,9 +412,7 @@ class TestPowRationalOracle:
             for exponent in (-300, -41, 0, 37, 300):
                 x = Decimal(f"{rng.randrange(10**19, 10**20)}e{exponent - 19}")
                 r = pow_rational(x, Fraction(p, q), ctx)
-                with localcontext() as c:
-                    c.prec = working_digits + 20
-                    c.Emin, c.Emax = -10**6, 10**6
+                with localcontext(Context(prec=working_digits + 20, Emin=-10**6, Emax=10**6)):
                     expected = (p * x.ln() / q).exp()
                     assert abs(r - expected) <= (abs(p) + 3) * ctx.epsilon(1) * expected, (x, p, q)
 
@@ -440,7 +434,7 @@ class TestHalfPrecisionRoot:
             for p in (1, 2, 5, 7, 13):
                 if math.gcd(p, q) != 1:
                     continue
-                bound = (p + 3) * ctx.epsilon(1)
+                bound = Context().multiply(p + 3, ctx.epsilon(1))
                 for exponent in exponents:
                     x = Decimal(f"{rng.randrange(10**19, 10**20)}e{exponent - 19}")
                     r = pow_rational(x, Fraction(p, q), ctx)
@@ -745,7 +739,8 @@ class TestFixed:
                                        "12345.678", "3e-40"])
     def test_rounded_and_head_convert_under_their_own_contexts(self, value):
         f = 20_000
-        x = precision.Fixed(int(Decimal(value).scaleb(60)) * (1 << f) // 10**60 + 12345, f)
+        x = precision.Fixed(int(Context(prec=40).scaleb(Decimal(value), 60)) * (1 << f) // 10**60
+                            + 12345, f)
         ctx = PrecisionContext(5_000)
         want = self.exact_at(x, ctx.working_digits + 60)
         with localcontext(Context(prec=6, Emin=-60, Emax=60)):
